@@ -275,24 +275,9 @@ def choi_matrix(t: SuperOperator) -> np.ndarray:
     trace-preserving T.
     """
     d = t.dim
-    j = np.zeros((d * d, d * d), dtype=complex)
-    units = np.zeros((d * d, d, d), dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            units[i * d + k, i, k] = 1.0
-    images = t.apply_batch(units)
-    for i in range(d):
-        for k in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, k] = 1.0
-            j += kron(e, images[i * d + k])
-    return j
-
-
-def hermiticity_residual(t: SuperOperator) -> float:
-    """Spectral norm of J(T) - J(T)^dag; zero iff T is Hermiticity-preserving."""
-    j = choi_matrix(t)
-    return float(spectral_norm(j - dagger(j)))
+    # images[i*d + k] = T(|i><k|), and J[(i, a), (k, b)] = T(|i><k|)[a, b]
+    images = t.apply_batch(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
+    return images.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def validate(t: SuperOperator, n_samples: int = DEFAULT_POSITIVITY_SAMPLES,

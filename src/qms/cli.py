@@ -18,7 +18,7 @@ import numpy as np
 from . import serialize
 from .channels import (DensityMatrix, GeneratorMap, SuperOperator,
                        maximally_mixed, validate)
-from .contraction import DEFAULT_GRID, DEFAULT_RESTARTS
+from .contraction import DEFAULT_RESTARTS
 from .errors import (DomainError, NumericError, QmsError, SchemaError,
                      ValidationError)
 from .ensembles import EnsembleConfig, sweep
@@ -50,6 +50,13 @@ class _Output:
             sys.stdout.write(text)
 
 
+def _steps(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", default="text", choices=["text", "json", "csv"],
                    help="output format (csv only for row-oriented commands)")
@@ -58,8 +65,6 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
                    help="multistart restarts for norm/contraction estimates")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID,
-                   help="qubit grid size for the contraction oracle")
     p.add_argument("--out", default=None, help="write the report to a file")
 
 
@@ -135,8 +140,7 @@ def _cmd_validate(args) -> int:
 
 def _analysis_doc(t: SuperOperator, args) -> tuple[dict, int]:
     spec = spectral_quantities(t)
-    report = condition_numbers(t, restarts=args.restarts, seed=args.seed,
-                               grid=args.grid)
+    report = condition_numbers(t, restarts=args.restarts, seed=args.seed)
     tau_t = report.tau_t
     doc = {
         "dim": t.dim,
@@ -154,14 +158,10 @@ def _analysis_doc(t: SuperOperator, args) -> tuple[dict, int]:
         "tau": tau_t.to_dict(),
         "condition_numbers": {
             "kappa_tau_z": report.kappa_tau_z.to_dict(),
-            "kappa_contraction": (None if report.kappa_contraction is None
-                                  else (report.kappa_contraction
-                                        if math.isfinite(report.kappa_contraction)
-                                        else "inf")),
+            "kappa_contraction": report.kappa_contraction,
             "kappa_contraction_reason": report.kappa_contraction_reason,
             "spectral_lower": report.spectral_lower,
-            "spectral_upper": (report.spectral_upper
-                               if math.isfinite(report.spectral_upper) else "inf"),
+            "spectral_upper": report.spectral_upper,
             "peripheral_spectrum": report.peripheral_spectrum,
             "unique_stationary": report.unique_stationary,
         },
@@ -198,14 +198,11 @@ def _cmd_analyze(args) -> int:
         lines.append(f"  tau(T): {_g12(doc['tau']['value'])}")
         cn = doc["condition_numbers"]
         lines.append(f"  kappa = tau(Z): {_g12(cn['kappa_tau_z']['value'])}")
-        kc = cn["kappa_contraction"]
-        lines.append(f"  (1 - tau(T))^-1: "
-                     f"{kc if isinstance(kc, str) else _g12(kc)}"
+        lines.append(f"  (1 - tau(T))^-1: {_g12(cn['kappa_contraction'])}"
                      + (f"  [{cn['kappa_contraction_reason']}]"
                         if cn["kappa_contraction_reason"] else ""))
         lines.append(f"  spectral lower: {_g12(cn['spectral_lower'])}")
-        su = cn["spectral_upper"]
-        lines.append(f"  spectral upper: {su if isinstance(su, str) else _g12(su)}")
+        lines.append(f"  spectral upper: {_g12(cn['spectral_upper'])}")
         lines.append(f"  violations: {doc['violations']}")
         text = "\n".join(lines) + "\n"
     else:
@@ -229,7 +226,7 @@ def _cmd_compare(args) -> int:
     projection_shift = float(np.linalg.norm(rho2.matrix - requested.matrix))
 
     outcome = fixed_point_perturbation(t1, t2, rho2, restarts=args.restarts,
-                                       seed=args.seed, grid=args.grid)
+                                       seed=args.seed)
     doc = {"input1": args.input1, "input2": args.input2,
            "state": args.state, "projection_shift": projection_shift,
            "result": outcome.to_dict()}
@@ -414,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trajectory", help="finite-time bound along simulated evolutions")
     p.add_argument("input1", help="reference channel or generator")
     p.add_argument("input2", help="perturbed channel or generator")
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=_steps, default=50)
     p.add_argument("--t-max", type=float, default=10.0, dest="t_max")
     p.add_argument("--pair", default="auto-chi2",
                    help="auto-chi2 | auto-db | auto-eq10:MU | K:MU")
@@ -424,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pairs", help="derive exponential convergence pairs")
     p.add_argument("input")
-    p.add_argument("--steps", type=int, default=50,
+    p.add_argument("--steps", type=_steps, default=50,
                    help="empirical validation horizon")
     p.add_argument("--mu", type=float, default=None,
                    help="decay rate for the spectral recipe "
@@ -438,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-2)
     p.add_argument("--kraus-rank", type=int, default=None, dest="kraus_rank")
     p.add_argument("--mode", default="discrete", choices=["discrete", "continuous"])
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=_steps, default=50)
     p.add_argument("--t-max", type=float, default=10.0, dest="t_max")
     _common_flags(p)
     p.set_defaults(func=_cmd_ensemble)

@@ -3,19 +3,17 @@
 The contraction coefficient tau(L) is the worst-case trace-norm growth on
 traceless Hermitian inputs; for Hermiticity-preserving maps it equals half
 the maximal output distance over pairs of orthogonal pure states.  On
-qubits every traceless Hermitian extreme point is a Bloch direction, so a
-dense sphere grid plus local refinement serves as the oracle.  For d >= 3
-the values come from multistart local ascent and are *lower bounds*; the
+qubits it has a closed form in the Pauli transfer matrix.  For d >= 3 the
+values come from multistart local ascent and are *lower bounds*; the
 spread over restarts is reported as a quality signal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-import scipy.optimize
 
 from .channels import SuperOperator
 from .errors import DimensionError, DomainError
@@ -23,7 +21,6 @@ from .linalg import spectral_norm, trace_norm, trace_norm_batch
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_RESTARTS = 64
-DEFAULT_GRID = 20000
 TOL_OPT = 1e-6
 FD_STEP = 1e-5
 _REL_IMPROVEMENT = 1e-10
@@ -35,21 +32,19 @@ class ContractionEstimate:
 
     ``best_witness`` reproduces ``value`` when plugged back into the
     objective.  ``convergence_spread`` is max - min over restart optima
-    that converged (0.0 for grid and analytic methods).
+    that converged (0.0 for the analytic method).
     """
 
     value: float
-    method: str                      # qubit_grid | multistart_manifold | analytic
+    method: str                      # multistart_manifold | analytic
     restarts: int
     best_witness: object
     convergence_spread: float
-    error_bound: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {"value": self.value, "method": self.method,
                 "restarts": self.restarts,
-                "convergence_spread": self.convergence_spread,
-                "error_bound": self.error_bound}
+                "convergence_spread": self.convergence_spread}
 
 
 # ---------------------------------------------------------------------------
@@ -82,75 +77,40 @@ def _require_hermiticity_preserving(t: SuperOperator, context: str):
 
 
 # ---------------------------------------------------------------------------
-# qubit grid oracle
+# qubit closed form
 
 
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n near-uniform unit vectors on S^2 (deterministic lattice)."""
-    i = np.arange(n, dtype=float)
-    z = 1.0 - 2.0 * (i + 0.5) / n
-    phi = i * (np.pi * (3.0 - np.sqrt(5.0)))
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
-def _bloch_matrices(dirs: np.ndarray) -> np.ndarray:
-    """n . sigma for an (N, 3) stack of Bloch vectors."""
-    x, y, z = dirs[:, 0], dirs[:, 1], dirs[:, 2]
-    out = np.empty((len(dirs), 2, 2), dtype=complex)
-    out[:, 0, 0] = z
-    out[:, 0, 1] = x - 1j * y
-    out[:, 1, 0] = x + 1j * y
-    out[:, 1, 1] = -z
-    return out
+def tau_exact_qubit(t: SuperOperator) -> ContractionEstimate:
+    """Contraction coefficient of a Hermiticity-preserving qubit map, exactly.
 
+    With the Pauli transfer matrix R_ij = tr[sigma_i T(sigma_j)] / 2, an
+    input b.sigma maps to a I + c.sigma with a = R[0,1:] b and
+    c = R[1:,1:] b, and ||a I + c.sigma||_1 = 2 max(|a|, |c|), so
 
-def tau_exact_qubit(t: SuperOperator, grid: int = DEFAULT_GRID) -> ContractionEstimate:
-    """Contraction coefficient of a qubit map by dense Bloch-sphere search.
+        tau(T) = max(||R[0,1:]||_2, ||R[1:,1:]||_op).
 
-    Evaluates (1/2) ||L(n.sigma)||_1 on a Fibonacci lattice of ``grid``
-    directions, then polishes the best candidates with Nelder-Mead.  The
-    reported ``error_bound`` is the objective's Lipschitz estimate
-    2 ||M||_2 times the lattice covering radius (about 2.6/sqrt(grid)).
+    The witness (phi, psi) is the eigenvector pair of n.sigma for the
+    maximizing Bloch direction n.
     """
     if t.dim != 2:
-        raise DimensionError(f"qubit grid oracle requires dim 2, got {t.dim}")
-    m = t.matrix
-
-    def objective_dirs(dirs):
-        return 0.5 * trace_norm_batch(_apply_matrix_batch(m, _bloch_matrices(dirs), 2))
-
-    dirs = fibonacci_sphere(grid)
-    vals = objective_dirs(dirs)
-    top = np.argsort(vals)[-4:]
-
-    def neg(x):
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0:
-            return 0.0
-        return -float(objective_dirs((x / nrm)[None, :])[0])
-
-    best_dir = dirs[top[-1]]
-    best_val = float(vals[top[-1]])
-    for idx in top:
-        res = scipy.optimize.minimize(neg, dirs[idx], method="Nelder-Mead",
-                                      options={"xatol": 1e-12, "fatol": 1e-14,
-                                               "maxiter": 600})
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            best_dir = res.x / np.linalg.norm(res.x)
-
-    sigma = _bloch_matrices(best_dir[None, :])[0]
-    evals, evecs = np.linalg.eigh(sigma)
-    psi, phi = evecs[:, 0], evecs[:, 1]          # eigenvalues -1, +1
-    witness = (phi, psi)
-    value = 0.5 * trace_norm(
-        t.apply(np.outer(phi, phi.conj()) - np.outer(psi, psi.conj())))
-    value = max(value, best_val)
-    lipschitz = 2.0 * spectral_norm(m)
-    return ContractionEstimate(value=value, method="qubit_grid", restarts=0,
-                               best_witness=witness, convergence_spread=0.0,
-                               error_bound=lipschitz * 2.6 / np.sqrt(grid))
+        raise DimensionError(f"qubit closed form requires dim 2, got {t.dim}")
+    _require_hermiticity_preserving(t, "tau_exact_qubit")
+    images = t.apply_batch(_PAULIS)
+    r = 0.5 * np.einsum("iab,jba->ij", _PAULIS, images).real
+    shift = np.linalg.norm(r[0, 1:])
+    _, sv, vh = np.linalg.svd(r[1:, 1:])
+    if shift > sv[0]:
+        value, n = float(shift), r[0, 1:] / shift
+    else:
+        value, n = float(sv[0]), vh[0]
+    _, evecs = np.linalg.eigh(np.einsum("i,ijk->jk", n, _PAULIS[1:]))
+    witness = (evecs[:, 1], evecs[:, 0])          # eigenvalues +1, -1
+    return ContractionEstimate(value=value, method="analytic", restarts=0,
+                               best_witness=witness, convergence_spread=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +373,8 @@ class _TracelessHermitianProblem:
 
 def _run_multistart(problem, restarts: int, seed: int, method: str,
                     maxiter: int = 300) -> ContractionEstimate:
+    if restarts < 1:
+        raise DomainError(f"restarts must be >= 1, got {restarts}")
     x0 = np.stack([problem.initial(SplitMix64(derive_seed(seed, r)))
                    for r in range(restarts)])
     xs, fs, converged = _multistart_ascent(problem.objective, problem.tangent,
@@ -431,11 +393,10 @@ def _run_multistart(problem, restarts: int, seed: int, method: str,
 
 
 def tau(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-        traceless_hermitian: bool = False, grid: int = DEFAULT_GRID,
-        maxiter: int = 300) -> ContractionEstimate:
+        traceless_hermitian: bool = False, maxiter: int = 300) -> ContractionEstimate:
     """Trace-norm contraction coefficient tau(L), as a lower-bound estimate.
 
-    For qubit maps this delegates to the dense-grid oracle
+    For qubit maps this delegates to the closed form
     :func:`tau_exact_qubit`.  For d >= 3 it runs ``restarts`` independent
     projected-gradient ascents over pairs of orthonormal vectors (restart r
     is seeded with seed * 0x9E3779B97F4A7C15 + r, so prefixes of the
@@ -448,9 +409,9 @@ def tau(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     if traceless_hermitian:
         return _run_multistart(_TracelessHermitianProblem(t), restarts, seed,
                                "multistart_manifold", maxiter)
-    _require_hermiticity_preserving(t, "tau")
     if t.dim == 2:
-        return tau_exact_qubit(t, grid=grid)
+        return tau_exact_qubit(t)
+    _require_hermiticity_preserving(t, "tau")
     return _run_multistart(_OrthoPairProblem(t), restarts, seed,
                            "multistart_manifold", maxiter)
 
@@ -468,8 +429,7 @@ def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
 
 
 def tau_of_powers_check(t: SuperOperator, n_max: int,
-                        restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-                        grid: int = DEFAULT_GRID) -> list:
+                        restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> list:
     """Tabulate (n, tau(L^n), tau(L)^n) for n = 1..n_max.
 
     Raises :class:`DomainError` if the estimates violate submultiplicativity
@@ -478,12 +438,11 @@ def tau_of_powers_check(t: SuperOperator, n_max: int,
     """
     _require_hermiticity_preserving(t, "tau_of_powers_check")
     rows = []
-    tau1 = tau(t, restarts=restarts, seed=seed, grid=grid).value
+    tau1 = tau(t, restarts=restarts, seed=seed).value
     power = SuperOperator(t.dim, np.eye(t.dim ** 2, dtype=complex))
     for n in range(1, n_max + 1):
         power = SuperOperator(t.dim, power.matrix @ t.matrix)
-        tau_n = tau(power, restarts=restarts, seed=derive_seed(seed, n),
-                    grid=grid).value
+        tau_n = tau(power, restarts=restarts, seed=derive_seed(seed, n)).value
         rows.append((n, tau_n, tau1 ** n))
         if tau_n > tau1 ** n + TOL_OPT:
             raise DomainError(

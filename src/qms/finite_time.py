@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .channels import DensityMatrix, GeneratorMap, SuperOperator, generator_exponential
 from .contraction import norm_1to1, norm_lower_bound_probes, probe_inputs
@@ -290,12 +289,16 @@ def _blaschke_sup_on_circle(roots: np.ndarray, exponents: Sequence[int],
     phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     vals = values(phis)
     best = int(np.argmax(vals))
-    spacing = 2.0 * np.pi / grid
-    lo, hi = phis[best] - spacing, phis[best] + spacing
-    res = scipy.optimize.minimize_scalar(lambda p: -values(np.array([p]))[0],
-                                         bounds=(lo, hi), method="bounded",
-                                         options={"xatol": 1e-12})
-    return float(max(vals[best], -res.fun))
+    phi, val, half = phis[best], vals[best], 2.0 * np.pi / grid
+    # zoom in on the coarse argmax: each round spans one spacing of the
+    # previous grid on either side, in 64 steps
+    for _ in range(4):
+        local = np.linspace(phi - half, phi + half, 65)
+        lv = values(local)
+        k = int(np.argmax(lv))
+        phi, val = local[k], max(val, lv[k])
+        half /= 32.0
+    return float(val)
 
 
 def pair_spectral_eq10(t: SuperOperator, mu: float,

@@ -25,8 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .channels import DensityMatrix, SuperOperator, check_stationary
-from .contraction import (DEFAULT_GRID, DEFAULT_RESTARTS, ContractionEstimate,
-                          norm_1to1, tau)
+from .contraction import DEFAULT_RESTARTS, ContractionEstimate, norm_1to1, tau
 from .errors import DimensionError
 from .linalg import trace_norm, vec, unvec
 from .spectral import (FixedPointAnalysis, fixed_point_analysis, fundamental_map,
@@ -106,7 +105,7 @@ class PerturbationOutcome:
 
 
 def condition_numbers(t: SuperOperator, restarts: int = DEFAULT_RESTARTS,
-                      seed: int = 0, grid: int = DEFAULT_GRID,
+                      seed: int = 0,
                       analysis: FixedPointAnalysis | None = None) -> ConditionReport:
     """Compute tau(Z(T)), (1 - tau(T))^{-1} and the spectral sandwich bounds.
 
@@ -116,8 +115,8 @@ def condition_numbers(t: SuperOperator, restarts: int = DEFAULT_RESTARTS,
     analysis = analysis or fixed_point_analysis(t)
     spec = spectral_quantities(t)
     z = fundamental_map(t, analysis)
-    kappa_tau_z = tau(z, restarts=restarts, seed=seed, grid=grid)
-    tau_t = tau(t, restarts=restarts, seed=seed, grid=grid)
+    kappa_tau_z = tau(z, restarts=restarts, seed=seed)
+    tau_t = tau(t, restarts=restarts, seed=seed)
 
     unique = analysis.multiplicity == 1
     if not unique:
@@ -147,8 +146,8 @@ def condition_numbers(t: SuperOperator, restarts: int = DEFAULT_RESTARTS,
 
 def fixed_point_perturbation(t1: SuperOperator, t2: SuperOperator,
                              rho2: DensityMatrix,
-                             restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-                             grid: int = DEFAULT_GRID) -> PerturbationOutcome:
+                             restarts: int = DEFAULT_RESTARTS,
+                             seed: int = 0) -> PerturbationOutcome:
     """Compare ||rho1 - rho2||_1 with kappa ||T1 - T2||_{1->1}.
 
     ``rho2`` must be stationary for ``t2`` (trace-norm residual <= 1e-9);
@@ -183,7 +182,7 @@ def fixed_point_perturbation(t1: SuperOperator, t2: SuperOperator,
     norm_general = max(norm_general, at_rho2)
     norm_hermitian = max(norm_hermitian, at_rho2)
 
-    report = condition_numbers(t1, restarts=restarts, seed=seed, grid=grid,
+    report = condition_numbers(t1, restarts=restarts, seed=seed,
                                analysis=analysis1)
     kappas = {"tau_z": report.kappa_tau_z.value,
               "contraction": report.kappa_contraction,

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from qms.channels import depolarizing_channel, depolarizing_generator, identity_channel
+from qms.channels import (depolarizing_channel, depolarizing_generator,
+                          from_stochastic, identity_channel)
 from qms.cli import main
 from qms.serialize import channel_to_dict, dumps_json, loads_strict
 
@@ -14,6 +15,7 @@ def files(tmp_path):
     for name, obj in [("depol05", depolarizing_channel(0.5)),
                       ("depol06", depolarizing_channel(0.6)),
                       ("id2", identity_channel(2)),
+                      ("swap2", from_stochastic([[0.0, 1.0], [1.0, 0.0]])),
                       ("gen10", depolarizing_generator(1.0)),
                       ("gen11", depolarizing_generator(1.1))]:
         p = tmp_path / f"{name}.json"
@@ -67,6 +69,63 @@ def test_analyze_text_and_json_values_agree(files, capsys):
     line = next(l for l in text.splitlines() if "kappa = tau(Z)" in l)
     printed = float(line.split(":")[1])
     assert printed == pytest.approx(kappa, rel=1e-12)
+
+
+ANALYZE_TEXT = {
+    "id2": """analysis of {path} (dim 2)
+  eigenvalues: 1+0j, 1+0j, 1+0j, 1+0j
+  min_dist_to_one: inf
+  spectral_gap: inf
+  subdominant_modulus: 0
+  tau(T): 1
+  kappa = tau(Z): 1
+  (1 - tau(T))^-1: -  [stationary state is not unique]
+  spectral lower: 0
+  spectral upper: inf
+  violations: 0
+""",
+    "swap2": """analysis of {path} (dim 2)
+  eigenvalues: -1+0j, 1+0j, 0+0j, 0+0j
+  min_dist_to_one: 1
+  spectral_gap: 1.11022302463e-16
+  subdominant_modulus: 1
+  tau(T): 1
+  kappa = tau(Z): 1
+  (1 - tau(T))^-1: inf
+  spectral lower: 1
+  spectral upper: 129.030638092
+  violations: 0
+""",
+}
+
+
+def test_analyze_infinite_bounds_text_and_json(files, capsys):
+    # identity: spectral_upper = inf; swap chain: (1 - tau(T))^-1 = inf
+    for name, text in ANALYZE_TEXT.items():
+        code, out = run(["analyze", files[name]], capsys)
+        assert code == 0
+        assert out == text.format(path=files[name])
+        code, out = run(["analyze", files[name], "--format", "json"], capsys)
+        assert code == 0
+        assert out == dumps_json(loads_strict(out))
+    assert '"spectral_upper": "inf",' in run(
+        ["analyze", files["id2"], "--format", "json"], capsys)[1]
+    assert '"kappa_contraction": "inf",' in run(
+        ["analyze", files["swap2"], "--format", "json"], capsys)[1]
+
+
+def test_restarts_zero_is_usage_error(files, capsys):
+    code = main(["compare", files["depol05"], files["depol06"], "--restarts", "0"])
+    assert code == 2
+    assert "restarts must be >= 1" in capsys.readouterr().err
+
+
+def test_negative_steps_is_usage_error(files, capsys):
+    for args in (["trajectory", files["depol05"], files["depol06"], "--steps", "-1"],
+                 ["pairs", files["depol05"], "--steps", "-3"]):
+        code, out = run(args, capsys)
+        assert code == 2
+        assert out == ""
 
 
 def test_compare_depolarizing_pair(files, capsys):

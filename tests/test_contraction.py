@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
 
-from qms.channels import (SuperOperator, completely_depolarizing, compose,
-                          depolarizing_channel, from_kraus, from_stochastic)
+from qms.channels import (SuperOperator, amplitude_damping_channel,
+                          completely_depolarizing, compose, depolarizing_channel,
+                          from_kraus, from_stochastic, identity_channel,
+                          pauli_channel)
 from qms.contraction import (norm_1to1, norm_lower_bound_probes, probe_inputs,
                              tau, tau_exact_qubit, tau_of_powers_check,
                              traceless_hermitian_basis)
 from qms.errors import DimensionError, DomainError
+from qms.linalg import trace_norm
 from qms.rng import derive_seed
+from qms.spectral import fundamental_map
+
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+GOLDEN = np.pi * (3.0 - np.sqrt(5.0))
 
 
 def random_channel(d, rank, seed):
@@ -17,6 +25,84 @@ def random_channel(d, rank, seed):
 
 def random_unitary_channel(d, seed):
     return random_channel(d, 1, seed)
+
+
+# ---------------------------------------------------------------------------
+# independent reference for tau on qubits: a Bloch-sphere lattice search
+
+
+def fibonacci_sphere(n):
+    """n near-uniform unit vectors on S^2 (deterministic lattice)."""
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    r = np.sqrt(1.0 - z * z)
+    return np.stack([r * np.cos(GOLDEN * i), r * np.sin(GOLDEN * i), z], axis=1)
+
+
+def bloch_objective(t, dirs):
+    """(1/2) ||T(n.sigma)||_1 for an (N, 3) stack of unit Bloch vectors n."""
+    images = t.apply_batch(np.einsum("ni,ijk->njk", dirs, PAULIS[1:]))
+    return 0.5 * np.linalg.svd(images, compute_uv=False).sum(axis=1)
+
+
+def tau_grid_oracle(t, n=4000, seeds=4, disk=64, rounds=16):
+    """Best (1/2) ||T(n.sigma)||_1 over a Fibonacci lattice on the sphere,
+    refined by shrinking sunflower lattices in the tangent plane around the
+    best lattice points that lie at least 0.3 rad apart (modulo n -> -n,
+    which leaves the objective unchanged).  Every value is attained at an
+    evaluated direction, so the result never exceeds tau(T).
+    """
+    dirs = fibonacci_sphere(n)
+    vals = bloch_objective(t, dirs)
+    centers = []
+    for k in np.argsort(vals)[::-1]:
+        if all(abs(dirs[k] @ c) < np.cos(0.3) for c in centers):
+            centers.append(dirs[k])
+            if len(centers) == seeds:
+                break
+    c = np.array(centers)
+    best = bloch_objective(t, c)
+    j = np.arange(disk) + 0.5
+    offsets = np.sqrt(j / disk)[:, None] * np.stack(
+        [np.cos(GOLDEN * j), np.sin(GOLDEN * j)], axis=1)
+    radius = 0.3
+    for _ in range(rounds):
+        axis = np.where(np.abs(c[:, :1]) < 0.9, [[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]])
+        u = axis - np.sum(axis * c, axis=1, keepdims=True) * c
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        v = np.cross(c, u)
+        pts = c[:, None, :] + radius * (offsets[None, :, :1] * u[:, None, :]
+                                        + offsets[None, :, 1:] * v[:, None, :])
+        pts /= np.linalg.norm(pts, axis=2, keepdims=True)
+        local = bloch_objective(t, pts.reshape(-1, 3)).reshape(len(c), disk)
+        arg = local.argmax(axis=1)
+        top = local[np.arange(len(c)), arg]
+        better = top > best
+        c[better] = pts[better, arg[better]]
+        best[better] = top[better]
+        radius /= 2.0
+    return float(max(vals.max(), best.max()))
+
+
+def from_pauli_transfer(r):
+    """The qubit map with Pauli transfer matrix r: T(sigma_j) = sum_i r_ij sigma_i."""
+    vecs = PAULIS.transpose(0, 2, 1).reshape(4, 4)     # column-stacked vec(sigma_i)
+    return SuperOperator(2, 0.5 * vecs.T @ np.asarray(r, dtype=complex) @ vecs.conj())
+
+
+def oracle_maps():
+    maps = []
+    for rank in (1, 2, 3, 4):
+        for i in range(40):
+            t = random_channel(2, rank, derive_seed(1000 + rank, i))
+            maps += [t, fundamental_map(t)]
+    maps += [identity_channel(2), completely_depolarizing(2),
+             depolarizing_channel(0.3), amplitude_damping_channel(0.4),
+             pauli_channel(0.1, 0.2, 0.3), from_stochastic([[0.9, 0.1], [0.3, 0.7]]),
+             SuperOperator(2, 1.7 * random_channel(2, 3, seed=5).matrix),
+             from_pauli_transfer([[1.0, 0.6, -0.5, 0.2], [0.0, 0.3, 0.1, 0.0],
+                                  [0.0, 0.0, -0.2, 0.1], [0.0, 0.1, 0.0, 0.4]])]
+    return maps
 
 
 def test_tau_unitary_conjugation_is_one():
@@ -34,29 +120,64 @@ def test_tau_depolarizing_closed_form():
     for p in (0.25, 0.5, 0.8):
         est = tau(depolarizing_channel(p))
         assert est.value == pytest.approx(1.0 - p, abs=1e-9)
-        assert est.method == "qubit_grid"
+        assert est.method == "analytic"
 
 
 def test_tau_qubit_grid_identity():
-    est = tau_exact_qubit(from_kraus([np.eye(2)]))
-    assert est.value == pytest.approx(1.0, abs=1e-9)
-    assert est.error_bound is not None
+    t = from_kraus([np.eye(2)])
+    est = tau_exact_qubit(t)
+    assert est.value == pytest.approx(1.0, abs=1e-12)
+    assert tau_grid_oracle(t) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tau_qubit_grid_depolarizing():
-    est = tau_exact_qubit(depolarizing_channel(0.25))
-    assert est.value == pytest.approx(0.75, abs=1e-6)
+    t = depolarizing_channel(0.25)
+    assert tau_exact_qubit(t).value == pytest.approx(0.75, abs=1e-12)
+    assert tau_grid_oracle(t) == pytest.approx(0.75, abs=1e-9)
 
 
 def test_tau_qubit_grid_uniform_stochastic():
     # the embedded uniform chain sends every state to I/2, so its
-    # contraction coefficient vanishes; the grid is the oracle and the
-    # multistart path at higher restart count must agree
+    # contraction coefficient vanishes; the closed form, the grid oracle and
+    # the multistart path at higher restart count must agree
     t = from_stochastic([[0.5, 0.5], [0.5, 0.5]])
-    grid = tau_exact_qubit(t, grid=20000)
+    closed = tau_exact_qubit(t)
     multi = tau(t, restarts=32, seed=3, traceless_hermitian=True)
-    assert grid.value <= 1e-9
-    assert abs(grid.value - multi.value) <= 1e-6
+    assert closed.value <= 1e-9
+    assert tau_grid_oracle(t) <= 1e-9
+    assert abs(closed.value - multi.value) <= 1e-6
+
+
+def test_tau_exact_qubit_matches_grid_oracle():
+    maps = oracle_maps()
+    assert len(maps) >= 300
+    for t in maps:
+        est = tau_exact_qubit(t)
+        grid = tau_grid_oracle(t)
+        assert est.value >= grid - 1e-12
+        assert est.value - grid <= 1e-6
+        phi, psi = est.best_witness
+        sigma = np.outer(phi, phi.conj()) - np.outer(psi, psi.conj())
+        assert 0.5 * trace_norm(t.apply(sigma)) == pytest.approx(
+            est.value, rel=1e-12, abs=1e-12)
+        assert abs(np.vdot(phi, psi)) <= 1e-12
+
+
+def test_tau_exact_qubit_pauli_transfer_closed_form():
+    # the shift term ||R[0,1:]|| attains the max in the last oracle map
+    r = np.array([[1.0, 0.6, -0.5, 0.2], [0.0, 0.3, 0.1, 0.0],
+                  [0.0, 0.0, -0.2, 0.1], [0.0, 0.1, 0.0, 0.4]])
+    expected = max(np.linalg.norm(r[0, 1:]), np.linalg.norm(r[1:, 1:], 2))
+    assert expected == pytest.approx(np.linalg.norm(r[0, 1:]))
+    est = tau_exact_qubit(from_pauli_transfer(r))
+    assert est.value == pytest.approx(expected, rel=1e-12)
+
+
+def test_tau_exact_qubit_requires_hermiticity_preservation():
+    m = np.eye(4, dtype=complex)
+    m[0, 1] = 0.5
+    with pytest.raises(DomainError):
+        tau_exact_qubit(SuperOperator(2, m))
 
 
 def test_tau_qubit_grid_rejects_other_dims():
@@ -93,9 +214,9 @@ def test_tau_requires_hermiticity_preservation():
 def test_tau_equivalence_of_definitions_qubit():
     for seed in range(6):
         t = random_channel(2, 3, derive_seed(15, seed))
-        grid = tau(t).value
+        closed = tau(t).value
         direct = tau(t, restarts=24, seed=seed, traceless_hermitian=True).value
-        assert abs(grid - direct) <= 1e-6
+        assert abs(closed - direct) <= 1e-6
 
 
 def test_norm_1to1_positive_tp_map():
