@@ -11,13 +11,15 @@ so that ``unvec(M @ vec(rho))`` equals ``sum_k A_k rho A_k^dag``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, ValidationError
-from .linalg import as_matrix, dagger, kron, matrix_exp, spectral_norm, unvec, vec
+from .linalg import (apply_batch, as_matrix, dagger, kron, matrix_exp,
+                     spectral_norm, unvec, vec)
 from .rng import SplitMix64
 
 PROVENANCES = ("kraus", "explicit", "stochastic_embedding",
@@ -39,6 +41,8 @@ class SuperOperator:
     provenance: str = "explicit"
     trace_preserving: Optional[bool] = None
     label: Optional[str] = None
+    # memo of qms.spectral.fixed_point_analysis
+    _analysis: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = as_matrix(self.matrix, square=True, name="superoperator matrix")
@@ -63,11 +67,7 @@ class SuperOperator:
 
     def apply_batch(self, mats: np.ndarray) -> np.ndarray:
         """Apply the map to a stack of matrices, shape (n, d, d) -> (n, d, d)."""
-        d = self.dim
-        n = mats.shape[0]
-        v = mats.transpose(0, 2, 1).reshape(n, d * d)
-        w = v @ self.matrix.T
-        return w.reshape(n, d, d).transpose(0, 2, 1)
+        return apply_batch(self.matrix, mats)
 
     def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
         return compose(self, other)
@@ -120,6 +120,11 @@ class GeneratorMap:
         if res > 1e-10:
             raise ValidationError(
                 f"generator is not trace-annihilating (residual {res:.3g})")
+
+    @functools.cached_property
+    def unit_time_map(self) -> SuperOperator:
+        """The semigroup element e^{L}, computed once per generator."""
+        return generator_exponential(self, 1.0)
 
 
 @dataclass
@@ -280,6 +285,11 @@ def choi_matrix(t: SuperOperator) -> np.ndarray:
     return images.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
+def choi_hermiticity_residual(j: np.ndarray) -> float:
+    """||J - J^dag||_2 of a Choi matrix; zero iff the map is Hermiticity-preserving."""
+    return float(spectral_norm(j - dagger(j)))
+
+
 def validate(t: SuperOperator, n_samples: int = DEFAULT_POSITIVITY_SAMPLES,
              seed: int = 0) -> ValidationReport:
     """Structural checks: TP, Hermiticity preservation, CP, unitality.
@@ -297,7 +307,7 @@ def validate(t: SuperOperator, n_samples: int = DEFAULT_POSITIVITY_SAMPLES,
     unital_res = float(np.linalg.norm(t.matrix @ vi - vi))
 
     j = choi_matrix(t)
-    hp_res = float(spectral_norm(j - dagger(j)))
+    hp_res = choi_hermiticity_residual(j)
     min_choi = float(np.linalg.eigvalsh((j + dagger(j)) / 2).min())
 
     gen = SplitMix64(seed)

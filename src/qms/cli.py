@@ -2,7 +2,8 @@
 
 Commands: validate, analyze, compare, trajectory, pairs, ensemble.
 Exit codes: 0 all checks passed; 1 a bound or invariant violation was
-detected (still reported); 2 usage or parse error; 3 numerical failure.
+detected (still reported); 2 usage or parse error (dim < 2 included);
+3 numerical failure or internal error.
 All output is deterministic for fixed inputs and seed.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 from typing import Optional
 
 import numpy as np
@@ -26,7 +28,7 @@ from .finite_time import (continuous_trajectory_check, discrete_trajectory_check
                           pair_chi2, pair_chi2_generator, pair_detailed_balance,
                           pair_detailed_balance_generator, pair_spectral_eq10,
                           user_pair)
-from .spectral import fixed_point_analysis, spectral_quantities
+from .spectral import fixed_point_analysis
 from .stability import condition_numbers, fixed_point_perturbation
 
 
@@ -68,8 +70,15 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", default=None, help="write the report to a file")
 
 
-def _load_super(path: str) -> SuperOperator:
+def _load(path: str):
     obj = serialize.load_channel(path)
+    if obj.dim < 2:
+        raise ValidationError(f"{path}: dim must be >= 2, got {obj.dim}")
+    return obj
+
+
+def _load_super(path: str) -> SuperOperator:
+    obj = _load(path)
     if isinstance(obj, GeneratorMap):
         raise ValidationError(
             f"{path}: expected a channel representation, got a generator")
@@ -139,7 +148,7 @@ def _cmd_validate(args) -> int:
 
 
 def _analysis_doc(t: SuperOperator, args) -> tuple[dict, int]:
-    spec = spectral_quantities(t)
+    spec = fixed_point_analysis(t).spectral
     report = condition_numbers(t, restarts=args.restarts, seed=args.seed)
     tau_t = report.tau_t
     doc = {
@@ -299,8 +308,8 @@ def _emit_reports(reports, args, header: dict) -> int:
 
 
 def _cmd_trajectory(args) -> int:
-    obj_t = serialize.load_channel(args.input1)
-    obj_e = serialize.load_channel(args.input2)
+    obj_t = _load(args.input1)
+    obj_e = _load(args.input2)
     continuous = isinstance(obj_t, GeneratorMap)
     if continuous != isinstance(obj_e, GeneratorMap):
         raise ValidationError(
@@ -329,7 +338,7 @@ def _cmd_pairs(args) -> int:
     t = _load_super(args.input)
     results: dict[str, object] = {}
     exit_code = 0
-    spec = spectral_quantities(t)
+    spec = fixed_point_analysis(t).spectral
     default_mu = (args.mu if args.mu is not None
                   else (1.0 + spec.subdominant_modulus) / 2.0)
     recipes = {
@@ -455,6 +464,10 @@ def main(argv=None) -> int:
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a defect must not exit 1, which means a violation
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

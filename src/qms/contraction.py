@@ -15,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import SuperOperator
+from .channels import SuperOperator, choi_hermiticity_residual, choi_matrix
 from .errors import DimensionError, DomainError
-from .linalg import spectral_norm, trace_norm, trace_norm_batch
+from .linalg import apply_batch, spectral_norm, trace_norm, trace_norm_batch
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_RESTARTS = 64
@@ -47,29 +47,8 @@ class ContractionEstimate:
                 "convergence_spread": self.convergence_spread}
 
 
-# ---------------------------------------------------------------------------
-# batched application helpers
-
-
-def _apply_matrix_batch(m: np.ndarray, mats: np.ndarray, d: int) -> np.ndarray:
-    n = mats.shape[0]
-    v = mats.transpose(0, 2, 1).reshape(n, d * d)
-    return (v @ m.T).reshape(n, d, d).transpose(0, 2, 1)
-
-
-def _swap_conjugate(m: np.ndarray, d: int) -> np.ndarray:
-    """Theta M Theta for the transpose permutation Theta (vec(X) -> vec(X^T))."""
-    m4 = m.reshape(d, d, d, d)
-    return m4.transpose(1, 0, 3, 2).reshape(d * d, d * d)
-
-
-def hermiticity_preserving_residual(t: SuperOperator) -> float:
-    """|| conj(M) - Theta M Theta ||_2; zero iff the map is Hermiticity-preserving."""
-    return float(spectral_norm(t.matrix.conj() - _swap_conjugate(t.matrix, t.dim)))
-
-
 def _require_hermiticity_preserving(t: SuperOperator, context: str):
-    res = hermiticity_preserving_residual(t)
+    res = choi_hermiticity_residual(choi_matrix(t))
     if res > 1e-8 * max(1.0, spectral_norm(t.matrix)):
         raise DomainError(
             f"{context}: map is not Hermiticity-preserving (residual {res:.3g}); "
@@ -208,7 +187,7 @@ class _VectorPairProblem:
     def objective(self, xs):
         u, v = self._split(xs)
         mats = u[:, :, None] * v.conj()[:, None, :]
-        return trace_norm_batch(_apply_matrix_batch(self.m, mats, self.d))
+        return trace_norm_batch(apply_batch(self.m, mats))
 
     def tangent(self, xs, gs):
         return _sphere_project_blocks(xs, gs, self.blocks)
@@ -226,8 +205,7 @@ class _VectorPairProblem:
 
     def evaluate_witness(self, w):
         u, v = w
-        return trace_norm(_apply_matrix_batch(self.m, (np.outer(u, v.conj()))[None],
-                                              self.d)[0])
+        return trace_norm(apply_batch(self.m, np.outer(u, v.conj())[None])[0])
 
 
 class _SingleVectorProblem:
@@ -246,7 +224,7 @@ class _SingleVectorProblem:
     def objective(self, xs):
         psi = self._psi(xs)
         mats = psi[:, :, None] * psi.conj()[:, None, :]
-        return trace_norm_batch(_apply_matrix_batch(self.m, mats, self.d))
+        return trace_norm_batch(apply_batch(self.m, mats))
 
     def tangent(self, xs, gs):
         return _sphere_project_blocks(xs, gs, self.blocks)
@@ -261,8 +239,7 @@ class _SingleVectorProblem:
         return self._psi(x[None, :])[0]
 
     def evaluate_witness(self, psi):
-        return trace_norm(_apply_matrix_batch(
-            self.m, np.outer(psi, psi.conj())[None], self.d)[0])
+        return trace_norm(apply_batch(self.m, np.outer(psi, psi.conj())[None])[0])
 
 
 class _OrthoPairProblem:
@@ -286,7 +263,7 @@ class _OrthoPairProblem:
         phi, psi = q[:, :, 0], q[:, :, 1]
         mats = phi[:, :, None] * phi.conj()[:, None, :] \
             - psi[:, :, None] * psi.conj()[:, None, :]
-        return 0.5 * trace_norm_batch(_apply_matrix_batch(self.m, mats, self.d))
+        return 0.5 * trace_norm_batch(apply_batch(self.m, mats))
 
     def tangent(self, xs, gs):
         q = self._q(xs)
@@ -313,7 +290,7 @@ class _OrthoPairProblem:
     def evaluate_witness(self, w):
         phi, psi = w
         sigma = np.outer(phi, phi.conj()) - np.outer(psi, psi.conj())
-        return 0.5 * trace_norm(_apply_matrix_batch(self.m, sigma[None], self.d)[0])
+        return 0.5 * trace_norm(apply_batch(self.m, sigma[None])[0])
 
 
 def traceless_hermitian_basis(d: int) -> np.ndarray:
@@ -341,7 +318,6 @@ class _TracelessHermitianProblem:
 
     def __init__(self, t: SuperOperator):
         self.m = t.matrix
-        self.d = t.dim
         self.basis = traceless_hermitian_basis(t.dim)
         self.nparams = len(self.basis)
         self.blocks = [(0, self.nparams)]
@@ -352,7 +328,7 @@ class _TracelessHermitianProblem:
     def objective(self, xs):
         sig = self._sigma(xs)
         denom = np.maximum(trace_norm_batch(sig), 1e-300)
-        return trace_norm_batch(_apply_matrix_batch(self.m, sig, self.d)) / denom
+        return trace_norm_batch(apply_batch(self.m, sig)) / denom
 
     def tangent(self, xs, gs):
         return _sphere_project_blocks(xs, gs, self.blocks)
@@ -367,7 +343,7 @@ class _TracelessHermitianProblem:
         return self._sigma(x[None, :])[0]
 
     def evaluate_witness(self, sigma):
-        return (trace_norm(_apply_matrix_batch(self.m, sigma[None], self.d)[0])
+        return (trace_norm(apply_batch(self.m, sigma[None])[0])
                 / trace_norm(sigma))
 
 
@@ -482,5 +458,4 @@ def probe_inputs(d: int, n_random: int = 64, seed: int = 0) -> np.ndarray:
 
 def norm_lower_bound_probes(matrix: np.ndarray, probes: np.ndarray) -> float:
     """max_j ||L(X_j)||_1 over probe inputs of unit trace norm."""
-    d = probes.shape[-1]
-    return float(trace_norm_batch(_apply_matrix_batch(matrix, probes, d)).max())
+    return float(trace_norm_batch(apply_batch(matrix, probes)).max())

@@ -35,6 +35,8 @@ class EnsembleConfig:
     mode: str = "discrete"              # "discrete" | "continuous"
 
     def __post_init__(self):
+        if self.dim < 2:
+            raise ValidationError(f"dim must be >= 2, got {self.dim}")
         if self.count < 1:
             raise ValidationError("count must be >= 1")
         if self.kraus_rank is None:

@@ -26,13 +26,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, GeneratorMap, SuperOperator, generator_exponential
+from .channels import DensityMatrix, GeneratorMap, SuperOperator
 from .contraction import norm_1to1, norm_lower_bound_probes, probe_inputs
 from .errors import (BoundViolationError, DomainError, HypothesisError,
                      ValidationError)
-from .linalg import dagger, matrix_exp, spectral_norm, trace_norm, trace_norm_batch, vec
-from .spectral import (FixedPointAnalysis, fixed_point_analysis, minimal_polynomial,
-                       delta_map, spectral_quantities, stationary_states)
+from .linalg import (dagger, matrix_exp, spectral_norm, trace_norm, trace_norm_batch,
+                     unvec, vec)
+from .spectral import (fixed_point_analysis, minimal_polynomial, delta_map,
+                       stationary_states)
 
 RECIPES = ("user_supplied", "chi2", "detailed_balance", "spectral_eq10")
 
@@ -264,8 +265,7 @@ def pair_detailed_balance(t: SuperOperator, n_check: int = DEFAULT_VALIDATION_ST
         raise DomainError(
             f"detailed balance violated: conjugated map has Hermiticity "
             f"residual {herm_res:.3g}")
-    spec = spectral_quantities(t)
-    mu = spec.subdominant_modulus
+    mu = fixed_point_analysis(t).spectral.subdominant_modulus
     if not mu < 1.0 - 1e-12:
         raise DomainError(f"subdominant modulus {mu:.12g} is not below 1")
     pair = ConvergencePair(K=math.sqrt(2.0 * t.dim / lam_min), rate=mu,
@@ -324,8 +324,7 @@ def pair_spectral_eq10(t: SuperOperator, mu: float,
         raise ValidationError("multiplicity must be 'block' or 'single'")
     if not 0.0 < mu < 1.0:
         raise DomainError(f"mu must lie in (0, 1), got {mu}")
-    analysis = fixed_point_analysis(t)
-    delta = delta_map(t, analysis)
+    delta = delta_map(t)
     minpoly = minimal_polynomial(delta)
     roots = minpoly.distinct_roots
     radius = float(np.abs(roots).max())
@@ -356,23 +355,25 @@ def pair_spectral_eq10(t: SuperOperator, mu: float,
                                "roots": [[float(r.real), float(r.imag)]
                                          for r in roots],
                                "block_sizes": list(minpoly.block_sizes)})
-    return validate_pair_on_channel(pair, t, n_max=n_check, seed=seed,
-                                    analysis=analysis)
+    return validate_pair_on_channel(pair, t, n_max=n_check, seed=seed)
 
 
 # --- continuous-time recipes ------------------------------------------------
 
 
 def _generator_conjugated(gen: GeneratorMap):
-    t1 = generator_exponential(gen, 1.0)
-    sigma, w, v, lam_min = _stationary_full_rank(t1)
+    """The conjugated generator, the gap nu of its symmetrized restriction
+    to the orthocomplement of sqrt(sigma), and lambda_min(sigma)."""
+    sigma, w, v, lam_min = _stationary_full_rank(gen.unit_time_map)
     g_omega = _conjugated_matrix(gen.matrix, w, v)
     sqrt_sigma = (v * np.sqrt(w)) @ dagger(v)
     fixed_vec = vec(sqrt_sigma)
     fixed_vec = fixed_vec / np.linalg.norm(fixed_vec)
     q, _ = np.linalg.qr(fixed_vec[:, None], mode="complete")
     basis_perp = q[:, 1:]
-    return g_omega, basis_perp, lam_min
+    restricted = dagger(basis_perp) @ g_omega @ basis_perp
+    nu = -float(np.linalg.eigvalsh((restricted + dagger(restricted)) / 2).max())
+    return g_omega, nu, lam_min
 
 
 def pair_chi2_generator(gen: GeneratorMap, t_max: float = 10.0,
@@ -385,10 +386,7 @@ def pair_chi2_generator(gen: GeneratorMap, t_max: float = 10.0,
     the fixed direction, which bounds ||Omega_t|perp||_{2->2} <= e^{-nu t}
     for all real t >= 0.  Validated empirically on a uniform time grid.
     """
-    g_omega, basis_perp, lam_min = _generator_conjugated(gen)
-    restricted = dagger(basis_perp) @ g_omega @ basis_perp
-    sym = (restricted + dagger(restricted)) / 2
-    nu = -float(np.linalg.eigvalsh(sym).max())
+    _, nu, lam_min = _generator_conjugated(gen)
     if nu <= 0.0:
         raise DomainError(
             f"conjugated generator is not strictly dissipative (gap {nu:.3g})")
@@ -404,14 +402,12 @@ def pair_detailed_balance_generator(gen: GeneratorMap, t_max: float = 10.0,
                                     seed: int = 0) -> ConvergencePair:
     """Continuous detailed-balance pair: requires a Hermitian conjugated
     generator; nu is its spectral gap and K = sqrt(2d) lambda_min^{-1/2}."""
-    g_omega, basis_perp, lam_min = _generator_conjugated(gen)
+    g_omega, nu, lam_min = _generator_conjugated(gen)
     herm_res = float(spectral_norm(g_omega - dagger(g_omega)))
     if herm_res > 1e-8 * max(1.0, float(spectral_norm(g_omega))):
         raise DomainError(
             f"detailed balance violated: conjugated generator has "
             f"Hermiticity residual {herm_res:.3g}")
-    restricted = dagger(basis_perp) @ g_omega @ basis_perp
-    nu = -float(np.linalg.eigvalsh((restricted + dagger(restricted)) / 2).max())
     if nu <= 0.0:
         raise DomainError(f"generator has no spectral gap (found {nu:.3g})")
     pair = ConvergencePair(K=math.sqrt(2.0 * gen.dim / lam_min), rate=nu,
@@ -426,9 +422,34 @@ def pair_detailed_balance_generator(gen: GeneratorMap, t_max: float = 10.0,
 # empirical validation
 
 
+def _validate_on_grid(pair: ConvergencePair, key: str, grid, advance,
+                      decay, p_inf: np.ndarray, probes: np.ndarray,
+                      tol: float) -> ConvergencePair:
+    """The check loop of both validators: ``advance`` steps the evolution,
+    starting from the identity, to the next grid point x, bounded by K decay(x)."""
+    current = np.eye(p_inf.shape[0], dtype=complex)
+    checked_to = prev = -1
+    failures = []
+    for i, x in enumerate(grid):
+        if i:
+            current = advance(current)
+        estimate = norm_lower_bound_probes(current - p_inf, probes)
+        certified = pair.K * decay(x)
+        if estimate <= certified + tol:
+            if checked_to == prev:
+                checked_to = x
+        else:
+            failures.append({key: x, "estimate": estimate, "certified": certified})
+        prev = x
+    pair.validity_checked_to = float(max(checked_to, 0))
+    pair.valid = not failures
+    pair.details["validation_failures"] = failures
+    pair.details["validated_with_probes"] = int(len(probes))
+    return pair
+
+
 def validate_pair_on_channel(pair: ConvergencePair, t: SuperOperator,
                              n_max: int, n_probes: int = 64, seed: int = 0,
-                             analysis: FixedPointAnalysis | None = None,
                              tol: float = VALIDATION_TOL) -> ConvergencePair:
     """Check ||T^n - T^inf|| >= estimator against K mu^n for n = 0..n_max.
 
@@ -437,26 +458,10 @@ def validate_pair_on_channel(pair: ConvergencePair, t: SuperOperator,
     """
     if pair.kind != "discrete":
         raise DomainError("channel validation requires a discrete pair")
-    analysis = analysis or fixed_point_analysis(t)
-    probes = probe_inputs(t.dim, n_random=n_probes, seed=seed)
-    p_inf = analysis.projector.matrix
-    power = np.eye(t.dim ** 2, dtype=complex)
-    checked_to = -1
-    failures = []
-    for n in range(n_max + 1):
-        estimate = norm_lower_bound_probes(power - p_inf, probes)
-        certified = pair.K * pair.rate ** n
-        if estimate <= certified + tol:
-            if checked_to == n - 1:
-                checked_to = n
-        else:
-            failures.append({"n": n, "estimate": estimate, "certified": certified})
-        power = power @ t.matrix
-    pair.validity_checked_to = float(max(checked_to, 0))
-    pair.valid = not failures
-    pair.details["validation_failures"] = failures
-    pair.details["validated_with_probes"] = int(len(probes))
-    return pair
+    return _validate_on_grid(
+        pair, "n", range(n_max + 1), lambda power: power @ t.matrix,
+        lambda n: pair.rate ** n, fixed_point_analysis(t).projector.matrix,
+        probe_inputs(t.dim, n_random=n_probes, seed=seed), tol)
 
 
 def validate_pair_on_generator(pair: ConvergencePair, gen: GeneratorMap,
@@ -466,31 +471,13 @@ def validate_pair_on_generator(pair: ConvergencePair, gen: GeneratorMap,
     """Continuous analogue of :func:`validate_pair_on_channel` on a t grid."""
     if pair.kind != "continuous":
         raise DomainError("generator validation requires a continuous pair")
-    t1 = generator_exponential(gen, 1.0)
-    analysis = fixed_point_analysis(t1)
+    p_inf = fixed_point_analysis(gen.unit_time_map).projector.matrix
     probes = probe_inputs(gen.dim, n_random=n_probes, seed=seed)
-    p_inf = analysis.projector.matrix
     times = np.linspace(0.0, t_max, samples)
     step = matrix_exp(gen.matrix, times[1] - times[0]) if samples > 1 else None
-    current = np.eye(gen.dim ** 2, dtype=complex)
-    checked_to = -1.0
-    failures = []
-    for i, tt in enumerate(times):
-        estimate = norm_lower_bound_probes(current - p_inf, probes)
-        certified = pair.K * math.exp(-pair.rate * tt)
-        if estimate <= certified + tol:
-            if checked_to == (times[i - 1] if i else -1.0):
-                checked_to = tt
-        else:
-            failures.append({"t": float(tt), "estimate": estimate,
-                             "certified": certified})
-        if step is not None:
-            current = step @ current
-    pair.validity_checked_to = float(max(checked_to, 0.0))
-    pair.valid = not failures
-    pair.details["validation_failures"] = failures
-    pair.details["validated_with_probes"] = int(len(probes))
-    return pair
+    return _validate_on_grid(
+        pair, "t", times.tolist(), lambda current: step @ current,
+        lambda tt: math.exp(-pair.rate * tt), p_inf, probes, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +489,52 @@ def _require_usable(pair: ConvergencePair):
         raise DomainError(
             "convergence pair failed empirical validation and cannot be used "
             f"to assert bounds (failures: {pair.details.get('validation_failures')})")
+
+
+def _simulate(step_t: np.ndarray, step_e: np.ndarray, rho0: DensityMatrix,
+              sigma0: DensityMatrix, count: int):
+    """sigma_i and the exact ||rho_i - sigma_i||_1 for i < count, where
+    rho_{i+1} = step_t rho_i and sigma_{i+1} = step_e sigma_i."""
+    d = rho0.dim
+    rho_v, sigma_v = vec(rho0.matrix), vec(sigma0.matrix)
+    sigma_mats, diff_mats = [], []
+    for i in range(count):
+        if i:
+            rho_v = step_t @ rho_v
+            sigma_v = step_e @ sigma_v
+        sigma_mats.append(unvec(sigma_v, d))
+        diff_mats.append(unvec(rho_v - sigma_v, d))
+    return np.array(sigma_mats), trace_norm_batch(np.array(diff_mats))
+
+
+def _perturbation_norm(m_t: np.ndarray, m_e: np.ndarray, inputs: np.ndarray,
+                       restarts: int, seed: int) -> float:
+    """The ascent's ||E - T||_{1->1}, raised to its value on each of
+    ``inputs`` (unit-trace-norm states, so each is an admissible input)."""
+    dop = SuperOperator(inputs.shape[-1], m_e - m_t, provenance="explicit")
+    value = norm_1to1(dop, restarts=restarts, seed=seed).value
+    if len(inputs):
+        value = max(value, float(trace_norm_batch(dop.apply_batch(inputs)).max()))
+    return value
+
+
+def _bound_rows(pair: ConvergencePair, grid, bound, exact: np.ndarray,
+                d0: float, dT: float, tol: float, strict: bool,
+                unit: str) -> list:
+    """One BoundReport per grid point; raise on a violation when strict."""
+    reports = []
+    for x, ex in zip(grid, exact):
+        fb = bound(pair, x, d0, dT)
+        reports.append(BoundReport(
+            n_or_t=float(x), exact=float(ex), bound=fb.bound_value,
+            slack=fb.bound_value - float(ex), regime=fb.regime,
+            K=pair.K, rate=pair.rate, recipe=pair.recipe))
+    bad = [r for r in reports if r.slack < -tol]
+    if strict and bad:
+        raise BoundViolationError(
+            f"{len(bad)} of {len(reports)} {unit} violate the bound "
+            f"(worst slack {min(r.slack for r in bad):.3g})", reports=reports)
+    return reports
 
 
 def discrete_trajectory_check(t: SuperOperator, e: SuperOperator,
@@ -529,42 +562,15 @@ def discrete_trajectory_check(t: SuperOperator, e: SuperOperator,
     if pair.kind != "discrete":
         raise DomainError("discrete trajectory check requires a discrete pair")
     if pair.validity_checked_to < n_steps:
-        validate_pair_on_channel(pair, t, n_max=n_steps, seed=seed,
-                                 analysis=analysis)
+        validate_pair_on_channel(pair, t, n_max=n_steps, seed=seed)
     _require_usable(pair)
 
-    d = t.dim
-    rho_vecs = [vec(rho0.matrix)]
-    sigma_vecs = [vec(sigma0.matrix)]
-    for _ in range(n_steps):
-        rho_vecs.append(t.matrix @ rho_vecs[-1])
-        sigma_vecs.append(e.matrix @ sigma_vecs[-1])
-    sigma_mats = np.array([v.reshape(d, d).T for v in sigma_vecs])
-    diff_mats = np.array([(r - s).reshape(d, d).T
-                          for r, s in zip(rho_vecs, sigma_vecs)])
-    exact = trace_norm_batch(diff_mats)
-
+    sigma_mats, exact = _simulate(t.matrix, e.matrix, rho0, sigma0, n_steps + 1)
     d0 = trace_norm(rho0.matrix - sigma0.matrix)
     if dT is None:
-        dop = SuperOperator(d, e.matrix - t.matrix, provenance="explicit")
-        dT = norm_1to1(dop, restarts=restarts, seed=seed).value
-        applied = dop.apply_batch(sigma_mats[:-1]) if n_steps else None
-        if applied is not None and len(applied):
-            dT = max(dT, float(trace_norm_batch(applied).max()))
-
-    reports = []
-    for n in range(n_steps + 1):
-        fb = discrete_bound(pair, n, d0, dT)
-        reports.append(BoundReport(
-            n_or_t=float(n), exact=float(exact[n]), bound=fb.bound_value,
-            slack=fb.bound_value - float(exact[n]), regime=fb.regime,
-            K=pair.K, rate=pair.rate, recipe=pair.recipe))
-    bad = [r for r in reports if r.slack < -tol]
-    if strict and bad:
-        raise BoundViolationError(
-            f"{len(bad)} of {len(reports)} steps violate the bound "
-            f"(worst slack {min(r.slack for r in bad):.3g})", reports=reports)
-    return reports
+        dT = _perturbation_norm(t.matrix, e.matrix, sigma_mats[:-1], restarts, seed)
+    return _bound_rows(pair, range(n_steps + 1), discrete_bound, exact, d0, dT,
+                       tol, strict, "steps")
 
 
 def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
@@ -593,44 +599,16 @@ def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
                                    seed=seed)
     _require_usable(pair)
 
-    t1 = generator_exponential(gen_t, 1.0)
-    analysis = fixed_point_analysis(t1)
-    if analysis.multiplicity != 1:
+    if fixed_point_analysis(gen_t.unit_time_map).multiplicity != 1:
         raise HypothesisError(
             "continuous trajectory bound requires a unique stationary state")
 
-    d = gen_t.dim
     times = np.linspace(0.0, t_max, steps)
     dt = times[1] - times[0]
-    step_t = matrix_exp(gen_t.matrix, dt)
-    step_e = matrix_exp(gen_e.matrix, dt)
-    rho_v, sigma_v = vec(rho0.matrix), vec(sigma0.matrix)
-    sigma_mats, diff_mats = [], []
-    for i in range(steps):
-        sigma_mats.append(sigma_v.reshape(d, d).T)
-        diff_mats.append((rho_v - sigma_v).reshape(d, d).T)
-        if i + 1 < steps:
-            rho_v = step_t @ rho_v
-            sigma_v = step_e @ sigma_v
-    exact = trace_norm_batch(np.array(diff_mats))
-
+    sigma_mats, exact = _simulate(matrix_exp(gen_t.matrix, dt),
+                                  matrix_exp(gen_e.matrix, dt), rho0, sigma0, steps)
     d0 = trace_norm(rho0.matrix - sigma0.matrix)
     if dL is None:
-        dop = SuperOperator(d, gen_e.matrix - gen_t.matrix, provenance="explicit")
-        dL = norm_1to1(dop, restarts=restarts, seed=seed).value
-        dL = max(dL, float(trace_norm_batch(
-            dop.apply_batch(np.array(sigma_mats))).max()))
-
-    reports = []
-    for i, tt in enumerate(times):
-        fb = continuous_bound(pair, float(tt), d0, dL)
-        reports.append(BoundReport(
-            n_or_t=float(tt), exact=float(exact[i]), bound=fb.bound_value,
-            slack=fb.bound_value - float(exact[i]), regime=fb.regime,
-            K=pair.K, rate=pair.rate, recipe=pair.recipe))
-    bad = [r for r in reports if r.slack < -tol]
-    if strict and bad:
-        raise BoundViolationError(
-            f"{len(bad)} of {len(reports)} times violate the bound "
-            f"(worst slack {min(r.slack for r in bad):.3g})", reports=reports)
-    return reports
+        dL = _perturbation_norm(gen_t.matrix, gen_e.matrix, sigma_mats, restarts, seed)
+    return _bound_rows(pair, times.tolist(), continuous_bound, exact, d0, dL,
+                       tol, strict, "times")

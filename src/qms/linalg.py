@@ -51,6 +51,14 @@ def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
     return v.reshape(d, d).T
 
 
+def apply_batch(m: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Apply the superoperator matrix ``m`` to a stack of matrices, shape
+    (n, d, d) -> (n, d, d); the package's only batched application."""
+    n, d = mats.shape[0], mats.shape[-1]
+    v = mats.transpose(0, 2, 1).reshape(n, d * d)
+    return (v @ m.T).reshape(n, d, d).transpose(0, 2, 1)
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product (thin wrapper, kept for the conversion identities)."""
     return np.kron(a, b)

@@ -4,6 +4,11 @@ The eigenvalue-1 group is identified with the absolute tolerance
 ``TOL_FIX = 1e-9`` (the 1-eigenvalue of a trace-preserving positive map is
 exact in theory, so a tolerance much tighter than the general clustering
 tolerance avoids absorbing slow modes into the fixed space).
+
+:func:`fixed_point_analysis` memoises its result on the ``SuperOperator``,
+so every consumer of a map shares one eigendecomposition.  This relies on
+a ``SuperOperator`` not being mutated after construction.  A failed
+analysis raises and is not stored.
 """
 
 from __future__ import annotations
@@ -79,14 +84,25 @@ class FixedPointAnalysis:
     multiplicity: int
     eigensystem: EigenSystem
     peripheral_spectrum: bool
-    subdominant_modulus: float
     cesaro_checked: bool
+    spectral: SpectralData
     cesaro_residual: Optional[float] = None
     notes: list = field(default_factory=list)
 
 
 def _one_group(w: np.ndarray) -> np.ndarray:
     return np.nonzero(np.abs(w - 1.0) <= TOL_FIX)[0]
+
+
+def _spectral_data(w: np.ndarray, ones: np.ndarray) -> SpectralData:
+    lam = w[np.setdiff1d(np.arange(len(w)), ones)]
+    return SpectralData(
+        eigenvalues=w,
+        min_dist_to_one=float(np.abs(1.0 - lam).min(initial=math.inf)),
+        spectral_gap=float((1.0 - np.abs(lam)).min(initial=math.inf)),
+        subdominant_modulus=float(np.abs(lam).max(initial=0.0)),
+        peripheral_count=int(np.sum(np.abs(lam) >= 1.0 - TOL_CLUSTER)),
+        one_group_multiplicity=len(ones))
 
 
 def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
@@ -97,20 +113,21 @@ def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
     the running Cesaro average computed by repeated squaring, unless
     peripheral eigenvalues other than 1 exist (plain powers do not
     converge there) or mixing is too slow for the average to settle within
-    2^14 steps; both cases are recorded as notes.
+    2^14 steps; both cases are recorded as notes.  The result is memoised.
     """
+    if t._analysis is not None:
+        return t._analysis
     es = eig(t.matrix)
     w = es.eigenvalues
     ones = _one_group(w)
     if len(ones) == 0:
         raise SpectralResolutionError(
             "no eigenvalue within %.1g of 1; is the map trace-preserving?" % TOL_FIX)
-    others = np.setdiff1d(np.arange(len(w)), ones)
-    if len(others) and np.abs(w[others] - 1.0).min() <= 10 * TOL_FIX:
+    spec = _spectral_data(w, ones)
+    if spec.min_dist_to_one <= 10 * TOL_FIX:
         raise SpectralResolutionError(
             "eigenvalue-1 cluster is not numerically separable "
-            "(nearest excluded eigenvalue at distance %.3g)"
-            % float(np.abs(w[others] - 1.0).min()))
+            "(nearest excluded eigenvalue at distance %.3g)" % spec.min_dist_to_one)
 
     r1 = es.right_vectors[:, ones]
     l1 = es.left_vectors[:, ones]
@@ -131,14 +148,12 @@ def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
             raise NumericError(f"fixed-point projector failed {name} check "
                                f"(residual {resid:.3g})", residual=resid)
 
-    sub = float(np.abs(w[others]).max()) if len(others) else 0.0
-    peripheral = bool(len(others)) and bool(
-        np.any(np.abs(w[others]) >= 1.0 - TOL_CLUSTER))
+    sub = spec.subdominant_modulus
 
     notes: list[str] = []
     cesaro_checked = False
     cesaro_residual = None
-    if peripheral:
+    if spec.peripheral_count:
         notes.append("cesaro cross-check skipped: peripheral eigenvalues other than 1")
     elif sub > 0.0 and (2 ** _CESARO_STEPS_LOG2) * math.log(sub) > math.log(1e-7):
         notes.append("cesaro cross-check skipped: subdominant modulus %.6g mixes "
@@ -163,11 +178,12 @@ def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
     proj = SuperOperator(t.dim, p, provenance="explicit",
                          trace_preserving=t.trace_preserving,
                          label="; ".join(notes) if notes else None)
-    return FixedPointAnalysis(projector=proj, multiplicity=len(ones),
-                              eigensystem=es, peripheral_spectrum=peripheral,
-                              subdominant_modulus=sub,
-                              cesaro_checked=cesaro_checked,
-                              cesaro_residual=cesaro_residual, notes=notes)
+    t._analysis = FixedPointAnalysis(
+        projector=proj, multiplicity=len(ones), eigensystem=es,
+        peripheral_spectrum=spec.peripheral_count > 0,
+        cesaro_checked=cesaro_checked, spectral=spec,
+        cesaro_residual=cesaro_residual, notes=notes)
+    return t._analysis
 
 
 def fixed_point_projector(t: SuperOperator) -> SuperOperator:
@@ -175,10 +191,9 @@ def fixed_point_projector(t: SuperOperator) -> SuperOperator:
     return fixed_point_analysis(t).projector
 
 
-def delta_map(t: SuperOperator, analysis: FixedPointAnalysis | None = None) -> SuperOperator:
+def delta_map(t: SuperOperator) -> SuperOperator:
     """T - T^infinity as a superoperator."""
-    analysis = analysis or fixed_point_analysis(t)
-    return SuperOperator(t.dim, t.matrix - analysis.projector.matrix,
+    return SuperOperator(t.dim, t.matrix - fixed_point_projector(t).matrix,
                          provenance="explicit")
 
 
@@ -258,24 +273,11 @@ def spectral_quantities(t: SuperOperator) -> SpectralData:
 
     Note the distinction between the spectral gap min(1 - |lambda|) and the
     distance-to-one min|1 - lambda|; the condition-number bounds are
-    governed by the latter.
+    governed by the latter.  Unlike ``fixed_point_analysis(t).spectral``,
+    this does not require an eigenvalue at 1.
     """
-    es = eig(t.matrix)
-    w = es.eigenvalues
-    ones = _one_group(w)
-    others = np.setdiff1d(np.arange(len(w)), ones)
-    lam = w[others]
-    if len(lam) == 0:
-        return SpectralData(eigenvalues=w, min_dist_to_one=math.inf,
-                            spectral_gap=math.inf, subdominant_modulus=0.0,
-                            peripheral_count=0, one_group_multiplicity=len(ones))
-    return SpectralData(
-        eigenvalues=w,
-        min_dist_to_one=float(np.abs(1.0 - lam).min()),
-        spectral_gap=float((1.0 - np.abs(lam)).min()),
-        subdominant_modulus=float(np.abs(lam).max()),
-        peripheral_count=int(np.sum(np.abs(lam) >= 1.0 - TOL_CLUSTER)),
-        one_group_multiplicity=len(ones))
+    w = eig(t.matrix).eigenvalues
+    return _spectral_data(w, _one_group(w))
 
 
 def _stable_rank(m: np.ndarray, threshold: float) -> int:

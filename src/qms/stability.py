@@ -28,8 +28,7 @@ from .channels import DensityMatrix, SuperOperator, check_stationary
 from .contraction import DEFAULT_RESTARTS, ContractionEstimate, norm_1to1, tau
 from .errors import DimensionError
 from .linalg import trace_norm, vec, unvec
-from .spectral import (FixedPointAnalysis, fixed_point_analysis, fundamental_map,
-                       spectral_quantities)
+from .spectral import fixed_point_analysis, fundamental_map
 
 # 2 (5 pi / 3 + 2 sqrt(2)); multiplied by d^3 in the spectral upper bound.
 SPECTRAL_UPPER_COEFF = 2.0 * (5.0 * math.pi / 3.0 + 2.0 * math.sqrt(2.0))
@@ -105,15 +104,14 @@ class PerturbationOutcome:
 
 
 def condition_numbers(t: SuperOperator, restarts: int = DEFAULT_RESTARTS,
-                      seed: int = 0,
-                      analysis: FixedPointAnalysis | None = None) -> ConditionReport:
+                      seed: int = 0) -> ConditionReport:
     """Compute tau(Z(T)), (1 - tau(T))^{-1} and the spectral sandwich bounds.
 
     When the set of non-unit eigenvalues is empty (degenerate spectrum) the
     sandwich is vacuous: the lower bound is 0 and the upper bound +inf.
     """
-    analysis = analysis or fixed_point_analysis(t)
-    spec = spectral_quantities(t)
+    analysis = fixed_point_analysis(t)
+    spec = analysis.spectral
     z = fundamental_map(t, analysis)
     kappa_tau_z = tau(z, restarts=restarts, seed=seed)
     tau_t = tau(t, restarts=restarts, seed=seed)
@@ -182,8 +180,7 @@ def fixed_point_perturbation(t1: SuperOperator, t2: SuperOperator,
     norm_general = max(norm_general, at_rho2)
     norm_hermitian = max(norm_hermitian, at_rho2)
 
-    report = condition_numbers(t1, restarts=restarts, seed=seed,
-                               analysis=analysis1)
+    report = condition_numbers(t1, restarts=restarts, seed=seed)
     kappas = {"tau_z": report.kappa_tau_z.value,
               "contraction": report.kappa_contraction,
               "spectral_upper": report.spectral_upper}

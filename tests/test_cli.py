@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qms.channels import (depolarizing_channel, depolarizing_generator,
                           from_stochastic, identity_channel)
@@ -280,3 +283,164 @@ def test_out_flag_writes_file(files, tmp_path, capsys):
     assert code == 0
     doc = loads_strict(target.read_text())
     assert doc["dim"] == 2
+
+
+# ---------------------------------------------------------------------------
+# one eigendecomposition per map
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["analyze", "{depol05}"], 1),
+    (["compare", "{depol05}", "{depol06}"], 2),
+    (["trajectory", "{depol05}", "{depol06}", "--steps", "5"], 1),
+    (["pairs", "{depol05}", "--steps", "5"], 1),
+    (["ensemble", "--dim", "2", "--count", "2", "--steps", "5"], 4),
+    (["ensemble", "--dim", "2", "--count", "2", "--steps", "5",
+      "--mode", "continuous"], 2),
+])
+def test_one_eigendecomposition_per_map(files, capsys, count_calls, argv,
+                                        expected):
+    from qms import linalg
+    eigs = count_calls(linalg, "eig")
+    assert main([a.format(**files) for a in argv] + ["--restarts", "2"]) == 0
+    capsys.readouterr()
+    assert len(eigs) == expected
+
+
+def test_continuous_trajectory_exponentiates_generator_once(files, capsys,
+                                                            count_calls):
+    from qms import linalg
+    eigs = count_calls(linalg, "eig")
+    exps = count_calls(linalg, "matrix_exp")
+    code = main(["trajectory", files["gen10"], files["gen11"], "--steps", "5",
+                 "--restarts", "2"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(eigs) == 1
+    assert len([args for args in exps if args[1:] == (1.0,)]) == 1
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract
+
+
+@pytest.fixture
+def dim1(tmp_path):
+    p = tmp_path / "dim1.json"
+    p.write_text(json.dumps({"dim": 1, "representation": "superoperator",
+                             "data": [[[1.0, 0.0]]]}))
+    return str(p)
+
+
+@pytest.mark.parametrize("command", [["analyze", "{0}"],
+                                     ["compare", "{0}", "{0}"],
+                                     ["pairs", "{0}"],
+                                     ["trajectory", "{0}", "{0}"]])
+def test_dim_one_file_is_usage_error(dim1, capsys, command):
+    code = main([a.format(dim1) for a in command])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "dim must be >= 2, got 1" in err
+
+
+@pytest.mark.parametrize("dim", ["1", "0"])
+def test_ensemble_dim_below_two_is_usage_error(capsys, dim):
+    code = main(["ensemble", "--dim", dim, "--count", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"dim must be >= 2, got {dim}" in err
+
+
+def test_internal_error_exits_3(files, capsys, monkeypatch):
+    from qms import cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_analyze", boom)
+    code = main(["analyze", files["depol05"]])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "internal error: RuntimeError: boom" in err
+
+
+def test_pairs_without_fixed_point_is_numeric_failure(tmp_path, capsys):
+    # 0.5 id has no eigenvalue at 1: the shared analysis fails once, as in
+    # analyze, instead of once per recipe
+    p = tmp_path / "half.json"
+    p.write_text(dumps_json({"dim": 2, "representation": "superoperator",
+                             "data": [[[0.5 if i == j else 0.0, 0.0]
+                                       for j in range(4)] for i in range(4)]}))
+    for command in ("pairs", "analyze"):
+        code = main([command, str(p)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "no eigenvalue within 1e-09 of 1" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract as a property: codes stay in {0, 1, 2, 3}, 1 comes
+# with a reported violation, and nothing escapes outside the QmsError family
+
+_small = st.integers(min_value=-1, max_value=2)
+
+
+def _check_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "internal error" not in err.getvalue()
+    if code == 1:
+        assert "violations: 0" not in out.getvalue()
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.integers(min_value=-1, max_value=3), count=_small,
+       steps=_small, restarts=_small)
+def test_ensemble_exit_code_contract(dim, count, steps, restarts):
+    _check_contract(["ensemble", "--dim", str(dim), "--count", str(count),
+                     "--steps", str(steps), "--restarts", str(restarts)])
+
+
+_pair = st.lists(st.floats(min_value=-2, max_value=2), min_size=2, max_size=2)
+_entry = st.one_of(_pair, st.floats(min_value=0, max_value=1),
+                   st.lists(st.integers(-1, 1), max_size=3), st.text(max_size=2),
+                   st.none())
+
+
+def _matrix(n, entry):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n,
+                    max_size=n)
+
+
+def _doc(dim, rep, entry):
+    if rep == "kraus":
+        data = st.lists(_matrix(dim, entry), min_size=1, max_size=2)
+    else:
+        data = _matrix(dim if rep == "stochastic" else dim * dim, entry)
+    return st.fixed_dictionaries({"dim": st.just(dim),
+                                  "representation": st.just(rep), "data": data})
+
+
+# shaped documents reach the numerics; loose ones exercise the schema checks
+_shaped = st.tuples(st.sampled_from([1, 2]),
+                    st.sampled_from(["kraus", "superoperator", "stochastic",
+                                     "generator"])).flatmap(
+    lambda dr: _doc(*dr, st.floats(min_value=0, max_value=1)
+                    if dr[1] == "stochastic" else _pair))
+_loose = st.fixed_dictionaries({
+    "dim": st.one_of(st.integers(min_value=-1, max_value=2), st.text(max_size=1)),
+    "representation": st.sampled_from(["kraus", "superoperator", "other"]),
+    "data": st.one_of(_matrix(2, _entry), _matrix(4, _entry), st.none()),
+})
+_channel_doc = st.one_of(_shaped, _loose)
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=st.one_of(_channel_doc.map(json.dumps), st.text(max_size=20)))
+def test_analyze_malformed_channel_exit_code_contract(tmp_path_factory, text):
+    p = tmp_path_factory.mktemp("fuzz") / "channel.json"
+    p.write_text(text)
+    _check_contract(["analyze", str(p), "--restarts", "2"])

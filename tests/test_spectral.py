@@ -242,3 +242,49 @@ def test_minimal_polynomial_unstable_rank_raises():
     m = np.diag([1.0, 3e-9, 0.0, 0.0]).astype(complex)
     with pytest.raises(IllConditionedStructureError):
         minimal_polynomial(SuperOperator(2, m))
+
+
+# ---------------------------------------------------------------------------
+# the analysis is memoised per SuperOperator
+
+
+def test_fixed_point_analysis_is_memoised(count_calls):
+    from qms import linalg
+    eigs = count_calls(linalg, "eig")
+    t = random_channel(3, 4, 17)
+    assert fixed_point_analysis(t) is fixed_point_analysis(t)
+    fundamental_map(t)
+    stationary_states(t)
+    delta_map(t)
+    assert len(eigs) == 1
+
+
+def test_equal_maps_do_not_share_a_memo(count_calls):
+    from qms import linalg
+    eigs = count_calls(linalg, "eig")
+    t1, t2 = depolarizing_channel(0.4), depolarizing_channel(0.4)
+    assert np.array_equal(t1.matrix, t2.matrix)
+    assert fixed_point_analysis(t1) is not fixed_point_analysis(t2)
+    assert len(eigs) == 2
+
+
+def test_failed_analysis_is_not_stored(count_calls):
+    from qms import linalg
+    eigs = count_calls(linalg, "eig")
+    t = SuperOperator(2, 0.5 * np.eye(4))
+    for _ in range(2):
+        with pytest.raises(SpectralResolutionError):
+            fixed_point_analysis(t)
+    assert len(eigs) == 2
+
+
+@pytest.mark.parametrize("t", [depolarizing_channel(0.5), identity_channel(2),
+                               from_stochastic([[0, 1], [1, 0]]),
+                               random_channel(3, 2, 5)])
+def test_analysis_spectral_matches_spectral_quantities(t):
+    want = spectral_quantities(t)
+    got = fixed_point_analysis(t).spectral
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    for key in ("min_dist_to_one", "spectral_gap", "subdominant_modulus",
+                "peripheral_count", "one_group_multiplicity"):
+        assert getattr(got, key) == getattr(want, key)
