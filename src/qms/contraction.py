@@ -10,6 +10,7 @@ spread over restarts is reported as a quality signal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -431,11 +432,13 @@ def tau_of_powers_check(t: SuperOperator, n_max: int,
 # probe-based lower bounds (cheap, used for empirical certificate checks)
 
 
+@functools.lru_cache(maxsize=16)
 def probe_inputs(d: int, n_random: int = 64, seed: int = 0) -> np.ndarray:
     """A deterministic family of unit-trace-norm probe inputs, shape (m, d, d).
 
     Contains all matrix units E_ij (basis-aligned rank-one extreme points)
-    plus seeded random u v^dag pairs and pure-state projectors.
+    plus seeded random u v^dag pairs and pure-state projectors.  Memoised
+    on the arguments; the returned array is shared, hence read-only.
     """
     probes = []
     for i in range(d):
@@ -453,7 +456,9 @@ def probe_inputs(d: int, n_random: int = 64, seed: int = 0) -> np.ndarray:
         psi = gen.complex_normals(d)
         psi /= np.linalg.norm(psi)
         probes.append(np.outer(psi, psi.conj()))
-    return np.array(probes)
+    probes = np.array(probes)
+    probes.flags.writeable = False
+    return probes
 
 
 def norm_lower_bound_probes(matrix: np.ndarray, probes: np.ndarray) -> float:

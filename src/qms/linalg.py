@@ -7,6 +7,9 @@ Vectorization uses the column-stacking convention throughout the package:
 
 holds exactly.  Every superoperator matrix in this package is written in
 this convention; it is fixed here and nowhere else.
+
+Eigensystems come from numpy's LAPACK bindings.  scipy is imported only
+inside :func:`matrix_exp`, so code paths without a generator never load it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NumericError, ValidationError
 
@@ -95,10 +97,14 @@ def spectral_norm(m: np.ndarray) -> float:
 
 
 def matrix_exp(m, t: float = 1.0) -> np.ndarray:
-    """e^{t M} by scaling-and-squaring (Pade), via scipy.
+    """e^{t M} by scaling-and-squaring (Pade), via ``scipy.linalg.expm``.
 
+    scipy is imported here rather than at module level: only generator
+    paths exponentiate, and the import dominates a cold start otherwise.
     Raises :class:`NumericError` when the result overflows.
     """
+    import scipy.linalg
+
     m = as_matrix(m, square=True, name="matrix_exp input")
     if not np.isfinite(t):
         raise ValidationError("matrix_exp: t must be finite")
@@ -159,16 +165,20 @@ def _cluster_indices(w: np.ndarray, tol: float) -> list[list[int]]:
 def eig(m, cluster_tol: float = TOL_CLUSTER) -> EigenSystem:
     """Full eigendecomposition with matched, biorthogonalized left vectors.
 
-    Left eigenvectors come from the decomposition of the conjugate
-    transpose (scipy returns them matched per index); each cluster is then
-    rescaled so that l_i^dag r_j = delta_ij within the cluster.  Pairs in
-    clusters whose overlap matrix is singular are flagged via
-    ``degenerate`` instead of being force-normalized.
+    Right vectors come from the decomposition of M, left vectors from that
+    of M^dag.  The two need not list equal-modulus eigenvalues in the same
+    order (cycles, unitary channels), so each eigenvalue of M^dag goes to
+    the cluster of M holding its nearest conjugate; a cluster receiving the
+    wrong number raises :class:`NumericError`.  Each cluster is then
+    rescaled so that l_i^dag r_j = delta_ij within it, which makes the
+    order inside a cluster irrelevant.  Pairs in clusters whose overlap
+    matrix is singular are flagged via ``degenerate`` instead of being
+    force-normalized.
     """
     m = as_matrix(m, square=True, name="eig input")
-    w, vl, vr = scipy.linalg.eig(m, left=True, right=True)
+    w, vr = np.linalg.eig(m)
     order = np.lexsort((w.imag, w.real, -np.abs(w)))
-    w, vl, vr = w[order], vl[:, order], vr[:, order]
+    w, vr = w[order], vr[:, order]
 
     norm_m = spectral_norm(m)
     residual = float(np.linalg.norm(m @ vr - vr * w, axis=0).max()) if len(w) else 0.0
@@ -178,8 +188,19 @@ def eig(m, cluster_tol: float = TOL_CLUSTER) -> EigenSystem:
 
     radius = float(np.abs(w).max()) if len(w) else 0.0
     clusters = _cluster_indices(w, cluster_tol * max(radius, 1e-300))
+    w_dag, v_dag = np.linalg.eig(dagger(m))
+    nearest = (np.abs(w_dag.conj()[:, None] - w).argmin(axis=1) if len(w)
+               else np.zeros(0, dtype=int))
+    vl = np.empty_like(vr)
     degenerate = False
     for grp in clusters:
+        mine = np.nonzero(np.isin(nearest, grp))[0]
+        if len(mine) != len(grp):
+            raise NumericError(
+                "left/right eigenvalue matching failed: cluster of size %d at "
+                "%s received %d left vectors"
+                % (len(grp), format(complex(w[grp[0]]), ".6g"), len(mine)))
+        vl[:, grp] = v_dag[:, mine]
         overlap = dagger(vl[:, grp]) @ vr[:, grp]
         sv = np.linalg.svd(overlap, compute_uv=False)
         # columns are unit vectors, so a healthy (semisimple) cluster has

@@ -13,6 +13,7 @@ analysis raises and is not stored.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -88,6 +89,11 @@ class FixedPointAnalysis:
     spectral: SpectralData
     cesaro_residual: Optional[float] = None
     notes: list = field(default_factory=list)
+
+    @functools.cached_property
+    def stationary(self) -> tuple:
+        """Density-matrix basis of the fixed space, built once per analysis."""
+        return _stationary_basis(self.projector, self.multiplicity)
 
 
 def _one_group(w: np.ndarray) -> np.ndarray:
@@ -200,14 +206,18 @@ def delta_map(t: SuperOperator) -> SuperOperator:
 def stationary_states(t: SuperOperator):
     """Basis of the fixed-point space intersected with density matrices.
 
-    Applies T^infinity to a spanning family of pure states and keeps a
-    maximal linearly independent subset.  Returns (states, unique) where
-    ``unique`` is True iff the eigenvalue-1 multiplicity is 1.
+    Returns (states, unique) where ``states`` is the tuple memoised as
+    ``fixed_point_analysis(t).stationary`` and ``unique`` is True iff the
+    eigenvalue-1 multiplicity is 1.
     """
     analysis = fixed_point_analysis(t)
-    d = t.dim
-    proj = analysis.projector
+    return analysis.stationary, analysis.multiplicity == 1
 
+
+def _stationary_basis(proj: SuperOperator, multiplicity: int) -> tuple:
+    """Applies T^infinity to a spanning family of pure states and keeps a
+    maximal linearly independent subset, normalized to unit trace."""
+    d = proj.dim
     basis_states = []
     for i in range(d):
         v = np.zeros(d, dtype=complex)
@@ -232,11 +242,10 @@ def stationary_states(t: SuperOperator):
         if svals[-1] > 1e-8 * max(svals[0], 1e-300):
             stacked = candidate
             kept.append(img)
-        if len(kept) == analysis.multiplicity:
+        if len(kept) == multiplicity:
             break
 
-    states = [DensityMatrix(d, m / np.trace(m).real) for m in kept]
-    return states, analysis.multiplicity == 1
+    return tuple(DensityMatrix(d, m / np.trace(m).real) for m in kept)
 
 
 def fundamental_map(t: SuperOperator,

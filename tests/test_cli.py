@@ -1,11 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qms
 from qms.channels import (depolarizing_channel, depolarizing_generator,
                           from_stochastic, identity_channel)
 from qms.cli import main
@@ -444,3 +449,75 @@ def test_analyze_malformed_channel_exit_code_contract(tmp_path_factory, text):
     p = tmp_path_factory.mktemp("fuzz") / "channel.json"
     p.write_text(text)
     _check_contract(["analyze", str(p), "--restarts", "2"])
+
+
+# ---------------------------------------------------------------------------
+# shared stationary state; scipy only on generator paths
+
+
+def test_pairs_builds_stationary_state_once(files, capsys, count_calls):
+    from qms import spectral
+    builds = count_calls(spectral, "_stationary_basis")
+    assert main(["pairs", files["depol05"], "--steps", "5",
+                 "--restarts", "2"]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+def _run_isolated(code):
+    src = str(Path(qms.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_discrete_commands_do_not_load_scipy(files):
+    proc = _run_isolated(
+        "import sys\n"
+        "from qms.cli import main\n"
+        "assert 'scipy' not in sys.modules\n"
+        f"code = main(['analyze', {files['depol05']!r}])\n"
+        "assert 'scipy' not in sys.modules, 'analyze loaded scipy'\n"
+        "sys.exit(code)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert "analysis of" in proc.stdout
+
+
+def test_continuous_trajectory_still_exponentiates(files):
+    proc = _run_isolated(
+        "import sys\n"
+        "from qms.cli import main\n"
+        f"sys.exit(main(['trajectory', {files['gen10']!r}, {files['gen11']!r},"
+        " '--steps', '5', '--restarts', '2']))\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+# malformed --state file: documents for compare: a usage error or a clean
+# comparison, never an internal error; diagonal qubit states reach the numerics
+_state_doc = st.one_of(
+    st.floats(min_value=0, max_value=1).map(
+        lambda p: {"dim": 2, "data": [[[p, 0.0], [0.0, 0.0]],
+                                      [[0.0, 0.0], [1.0 - p, 0.0]]]}),
+    st.fixed_dictionaries({"dim": st.sampled_from([1, 2, 3]),
+                           "data": _matrix(2, _entry)}),
+    st.fixed_dictionaries({"dim": st.one_of(st.integers(-1, 3), st.text(max_size=1),
+                                            st.none()),
+                           "data": st.one_of(_matrix(2, _pair), _matrix(1, _pair),
+                                             st.none())}),
+    st.lists(_pair, max_size=2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=st.one_of(_state_doc.map(json.dumps), st.text(max_size=20)))
+def test_compare_malformed_state_file_exit_code_contract(tmp_path_factory, text):
+    d = tmp_path_factory.mktemp("state")
+    channel = d / "depol.json"
+    channel.write_text(dumps_json(channel_to_dict(depolarizing_channel(0.5))))
+    state = d / "state.json"
+    state.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compare", str(channel), str(channel), "--state",
+                     f"file:{state}", "--restarts", "2"])
+    assert code in (0, 2), err.getvalue()
+    assert "internal error" not in err.getvalue()

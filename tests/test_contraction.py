@@ -326,3 +326,12 @@ def test_probe_lower_bound_below_optimized():
     # probes include the matrix units, so the depolarizing difference is hit
     ddep = depolarizing_channel(0.6).matrix - depolarizing_channel(0.5).matrix
     assert norm_lower_bound_probes(ddep, probes) == pytest.approx(0.1, abs=1e-12)
+
+
+def test_probe_inputs_memoised_and_read_only():
+    probes = probe_inputs(3, n_random=8, seed=5)
+    assert probe_inputs(3, n_random=8, seed=5) is probes
+    assert not probes.flags.writeable
+    with pytest.raises(ValueError):
+        probes[0, 0, 0] = 2.0
+    assert np.array_equal(probes, probe_inputs.__wrapped__(3, n_random=8, seed=5))

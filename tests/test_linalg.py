@@ -161,3 +161,97 @@ def test_kron_vec_identity():
 def test_unvec_dimension_error():
     with pytest.raises(DimensionError):
         unvec(np.arange(5), 2)
+
+
+# ---------------------------------------------------------------------------
+# eig against a scipy oracle (scipy is imported here only; qms does not
+# load it outside matrix_exp)
+
+
+def _scipy_eigensystem(m):
+    """Sorted eigenvalues, clusters, degenerate flag and biorthogonalized
+    left vectors from ``scipy.linalg.eig(left=True)``, matched per index."""
+    import scipy.linalg
+    from qms.linalg import TOL_CLUSTER, _cluster_indices
+    w, vl, vr = scipy.linalg.eig(m, left=True, right=True)
+    order = np.lexsort((w.imag, w.real, -np.abs(w)))
+    w, vl, vr = w[order], vl[:, order], vr[:, order]
+    clusters = _cluster_indices(w, TOL_CLUSTER * float(np.abs(w).max()))
+    degenerate = False
+    for grp in clusters:
+        overlap = vl[:, grp].conj().T @ vr[:, grp]
+        if np.linalg.svd(overlap, compute_uv=False)[-1] <= 1e-10:
+            degenerate = True
+            continue
+        vl[:, grp] = vl[:, grp] @ np.linalg.inv(overlap).conj().T
+    return w, vr, vl, clusters, degenerate
+
+
+def _oracle_maps():
+    from qms.channels import SuperOperator, from_kraus, from_stochastic, identity_channel
+    from qms.ensembles import random_channel
+    maps = {f"random_d{d}_r{r}_s{s}": random_channel(d, r, s)
+            for d in (2, 3, 4) for s in range(3) for r in (1, 2, d * d)}
+    maps["three_cycle"] = from_stochastic([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    maps["diagonal_unitary"] = from_kraus(
+        [np.diag(np.exp(1j * np.array([0.0, 0.7, 1.9])))])
+    maps["identity_d3"] = identity_channel(3)
+    jordan = np.diag([1.0, 0.5, 0.5, 0.2]).astype(complex)
+    jordan[1, 2] = 1.0
+    maps["jordan_at_half"] = SuperOperator(2, jordan)
+    return maps
+
+
+ORACLE_MAPS = _oracle_maps()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
+def test_eig_projector_matches_scipy_oracle(name):
+    from qms.spectral import TOL_FIX, fixed_point_analysis
+    t = ORACLE_MAPS[name]
+    w, vr, vl, clusters, degenerate = _scipy_eigensystem(t.matrix)
+    analysis = fixed_point_analysis(t)
+    es = analysis.eigensystem
+    assert es.clusters == clusters
+    assert es.degenerate == degenerate
+    assert np.abs(es.eigenvalues - w).max() <= 1e-12
+    ones = np.nonzero(np.abs(w - 1.0) <= TOL_FIX)[0]
+    r1, l1 = vr[:, ones], vl[:, ones]
+    oracle = r1 @ np.linalg.solve(l1.conj().T @ r1, l1.conj().T)
+    assert np.abs(analysis.projector.matrix - oracle).max() <= 1e-12
+
+
+def test_eig_jordan_block_at_non_unit_eigenvalue_is_degenerate():
+    es = eig(ORACLE_MAPS["jordan_at_half"].matrix)
+    assert es.degenerate
+    assert es.clusters == [[0], [1, 2], [3]]
+
+
+def test_eig_matches_left_vectors_across_equal_modulus_reorderings():
+    # the 3-cycle and a diagonal unitary have spectra of equal modulus, so
+    # the decompositions of M and M^dag may list them in different orders
+    for name in ("three_cycle", "diagonal_unitary"):
+        m = ORACLE_MAPS[name].matrix
+        es = eig(m)
+        assert not es.degenerate
+        for grp in es.clusters:
+            overlap = es.left_vectors[:, grp].conj().T @ es.right_vectors[:, grp]
+            assert np.abs(overlap - np.eye(len(grp))).max() <= 1e-12
+        assert np.abs(es.reconstruct() - m).max() <= 1e-12
+
+
+def test_eig_mismatched_left_spectrum_is_numeric_error(monkeypatch):
+    # a left decomposition that does not pair up with the clusters of M
+    # raises NumericError, never IndexError
+    from qms.errors import NumericError
+    m = np.diag([1.0, 0.5]).astype(complex)
+    real_eig = np.linalg.eig
+
+    def skewed(a):
+        w, v = real_eig(a)
+        return np.array([w[0], w[0]]), v
+
+    calls = iter([real_eig, skewed])
+    monkeypatch.setattr(np.linalg, "eig", lambda a: next(calls)(a))
+    with pytest.raises(NumericError, match="matching"):
+        eig(m)

@@ -108,6 +108,17 @@ def test_stationary_states_decay_channel():
     assert np.allclose(states[0].matrix, k0, atol=1e-10)
 
 
+def test_stationary_states_are_memoised_as_a_tuple(count_calls):
+    from qms import spectral
+    builds = count_calls(spectral, "_stationary_basis")
+    t = depolarizing_channel(0.4)
+    states, _ = stationary_states(t)
+    assert isinstance(states, tuple)
+    assert stationary_states(t)[0] is states
+    assert fixed_point_analysis(t).stationary is states
+    assert len(builds) == 1
+
+
 def test_fundamental_map_completely_depolarizing():
     z = fundamental_map(completely_depolarizing(2))
     assert np.allclose(z.matrix, np.eye(4), atol=1e-10)
