@@ -12,7 +12,7 @@ so that ``unvec(M @ vec(rho))`` equals ``sum_k A_k rho A_k^dag``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,8 +41,6 @@ class SuperOperator:
     provenance: str = "explicit"
     trace_preserving: Optional[bool] = None
     label: Optional[str] = None
-    # memo of qms.spectral.fixed_point_analysis
-    _analysis: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = as_matrix(self.matrix, square=True, name="superoperator matrix")

@@ -1,30 +1,29 @@
 """Trace-norm contraction coefficients and induced 1->1 norms.
 
 The contraction coefficient tau(L) is the worst-case trace-norm growth on
-traceless Hermitian inputs; for Hermiticity-preserving maps it equals half
-the maximal output distance over pairs of orthogonal pure states.  On
-qubits it has a closed form in the Pauli transfer matrix.  For d >= 3 the
-values come from multistart local ascent and are *lower bounds*; the
-spread over restarts is reported as a quality signal.
+traceless Hermitian inputs; for every linear map it equals half the
+maximal output distance over pairs of orthogonal pure states.  On qubits
+it has a closed form in the Pauli transfer matrix.  For d >= 3, and for
+every induced 1->1 norm, the values come from a seeded multistart
+power-method ascent (Boyd's method, as in Hager's and Higham's 1-norm
+estimators, lifted to the trace norm) and are *lower bounds*; the spread
+over restarts is reported as a quality signal.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .channels import SuperOperator, choi_hermiticity_residual, choi_matrix
 from .errors import DimensionError, DomainError
-from .linalg import apply_batch, spectral_norm, trace_norm, trace_norm_batch
+from .linalg import apply_batch, spectral_norm, trace_norm_batch
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_RESTARTS = 64
 TOL_OPT = 1e-6
-FD_STEP = 1e-5
-_REL_IMPROVEMENT = 1e-10
 
 
 @dataclass
@@ -52,8 +51,8 @@ def _require_hermiticity_preserving(t: SuperOperator, context: str):
     res = choi_hermiticity_residual(choi_matrix(t))
     if res > 1e-8 * max(1.0, spectral_norm(t.matrix)):
         raise DomainError(
-            f"{context}: map is not Hermiticity-preserving (residual {res:.3g}); "
-            "use the traceless-Hermitian path (traceless_hermitian=True)")
+            f"{context}: the qubit closed form needs a Hermiticity-preserving map "
+            f"(residual {res:.3g}); use tau(..., traceless_hermitian=True)")
 
 
 # ---------------------------------------------------------------------------
@@ -94,275 +93,101 @@ def tau_exact_qubit(t: SuperOperator) -> ContractionEstimate:
 
 
 # ---------------------------------------------------------------------------
-# batched multistart ascent
+# alternating power-method ascent
 
 
-def _fd_gradient(f: Callable, xs: np.ndarray, h: float) -> np.ndarray:
-    a, p = xs.shape
-    pert = np.repeat(xs[:, None, :], 2 * p, axis=1)
-    idx = np.arange(p)
-    pert[:, 2 * idx, idx] += h
-    pert[:, 2 * idx + 1, idx] -= h
-    vals = f(pert.reshape(a * 2 * p, p)).reshape(a, 2 * p)
-    return (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * h)
+def _rank_one(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stack of u v^dag for row stacks u and v."""
+    return u[:, :, None] * v.conj()[:, None, :]
 
 
-def _multistart_ascent(objective, tangent_project, retract, x0: np.ndarray,
-                       maxiter: int = 300):
-    """Lockstep projected-gradient ascent with per-restart step halving.
+def _pair_step(g: np.ndarray) -> np.ndarray:
+    """Top singular pair (p, q) of G: u v^dag maximizing Re tr(G^dag u v^dag)."""
+    p, _, qh = np.linalg.svd(g)
+    return np.stack([p[:, :, 0], qh[:, 0, :].conj()], axis=1)
 
-    Each restart's trajectory depends only on its own state, so results are
-    identical to running the restarts individually (and hence independent
-    of any parallel schedule).
+
+def _pair_input(x: np.ndarray) -> np.ndarray:
+    return _rank_one(x[:, 0], x[:, 1])
+
+
+def _pure_step(g: np.ndarray) -> np.ndarray:
+    """Eigenvector of (G + G^dag)/2 whose eigenvalue has the largest modulus."""
+    w, v = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
+    col = np.where(np.abs(w[:, 0]) > np.abs(w[:, -1]), 0, -1)
+    return v[np.arange(len(v)), :, col][:, None, :]
+
+
+def _pure_input(x: np.ndarray) -> np.ndarray:
+    return _rank_one(x[:, 0], x[:, 0])
+
+
+def _ortho_step(g: np.ndarray) -> np.ndarray:
+    """Top and bottom eigenvectors (phi, psi) of (G + G^dag)/2."""
+    _, v = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
+    return np.stack([v[:, :, -1], v[:, :, 0]], axis=1)
+
+
+def _ortho_input(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (_rank_one(x[:, 0], x[:, 0]) - _rank_one(x[:, 1], x[:, 1]))
+
+
+def _power_ascent(m: np.ndarray, xs: np.ndarray, step, build, maxiter: int):
+    """Maximize ||L(X)||_1 over extreme points X = build(x), one ascent per row.
+
+    With the polar part W of L(X), each step moves X to the extreme point
+    that maximizes Re tr(G^dag X) for G = L^dag(W) (``step``).  Since
+    ||L(X')||_1 >= Re tr(W^dag L(X')) >= Re tr(W^dag L(X)) = ||L(X)||_1, no
+    step lowers the objective.  A restart stops once it gains at most
+    1e-13 max(|f|, 1); its trajectory depends only on its own state, so
+    results do not depend on how many restarts run alongside it.
     """
-    xs = x0.copy()
-    fs = objective(xs)
-    nrestarts = xs.shape[0]
-    alpha = np.full(nrestarts, 0.25)
-    converged = np.zeros(nrestarts, dtype=bool)
-    have_grad = np.zeros(nrestarts, dtype=bool)
-    grads = np.zeros_like(xs)
+    mh = m.conj().T
 
+    def evaluate(x):
+        u, s, vh = np.linalg.svd(apply_batch(m, build(x)))
+        return s.sum(axis=1), u @ vh
+
+    fs, ws = evaluate(xs)
+    converged = np.zeros(len(xs), dtype=bool)
     for _ in range(maxiter):
-        active = ~converged
-        if not active.any():
+        act = np.nonzero(~converged)[0]
+        if not len(act):
             break
-        need = active & ~have_grad
-        if need.any():
-            g = _fd_gradient(objective, xs[need], FD_STEP)
-            grads[need] = tangent_project(xs[need], g)
-            have_grad[need] = True
-        act = np.nonzero(active)[0]
-        trial = retract(xs[act] + alpha[act, None] * grads[act])
-        ft = objective(trial)
+        trial = step(apply_batch(mh, ws[act]))
+        ft, wt = evaluate(trial)
         gain = ft - fs[act]
-        improved = gain > 0.0
-        acc, rej = act[improved], act[~improved]
-        xs[acc] = trial[improved]
-        fs[acc] = ft[improved]
-        have_grad[acc] = False
-        small = gain[improved] <= _REL_IMPROVEMENT * np.maximum(np.abs(fs[acc]), 1.0)
-        converged[acc[small]] = True
-        alpha[acc] = np.minimum(alpha[acc] * 1.5, 0.5)
-        alpha[rej] *= 0.5
-        converged[rej[alpha[rej] < 1e-12]] = True
+        ok = gain > 0.0
+        xs[act[ok]], fs[act[ok]], ws[act[ok]] = trial[ok], ft[ok], wt[ok]
+        converged[act[gain <= 1e-13 * np.maximum(np.abs(fs[act]), 1.0)]] = True
     return xs, fs, converged
 
 
-def _sphere_project_blocks(xs: np.ndarray, gs: np.ndarray, blocks) -> np.ndarray:
-    out = gs.copy()
-    for lo, hi in blocks:
-        x = xs[:, lo:hi]
-        g = gs[:, lo:hi]
-        coef = np.sum(x * g, axis=1, keepdims=True)
-        nrm2 = np.maximum(np.sum(x * x, axis=1, keepdims=True), 1e-300)
-        out[:, lo:hi] = g - x * (coef / nrm2)
-    return out
-
-
-def _sphere_retract_blocks(xs: np.ndarray, blocks) -> np.ndarray:
-    out = xs.copy()
-    for lo, hi in blocks:
-        nrm = np.linalg.norm(out[:, lo:hi], axis=1, keepdims=True)
-        nrm = np.where(nrm == 0.0, 1.0, nrm)
-        out[:, lo:hi] /= nrm
-    return out
-
-
-class _VectorPairProblem:
-    """Rank-one inputs u v^dag over independent unit vectors (general 1->1 norm)."""
-
-    def __init__(self, t: SuperOperator):
-        self.m = t.matrix
-        self.d = t.dim
-        d = t.dim
-        self.nparams = 4 * d
-        self.blocks = [(0, 2 * d), (2 * d, 4 * d)]
-
-    def _split(self, xs):
-        d = self.d
-        u = xs[:, :d] + 1j * xs[:, d:2 * d]
-        v = xs[:, 2 * d:3 * d] + 1j * xs[:, 3 * d:]
-        return u, v
-
-    def objective(self, xs):
-        u, v = self._split(xs)
-        mats = u[:, :, None] * v.conj()[:, None, :]
-        return trace_norm_batch(apply_batch(self.m, mats))
-
-    def tangent(self, xs, gs):
-        return _sphere_project_blocks(xs, gs, self.blocks)
-
-    def retract(self, xs):
-        return _sphere_retract_blocks(xs, self.blocks)
-
-    def initial(self, gen: SplitMix64):
-        x = gen.normals(self.nparams)
-        return self.retract(x[None, :])[0]
-
-    def witness(self, x):
-        u, v = self._split(x[None, :])
-        return (u[0], v[0])
-
-    def evaluate_witness(self, w):
-        u, v = w
-        return trace_norm(apply_batch(self.m, np.outer(u, v.conj())[None])[0])
-
-
-class _SingleVectorProblem:
-    """Pure-state inputs psi psi^dag (Hermitian-restricted 1->1 norm)."""
-
-    def __init__(self, t: SuperOperator):
-        self.m = t.matrix
-        self.d = t.dim
-        self.nparams = 2 * t.dim
-        self.blocks = [(0, 2 * t.dim)]
-
-    def _psi(self, xs):
-        d = self.d
-        return xs[:, :d] + 1j * xs[:, d:]
-
-    def objective(self, xs):
-        psi = self._psi(xs)
-        mats = psi[:, :, None] * psi.conj()[:, None, :]
-        return trace_norm_batch(apply_batch(self.m, mats))
-
-    def tangent(self, xs, gs):
-        return _sphere_project_blocks(xs, gs, self.blocks)
-
-    def retract(self, xs):
-        return _sphere_retract_blocks(xs, self.blocks)
-
-    def initial(self, gen: SplitMix64):
-        return self.retract(gen.normals(self.nparams)[None, :])[0]
-
-    def witness(self, x):
-        return self._psi(x[None, :])[0]
-
-    def evaluate_witness(self, psi):
-        return trace_norm(apply_batch(self.m, np.outer(psi, psi.conj())[None])[0])
-
-
-class _OrthoPairProblem:
-    """Orthonormal pairs (phi, psi) as the first two columns of a unitary."""
-
-    def __init__(self, t: SuperOperator):
-        self.m = t.matrix
-        self.d = t.dim
-        self.nparams = 4 * t.dim
-
-    def _q(self, xs):
-        d = self.d
-        return (xs[:, :2 * d] + 1j * xs[:, 2 * d:]).reshape(-1, d, 2)
-
-    def _x(self, q):
-        flat = q.reshape(-1, 2 * self.d)
-        return np.concatenate([flat.real, flat.imag], axis=1)
-
-    def objective(self, xs):
-        q = self._q(xs)
-        phi, psi = q[:, :, 0], q[:, :, 1]
-        mats = phi[:, :, None] * phi.conj()[:, None, :] \
-            - psi[:, :, None] * psi.conj()[:, None, :]
-        return 0.5 * trace_norm_batch(apply_batch(self.m, mats))
-
-    def tangent(self, xs, gs):
-        q = self._q(xs)
-        g = self._q(gs)
-        qhg = np.einsum("bij,bik->bjk", q.conj(), g)
-        herm = (qhg + qhg.conj().transpose(0, 2, 1)) / 2
-        return self._x(g - np.einsum("bij,bjk->bik", q, herm))
-
-    def retract(self, xs):
-        q = self._q(xs)
-        qq, rr = np.linalg.qr(q)
-        diag = np.einsum("bii->bi", rr)
-        phase = np.where(np.abs(diag) > 0, diag / np.maximum(np.abs(diag), 1e-300), 1.0)
-        return self._x(qq * phase[:, None, :])
-
-    def initial(self, gen: SplitMix64):
-        q = gen.complex_normals((self.d, 2))
-        return self.retract(self._x(q[None, :, :]))[0]
-
-    def witness(self, x):
-        q = self._q(x[None, :])[0]
-        return (q[:, 0], q[:, 1])
-
-    def evaluate_witness(self, w):
-        phi, psi = w
-        sigma = np.outer(phi, phi.conj()) - np.outer(psi, psi.conj())
-        return 0.5 * trace_norm(apply_batch(self.m, sigma[None])[0])
-
-
-def traceless_hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal (Hilbert-Schmidt) basis of traceless Hermitian d x d matrices."""
-    out = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
-            out.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j], m[j, i] = -1j / np.sqrt(2.0), 1j / np.sqrt(2.0)
-            out.append(m)
-    for k in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        for i in range(k):
-            m[i, i] = 1.0
-        m[k, k] = -k
-        out.append(m / np.sqrt(k * (k + 1)))
-    return np.array(out)
-
-
-class _TracelessHermitianProblem:
-    """Direct ratio ||L(sigma)||_1 / ||sigma||_1 over traceless Hermitian sigma."""
-
-    def __init__(self, t: SuperOperator):
-        self.m = t.matrix
-        self.basis = traceless_hermitian_basis(t.dim)
-        self.nparams = len(self.basis)
-        self.blocks = [(0, self.nparams)]
-
-    def _sigma(self, xs):
-        return np.einsum("bp,pij->bij", xs, self.basis)
-
-    def objective(self, xs):
-        sig = self._sigma(xs)
-        denom = np.maximum(trace_norm_batch(sig), 1e-300)
-        return trace_norm_batch(apply_batch(self.m, sig)) / denom
-
-    def tangent(self, xs, gs):
-        return _sphere_project_blocks(xs, gs, self.blocks)
-
-    def retract(self, xs):
-        return _sphere_retract_blocks(xs, self.blocks)
-
-    def initial(self, gen: SplitMix64):
-        return self.retract(gen.normals(self.nparams)[None, :])[0]
-
-    def witness(self, x):
-        return self._sigma(x[None, :])[0]
-
-    def evaluate_witness(self, sigma):
-        return (trace_norm(apply_batch(self.m, sigma[None])[0])
-                / trace_norm(sigma))
-
-
-def _run_multistart(problem, restarts: int, seed: int, method: str,
-                    maxiter: int = 300) -> ContractionEstimate:
+def _run_multistart(t: SuperOperator, start, step, build, restarts: int,
+                    seed: int, maxiter: int) -> ContractionEstimate:
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
-    x0 = np.stack([problem.initial(SplitMix64(derive_seed(seed, r)))
+    xs = np.stack([start(SplitMix64(derive_seed(seed, r)), t.dim)
                    for r in range(restarts)])
-    xs, fs, converged = _multistart_ascent(problem.objective, problem.tangent,
-                                           problem.retract, x0, maxiter=maxiter)
+    xs, fs, converged = _power_ascent(t.matrix, xs, step, build, maxiter)
     best = int(np.argmax(fs))
-    witness = problem.witness(xs[best])
-    value = float(problem.evaluate_witness(witness))
     conv_vals = fs[converged] if converged.any() else fs
-    spread = float(conv_vals.max() - conv_vals.min()) if len(conv_vals) else 0.0
-    return ContractionEstimate(value=value, method=method, restarts=restarts,
-                               best_witness=witness, convergence_spread=spread)
+    return ContractionEstimate(
+        value=float(fs[best]), method="multistart_manifold", restarts=restarts,
+        best_witness=tuple(xs[best]) if xs.shape[1] > 1 else xs[best, 0],
+        convergence_spread=float(conv_vals.max() - conv_vals.min()))
+
+
+def _unit_vectors(gen: SplitMix64, d: int, k: int) -> np.ndarray:
+    """k independent seeded unit vectors in C^d, as rows."""
+    x = gen.normals(2 * k * d).reshape(k, 2, d)          # (real, imaginary) parts
+    z = x[:, 0] + 1j * x[:, 1]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _ortho_start(gen: SplitMix64, d: int) -> np.ndarray:
+    """A seeded orthonormal pair (phi, psi) in C^d, as rows."""
+    return np.linalg.qr(gen.complex_normals((d, 2)))[0].T
 
 
 # ---------------------------------------------------------------------------
@@ -373,36 +198,38 @@ def tau(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
         traceless_hermitian: bool = False, maxiter: int = 300) -> ContractionEstimate:
     """Trace-norm contraction coefficient tau(L), as a lower-bound estimate.
 
-    For qubit maps this delegates to the closed form
-    :func:`tau_exact_qubit`.  For d >= 3 it runs ``restarts`` independent
-    projected-gradient ascents over pairs of orthonormal vectors (restart r
-    is seeded with seed * 0x9E3779B97F4A7C15 + r, so prefixes of the
-    restart stream are reproducible).
-
-    The orthogonal-pure-state form requires a Hermiticity-preserving map;
-    for other maps pass ``traceless_hermitian=True`` to optimize the
-    defining ratio over traceless Hermitian inputs directly.
+    The extreme points of the traceless Hermitian trace-norm ball are
+    (phi phi^dag - psi psi^dag)/2 with phi orthogonal to psi, for every
+    linear map, so tau(L) is half the maximal output distance over
+    orthogonal pure-state pairs.  For qubit maps this delegates to the
+    closed form :func:`tau_exact_qubit`, which needs a
+    Hermiticity-preserving map; ``traceless_hermitian=True`` skips it.
+    Otherwise ``restarts`` independent power-method ascents run over the
+    pairs (restart r is seeded with derive_seed(seed, r), so prefixes of
+    the restart stream are reproducible), each for at most ``maxiter``
+    steps.
     """
-    if traceless_hermitian:
-        return _run_multistart(_TracelessHermitianProblem(t), restarts, seed,
-                               "multistart_manifold", maxiter)
-    if t.dim == 2:
+    if t.dim == 2 and not traceless_hermitian:
         return tau_exact_qubit(t)
-    _require_hermiticity_preserving(t, "tau")
-    return _run_multistart(_OrthoPairProblem(t), restarts, seed,
-                           "multistart_manifold", maxiter)
+    return _run_multistart(t, _ortho_start, _ortho_step, _ortho_input,
+                           restarts, seed, maxiter)
 
 
 def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
               hermitian_only: bool = False, maxiter: int = 300) -> ContractionEstimate:
     """Induced 1->1 norm sup ||L(X)||_1 / ||X||_1, as a lower-bound estimate.
 
-    General mode optimizes over rank-one X = u v^dag (the extreme points of
-    the trace-norm ball); ``hermitian_only`` restricts to Hermitian X,
-    whose extreme points are +/- psi psi^dag.
+    General mode ascends over rank-one X = u v^dag (the extreme points of
+    the trace-norm ball; witness ``(u, v)``); ``hermitian_only`` restricts
+    to Hermitian X, whose extreme points are +/- psi psi^dag (witness
+    ``psi``).  Each of ``restarts`` seeded power-method ascents runs for at
+    most ``maxiter`` steps.
     """
-    problem = _SingleVectorProblem(t) if hermitian_only else _VectorPairProblem(t)
-    return _run_multistart(problem, restarts, seed, "multistart_manifold", maxiter)
+    if hermitian_only:
+        return _run_multistart(t, functools.partial(_unit_vectors, k=1),
+                               _pure_step, _pure_input, restarts, seed, maxiter)
+    return _run_multistart(t, functools.partial(_unit_vectors, k=2),
+                           _pair_step, _pair_input, restarts, seed, maxiter)
 
 
 def tau_of_powers_check(t: SuperOperator, n_max: int,
@@ -413,7 +240,6 @@ def tau_of_powers_check(t: SuperOperator, n_max: int,
     beyond TOL_OPT (which would indicate an estimator defect, not
     mathematics).
     """
-    _require_hermiticity_preserving(t, "tau_of_powers_check")
     rows = []
     tau1 = tau(t, restarts=restarts, seed=seed).value
     power = SuperOperator(t.dim, np.eye(t.dim ** 2, dtype=complex))

@@ -5,16 +5,20 @@ The eigenvalue-1 group is identified with the absolute tolerance
 exact in theory, so a tolerance much tighter than the general clustering
 tolerance avoids absorbing slow modes into the fixed space).
 
-:func:`fixed_point_analysis` memoises its result on the ``SuperOperator``,
-so every consumer of a map shares one eigendecomposition.  This relies on
-a ``SuperOperator`` not being mutated after construction.  A failed
-analysis raises and is not stored.
+:func:`fixed_point_analysis` memoises its result per ``SuperOperator``
+object (by identity, not by value), so every consumer of a map shares one
+eigendecomposition.  The memo is module-level and keeps the 8 most
+recently used maps: a caller holding many analysed maps pays a fixed
+amount of memory for it, and a map that has dropped out is analysed again
+on its next use.  This relies on a ``SuperOperator`` not being mutated
+after construction.  A failed analysis raises and is not stored.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,6 +31,10 @@ from .linalg import (TOL_CLUSTER, EigenSystem, _cluster_indices, as_matrix,
                      dagger, eig, spectral_norm, vec)
 
 TOL_FIX = 1e-9
+
+_MEMO_SIZE = 8
+# id(t) -> (t, analysis); holding t keeps its id from being reused
+_memo: OrderedDict = OrderedDict()
 
 # Cesaro cross-validation is only meaningful when plain powers converge
 # well below the agreement tolerance within 2^14 steps.
@@ -119,10 +127,13 @@ def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
     the running Cesaro average computed by repeated squaring, unless
     peripheral eigenvalues other than 1 exist (plain powers do not
     converge there) or mixing is too slow for the average to settle within
-    2^14 steps; both cases are recorded as notes.  The result is memoised.
+    2^14 steps; both cases are recorded as notes.  The result is memoised
+    (see the module docstring).
     """
-    if t._analysis is not None:
-        return t._analysis
+    hit = _memo.pop(id(t), None)
+    if hit is not None and hit[0] is t:
+        _memo[id(t)] = hit                  # now the most recently used
+        return hit[1]
     es = eig(t.matrix)
     w = es.eigenvalues
     ones = _one_group(w)
@@ -184,12 +195,15 @@ def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
     proj = SuperOperator(t.dim, p, provenance="explicit",
                          trace_preserving=t.trace_preserving,
                          label="; ".join(notes) if notes else None)
-    t._analysis = FixedPointAnalysis(
+    analysis = FixedPointAnalysis(
         projector=proj, multiplicity=len(ones), eigensystem=es,
         peripheral_spectrum=spec.peripheral_count > 0,
         cesaro_checked=cesaro_checked, spectral=spec,
         cesaro_residual=cesaro_residual, notes=notes)
-    return t._analysis
+    _memo[id(t)] = (t, analysis)
+    if len(_memo) > _MEMO_SIZE:
+        _memo.popitem(last=False)
+    return analysis
 
 
 def fixed_point_projector(t: SuperOperator) -> SuperOperator:
@@ -341,8 +355,15 @@ def minimal_polynomial(delta: SuperOperator) -> MinimalPolynomial:
         roots.append(root)
         sizes.append(size)
 
-    order = np.lexsort((np.imag(roots), np.real(roots), -np.abs(roots)))
-    roots = np.array(roots)[order]
+    # descending modulus; moduli within the clustering tolerance (such as a
+    # conjugate pair's, which may differ in the last ulp) tie, and tied
+    # roots are ordered by real, then imaginary part
+    roots = np.array(roots)
+    order = np.argsort(-np.abs(roots), kind="stable")
+    band = np.cumsum(np.diff(np.abs(roots[order]), prepend=np.inf)
+                     < -TOL_CLUSTER * max(radius, 1e-300))
+    order = order[np.lexsort((roots[order].imag, roots[order].real, band))]
+    roots = roots[order]
     sizes = [sizes[i] for i in order]
 
     annihilator = eye.copy()

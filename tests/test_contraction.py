@@ -6,11 +6,10 @@ from qms.channels import (SuperOperator, amplitude_damping_channel,
                           from_kraus, from_stochastic, identity_channel,
                           pauli_channel)
 from qms.contraction import (norm_1to1, norm_lower_bound_probes, probe_inputs,
-                             tau, tau_exact_qubit, tau_of_powers_check,
-                             traceless_hermitian_basis)
+                             tau, tau_exact_qubit, tau_of_powers_check)
 from qms.errors import DimensionError, DomainError
 from qms.linalg import trace_norm
-from qms.rng import derive_seed
+from qms.rng import SplitMix64, derive_seed
 from qms.spectral import fundamental_map
 
 PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
@@ -275,6 +274,72 @@ def test_restart_monotonicity():
         assert large >= small - 1e-12
 
 
+# ---------------------------------------------------------------------------
+# invariants of the power-method ascent
+
+
+def test_traceless_ascent_matches_qubit_closed_form():
+    # the orthogonal-pair ascent must find the analytic optimum on qubits
+    for rank in (1, 2, 3, 4):
+        for i in range(10):
+            t = random_channel(2, rank, derive_seed(2000 + rank, i))
+            est = tau(t, restarts=8, seed=i, traceless_hermitian=True)
+            assert est.method == "multistart_manifold"
+            assert est.value == pytest.approx(tau_exact_qubit(t).value,
+                                              rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("hermitian_only", [False, True])
+def test_norm_never_decreases_with_maxiter(hermitian_only):
+    t1 = random_channel(3, 4, seed=63)
+    t2 = random_channel(3, 4, seed=64)
+    d = SuperOperator(3, t1.matrix - t2.matrix)
+    values = [norm_1to1(d, restarts=8, seed=5, hermitian_only=hermitian_only,
+                        maxiter=k).value for k in (1, 2, 5, 20, 300)]
+    assert values == sorted(values)
+
+
+def test_tau_d3_needs_no_hermiticity_preservation():
+    m = random_channel(3, 3, seed=65).matrix.copy()
+    m[0, 1] += 0.4                     # breaks Hermiticity preservation
+    t = SuperOperator(3, m)
+    est = tau(t, restarts=8, seed=1)
+    phi, psi = est.best_witness
+    sigma = np.outer(phi, phi.conj()) - np.outer(psi, psi.conj())
+    assert 0.5 * trace_norm(t.apply(sigma)) == pytest.approx(est.value, abs=1e-12)
+    assert abs(np.vdot(phi, psi)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# classical chains: exact d >= 3 references
+
+
+def random_stochastic(d, seed):
+    s = SplitMix64(seed).uniforms(d * d).reshape(d, d) + 0.05
+    return s / s.sum(axis=1, keepdims=True)
+
+
+def dobrushin(s):
+    """(1/2) max_{i,j} ||S_i - S_j||_1 over the rows of s."""
+    return 0.5 * np.abs(s[:, None, :] - s[None, :, :]).sum(axis=2).max()
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_tau_of_classical_chains_is_dobrushin(d):
+    for i in range(10):
+        s = random_stochastic(d, derive_seed(3000 + d, i))
+        t = from_stochastic(s)
+        assert tau(t, seed=i).value == pytest.approx(dobrushin(s), abs=1e-10)
+        # diagonal inputs are admissible and Z(T) acts as the identity on
+        # coherences, so max(1, tau_1(Z_cl)) bounds tau(Z(T)) from below
+        w, v = np.linalg.eig(s.T)
+        pi = np.real(v[:, np.argmin(np.abs(w - 1.0))])
+        pi /= pi.sum()
+        z_cl = np.linalg.inv(np.eye(d) - s + np.outer(np.ones(d), pi))
+        kappa = tau(fundamental_map(t), seed=i).value
+        assert kappa >= max(1.0, dobrushin(z_cl)) - 1e-10
+
+
 def test_tau_of_powers_depolarizing():
     rows = tau_of_powers_check(depolarizing_channel(0.5), n_max=3)
     assert rows[2][0] == 3
@@ -302,17 +367,6 @@ def test_tau_powers_check_random_qubit():
     rows = tau_of_powers_check(t, n_max=2)
     for _, tau_n, tau_pow in rows:
         assert tau_n <= tau_pow + 1e-6
-
-
-def test_traceless_hermitian_basis_orthonormal():
-    basis = traceless_hermitian_basis(3)
-    assert len(basis) == 8
-    for i, a in enumerate(basis):
-        assert np.abs(np.trace(a)) <= 1e-12
-        assert np.abs(a - a.conj().T).max() <= 1e-12
-        for j, b in enumerate(basis):
-            ip = np.trace(a.conj().T @ b).real
-            assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
 
 
 def test_probe_lower_bound_below_optimized():

@@ -223,6 +223,23 @@ def test_minimal_polynomial_explicit_jordan_block():
     assert mp.linear_factor_count == 3
 
 
+def test_minimal_polynomial_orders_conjugate_pair_by_real_then_imag():
+    # the computed moduli of a conjugate pair may differ in the last ulp,
+    # either way; the listed order must not depend on it
+    z = 0.5 + 0.3j
+    orders = []
+    for direction in (np.inf, 0.0):
+        b = z.imag
+        while abs(complex(z.real, -b)) == abs(z):
+            b = np.nextafter(b, direction)
+        nudged = abs(complex(z.real, -b)) - abs(z)
+        assert (nudged > 0) == (direction > 0)
+        assert abs(nudged) <= 2 * np.spacing(abs(z))
+        m = np.diag([z, complex(z.real, -b), 0.2, 0.0])
+        orders.append(np.sign(minimal_polynomial(SuperOperator(2, m)).distinct_roots.imag))
+    assert orders[0].tolist() == orders[1].tolist() == [-1.0, 1.0, 0.0, 0.0]
+
+
 def test_minimal_polynomial_annihilates():
     for seed in range(4):
         t = random_channel(2, 4, derive_seed(303, seed))
@@ -256,7 +273,7 @@ def test_minimal_polynomial_unstable_rank_raises():
 
 
 # ---------------------------------------------------------------------------
-# the analysis is memoised per SuperOperator
+# the analysis is memoised per SuperOperator, for the 8 most recent maps
 
 
 def test_fixed_point_analysis_is_memoised(count_calls):
@@ -287,6 +304,26 @@ def test_failed_analysis_is_not_stored(count_calls):
         with pytest.raises(SpectralResolutionError):
             fixed_point_analysis(t)
     assert len(eigs) == 2
+
+
+def test_memo_reanalyses_a_map_after_eight_others(count_calls):
+    from qms import linalg
+    eigs = count_calls(linalg, "eig")
+    maps = [random_channel(2, 2, derive_seed(41, i)) for i in range(10)]
+    for t in maps:
+        fixed_point_analysis(t)
+    assert len(eigs) == 10
+    fixed_point_analysis(maps[0])
+    assert len(eigs) == 11
+    fixed_point_analysis(maps[-1])
+    assert len(eigs) == 11
+
+
+def test_memo_holds_at_most_eight_maps():
+    from qms import spectral
+    for i in range(100):
+        fixed_point_analysis(random_channel(2, 2, derive_seed(43, i)))
+    assert len(spectral._memo) <= 8
 
 
 @pytest.mark.parametrize("t", [depolarizing_channel(0.5), identity_channel(2),
