@@ -263,30 +263,39 @@ def probe_inputs(d: int, n_random: int = 64, seed: int = 0) -> np.ndarray:
     """A deterministic family of unit-trace-norm probe inputs, shape (m, d, d).
 
     Contains all matrix units E_ij (basis-aligned rank-one extreme points)
-    plus seeded random u v^dag pairs and pure-state projectors.  Memoised
-    on the arguments; the returned array is shared, hence read-only.
+    plus, per random draw, a u v^dag pair and a pure-state projector
+    psi psi^dag.  The draws take the whole SplitMix64 stream in one call
+    and replay ``SplitMix64.complex_normals(d)`` for u, v and psi in turn,
+    so the probes match a draw-by-draw construction.  Memoised on the
+    arguments; the returned array is shared, hence read-only.
     """
-    probes = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            probes.append(e)
-    gen = SplitMix64(derive_seed(seed, 0xA11CE))
-    for _ in range(n_random):
-        u = gen.complex_normals(d)
-        v = gen.complex_normals(d)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        probes.append(np.outer(u, v.conj()))
-        psi = gen.complex_normals(d)
-        psi /= np.linalg.norm(psi)
-        probes.append(np.outer(psi, psi.conj()))
-    probes = np.array(probes)
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    # axes: draw, vector (u, v, psi), Box-Muller radius or angle, entry
+    bits = SplitMix64(derive_seed(seed, 0xA11CE)).next_uint64(6 * n_random * d)
+    bits = (bits >> np.uint64(11)).reshape(n_random, 3, 2, d).astype(np.float64)
+    u1 = (bits[:, :, 0] + 1.0) * 2.0**-53
+    u2 = bits[:, :, 1] * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = (r * np.cos(2.0 * np.pi * u2) + 1j * (r * np.sin(2.0 * np.pi * u2))) \
+        / np.sqrt(2.0)
+    # squared norms by BLAS dot, as np.linalg.norm takes them for one vector
+    re, im = z.real[..., None, :], z.imag[..., None, :]
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    z = z / np.sqrt(sq[..., 0])
+    u, v, psi = z[:, 0], z[:, 1], z[:, 2]
+    pairs = np.stack([u[:, :, None] * v.conj()[:, None, :],
+                      psi[:, :, None] * psi.conj()[:, None, :]], axis=1)
+    probes = np.concatenate([units, pairs.reshape(2 * n_random, d, d)])
     probes.flags.writeable = False
     return probes
 
 
-def norm_lower_bound_probes(matrix: np.ndarray, probes: np.ndarray) -> float:
-    """max_j ||L(X_j)||_1 over probe inputs of unit trace norm."""
-    return float(trace_norm_batch(apply_batch(matrix, probes)).max())
+def norm_lower_bound_probes(matrix: np.ndarray, probes: np.ndarray):
+    """max_j ||L(X_j)||_1 over probe inputs of unit trace norm.
+
+    ``matrix`` is one superoperator matrix, giving a float, or a stack of
+    them, shape (c, d^2, d^2), giving the c bounds as an array from one
+    application and one trace-norm batch.
+    """
+    bounds = trace_norm_batch(apply_batch(matrix, probes)).max(axis=-1)
+    return float(bounds) if bounds.ndim == 0 else bounds

@@ -64,5 +64,10 @@ class SpectralResolutionError(NumericError):
     """Eigenvalue clusters could not be separated reliably."""
 
 
+class NoFixedPointError(DomainError, SpectralResolutionError):
+    """The map has no eigenvalue at 1 (it is not trace-preserving): an input
+    outside the domain, found by the spectral resolution."""
+
+
 class IllConditionedStructureError(NumericError):
     """Jordan-structure rank decisions are numerically undecidable."""

@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .channels import DensityMatrix, SuperOperator
-from .errors import (IllConditionedStructureError, NumericError,
-                     SpectralResolutionError)
+from .errors import (IllConditionedStructureError, NoFixedPointError,
+                     NumericError, SpectralResolutionError)
 from .linalg import (TOL_CLUSTER, EigenSystem, _cluster_indices, as_matrix,
                      dagger, eig, spectral_norm, vec)
 
@@ -129,6 +129,11 @@ def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
     converge there) or mixing is too slow for the average to settle within
     2^14 steps; both cases are recorded as notes.  The result is memoised
     (see the module docstring).
+
+    A map without an eigenvalue within TOL_FIX of 1 raises
+    :class:`NoFixedPointError`, an input-domain error, when its eigenpairs
+    are resolved to TOL_FIX, and :class:`SpectralResolutionError` when
+    they are too coarse to tell.
     """
     hit = _memo.pop(id(t), None)
     if hit is not None and hit[0] is t:
@@ -138,7 +143,12 @@ def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
     w = es.eigenvalues
     ones = _one_group(w)
     if len(ones) == 0:
-        raise SpectralResolutionError(
+        if es.residual > TOL_FIX:
+            # eigenpairs this coarse can hide an eigenvalue at 1 in roundoff
+            raise SpectralResolutionError(
+                "no eigenvalue resolved within %.1g of 1 (eigenpair residual "
+                "%.3g)" % (TOL_FIX, es.residual))
+        raise NoFixedPointError(
             "no eigenvalue within %.1g of 1; is the map trace-preserving?" % TOL_FIX)
     spec = _spectral_data(w, ones)
     if spec.min_dist_to_one <= 10 * TOL_FIX:
@@ -316,12 +326,12 @@ def _stable_rank(m: np.ndarray, threshold: float) -> int:
 def minimal_polynomial(delta: SuperOperator) -> MinimalPolynomial:
     """Minimal polynomial of Delta = T - T^infinity by numerical rank.
 
-    Roots come from clustering the eigenvalues of Delta; each root's
-    largest Jordan block size is the smallest k at which
-    rank((Delta - root I)^k) stabilizes, with ranks decided by singular
-    values against the threshold 1e-8 ||Delta||_2.  Unstable rank decisions
-    raise :class:`IllConditionedStructureError` (callers must treat the
-    structure as undecidable rather than guess).
+    Roots come from clustering the eigenvalues of Delta; a simple root has
+    block size 1, and a repeated root's largest Jordan block size is the
+    smallest k at which rank((Delta - root I)^k) stabilizes, with ranks
+    decided by singular values against the threshold 1e-8 ||Delta||_2.
+    Unstable rank decisions raise :class:`IllConditionedStructureError`
+    (callers must treat the structure as undecidable rather than guess).
     """
     m = as_matrix(delta.matrix, square=True)
     n = m.shape[0]
@@ -340,8 +350,13 @@ def minimal_polynomial(delta: SuperOperator) -> MinimalPolynomial:
     eye = np.eye(n, dtype=complex)
     for grp in clusters:
         root = complex(w[grp].mean())
-        a = m - root * eye
         mult = len(grp)
+        roots.append(root)
+        if mult == 1:
+            # a simple root has a 1x1 block; no rank decision is needed
+            sizes.append(1)
+            continue
+        a = m - root * eye
         power = a.copy()
         prev_rank = _stable_rank(power, threshold)
         size = mult
@@ -352,7 +367,6 @@ def minimal_polynomial(delta: SuperOperator) -> MinimalPolynomial:
                 size = k
                 break
             power, prev_rank = nxt, rank
-        roots.append(root)
         sizes.append(size)
 
     # descending modulus; moduli within the clustering tolerance (such as a

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,8 +18,7 @@ from qms.cli import main
 from qms.serialize import channel_to_dict, dumps_json, loads_strict
 
 
-@pytest.fixture
-def files(tmp_path):
+def _write_maps(root):
     paths = {}
     for name, obj in [("depol05", depolarizing_channel(0.5)),
                       ("depol06", depolarizing_channel(0.6)),
@@ -26,9 +26,15 @@ def files(tmp_path):
                       ("swap2", from_stochastic([[0.0, 1.0], [1.0, 0.0]])),
                       ("gen10", depolarizing_generator(1.0)),
                       ("gen11", depolarizing_generator(1.1))]:
-        p = tmp_path / f"{name}.json"
+        p = root / f"{name}.json"
         p.write_text(dumps_json(channel_to_dict(obj)))
         paths[name] = str(p)
+    return paths
+
+
+@pytest.fixture
+def files(tmp_path):
+    paths = _write_maps(tmp_path)
     paths["dir"] = tmp_path
     return paths
 
@@ -369,19 +375,20 @@ def test_internal_error_exits_3(files, capsys, monkeypatch):
     assert "internal error: RuntimeError: boom" in err
 
 
-def test_pairs_without_fixed_point_is_numeric_failure(tmp_path, capsys):
-    # 0.5 id has no eigenvalue at 1: the shared analysis fails once, as in
-    # analyze, instead of once per recipe
+def test_pairs_without_fixed_point_is_domain_error(tmp_path, capsys):
+    # 0.5 id has no eigenvalue at 1, an input outside the domain: the shared
+    # analysis fails once, as in analyze, instead of once per recipe
     p = tmp_path / "half.json"
     p.write_text(dumps_json({"dim": 2, "representation": "superoperator",
                              "data": [[[0.5 if i == j else 0.0, 0.0]
                                        for j in range(4)] for i in range(4)]}))
-    for command in ("pairs", "analyze"):
-        code = main([command, str(p)])
+    for command in (["pairs", str(p)], ["analyze", str(p)],
+                    ["compare", str(p), str(p)]):
+        code = main(command)
         captured = capsys.readouterr()
-        assert code == 3
+        assert code == 2
         assert captured.out == ""
-        assert "no eigenvalue within 1e-09 of 1" in captured.err
+        assert captured.err.startswith("error: no eigenvalue within 1e-09 of 1")
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +398,14 @@ def test_pairs_without_fixed_point_is_numeric_failure(tmp_path, capsys):
 _small = st.integers(min_value=-1, max_value=2)
 
 
-def _check_contract(argv):
+def _check_contract(argv, reports_violation=lambda out: "violations: 0" not in out):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "internal error" not in err.getvalue()
     if code == 1:
-        assert "violations: 0" not in out.getvalue()
+        assert reports_violation(out.getvalue())
 
 
 @settings(max_examples=20, deadline=None)
@@ -449,6 +456,68 @@ def test_analyze_malformed_channel_exit_code_contract(tmp_path_factory, text):
     p = tmp_path_factory.mktemp("fuzz") / "channel.json"
     p.write_text(text)
     _check_contract(["analyze", str(p), "--restarts", "2"])
+
+
+@pytest.mark.parametrize("pair", ["nan:0.5", "inf:0.5"])
+def test_non_finite_user_pair_is_usage_error(files, capsys, pair):
+    code = main(["trajectory", files["depol05"], files["depol06"],
+                 "--steps", "3", f"--pair={pair}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "K must be finite and nonnegative" in err
+
+
+@pytest.mark.parametrize("t_max", ["-1", "inf", "nan"])
+def test_bad_time_horizon_is_usage_error(files, capsys, t_max):
+    code = main(["trajectory", files["gen10"], files["gen11"], "--steps", "5",
+                 f"--t-max={t_max}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: t_max must be finite and nonnegative")
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    # module-scoped, as hypothesis reruns a test body within one fixture call
+    return _write_maps(tmp_path_factory.mktemp("contract"))
+
+
+_real = st.one_of(st.floats(min_value=-1, max_value=3),
+                  st.sampled_from([0.0, math.inf, -math.inf, math.nan, 1e308]))
+_pair_spec = st.one_of(
+    st.sampled_from(["auto-chi2", "auto-db", "auto-eq10:x", "0.5"]),
+    _real.map(lambda mu: f"auto-eq10:{mu!r}"),
+    st.tuples(_real, _real).map(lambda km: f"{km[0]!r}:{km[1]!r}"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(continuous=st.booleans(), steps=st.integers(min_value=-1, max_value=4),
+       pair=_pair_spec, t_max=_real)
+def test_trajectory_exit_code_contract(contract_files, continuous, steps, pair,
+                                       t_max):
+    t, e = ("gen10", "gen11") if continuous else ("depol05", "depol06")
+    _check_contract(["trajectory", contract_files[t], contract_files[e],
+                     "--steps", str(steps), f"--pair={pair}",
+                     f"--t-max={t_max!r}", "--restarts", "2"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["depol05", "id2", "swap2"]),
+       steps=st.integers(min_value=-1, max_value=4),
+       mu=st.one_of(st.none(), _real))
+def test_pairs_exit_code_contract(contract_files, name, steps, mu):
+    _check_contract(["pairs", contract_files[name], "--steps", str(steps),
+                     "--restarts", "2"] + ([] if mu is None else [f"--mu={mu!r}"]),
+                    lambda out: "valid=False" in out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["depol05", "id2", "swap2"]),
+       samples=st.integers(min_value=-2, max_value=20))
+def test_validate_exit_code_contract(contract_files, name, samples):
+    _check_contract(["validate", contract_files[name], "--samples", str(samples)],
+                    lambda out: ": False" in out
+                    or "positivity: no_counterexample" not in out)
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,27 @@ def test_probe_lower_bound_below_optimized():
     assert norm_lower_bound_probes(ddep, probes) == pytest.approx(0.1, abs=1e-12)
 
 
+def _sequential_probes(d, n_random, seed):
+    """The probe set drawn vector by vector from the stream."""
+    probes = list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
+    gen = SplitMix64(derive_seed(seed, 0xA11CE))
+    for _ in range(n_random):
+        u, v, psi = (z / np.linalg.norm(z)
+                     for z in [gen.complex_normals(d) for _ in range(3)])
+        probes += [np.outer(u, v.conj()), np.outer(psi, psi.conj())]
+    return np.array(probes)
+
+
+@pytest.mark.parametrize("n_random", [0, 1, 64])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_probe_inputs_match_sequential_draws(d, n_random):
+    for seed in (0, 11):
+        expected = _sequential_probes(d, n_random, seed)
+        probes = probe_inputs.__wrapped__(d, n_random=n_random, seed=seed)
+        assert probes.shape == expected.shape == (d * d + 2 * n_random, d, d)
+        assert np.abs(probes - expected).max() <= 1e-15
+
+
 def test_probe_inputs_memoised_and_read_only():
     probes = probe_inputs(3, n_random=8, seed=5)
     assert probe_inputs(3, n_random=8, seed=5) is probes

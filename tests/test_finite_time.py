@@ -3,20 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from qms.channels import (amplitude_damping_channel, basis_state, compose,
+from qms.channels import (GeneratorMap, SuperOperator,
+                          amplitude_damping_channel, basis_state, compose,
                           completely_depolarizing, depolarizing_channel,
                           depolarizing_generator, from_kraus, from_stochastic,
                           identity_channel, pauli_channel)
+from qms.contraction import norm_lower_bound_probes, probe_inputs
 from qms.errors import BoundViolationError, DomainError, HypothesisError
-from qms.finite_time import (asymptotic_continuous,
+from qms.finite_time import (VALIDATION_TOL, asymptotic_continuous,
                              asymptotic_discrete, continuous_bound,
                              continuous_trajectory_check, discrete_bound,
                              discrete_trajectory_check, n_hat, pair_chi2,
                              pair_chi2_generator, pair_detailed_balance,
                              pair_detailed_balance_generator,
                              pair_spectral_eq10, t_hat, user_pair,
-                             validate_pair_on_channel)
+                             validate_pair_on_channel,
+                             validate_pair_on_generator)
+from qms.linalg import matrix_exp
 from qms.rng import derive_seed
+from qms.spectral import fixed_point_analysis, spectral_quantities
 
 
 def random_channel(d, rank, seed):
@@ -361,3 +366,106 @@ def test_continuous_pair_detailed_balance_generator():
     assert pair.K == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-9)
     assert pair.rate == pytest.approx(1.0, abs=1e-9)
     assert pair.valid
+
+
+# ---------------------------------------------------------------------------
+# chunked validation against a point-by-point reference
+
+
+def _reference_estimates(grid, advance, p_inf, probes):
+    """One probe bound per grid point, as the validators once took them."""
+    current = np.eye(p_inf.shape[0], dtype=complex)
+    estimates = []
+    for i in range(len(grid)):
+        if i:
+            current = advance(current)
+        estimates.append(norm_lower_bound_probes(current - p_inf, probes))
+    return estimates
+
+
+def _reference_validation(pair, grid, estimates, decay):
+    """(checked_to, valid, failures) of the point-by-point check loop."""
+    checked_to = prev = -1
+    failures = []
+    for x, estimate in zip(grid, estimates):
+        certified = pair.K * decay(x)
+        if estimate <= certified + VALIDATION_TOL:
+            if checked_to == prev:
+                checked_to = x
+        else:
+            failures.append((x, estimate, certified))
+        prev = x
+    return float(max(checked_to, 0)), not failures, failures
+
+
+def _slow_channel(d):
+    # mostly the identity, so ||T^n - T^inf|| is still well above the
+    # tolerance at n = 200 and a too-fast pair fails deep into the grid
+    m = 0.96 * np.eye(d * d) + 0.04 * random_channel(d, 2, 10 + d).matrix
+    return SuperOperator(d, m)
+
+
+def _slow_generator(d):
+    from qms.ensembles import random_generator
+    return GeneratorMap(d, 0.05 * random_generator(d, 2, 20 + d, check=False).matrix)
+
+
+def _assert_same_validation(pair, reference, key):
+    checked_to, valid, failures = reference
+    assert pair.validity_checked_to == checked_to
+    assert pair.valid is valid
+    got = pair.details["validation_failures"]
+    assert [f[key] for f in got] == [x for x, _, _ in failures]
+    for f, (_, estimate, certified) in zip(got, failures):
+        assert f["estimate"] == pytest.approx(estimate, rel=1e-14, abs=1e-14)
+        assert f["certified"] == certified
+
+
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 201])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_chunked_channel_validation_matches_reference(d, length):
+    t = _slow_channel(d)
+    chi2 = pair_chi2(t, n_check=0)
+    sub = spectral_quantities(t).subdominant_modulus
+    eq10 = pair_spectral_eq10(t, (1.0 + sub) / 2.0, n_check=0)
+    grid = range(length)
+    estimates = _reference_estimates(grid, lambda p: p @ t.matrix,
+                                     fixed_point_analysis(t).projector.matrix,
+                                     probe_inputs(d, n_random=64, seed=3))
+    # the last two fail: deep into the grid, and at every point
+    for K, mu in [(chi2.K, chi2.rate), (eq10.K, eq10.rate),
+                  (chi2.K, chi2.rate ** 3), (0.0, 0.5)]:
+        pair = validate_pair_on_channel(user_pair(K, mu), t, n_max=length - 1,
+                                        seed=3)
+        reference = _reference_validation(pair, grid, estimates,
+                                          lambda n: mu ** n)
+        _assert_same_validation(pair, reference, "n")
+
+
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 201])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_chunked_generator_validation_matches_reference(d, length):
+    gen = _slow_generator(d)
+    chi2 = pair_chi2_generator(gen, t_max=40.0, samples=1)
+    grid = np.linspace(0.0, 40.0, length).tolist()
+    step = matrix_exp(gen.matrix, grid[1] - grid[0]) if length > 1 else None
+    estimates = _reference_estimates(
+        grid, lambda p: step @ p,
+        fixed_point_analysis(gen.unit_time_map).projector.matrix,
+        probe_inputs(d, n_random=64, seed=4))
+    for K, nu in [(chi2.K, chi2.rate), (chi2.K, 3.0 * chi2.rate), (0.0, 1.0)]:
+        pair = validate_pair_on_generator(user_pair(K, nu, "continuous"), gen,
+                                          t_max=40.0, samples=length, seed=4)
+        reference = _reference_validation(pair, grid, estimates,
+                                          lambda tt: math.exp(-nu * tt))
+        _assert_same_validation(pair, reference, "t")
+
+
+def test_validation_takes_one_trace_norm_batch_per_chunk(count_calls):
+    from qms import linalg
+    t = random_channel(2, 4, 5)
+    pair = pair_chi2(t, n_check=0)
+    batches = count_calls(linalg, "trace_norm_batch")
+    validate_pair_on_channel(pair, t, n_max=200)
+    # 201 grid points in runs of 64, where one batch per point would be 201
+    assert len(batches) <= math.ceil(201 / 64)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qms.errors import DimensionError, ValidationError
-from qms.linalg import (eig, kron, matrix_exp, trace_norm, trace_norm_batch,
-                        unvec, vec)
+from qms.linalg import (apply_batch, eig, kron, matrix_exp, trace_norm,
+                        trace_norm_batch, unvec, vec)
 from qms.rng import SplitMix64, derive_seed
 
 
@@ -11,6 +11,19 @@ def random_unitary(d, seed):
     g = SplitMix64(seed).complex_normals((d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_apply_batch_over_a_stack_of_maps(d):
+    gen = SplitMix64(derive_seed(5, d))
+    maps = gen.complex_normals((4, d * d, d * d))
+    mats = gen.complex_normals((6, d, d))
+    stacked = apply_batch(maps, mats)
+    assert stacked.shape == (4, 6, d, d)
+    for m, images in zip(maps, stacked):
+        single = apply_batch(m, mats)
+        assert np.abs(images - single).max() <= 1e-15 * np.abs(single).max()
+        assert np.allclose(single[2], unvec(m @ vec(mats[2]), d))
 
 
 def test_trace_norm_identity():

@@ -6,8 +6,9 @@ import pytest
 from qms.channels import (SuperOperator, completely_depolarizing,
                           depolarizing_channel, from_kraus, from_stochastic,
                           identity_channel)
-from qms.errors import IllConditionedStructureError, SpectralResolutionError
-from qms.linalg import vec
+from qms.errors import (DomainError, IllConditionedStructureError,
+                        SpectralResolutionError)
+from qms.linalg import matrix_exp, vec
 from qms.rng import SplitMix64, derive_seed
 from qms.spectral import (delta_map, fixed_point_analysis, fixed_point_projector,
                           fundamental_map, minimal_polynomial,
@@ -259,11 +260,32 @@ def test_non_tp_map_has_no_fixed_point():
         fixed_point_projector(SuperOperator(2, 0.5 * np.eye(4, dtype=complex)))
 
 
+def test_missing_fixed_point_is_a_domain_error_only_when_resolved():
+    with pytest.raises(DomainError):
+        fixed_point_analysis(SuperOperator(2, 0.5 * np.eye(4, dtype=complex)))
+    # e^{200 (I - P)} keeps an eigenvalue 1 beside three of order 1e86, far
+    # below the eigensolver's resolution there
+    p = np.outer([0.5, 0, 0, 0.5], [1, 0, 0, 1])
+    huge = SuperOperator(2, matrix_exp(200.0 * (np.eye(4) - p)))
+    with pytest.raises(SpectralResolutionError) as info:
+        fixed_point_analysis(huge)
+    assert not isinstance(info.value, DomainError)
+
+
 def test_unseparable_one_cluster_raises():
     # a mode at distance 5e-9 from the eigenvalue 1 sits between the
     # fixed-group tolerance and its 10x guard band
     with pytest.raises(SpectralResolutionError):
         fixed_point_analysis(depolarizing_channel(5e-9))
+
+
+def test_minimal_polynomial_simple_roots_need_no_rank_decision():
+    # 1.5e-4 squared lands within a factor 10 of the rank threshold, yet
+    # every root is simple, so the structure is decided by the clustering
+    m = np.diag([0.0, -1.5e-4, -0.16, -0.39]).astype(complex)
+    mp = minimal_polynomial(SuperOperator(2, m))
+    assert mp.block_sizes == [1, 1, 1, 1]
+    assert sorted(mp.distinct_roots.real) == [-0.39, -0.16, -1.5e-4, 0.0]
 
 
 def test_minimal_polynomial_unstable_rank_raises():
