@@ -25,7 +25,7 @@ from .finite_time import (BoundReport, ConvergencePair, FiniteTimeBound,
                           pair_chi2, pair_chi2_generator, pair_detailed_balance,
                           pair_detailed_balance_generator, pair_spectral_eq10,
                           t_hat, user_pair)
-from .linalg import EigenSystem, eig, kron, matrix_exp, trace_norm, unvec, vec
+from .linalg import matrix_exp, trace_norm, unvec, vec
 from .spectral import (MinimalPolynomial, SpectralData, fixed_point_projector,
                        fundamental_map, minimal_polynomial, spectral_quantities,
                        stationary_states)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DimensionError, PreconditionError, ValidationError
-from .linalg import (apply_batch, as_matrix, dagger, kron, matrix_exp,
+from .linalg import (apply_batch, as_matrix, dagger, matrix_exp,
                      spectral_norm, unvec, vec)
 from .rng import SplitMix64
 
@@ -190,7 +190,7 @@ def from_kraus(operators: Sequence[np.ndarray], label: str | None = None) -> Sup
     m = np.zeros((d * d, d * d), dtype=complex)
     comp = np.zeros((d, d), dtype=complex)
     for a in ops:
-        m += kron(a.conj(), a)
+        m += np.kron(a.conj(), a)
         comp += dagger(a) @ a
     tp = bool(spectral_norm(comp - np.eye(d)) <= 1e-10)
     return SuperOperator(d, m, provenance="kraus", trace_preserving=tp, label=label)
@@ -257,13 +257,14 @@ def from_lindblad(h, jumps: Sequence[np.ndarray]) -> GeneratorMap:
         raise ValidationError("Hamiltonian must be Hermitian")
     d = h.shape[0]
     eye = np.eye(d)
-    m = -1j * (kron(eye, h) - kron(h.T, eye))
+    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
     for k, l in enumerate(jumps):
         l = as_matrix(l, square=True, name=f"jump operator {k}")
         if l.shape[0] != d:
             raise DimensionError(f"jump operator {k} has shape {l.shape}, expected {d}x{d}")
         ll = dagger(l) @ l
-        m += kron(l.conj(), l) - 0.5 * kron(eye, ll) - 0.5 * kron(ll.T, eye)
+        m += (np.kron(l.conj(), l) - 0.5 * np.kron(eye, ll)
+              - 0.5 * np.kron(ll.T, eye))
     return GeneratorMap(d, m, provenance="lindblad_parts")
 
 

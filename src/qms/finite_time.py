@@ -186,12 +186,13 @@ def continuous_bound(pair: ConvergencePair, t: float, d0: float, dL: float) -> F
         raise DomainError("continuous bound requires K > 0")
     K, nu = pair.K, pair.rate
     th = t_hat(K, nu)
-    if t < th:
+    if t <= th:
         initial, pert, regime = d0, t * dL, "pre_threshold"
     else:
         decay = K * math.exp(-nu * t)
         initial = decay * d0
-        pert = (math.log(K) + 1.0 - decay) / nu * dL
+        # the integral of min(1, K e^{-nu s}) over [0, t], >= 0 for every K
+        pert = (math.log(max(K, 1.0)) + min(K, 1.0) - decay) / nu * dL
         regime = "post_threshold"
     return FiniteTimeBound(n_or_t=t, threshold=th, regime=regime,
                            bound_value=initial + pert, initial_term=initial,
@@ -199,12 +200,13 @@ def continuous_bound(pair: ConvergencePair, t: float, d0: float, dL: float) -> F
 
 
 def asymptotic_continuous(pair: ConvergencePair, dL: float) -> float:
-    """(log(K) + 1)/nu times the generator-difference norm."""
+    """(log(max(K, 1)) + min(K, 1))/nu times the generator-difference norm,
+    the t -> infinity limit of :func:`continuous_bound`."""
     if pair.kind != "continuous":
         raise DomainError("asymptotic_continuous requires a continuous pair")
     if pair.K <= 0:
         raise DomainError("requires K > 0")
-    return (math.log(pair.K) + 1.0) / pair.rate * dL
+    return (math.log(max(pair.K, 1.0)) + min(pair.K, 1.0)) / pair.rate * dL
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +340,7 @@ def pair_spectral_eq10(t: SuperOperator, mu: float,
 
     exps = list(minpoly.block_sizes) if multiplicity == "block" \
         else [1] * len(roots)
-    m_count = minpoly.linear_factor_count
+    m_count = minpoly.degree
     prefactor = 4.0 * math.e * math.sqrt(m_count) / (1.0 - mu) ** 1.5
     sup_circle = _blaschke_sup_on_circle(roots, exps, mu)
     prod_relax = 1.0

@@ -3,26 +3,31 @@
 Vectorization uses the column-stacking convention throughout the package:
 ``vec(X)`` stacks the columns of ``X`` top to bottom, so that
 
-    kron(A.T, B) @ vec(X) == vec(B @ X @ A)
+    np.kron(A.T, B) @ vec(X) == vec(B @ X @ A)
 
 holds exactly.  Every superoperator matrix in this package is written in
 this convention; it is fixed here and nowhere else.
 
-Eigensystems come from numpy's LAPACK bindings.  scipy is imported only
-inside :func:`matrix_exp`, so code paths without a generator never load it.
+Everything here is numpy: LAPACK through ``np.linalg``, and the matrix
+exponential by Pade scaling and squaring on top of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
 
-# Relative tolerance for deciding that two eigenvalues belong to the same
-# cluster.  Used everywhere a "distinct eigenvalue" decision is made.
-TOL_CLUSTER = 1e-7
+# Pade-13 numerator coefficients b_0..b_13 and the 1-norm up to which the
+# unscaled approximant is accurate to double precision (Higham 2005,
+# "The scaling and squaring method for the matrix exponential revisited").
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 
 def as_matrix(x, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -67,11 +72,6 @@ def apply_batch(m: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-1], d, d).swapaxes(-1, -2)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (thin wrapper, kept for the conversion identities)."""
-    return np.kron(a, b)
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
@@ -103,117 +103,37 @@ def spectral_norm(m: np.ndarray) -> float:
 
 
 def matrix_exp(m, t: float = 1.0) -> np.ndarray:
-    """e^{t M} by scaling-and-squaring (Pade), via ``scipy.linalg.expm``.
+    """e^{t M} by Pade-13 scaling and squaring (Higham 2005).
 
-    scipy is imported here rather than at module level: only generator
-    paths exponentiate, and the import dominates a cold start otherwise.
-    Raises :class:`NumericError` when the result overflows.
+    tM is halved s times until its 1-norm is at most theta_13, the [13/13]
+    Pade approximant is evaluated there with six products and one solve,
+    and the result is squared s times.  Raises :class:`NumericError` when
+    the result overflows.
     """
-    import scipy.linalg
-
     m = as_matrix(m, square=True, name="matrix_exp input")
     if not np.isfinite(t):
         raise ValidationError("matrix_exp: t must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = scipy.linalg.expm(t * m)
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+        a = t * m
+        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+        ok = np.isfinite(norm)
+        if ok:
+            s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
+            a = a / 2.0 ** s
+            b = _PADE13
+            eye = np.eye(len(a), dtype=complex)
+            a2 = a @ a
+            a4 = a2 @ a2
+            a6 = a4 @ a2
+            u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                     + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+            v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+                 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+            out = np.linalg.solve(v - u, v + u)
+            for _ in range(s):
+                out = out @ out
+            ok = np.isfinite(out).all()
+    if not ok:
         raise NumericError("matrix_exp overflowed for ||tM|| = %.3g"
                            % (abs(t) * spectral_norm(m)))
     return out
-
-
-@dataclass
-class EigenSystem:
-    """Eigendecomposition with biorthogonalized left/right eigenvectors.
-
-    Eigenvalues are sorted by nonincreasing modulus.  ``clusters`` groups
-    indices of eigenvalues closer than ``TOL_CLUSTER`` (relative to the
-    spectral radius); ``degenerate`` is set when the left/right overlap
-    matrix of some cluster was numerically singular, i.e. the matrix is
-    (close to) defective there and the pairing could not be normalized.
-    """
-
-    eigenvalues: np.ndarray
-    right_vectors: np.ndarray
-    left_vectors: np.ndarray
-    residual: float
-    clusters: list = field(default_factory=list)
-    degenerate: bool = False
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of lambda_i * r_i l_i^dag; recovers M for diagonalizable input."""
-        return (self.right_vectors * self.eigenvalues) @ dagger(self.left_vectors)
-
-
-def _cluster_indices(w: np.ndarray, tol: float) -> list[list[int]]:
-    """Group eigenvalue indices whose pairwise distance is below tol (chained)."""
-    n = len(w)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(w[i] - w[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [sorted(g) for g in sorted(groups.values(), key=lambda g: g[0])]
-
-
-def eig(m, cluster_tol: float = TOL_CLUSTER) -> EigenSystem:
-    """Full eigendecomposition with matched, biorthogonalized left vectors.
-
-    Right vectors come from the decomposition of M, left vectors from that
-    of M^dag.  The two need not list equal-modulus eigenvalues in the same
-    order (cycles, unitary channels), so each eigenvalue of M^dag goes to
-    the cluster of M holding its nearest conjugate; a cluster receiving the
-    wrong number raises :class:`NumericError`.  Each cluster is then
-    rescaled so that l_i^dag r_j = delta_ij within it, which makes the
-    order inside a cluster irrelevant.  Pairs in clusters whose overlap
-    matrix is singular are flagged via ``degenerate`` instead of being
-    force-normalized.
-    """
-    m = as_matrix(m, square=True, name="eig input")
-    w, vr = np.linalg.eig(m)
-    order = np.lexsort((w.imag, w.real, -np.abs(w)))
-    w, vr = w[order], vr[:, order]
-
-    norm_m = spectral_norm(m)
-    residual = float(np.linalg.norm(m @ vr - vr * w, axis=0).max()) if len(w) else 0.0
-    if residual > 1e-8 * max(norm_m, 1e-300):
-        raise NumericError("eigendecomposition residual %.3g exceeds 1e-8*||M||"
-                           % residual, residual=residual)
-
-    radius = float(np.abs(w).max()) if len(w) else 0.0
-    clusters = _cluster_indices(w, cluster_tol * max(radius, 1e-300))
-    w_dag, v_dag = np.linalg.eig(dagger(m))
-    nearest = (np.abs(w_dag.conj()[:, None] - w).argmin(axis=1) if len(w)
-               else np.zeros(0, dtype=int))
-    vl = np.empty_like(vr)
-    degenerate = False
-    for grp in clusters:
-        mine = np.nonzero(np.isin(nearest, grp))[0]
-        if len(mine) != len(grp):
-            raise NumericError(
-                "left/right eigenvalue matching failed: cluster of size %d at "
-                "%s received %d left vectors"
-                % (len(grp), format(complex(w[grp[0]]), ".6g"), len(mine)))
-        vl[:, grp] = v_dag[:, mine]
-        overlap = dagger(vl[:, grp]) @ vr[:, grp]
-        sv = np.linalg.svd(overlap, compute_uv=False)
-        # columns are unit vectors, so a healthy (semisimple) cluster has
-        # overlap singular values of order 1/cond; a defective one collapses
-        if sv[-1] <= 1e-10:
-            degenerate = True
-            continue
-        vl[:, grp] = vl[:, grp] @ np.linalg.inv(overlap).conj().T
-    return EigenSystem(eigenvalues=w, right_vectors=vr, left_vectors=vl,
-                       residual=residual, clusters=clusters, degenerate=degenerate)

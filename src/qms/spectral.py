@@ -7,11 +7,12 @@ tolerance avoids absorbing slow modes into the fixed space).
 
 :func:`fixed_point_analysis` memoises its result per ``SuperOperator``
 object (by identity, not by value), so every consumer of a map shares one
-eigendecomposition.  The memo is module-level and keeps the 8 most
-recently used maps: a caller holding many analysed maps pays a fixed
-amount of memory for it, and a map that has dropped out is analysed again
-on its next use.  This relies on a ``SuperOperator`` not being mutated
-after construction.  A failed analysis raises and is not stored.
+spectral analysis: one eigenvalue computation and one SVD.  The memo is
+module-level and keeps the 8 most recently used maps: a caller holding
+many analysed maps pays a fixed amount of memory for it, and a map that
+has dropped out is analysed again on its next use.  This relies on a
+``SuperOperator`` not being mutated after construction.  A failed
+analysis raises and is not stored.
 """
 
 from __future__ import annotations
@@ -27,10 +28,13 @@ import numpy as np
 from .channels import DensityMatrix, SuperOperator
 from .errors import (IllConditionedStructureError, NoFixedPointError,
                      NumericError, SpectralResolutionError)
-from .linalg import (TOL_CLUSTER, EigenSystem, _cluster_indices, as_matrix,
-                     dagger, eig, spectral_norm, vec)
+from .linalg import as_matrix, dagger, spectral_norm, vec
 
 TOL_FIX = 1e-9
+
+# Relative tolerance for deciding that two eigenvalues belong to the same
+# cluster.  Used everywhere a "distinct eigenvalue" decision is made.
+TOL_CLUSTER = 1e-7
 
 _MEMO_SIZE = 8
 # id(t) -> (t, analysis); holding t keeps its id from being reused
@@ -68,8 +72,7 @@ class SpectralData:
 class MinimalPolynomial:
     """Minimal polynomial of a map, as clustered roots with block sizes.
 
-    ``linear_factor_count`` counts linear factors with multiplicity, i.e.
-    equals the degree.
+    ``degree`` counts linear factors with multiplicity.
     """
 
     distinct_roots: np.ndarray
@@ -80,10 +83,6 @@ class MinimalPolynomial:
     def degree(self) -> int:
         return int(sum(self.block_sizes))
 
-    @property
-    def linear_factor_count(self) -> int:
-        return self.degree
-
 
 @dataclass
 class FixedPointAnalysis:
@@ -91,7 +90,6 @@ class FixedPointAnalysis:
 
     projector: SuperOperator
     multiplicity: int
-    eigensystem: EigenSystem
     peripheral_spectrum: bool
     cesaro_checked: bool
     spectral: SpectralData
@@ -104,26 +102,30 @@ class FixedPointAnalysis:
         return _stationary_basis(self.projector, self.multiplicity)
 
 
-def _one_group(w: np.ndarray) -> np.ndarray:
-    return np.nonzero(np.abs(w - 1.0) <= TOL_FIX)[0]
-
-
-def _spectral_data(w: np.ndarray, ones: np.ndarray) -> SpectralData:
-    lam = w[np.setdiff1d(np.arange(len(w)), ones)]
+def _spectral_data(m: np.ndarray) -> SpectralData:
+    """The eigenvalues of ``m`` by nonincreasing modulus (ties by real, then
+    imaginary part), split into the 1-group |lambda - 1| <= TOL_FIX and the
+    rest; the one eigenvalue computation of a spectral analysis."""
+    w = np.linalg.eigvals(m)
+    w = w[np.lexsort((w.imag, w.real, -np.abs(w)))]
+    one = np.abs(w - 1.0) <= TOL_FIX
+    lam = w[~one]
     return SpectralData(
         eigenvalues=w,
         min_dist_to_one=float(np.abs(1.0 - lam).min(initial=math.inf)),
         spectral_gap=float((1.0 - np.abs(lam)).min(initial=math.inf)),
         subdominant_modulus=float(np.abs(lam).max(initial=0.0)),
         peripheral_count=int(np.sum(np.abs(lam) >= 1.0 - TOL_CLUSTER)),
-        one_group_multiplicity=len(ones))
+        one_group_multiplicity=int(one.sum()))
 
 
 def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
     """Build the spectral projector onto the eigenvalue-1 eigenspace.
 
-    The projector is P = R (L^dag R)^{-1} L^dag over the eigenvalue-1 group
-    (|lambda - 1| <= TOL_FIX); it is cross-validated against the limit of
+    The eigenvalue-1 group (|lambda - 1| <= TOL_FIX) has some size k.  One
+    SVD of A = T - id gives both kernels: R, the last k right singular
+    vectors, and L, the last k left ones.  The projector is
+    P = R (L^dag R)^{-1} L^dag.  It is cross-validated against the limit of
     the running Cesaro average computed by repeated squaring, unless
     peripheral eigenvalues other than 1 exist (plain powers do not
     converge there) or mixing is too slow for the average to settle within
@@ -131,43 +133,45 @@ def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
     (see the module docstring).
 
     A map without an eigenvalue within TOL_FIX of 1 raises
-    :class:`NoFixedPointError`, an input-domain error, when its eigenpairs
-    are resolved to TOL_FIX, and :class:`SpectralResolutionError` when
-    they are too coarse to tell.
+    :class:`NoFixedPointError`, an input-domain error, when the smallest
+    singular value of A, a lower bound on every |lambda - 1|, exceeds
+    TOL_FIX beyond its roundoff, and :class:`SpectralResolutionError` when
+    it does not.
     """
     hit = _memo.pop(id(t), None)
     if hit is not None and hit[0] is t:
         _memo[id(t)] = hit                  # now the most recently used
         return hit[1]
-    es = eig(t.matrix)
-    w = es.eigenvalues
-    ones = _one_group(w)
-    if len(ones) == 0:
-        if es.residual > TOL_FIX:
-            # eigenpairs this coarse can hide an eigenvalue at 1 in roundoff
+    m = t.matrix
+    spec = _spectral_data(m)
+    k = spec.one_group_multiplicity
+    u, sv, vh = np.linalg.svd(m - np.eye(len(m)))
+    if k == 0:
+        if sv[-1] - 100 * np.finfo(float).eps * sv[0] <= TOL_FIX:
             raise SpectralResolutionError(
-                "no eigenvalue resolved within %.1g of 1 (eigenpair residual "
-                "%.3g)" % (TOL_FIX, es.residual))
+                "no eigenvalue resolved within %.1g of 1 (smallest singular "
+                "value of T - id %.3g)" % (TOL_FIX, sv[-1]))
         raise NoFixedPointError(
             "no eigenvalue within %.1g of 1; is the map trace-preserving?" % TOL_FIX)
-    spec = _spectral_data(w, ones)
     if spec.min_dist_to_one <= 10 * TOL_FIX:
         raise SpectralResolutionError(
             "eigenvalue-1 cluster is not numerically separable "
             "(nearest excluded eigenvalue at distance %.3g)" % spec.min_dist_to_one)
 
-    r1 = es.right_vectors[:, ones]
-    l1 = es.left_vectors[:, ones]
+    scale = max(1.0, spectral_norm(m))
+    r1 = dagger(vh[-k:])
+    l1 = u[:, -k:]
     overlap = dagger(l1) @ r1
-    sv = np.linalg.svd(overlap, compute_uv=False)
-    if sv[-1] <= 1e-10:
+    cos = np.linalg.svd(overlap, compute_uv=False)
+    # a defective group has a kernel of dimension below k, so the largest
+    # kept singular value is not small (the T o P check below would fail
+    # on it too), or left and right kernels that are nearly orthogonal
+    if sv[-k] > 1e-8 * scale or cos[-1] <= 1e-10:
         raise SpectralResolutionError(
-            "eigenvalue-1 eigenspace is numerically defective "
-            "(smallest left/right overlap %.3g)" % sv[-1])
+            "eigenvalue-1 eigenspace is numerically defective (kernel "
+            "residual %.3g, smallest left/right overlap %.3g)" % (sv[-k], cos[-1]))
     p = r1 @ np.linalg.solve(overlap, dagger(l1))
 
-    m = t.matrix
-    scale = max(1.0, spectral_norm(m))
     for name, resid in (("idempotence", spectral_norm(p @ p - p)),
                         ("T o P", spectral_norm(m @ p - p)),
                         ("P o T", spectral_norm(p @ m - p))):
@@ -206,7 +210,7 @@ def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
                          trace_preserving=t.trace_preserving,
                          label="; ".join(notes) if notes else None)
     analysis = FixedPointAnalysis(
-        projector=proj, multiplicity=len(ones), eigensystem=es,
+        projector=proj, multiplicity=k,
         peripheral_spectrum=spec.peripheral_count > 0,
         cesaro_checked=cesaro_checked, spectral=spec,
         cesaro_residual=cesaro_residual, notes=notes)
@@ -309,8 +313,30 @@ def spectral_quantities(t: SuperOperator) -> SpectralData:
     governed by the latter.  Unlike ``fixed_point_analysis(t).spectral``,
     this does not require an eigenvalue at 1.
     """
-    w = eig(t.matrix).eigenvalues
-    return _spectral_data(w, _one_group(w))
+    return _spectral_data(t.matrix)
+
+
+def _cluster_indices(w: np.ndarray, tol: float) -> list[list[int]]:
+    """Group eigenvalue indices whose pairwise distance is below tol (chained)."""
+    n = len(w)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(w[i] - w[j]) <= tol:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [sorted(g) for g in sorted(groups.values(), key=lambda g: g[0])]
 
 
 def _stable_rank(m: np.ndarray, threshold: float) -> int:
@@ -369,14 +395,18 @@ def minimal_polynomial(delta: SuperOperator) -> MinimalPolynomial:
             power, prev_rank = nxt, rank
         sizes.append(size)
 
-    # descending modulus; moduli within the clustering tolerance (such as a
-    # conjugate pair's, which may differ in the last ulp) tie, and tied
-    # roots are ordered by real, then imaginary part
+    # descending modulus, then ascending real, then imaginary part; moduli
+    # and real parts within the clustering tolerance (such as a conjugate
+    # pair's, which may differ in the last ulp) tie
+    tol = TOL_CLUSTER * max(radius, 1e-300)
     roots = np.array(roots)
     order = np.argsort(-np.abs(roots), kind="stable")
-    band = np.cumsum(np.diff(np.abs(roots[order]), prepend=np.inf)
-                     < -TOL_CLUSTER * max(radius, 1e-300))
-    order = order[np.lexsort((roots[order].imag, roots[order].real, band))]
+    band = np.cumsum(np.diff(np.abs(roots[order]), prepend=np.inf) < -tol)
+    by_real = np.lexsort((roots[order].real, band))
+    order, band = order[by_real], band[by_real]
+    tied = np.cumsum((np.diff(band, prepend=-1) != 0)
+                     | (np.diff(roots[order].real, prepend=-np.inf) > tol))
+    order = order[np.lexsort((roots[order].imag, tied))]
     roots = roots[order]
     sizes = [sizes[i] for i in order]
 

@@ -179,6 +179,15 @@ def test_trajectory_continuous(files, capsys):
     assert len(out.strip().split("\n")) == 21
 
 
+def test_trajectory_small_prefactor_pair_has_no_negative_bound(files, capsys):
+    code, out = run(["trajectory", files["gen10"], files["gen11"], "--steps", "2",
+                     "--t-max", "0", "--pair", "0.01:0.5", "--format", "json"],
+                    capsys)
+    rows = loads_strict(out)["rows"]
+    assert code == 0
+    assert [r["bound"] for r in rows] == [0.0, 0.0]
+
+
 def test_trajectory_mixed_inputs_is_usage_error(files, capsys):
     code, _ = run(["trajectory", files["depol05"], files["gen10"]], capsys)
     assert code == 2
@@ -297,7 +306,7 @@ def test_out_flag_writes_file(files, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# one eigendecomposition per map
+# one spectral analysis per map
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -311,8 +320,8 @@ def test_out_flag_writes_file(files, tmp_path, capsys):
 ])
 def test_one_eigendecomposition_per_map(files, capsys, count_calls, argv,
                                         expected):
-    from qms import linalg
-    eigs = count_calls(linalg, "eig")
+    from qms import spectral
+    eigs = count_calls(spectral, "_spectral_data")
     assert main([a.format(**files) for a in argv] + ["--restarts", "2"]) == 0
     capsys.readouterr()
     assert len(eigs) == expected
@@ -320,8 +329,8 @@ def test_one_eigendecomposition_per_map(files, capsys, count_calls, argv,
 
 def test_continuous_trajectory_exponentiates_generator_once(files, capsys,
                                                             count_calls):
-    from qms import linalg
-    eigs = count_calls(linalg, "eig")
+    from qms import linalg, spectral
+    eigs = count_calls(spectral, "_spectral_data")
     exps = count_calls(linalg, "matrix_exp")
     code = main(["trajectory", files["gen10"], files["gen11"], "--steps", "5",
                  "--restarts", "2"])
@@ -521,7 +530,7 @@ def test_validate_exit_code_contract(contract_files, name, samples):
 
 
 # ---------------------------------------------------------------------------
-# shared stationary state; scipy only on generator paths
+# shared stationary state; no command loads scipy
 
 
 def test_pairs_builds_stationary_state_once(files, capsys, count_calls):
@@ -541,13 +550,24 @@ def _run_isolated(code):
 
 
 def test_discrete_commands_do_not_load_scipy(files):
+    # every command, generator paths included: qms depends on numpy alone
+    commands = [
+        ["validate", files["depol05"], "--samples", "20"],
+        ["analyze", files["depol05"]],
+        ["compare", files["depol05"], files["depol06"]],
+        ["trajectory", files["depol05"], files["depol06"], "--steps", "5"],
+        ["trajectory", files["gen10"], files["gen11"], "--steps", "5"],
+        ["pairs", files["depol05"], "--steps", "5"],
+        ["ensemble", "--count", "2", "--steps", "5"],
+        ["ensemble", "--count", "2", "--steps", "5", "--mode", "continuous"],
+    ]
     proc = _run_isolated(
         "import sys\n"
         "from qms.cli import main\n"
         "assert 'scipy' not in sys.modules\n"
-        f"code = main(['analyze', {files['depol05']!r}])\n"
-        "assert 'scipy' not in sys.modules, 'analyze loaded scipy'\n"
-        "sys.exit(code)\n")
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv + ['--restarts', '2']) == 0, argv\n"
+        "    assert 'scipy' not in sys.modules, argv[0] + ' loaded scipy'\n")
     assert proc.returncode == 0, proc.stderr
     assert "analysis of" in proc.stdout
 

@@ -140,6 +140,18 @@ def test_continuous_bound_at_zero():
     assert continuous_bound(pair, 0.0, 0.55, 1.0).bound_value == pytest.approx(0.55)
 
 
+def test_continuous_bound_with_small_prefactor_is_nonnegative():
+    # for K < 1 the perturbation term integrates K e^{-nu s} from 0 to t
+    pair = user_pair(0.01, 0.5, kind="continuous")
+    fb = continuous_bound(pair, 0.0, 0.3, 1.0)
+    assert (fb.regime, fb.bound_value) == ("pre_threshold", 0.3)
+    for t in (0.5, 2.0, 40.0):
+        fb = continuous_bound(pair, t, 0.0, 1.0)
+        assert fb.perturbation_term == pytest.approx(
+            0.02 * (1.0 - math.exp(-0.5 * t)), rel=1e-12)
+    assert asymptotic_continuous(pair, 1.0) == pytest.approx(0.02, rel=1e-12)
+
+
 def test_continuous_bound_depolarizing_formula():
     pair = user_pair(1.0, 1.0, kind="continuous")
     for t in (0.5, 1.0, 3.0):

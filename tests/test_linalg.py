@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from qms.errors import DimensionError, ValidationError
-from qms.linalg import (apply_batch, eig, kron, matrix_exp, trace_norm,
-                        trace_norm_batch, unvec, vec)
+from qms.channels import SuperOperator
+from qms.errors import DimensionError, SpectralResolutionError, ValidationError
+from qms.linalg import (apply_batch, matrix_exp, trace_norm, trace_norm_batch,
+                        unvec, vec)
+from qms.spectral import fixed_point_analysis, spectral_quantities
 from qms.rng import SplitMix64, derive_seed
 
 
@@ -82,37 +84,24 @@ def test_trace_norm_batch_matches_single():
 
 
 def test_eig_sorted_by_modulus():
-    es = eig(np.diag([2.0, 1.0]))
-    assert np.allclose(es.eigenvalues, [2.0, 1.0])
-    assert es.residual <= 1e-10
+    # nonincreasing modulus, ties by real then imaginary part
+    m = np.diag([0.5, 2.0, 1.0, -2.0]).astype(complex)
+    w = spectral_quantities(SuperOperator(2, m)).eigenvalues
+    assert np.array_equal(w, [-2.0, 2.0, 1.0, 0.5])
 
 
 def test_eig_depolarizing_superoperator():
     from qms.channels import depolarizing_channel
-    es = eig(depolarizing_channel(0.5).matrix)
-    assert np.allclose(sorted(np.abs(es.eigenvalues), reverse=True),
-                       [1.0, 0.5, 0.5, 0.5], atol=1e-12)
+    w = spectral_quantities(depolarizing_channel(0.5)).eigenvalues
+    assert np.allclose(np.abs(w), [1.0, 0.5, 0.5, 0.5], atol=1e-12)
 
 
 def test_eig_jordan_block_flagged_degenerate():
-    es = eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    assert np.allclose(es.eigenvalues, [1.0, 1.0])
-    assert es.degenerate
-    assert es.clusters == [[0, 1]]
-
-
-def test_eig_biorthogonality_and_reconstruction():
-    # similarity transform of well-separated eigenvalues
-    for seed in range(4):
-        g = SplitMix64(seed).complex_normals((5, 5))
-        v = g + 2.0 * np.eye(5)
-        lam = np.array([3.0, 2.0, 1.0, -1.0, 0.5])
-        m = v @ np.diag(lam) @ np.linalg.inv(v)
-        es = eig(m)
-        overlap = es.left_vectors.conj().T @ es.right_vectors
-        assert np.abs(overlap - np.eye(5)).max() <= 1e-8
-        err = np.linalg.norm(es.reconstruct() - m, 2)
-        assert err <= 1e-8 * np.linalg.norm(m, 2)
+    # a Jordan block at 1: two eigenvalues at 1 but a one-dimensional kernel
+    m = np.diag([1.0, 1.0, 0.5, 0.2]).astype(complex)
+    m[0, 1] = 1.0
+    with pytest.raises(SpectralResolutionError, match="defective"):
+        fixed_point_analysis(SuperOperator(2, m))
 
 
 def test_matrix_exp_zero_and_diagonal():
@@ -150,6 +139,18 @@ def test_matrix_exp_overflow_raises():
         matrix_exp(np.diag([1.0]), 1000.0)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_matrix_exp_matches_scipy_oracle(d):
+    import scipy.linalg
+    from qms.ensembles import random_generator
+    for seed in range(4):
+        gen = random_generator(d, 2, derive_seed(seed, d), check=False).matrix
+        for t in (1e-3, 0.1, 1.0, 20 / 99, 20.0):
+            want = scipy.linalg.expm(t * gen)
+            got = matrix_exp(gen, t)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_vec_column_stacking():
     assert np.allclose(vec(np.array([[1, 2], [3, 4]])), [1, 3, 2, 4])
 
@@ -159,16 +160,12 @@ def test_unvec_roundtrip():
     assert np.allclose(unvec(vec(x), 3), x)
 
 
-def test_kron_identity():
-    assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
 def test_kron_vec_identity():
     # kron(A^T, B) vec(X) = vec(B X A)
     a = SplitMix64(11).complex_normals((3, 3))
     b = SplitMix64(12).complex_normals((3, 3))
     x = SplitMix64(13).complex_normals((3, 3))
-    assert np.allclose(kron(a.T, b) @ vec(x), vec(b @ x @ a), atol=1e-12)
+    assert np.allclose(np.kron(a.T, b) @ vec(x), vec(b @ x @ a), atol=1e-12)
 
 
 def test_unvec_dimension_error():
@@ -177,31 +174,21 @@ def test_unvec_dimension_error():
 
 
 # ---------------------------------------------------------------------------
-# eig against a scipy oracle (scipy is imported here only; qms does not
-# load it outside matrix_exp)
+# the fixed-point projector against a scipy oracle (scipy is a test-only
+# dependency; qms itself never imports it)
 
 
 def _scipy_eigensystem(m):
-    """Sorted eigenvalues, clusters, degenerate flag and biorthogonalized
-    left vectors from ``scipy.linalg.eig(left=True)``, matched per index."""
+    """Eigenvalues with right and left vectors from
+    ``scipy.linalg.eig(left=True)``, sorted as qms sorts them."""
     import scipy.linalg
-    from qms.linalg import TOL_CLUSTER, _cluster_indices
     w, vl, vr = scipy.linalg.eig(m, left=True, right=True)
     order = np.lexsort((w.imag, w.real, -np.abs(w)))
-    w, vl, vr = w[order], vl[:, order], vr[:, order]
-    clusters = _cluster_indices(w, TOL_CLUSTER * float(np.abs(w).max()))
-    degenerate = False
-    for grp in clusters:
-        overlap = vl[:, grp].conj().T @ vr[:, grp]
-        if np.linalg.svd(overlap, compute_uv=False)[-1] <= 1e-10:
-            degenerate = True
-            continue
-        vl[:, grp] = vl[:, grp] @ np.linalg.inv(overlap).conj().T
-    return w, vr, vl, clusters, degenerate
+    return w[order], vr[:, order], vl[:, order]
 
 
 def _oracle_maps():
-    from qms.channels import SuperOperator, from_kraus, from_stochastic, identity_channel
+    from qms.channels import from_kraus, from_stochastic, identity_channel
     from qms.ensembles import random_channel
     maps = {f"random_d{d}_r{r}_s{s}": random_channel(d, r, s)
             for d in (2, 3, 4) for s in range(3) for r in (1, 2, d * d)}
@@ -220,51 +207,25 @@ ORACLE_MAPS = _oracle_maps()
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
 def test_eig_projector_matches_scipy_oracle(name):
-    from qms.spectral import TOL_FIX, fixed_point_analysis
+    from qms.spectral import TOL_FIX
     t = ORACLE_MAPS[name]
-    w, vr, vl, clusters, degenerate = _scipy_eigensystem(t.matrix)
+    w, vr, vl = _scipy_eigensystem(t.matrix)
     analysis = fixed_point_analysis(t)
-    es = analysis.eigensystem
-    assert es.clusters == clusters
-    assert es.degenerate == degenerate
-    assert np.abs(es.eigenvalues - w).max() <= 1e-12
+    assert np.abs(analysis.spectral.eigenvalues - w).max() <= 1e-12
     ones = np.nonzero(np.abs(w - 1.0) <= TOL_FIX)[0]
     r1, l1 = vr[:, ones], vl[:, ones]
     oracle = r1 @ np.linalg.solve(l1.conj().T @ r1, l1.conj().T)
     assert np.abs(analysis.projector.matrix - oracle).max() <= 1e-12
 
 
-def test_eig_jordan_block_at_non_unit_eigenvalue_is_degenerate():
-    es = eig(ORACLE_MAPS["jordan_at_half"].matrix)
-    assert es.degenerate
-    assert es.clusters == [[0], [1, 2], [3]]
-
-
 def test_eig_matches_left_vectors_across_equal_modulus_reorderings():
-    # the 3-cycle and a diagonal unitary have spectra of equal modulus, so
-    # the decompositions of M and M^dag may list them in different orders
-    for name in ("three_cycle", "diagonal_unitary"):
-        m = ORACLE_MAPS[name].matrix
-        es = eig(m)
-        assert not es.degenerate
-        for grp in es.clusters:
-            overlap = es.left_vectors[:, grp].conj().T @ es.right_vectors[:, grp]
-            assert np.abs(overlap - np.eye(len(grp))).max() <= 1e-12
-        assert np.abs(es.reconstruct() - m).max() <= 1e-12
-
-
-def test_eig_mismatched_left_spectrum_is_numeric_error(monkeypatch):
-    # a left decomposition that does not pair up with the clusters of M
-    # raises NumericError, never IndexError
-    from qms.errors import NumericError
-    m = np.diag([1.0, 0.5]).astype(complex)
-    real_eig = np.linalg.eig
-
-    def skewed(a):
-        w, v = real_eig(a)
-        return np.array([w[0], w[0]]), v
-
-    calls = iter([real_eig, skewed])
-    monkeypatch.setattr(np.linalg, "eig", lambda a: next(calls)(a))
-    with pytest.raises(NumericError, match="matching"):
-        eig(m)
+    # peripheral spectra skip the Cesaro cross-check, so check the
+    # projector against closed forms: the average of T, T^2 and T^3 for a
+    # 3-cycle, and the dephasing map for a unitary with distinct phases
+    cycle = ORACLE_MAPS["three_cycle"]
+    t = cycle.matrix
+    got = fixed_point_analysis(cycle).projector.matrix
+    assert np.abs(got - (t + t @ t + t @ t @ t) / 3).max() <= 1e-12
+    dephase = np.diag(vec(np.eye(3)))
+    got = fixed_point_analysis(ORACLE_MAPS["diagonal_unitary"]).projector.matrix
+    assert np.abs(got - dephase).max() <= 1e-12
