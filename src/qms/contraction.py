@@ -2,12 +2,13 @@
 
 The contraction coefficient tau(L) is the worst-case trace-norm growth on
 traceless Hermitian inputs; for every linear map it equals half the
-maximal output distance over pairs of orthogonal pure states.  On qubits
-it has a closed form in the Pauli transfer matrix.  For d >= 3, and for
-every induced 1->1 norm, the values come from a seeded multistart
-power-method ascent (Boyd's method, as in Hager's and Higham's 1-norm
-estimators, lifted to the trace norm) and are *lower bounds*; the spread
-over restarts is reported as a quality signal.
+maximal output distance over pairs of orthogonal pure states.  On
+Hermiticity-preserving qubit maps tau and the Hermitian-restricted 1->1
+norm have closed forms in the Pauli transfer matrix.  Everywhere else
+the values come from a seeded multistart power-method ascent (Boyd's
+method, as in Hager's and Higham's 1-norm estimators, lifted to the trace
+norm) and are *lower bounds*; the spread over restarts is reported as a
+quality signal.
 """
 
 from __future__ import annotations
@@ -47,20 +48,39 @@ class ContractionEstimate:
                 "convergence_spread": self.convergence_spread}
 
 
-def _require_hermiticity_preserving(t: SuperOperator, context: str):
+def _hermiticity_preserving(t: SuperOperator) -> tuple:
+    """(whether t preserves Hermiticity up to roundoff, its Choi residual)."""
     res = choi_hermiticity_residual(choi_matrix(t))
-    if res > 1e-8 * max(1.0, spectral_norm(t.matrix)):
+    return res <= 1e-8 * max(1.0, spectral_norm(t.matrix)), res
+
+
+def _require_hermiticity_preserving(t: SuperOperator, context: str):
+    ok, res = _hermiticity_preserving(t)
+    if not ok:
         raise DomainError(
             f"{context}: the qubit closed form needs a Hermiticity-preserving map "
             f"(residual {res:.3g}); use tau(..., traceless_hermitian=True)")
 
 
 # ---------------------------------------------------------------------------
-# qubit closed form
+# qubit closed forms
 
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
                     [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
+
+def _pauli_transfer(t: SuperOperator) -> np.ndarray:
+    """Pauli transfer matrix R_ij = tr[sigma_i T(sigma_j)] / 2 of a
+    Hermiticity-preserving qubit map (real for such maps)."""
+    images = t.apply_batch(_PAULIS)
+    return 0.5 * np.einsum("iab,jba->ij", _PAULIS, images).real
+
+
+def _bloch_eigenvectors(n: np.ndarray) -> tuple:
+    """Eigenvectors of n.sigma for a unit Bloch vector n, eigenvalue +1 first."""
+    _, evecs = np.linalg.eigh(np.einsum("i,ijk->jk", n, _PAULIS[1:]))
+    return evecs[:, 1], evecs[:, 0]
 
 
 def tau_exact_qubit(t: SuperOperator) -> ContractionEstimate:
@@ -78,18 +98,77 @@ def tau_exact_qubit(t: SuperOperator) -> ContractionEstimate:
     if t.dim != 2:
         raise DimensionError(f"qubit closed form requires dim 2, got {t.dim}")
     _require_hermiticity_preserving(t, "tau_exact_qubit")
-    images = t.apply_batch(_PAULIS)
-    r = 0.5 * np.einsum("iab,jba->ij", _PAULIS, images).real
+    r = _pauli_transfer(t)
     shift = np.linalg.norm(r[0, 1:])
     _, sv, vh = np.linalg.svd(r[1:, 1:])
     if shift > sv[0]:
         value, n = float(shift), r[0, 1:] / shift
     else:
         value, n = float(sv[0]), vh[0]
-    _, evecs = np.linalg.eigh(np.einsum("i,ijk->jk", n, _PAULIS[1:]))
-    witness = (evecs[:, 1], evecs[:, 0])          # eigenvalues +1, -1
     return ContractionEstimate(value=value, method="analytic", restarts=0,
-                               best_witness=witness, convergence_spread=0.0)
+                               best_witness=_bloch_eigenvectors(n),
+                               convergence_spread=0.0)
+
+
+def _sphere_argmax(b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """A unit vector n maximizing ||r + B n||_2 (a trust-region problem).
+
+    In the eigenbasis (mu_i, v_i) of M = B^T B, with c~ = V^T B^T r and
+    gaps d_i = mu_max - mu_i, a maximizer is n = sum_i y_i v_i with
+    y_i = c~_i / (s + d_i) for the root s >= 0 of ||y(s)|| = 1.  Newton's
+    method on h(s) = 1/||y(s)|| - 1, which is concave and increasing,
+    climbs monotonically to the root from s_0 = max(0, max_i |c~_i| - d_i),
+    where ||y|| >= 1.  Keeping s and the gaps apart resolves near-equal
+    top eigenvalues.  When ||y(0)|| <= 1 (the hard case, c~ vanishing on
+    the top eigenvector) s = 0 and y is completed along v_max.
+    """
+    mu, v = np.linalg.eigh(b.T @ b)
+    gaps = mu[-1] - mu
+    ct = v.T @ (b.T @ r)
+
+    def over_gaps(x, s):
+        return np.divide(x, s + gaps, out=np.zeros(3), where=ct != 0.0)
+
+    s = max(0.0, float(np.max(np.abs(ct) - gaps)))
+    y = over_gaps(ct, s)
+    if s == 0.0 and y @ y <= 1.0:               # here c~ = 0 wherever d_i = 0
+        y[-1] = np.sqrt(1.0 - y @ y)
+    else:
+        for _ in range(100):
+            norm2 = y @ y
+            s_next = s + (np.sqrt(norm2) - 1.0) * norm2 / (y @ over_gaps(y, s))
+            if not s_next > s:
+                break
+            s, y = s_next, over_gaps(ct, s_next)
+    n = v @ y
+    return n / np.linalg.norm(n)
+
+
+def _hermitian_norm_qubit(r: np.ndarray) -> ContractionEstimate:
+    """Hermitian-restricted 1->1 norm of the qubit map with real Pauli
+    transfer matrix ``r``, exactly.
+
+    The extreme points of the Hermitian trace-norm ball are +/- psi psi^dag
+    with psi psi^dag = (I + n.sigma)/2, which maps to
+    ((R00 + a.n) I + (r + B n).sigma)/2 for a = R[0,1:], r = R[1:,0],
+    B = R[1:,1:]; its trace norm is max(|R00 + a.n|, ||r + B n||).  The
+    first term peaks at n = +/- a/||a||, the second at the trust-region
+    solution of :func:`_sphere_argmax`; the value is the objective at the
+    better of the two unit vectors, so it is attained at the witness psi,
+    the +1 eigenvector of n.sigma.
+    """
+    r00, a, shift, b = r[0, 0], r[0, 1:], r[1:, 0], r[1:, 1:]
+    n_tr = _sphere_argmax(b, shift)
+    a_norm = np.linalg.norm(a)
+    n_a = np.copysign(1.0, r00) * a / a_norm if a_norm > 0.0 else n_tr
+    cands = np.stack([n_a, n_tr])
+    vals = np.maximum(np.abs(r00 + cands @ a),
+                      np.linalg.norm(shift + cands @ b.T, axis=1))
+    best = int(np.argmax(vals))
+    return ContractionEstimate(value=float(vals[best]), method="analytic",
+                               restarts=0,
+                               best_witness=_bloch_eigenvectors(cands[best])[0],
+                               convergence_spread=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +246,9 @@ def _run_multistart(t: SuperOperator, start, step, build, restarts: int,
                     seed: int, maxiter: int) -> ContractionEstimate:
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
-    xs = np.stack([start(SplitMix64(derive_seed(seed, r)), t.dim)
-                   for r in range(restarts)])
+    # restart r draws from its own stream, seeded derive_seed(seed, r)
+    seeds = np.uint64(derive_seed(seed, 0)) + np.arange(restarts, dtype=np.uint64)
+    xs = start(SplitMix64(seeds), t.dim)
     xs, fs, converged = _power_ascent(t.matrix, xs, step, build, maxiter)
     best = int(np.argmax(fs))
     conv_vals = fs[converged] if converged.any() else fs
@@ -179,15 +259,15 @@ def _run_multistart(t: SuperOperator, start, step, build, restarts: int,
 
 
 def _unit_vectors(gen: SplitMix64, d: int, k: int) -> np.ndarray:
-    """k independent seeded unit vectors in C^d, as rows."""
-    x = gen.normals(2 * k * d).reshape(k, 2, d)          # (real, imaginary) parts
-    z = x[:, 0] + 1j * x[:, 1]
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    """k independent seeded unit vectors in C^d per stream, shape (streams, k, d)."""
+    x = gen.normals(2 * k * d).reshape(-1, k, 2, d)      # (real, imaginary) parts
+    z = x[:, :, 0] + 1j * x[:, :, 1]
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 def _ortho_start(gen: SplitMix64, d: int) -> np.ndarray:
-    """A seeded orthonormal pair (phi, psi) in C^d, as rows."""
-    return np.linalg.qr(gen.complex_normals((d, 2)))[0].T
+    """A seeded orthonormal pair (phi, psi) in C^d per stream, shape (streams, 2, d)."""
+    return np.linalg.qr(gen.complex_normals((d, 2)))[0].swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +303,14 @@ def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     the trace-norm ball; witness ``(u, v)``); ``hermitian_only`` restricts
     to Hermitian X, whose extreme points are +/- psi psi^dag (witness
     ``psi``).  Each of ``restarts`` seeded power-method ascents runs for at
-    most ``maxiter`` steps.
+    most ``maxiter`` steps.  In Hermitian mode a Hermiticity-preserving
+    qubit map takes the closed form :func:`_hermitian_norm_qubit` instead
+    (method ``analytic``, exact), and ``restarts`` and ``maxiter`` are
+    ignored.
     """
     if hermitian_only:
+        if t.dim == 2 and _hermiticity_preserving(t)[0]:
+            return _hermitian_norm_qubit(_pauli_transfer(t))
         return _run_multistart(t, functools.partial(_unit_vectors, k=1),
                                _pure_step, _pure_input, restarts, seed, maxiter)
     return _run_multistart(t, functools.partial(_unit_vectors, k=2),

@@ -28,16 +28,19 @@ class SplitMix64:
     """Vectorized SplitMix64 generator.
 
     State advances by ``GOLDEN_GAMMA`` per output; each output is the
-    standard SplitMix64 finalizer applied to the state.
+    standard SplitMix64 finalizer applied to the state.  A 1-D uint64 array
+    of seeds runs one independent stream per seed: every draw then gains a
+    leading stream axis, and stream i matches ``SplitMix64(seeds[i])``.
     """
 
-    def __init__(self, seed: int):
-        self._state = _U64(seed % (1 << 64))
+    def __init__(self, seed):
+        self._state = (np.asarray(seed, dtype=np.uint64) if np.ndim(seed)
+                       else _U64(seed % (1 << 64)))
 
     def next_uint64(self, n: int) -> np.ndarray:
         steps = (np.arange(1, n + 1, dtype=np.uint64) * _U64(GOLDEN_GAMMA)) & _MASK
-        z = (self._state + steps) & _MASK
-        self._state = z[-1] if n > 0 else self._state
+        z = (self._state[..., None] + steps) & _MASK
+        self._state = z[..., -1] if n > 0 else self._state
         z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9) & _MASK
         z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB) & _MASK
         return z ^ (z >> _U64(31))
@@ -58,12 +61,12 @@ class SplitMix64:
         u2 = self.uniforms(half)
         r = np.sqrt(-2.0 * np.log(u1))
         out = np.concatenate([r * np.cos(2.0 * np.pi * u2),
-                              r * np.sin(2.0 * np.pi * u2)])
-        return out[:n]
+                              r * np.sin(2.0 * np.pi * u2)], axis=-1)
+        return out[..., :n]
 
     def complex_normals(self, shape) -> np.ndarray:
         """Standard complex Gaussians (E|z|^2 = 1), real parts drawn first."""
         n = int(np.prod(shape))
         flat = self.normals(2 * n)
-        z = (flat[:n] + 1j * flat[n:]) / np.sqrt(2.0)
-        return z.reshape(shape)
+        z = (flat[..., :n] + 1j * flat[..., n:]) / np.sqrt(2.0)
+        return z.reshape(np.shape(self._state) + tuple(np.atleast_1d(shape)))

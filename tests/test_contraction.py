@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ from qms.channels import (SuperOperator, amplitude_damping_channel,
                           completely_depolarizing, compose, depolarizing_channel,
                           from_kraus, from_stochastic, identity_channel,
                           pauli_channel)
-from qms.contraction import (norm_1to1, norm_lower_bound_probes, probe_inputs,
-                             tau, tau_exact_qubit, tau_of_powers_check)
+from qms.contraction import (_ortho_start, _pure_input, _pure_step,
+                             _run_multistart, _unit_vectors, norm_1to1,
+                             norm_lower_bound_probes, probe_inputs, tau,
+                             tau_exact_qubit, tau_of_powers_check)
 from qms.errors import DimensionError, DomainError
 from qms.linalg import trace_norm
 from qms.rng import SplitMix64, derive_seed
@@ -27,7 +31,7 @@ def random_unitary_channel(d, seed):
 
 
 # ---------------------------------------------------------------------------
-# independent reference for tau on qubits: a Bloch-sphere lattice search
+# independent reference for qubit closed forms: a Bloch-sphere lattice search
 
 
 def fibonacci_sphere(n):
@@ -44,15 +48,23 @@ def bloch_objective(t, dirs):
     return 0.5 * np.linalg.svd(images, compute_uv=False).sum(axis=1)
 
 
-def tau_grid_oracle(t, n=4000, seeds=4, disk=64, rounds=16):
-    """Best (1/2) ||T(n.sigma)||_1 over a Fibonacci lattice on the sphere,
-    refined by shrinking sunflower lattices in the tangent plane around the
-    best lattice points that lie at least 0.3 rad apart (modulo n -> -n,
-    which leaves the objective unchanged).  Every value is attained at an
-    evaluated direction, so the result never exceeds tau(T).
+def pure_state_objective(t, dirs):
+    """||T((I + n.sigma)/2)||_1, the image of the pure state with Bloch vector n."""
+    states = 0.5 * (PAULIS[0] + np.einsum("ni,ijk->njk", dirs, PAULIS[1:]))
+    return np.linalg.svd(t.apply_batch(states), compute_uv=False).sum(axis=1)
+
+
+def grid_oracle(t, objective=bloch_objective, n=4000, seeds=4, disk=64, rounds=16):
+    """Best objective(t, n) over a Fibonacci lattice on the sphere, refined
+    by shrinking sunflower lattices in the tangent plane around the best
+    lattice points that lie at least 0.3 rad apart modulo n -> -n (which
+    leaves the default objective, tau's, unchanged).  Every value is
+    attained at an evaluated direction, so the result never exceeds the
+    maximum over the sphere: tau(T) for the default objective, the
+    Hermitian 1->1 norm for :func:`pure_state_objective`.
     """
     dirs = fibonacci_sphere(n)
-    vals = bloch_objective(t, dirs)
+    vals = objective(t, dirs)
     centers = []
     for k in np.argsort(vals)[::-1]:
         if all(abs(dirs[k] @ c) < np.cos(0.3) for c in centers):
@@ -60,7 +72,7 @@ def tau_grid_oracle(t, n=4000, seeds=4, disk=64, rounds=16):
             if len(centers) == seeds:
                 break
     c = np.array(centers)
-    best = bloch_objective(t, c)
+    best = objective(t, c)
     j = np.arange(disk) + 0.5
     offsets = np.sqrt(j / disk)[:, None] * np.stack(
         [np.cos(GOLDEN * j), np.sin(GOLDEN * j)], axis=1)
@@ -73,7 +85,7 @@ def tau_grid_oracle(t, n=4000, seeds=4, disk=64, rounds=16):
         pts = c[:, None, :] + radius * (offsets[None, :, :1] * u[:, None, :]
                                         + offsets[None, :, 1:] * v[:, None, :])
         pts /= np.linalg.norm(pts, axis=2, keepdims=True)
-        local = bloch_objective(t, pts.reshape(-1, 3)).reshape(len(c), disk)
+        local = objective(t, pts.reshape(-1, 3)).reshape(len(c), disk)
         arg = local.argmax(axis=1)
         top = local[np.arange(len(c)), arg]
         better = top > best
@@ -104,6 +116,41 @@ def oracle_maps():
     return maps
 
 
+def hermitian_ascent(t, restarts=64, seed=0):
+    """The Hermitian-mode power ascent, which qubit maps no longer take."""
+    return _run_multistart(t, functools.partial(_unit_vectors, k=1), _pure_step,
+                           _pure_input, restarts, seed, 300)
+
+
+# B = diag(0.3, 0.5, 0.5) and r = (0.2, eps, eps): B^T r lies (nearly) in the
+# bottom eigenvector of B^T B, the hard case of the trust-region step, with a
+# degenerate top eigenvalue
+HARD_CASE = [[0.1, 0.05, 0.0, -0.02], [0.2, 0.3, 0.0, 0.0],
+             [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.5]]
+
+
+def hard_case(eps):
+    r = np.array(HARD_CASE)
+    r[2:, 0] = eps
+    return from_pauli_transfer(r)
+
+
+def qubit_difference_maps():
+    """Channel differences and hard cases for the Hermitian closed form."""
+    maps = []
+    for i in range(40):
+        t1 = random_channel(2, 1 + i % 4, derive_seed(4000, i))
+        t2 = random_channel(2, 1 + (i // 4) % 4, derive_seed(4001, i))
+        maps.append(SuperOperator(2, t1.matrix - t2.matrix))
+    pairs = [(depolarizing_channel(0.6), depolarizing_channel(0.5)),
+             (depolarizing_channel(0.5), identity_channel(2)),
+             (depolarizing_channel(0.9), depolarizing_channel(0.1)),
+             (amplitude_damping_channel(0.4), amplitude_damping_channel(0.3)),
+             (pauli_channel(0.1, 0.2, 0.3), pauli_channel(0.3, 0.2, 0.1))]
+    maps += [SuperOperator(2, t1.matrix - t2.matrix) for t1, t2 in pairs]
+    return maps + [hard_case(eps) for eps in (0.0, 1e-12, 1e-8)]
+
+
 def test_tau_unitary_conjugation_is_one():
     for d, seed in [(2, 1), (3, 2)]:
         est = tau(random_unitary_channel(d, seed), restarts=8, seed=seed)
@@ -126,13 +173,13 @@ def test_tau_qubit_grid_identity():
     t = from_kraus([np.eye(2)])
     est = tau_exact_qubit(t)
     assert est.value == pytest.approx(1.0, abs=1e-12)
-    assert tau_grid_oracle(t) == pytest.approx(1.0, abs=1e-9)
+    assert grid_oracle(t) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tau_qubit_grid_depolarizing():
     t = depolarizing_channel(0.25)
     assert tau_exact_qubit(t).value == pytest.approx(0.75, abs=1e-12)
-    assert tau_grid_oracle(t) == pytest.approx(0.75, abs=1e-9)
+    assert grid_oracle(t) == pytest.approx(0.75, abs=1e-9)
 
 
 def test_tau_qubit_grid_uniform_stochastic():
@@ -143,7 +190,7 @@ def test_tau_qubit_grid_uniform_stochastic():
     closed = tau_exact_qubit(t)
     multi = tau(t, restarts=32, seed=3, traceless_hermitian=True)
     assert closed.value <= 1e-9
-    assert tau_grid_oracle(t) <= 1e-9
+    assert grid_oracle(t) <= 1e-9
     assert abs(closed.value - multi.value) <= 1e-6
 
 
@@ -152,7 +199,7 @@ def test_tau_exact_qubit_matches_grid_oracle():
     assert len(maps) >= 300
     for t in maps:
         est = tau_exact_qubit(t)
-        grid = tau_grid_oracle(t)
+        grid = grid_oracle(t)
         assert est.value >= grid - 1e-12
         assert est.value - grid <= 1e-6
         phi, psi = est.best_witness
@@ -182,6 +229,44 @@ def test_tau_exact_qubit_requires_hermiticity_preservation():
 def test_tau_qubit_grid_rejects_other_dims():
     with pytest.raises(DimensionError):
         tau_exact_qubit(random_channel(3, 9, seed=1))
+
+
+def test_hermitian_norm_qubit_is_exact():
+    maps = oracle_maps() + qubit_difference_maps()
+    for t in maps:
+        est = norm_1to1(t, hermitian_only=True)
+        assert (est.method, est.restarts) == ("analytic", 0)
+        grid = grid_oracle(t, pure_state_objective)
+        assert est.value >= grid - 1e-12
+        assert est.value - grid <= 1e-6
+        ascent = hermitian_ascent(t).value
+        assert est.value >= ascent - 1e-12 * ascent
+        psi = est.best_witness
+        assert trace_norm(t.apply(np.outer(psi, psi.conj()))) == pytest.approx(
+            est.value, rel=1e-12, abs=1e-12)
+
+
+def test_hermitian_norm_qubit_hard_case_closed_form():
+    # B^T r = (0.06, 0, 0) misses the top eigenvalue 0.25 of B^T B, so
+    # n = (0.06 / (0.25 - 0.09), sqrt(1 - 0.375^2), 0) and
+    # ||r + B n||^2 = (0.2 + 0.3 * 0.375)^2 + 0.25 (1 - 0.375^2) = 0.3125
+    est = norm_1to1(hard_case(0.0), hermitian_only=True)
+    assert est.value == pytest.approx(np.sqrt(0.3125), rel=1e-12)
+    # unital with a multiple of the identity for B: every direction is a
+    # hard-case maximizer
+    ddep = SuperOperator(2, depolarizing_channel(0.6).matrix
+                         - depolarizing_channel(0.5).matrix)
+    assert norm_1to1(ddep, hermitian_only=True).value == pytest.approx(0.1, rel=1e-12)
+
+
+def test_hermitian_norm_non_hp_qubit_map_takes_the_ascent():
+    m = np.eye(4, dtype=complex)
+    m[0, 1] = 0.5
+    est = norm_1to1(SuperOperator(2, m), restarts=8, seed=0, hermitian_only=True)
+    assert (est.method, est.restarts) == ("multistart_manifold", 8)
+    psi = est.best_witness
+    assert trace_norm(SuperOperator(2, m).apply(np.outer(psi, psi.conj()))) \
+        == pytest.approx(est.value, abs=1e-12)
 
 
 def test_tau_witness_reproduces_value():
@@ -272,6 +357,43 @@ def test_restart_monotonicity():
         small = norm_1to1(d, restarts=k, seed=9).value
         large = norm_1to1(d, restarts=2 * k, seed=9).value
         assert large >= small - 1e-12
+
+
+def test_batched_streams_match_scalar_streams():
+    seeds = np.array([0, 1, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
+    for draw in (lambda g: g.next_uint64(7), lambda g: g.normals(5),
+                 lambda g: g.complex_normals((3, 2)), lambda g: g.complex_normals(4)):
+        batched = SplitMix64(seeds)
+        rows = [SplitMix64(int(s)) for s in seeds]
+        for _ in range(2):                   # the streams keep their own state
+            assert np.array_equal(draw(batched), np.stack([draw(g) for g in rows]))
+
+
+def _sequential_starts(kind, d, restarts, seed):
+    """Ascent starts drawn restart by restart, one generator each."""
+    out = []
+    for r in range(restarts):
+        gen = SplitMix64(derive_seed(seed, r))
+        if kind == "ortho":
+            out.append(np.linalg.qr(gen.complex_normals((d, 2)))[0].T)
+        else:
+            x = gen.normals(2 * kind * d).reshape(kind, 2, d)
+            z = x[:, 0] + 1j * x[:, 1]
+            out.append(z / np.linalg.norm(z, axis=1, keepdims=True))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_batched_starts_match_per_restart_draws(d):
+    starts = {1: functools.partial(_unit_vectors, k=1),
+              2: functools.partial(_unit_vectors, k=2), "ortho": _ortho_start}
+    for restarts in (1, 4, 8, 64):
+        for seed in range(60):
+            seeds = np.uint64(derive_seed(seed, 0)) + np.arange(restarts,
+                                                                 dtype=np.uint64)
+            for kind, start in starts.items():
+                assert np.array_equal(start(SplitMix64(seeds), d),
+                                      _sequential_starts(kind, d, restarts, seed))
 
 
 # ---------------------------------------------------------------------------
