@@ -7,8 +7,8 @@ Hermiticity-preserving qubit maps tau and the Hermitian-restricted 1->1
 norm have closed forms in the Pauli transfer matrix.  Everywhere else
 the values come from a seeded multistart power-method ascent (Boyd's
 method, as in Hager's and Higham's 1-norm estimators, lifted to the trace
-norm) and are *lower bounds*; the spread over restarts is reported as a
-quality signal.
+norm and accelerated by SQUAREM extrapolation) and are *lower bounds*;
+the spread over restarts is reported as a quality signal.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ class ContractionEstimate:
 
     ``best_witness`` reproduces ``value`` when plugged back into the
     objective.  ``convergence_spread`` is max - min over restart optima
-    that converged (0.0 for the analytic method).
+    that converged (0.0 for the analytic method).  ``evaluations`` counts
+    objective evaluations summed over restarts (0 for the analytic method);
+    it is a work counter and stays out of :meth:`to_dict`.
     """
 
     value: float
@@ -41,6 +43,7 @@ class ContractionEstimate:
     restarts: int
     best_witness: object
     convergence_spread: float
+    evaluations: int = 0
 
     def to_dict(self) -> dict:
         return {"value": self.value, "method": self.method,
@@ -214,32 +217,61 @@ def _ortho_input(x: np.ndarray) -> np.ndarray:
 def _power_ascent(m: np.ndarray, xs: np.ndarray, step, build, maxiter: int):
     """Maximize ||L(X)||_1 over extreme points X = build(x), one ascent per row.
 
-    With the polar part W of L(X), each step moves X to the extreme point
-    that maximizes Re tr(G^dag X) for G = L^dag(W) (``step``).  Since
-    ||L(X')||_1 >= Re tr(W^dag L(X')) >= Re tr(W^dag L(X)) = ||L(X)||_1, no
-    step lowers the objective.  A restart stops once it gains at most
+    A power step S moves X to the extreme point that maximizes
+    Re tr(G^dag X) for G = L^dag(W), with W the polar part of L(X)
+    (``step``).  Since ||L(X')||_1 >= Re tr(W^dag L(X')) >= Re tr(W^dag L(X))
+    = ||L(X)||_1, no power step lowers the objective.  The steps run in
+    SQUAREM cycles (Varadhan & Roland 2008): x1 = S(x0) and x2 = S(x1),
+    then with B_k = build(x_k), r = B1 - B0, v = B2 - 2 B1 + B0 and
+    alpha = min(-||r||_F / ||v||_F, -1), the extrapolated trial is
+    x3 = step(B0 - 2 alpha r + alpha^2 v); ``step`` doubles as the
+    projection onto the extreme points, and working on B_k avoids the
+    arbitrary phases of eigen- and singular vectors (v = 0 gives B2).  A
+    cycle keeps the better of x2 and x3, and only if it gains over x0, so
+    the objective never falls.  ``maxiter`` counts power steps: at most
+    maxiter // 2 cycles run.  A restart stops once a cycle gains at most
     1e-13 max(|f|, 1); its trajectory depends only on its own state, so
-    results do not depend on how many restarts run alongside it.
+    results do not depend on how many restarts run alongside it.  Returns
+    the points, their values, the converged mask and the number of
+    objective evaluations.
     """
     mh = m.conj().T
 
-    def evaluate(x):
-        u, s, vh = np.linalg.svd(apply_batch(m, build(x)))
+    def evaluate(b):
+        u, s, vh = np.linalg.svd(apply_batch(m, b))
         return s.sum(axis=1), u @ vh
 
-    fs, ws = evaluate(xs)
+    def project(g):
+        x = step(g)
+        b = build(x)
+        return (x, b) + evaluate(b)
+
+    fs, ws = evaluate(build(xs))
+    evaluations = len(xs)
     converged = np.zeros(len(xs), dtype=bool)
-    for _ in range(maxiter):
+    for _ in range(maxiter // 2):
         act = np.nonzero(~converged)[0]
         if not len(act):
             break
-        trial = step(apply_batch(mh, ws[act]))
-        ft, wt = evaluate(trial)
+        b0 = build(xs[act])
+        _, b1, _, w1 = project(apply_batch(mh, ws[act]))
+        x2, b2, f2, w2 = project(apply_batch(mh, w1))
+        r, v = b1 - b0, b2 - 2.0 * b1 + b0
+        r_norm = np.linalg.norm(r, axis=(1, 2))
+        v_norm = np.linalg.norm(v, axis=(1, 2))
+        alpha = -np.maximum(np.divide(r_norm, v_norm, out=np.ones_like(r_norm),
+                                      where=v_norm > 0.0), 1.0)[:, None, None]
+        x3, _, f3, w3 = project(b0 - 2.0 * alpha * r + alpha ** 2 * v)
+        evaluations += 3 * len(act)
+        pick = f3 > f2
+        trial = np.where(pick[:, None, None], x3, x2)
+        ft = np.where(pick, f3, f2)
+        wt = np.where(pick[:, None, None], w3, w2)
         gain = ft - fs[act]
         ok = gain > 0.0
         xs[act[ok]], fs[act[ok]], ws[act[ok]] = trial[ok], ft[ok], wt[ok]
         converged[act[gain <= 1e-13 * np.maximum(np.abs(fs[act]), 1.0)]] = True
-    return xs, fs, converged
+    return xs, fs, converged, evaluations
 
 
 def _run_multistart(t: SuperOperator, start, step, build, restarts: int,
@@ -249,13 +281,15 @@ def _run_multistart(t: SuperOperator, start, step, build, restarts: int,
     # restart r draws from its own stream, seeded derive_seed(seed, r)
     seeds = np.uint64(derive_seed(seed, 0)) + np.arange(restarts, dtype=np.uint64)
     xs = start(SplitMix64(seeds), t.dim)
-    xs, fs, converged = _power_ascent(t.matrix, xs, step, build, maxiter)
+    xs, fs, converged, evaluations = _power_ascent(t.matrix, xs, step, build,
+                                                   maxiter)
     best = int(np.argmax(fs))
     conv_vals = fs[converged] if converged.any() else fs
     return ContractionEstimate(
         value=float(fs[best]), method="multistart_manifold", restarts=restarts,
         best_witness=tuple(xs[best]) if xs.shape[1] > 1 else xs[best, 0],
-        convergence_spread=float(conv_vals.max() - conv_vals.min()))
+        convergence_spread=float(conv_vals.max() - conv_vals.min()),
+        evaluations=evaluations)
 
 
 def _unit_vectors(gen: SplitMix64, d: int, k: int) -> np.ndarray:
@@ -286,8 +320,9 @@ def tau(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     Hermiticity-preserving map; ``traceless_hermitian=True`` skips it.
     Otherwise ``restarts`` independent power-method ascents run over the
     pairs (restart r is seeded with derive_seed(seed, r), so prefixes of
-    the restart stream are reproducible), each for at most ``maxiter``
-    steps.
+    the restart stream are reproducible).  Each takes at most ``maxiter``
+    power steps, two per SQUAREM cycle with one extrapolated trial each
+    (:func:`_power_ascent`).
     """
     if t.dim == 2 and not traceless_hermitian:
         return tau_exact_qubit(t)
@@ -302,11 +337,12 @@ def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     General mode ascends over rank-one X = u v^dag (the extreme points of
     the trace-norm ball; witness ``(u, v)``); ``hermitian_only`` restricts
     to Hermitian X, whose extreme points are +/- psi psi^dag (witness
-    ``psi``).  Each of ``restarts`` seeded power-method ascents runs for at
-    most ``maxiter`` steps.  In Hermitian mode a Hermiticity-preserving
-    qubit map takes the closed form :func:`_hermitian_norm_qubit` instead
-    (method ``analytic``, exact), and ``restarts`` and ``maxiter`` are
-    ignored.
+    ``psi``).  Each of ``restarts`` seeded power-method ascents takes at
+    most ``maxiter`` power steps, two per SQUAREM cycle with one
+    extrapolated trial each (:func:`_power_ascent`).  In Hermitian mode a
+    Hermiticity-preserving qubit map takes the closed form
+    :func:`_hermitian_norm_qubit` instead (method ``analytic``, exact), and
+    ``restarts`` and ``maxiter`` are ignored.
     """
     if hermitian_only:
         if t.dim == 2 and _hermiticity_preserving(t)[0]:

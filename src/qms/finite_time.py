@@ -86,6 +86,13 @@ class ConvergencePair:
                 "details": {k: v for k, v in self.details.items()
                             if isinstance(v, (int, float, str, bool, list))}}
 
+    def validated_to(self, horizon: float) -> bool:
+        """Whether a validation ran and reached ``horizon``.  A fresh pair
+        reads ``validity_checked_to`` 0 without any check, so it needs one
+        even at horizon 0; every validation records its failures."""
+        return ("validation_failures" in self.details
+                and self.validity_checked_to >= horizon)
+
 
 @dataclass
 class FiniteTimeBound:
@@ -591,7 +598,7 @@ def discrete_trajectory_check(t: SuperOperator, e: SuperOperator,
             f"(eigenvalue-1 multiplicity {analysis.multiplicity})")
     if pair.kind != "discrete":
         raise DomainError("discrete trajectory check requires a discrete pair")
-    if pair.validity_checked_to < n_steps:
+    if not pair.validated_to(n_steps):
         validate_pair_on_channel(pair, t, n_max=n_steps, seed=seed)
     _require_usable(pair)
 
@@ -625,7 +632,7 @@ def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
         pair = pair_chi2_generator(gen_t, t_max=t_max, samples=steps, seed=seed)
     if pair.kind != "continuous":
         raise DomainError("continuous trajectory check requires a continuous pair")
-    if pair.validity_checked_to < t_max:
+    if not pair.validated_to(t_max):
         validate_pair_on_generator(pair, gen_t, t_max=t_max, samples=steps,
                                    seed=seed)
     _require_usable(pair)

@@ -20,14 +20,24 @@ import numpy as np
 
 from .errors import DimensionError, NumericError, ValidationError
 
-# Pade-13 numerator coefficients b_0..b_13 and the 1-norm up to which the
-# unscaled approximant is accurate to double precision (Higham 2005,
-# "The scaling and squaring method for the matrix exponential revisited").
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
+# Numerator coefficients b_0..b_m of the [m/m] Pade approximants, and the
+# 1-norm theta_m up to which each is accurate to double precision (Higham
+# 2005, "The scaling and squaring method for the matrix exponential
+# revisited", Table 2.3).
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
+        1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+         960960.0, 16380.0, 182.0, 1.0)}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068e0,
+          13: 5.371920351148152e0}
 
 
 def as_matrix(x, square: bool = False, name: str = "matrix") -> np.ndarray:
@@ -102,13 +112,49 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
 
 
-def matrix_exp(m, t: float = 1.0) -> np.ndarray:
-    """e^{t M} by Pade-13 scaling and squaring (Higham 2005).
+def _pade_rows(m: int) -> np.ndarray:
+    """Coefficients of the numerator's odd and even parts over the even
+    powers I, A^2, A^4, ...; for m = 13 split further at A^6."""
+    b = _PADE[m]
+    if m == 13:
+        return np.array([[0.0, b[9], b[11], b[13]], [b[1], b[3], b[5], b[7]],
+                         [0.0, b[8], b[10], b[12]], [b[0], b[2], b[4], b[6]]])
+    return np.array([b[1::2], b[0::2]])
 
-    tM is halved s times until its 1-norm is at most theta_13, the [13/13]
-    Pade approximant is evaluated there with six products and one solve,
-    and the result is squared s times.  Raises :class:`NumericError` when
-    the result overflows.
+
+_PADE_ROWS = {m: _pade_rows(m) for m in _PADE}
+
+
+def _pade(a: np.ndarray, m: int) -> np.ndarray:
+    """The [m/m] Pade approximant of e^A, (V - U)^{-1} (V + U), with U the
+    odd and V the even part of the numerator polynomial.
+
+    All polynomial combinations of the even powers come from one product
+    with the coefficient rows; for m = 13 they are U = A (A^6 U_hi + U_lo)
+    and V = A^6 V_hi + V_lo, which needs six products in all.
+    """
+    n = len(a)
+    powers = [np.eye(n, dtype=complex), a @ a]
+    while len(powers) < (4 if m == 13 else (m + 1) // 2):
+        powers.append(powers[-1] @ powers[1])
+    c = (_PADE_ROWS[m] @ np.reshape(powers, (len(powers), n * n))).reshape(-1, n, n)
+    if m == 13:
+        u = a @ (powers[3] @ c[0] + c[1])
+        v = powers[3] @ c[2] + c[3]
+    else:
+        u, v = a @ c[0], c[1]
+    return np.linalg.solve(v - u, v + u)
+
+
+def matrix_exp(m, t: float = 1.0) -> np.ndarray:
+    """e^{t M} by Pade scaling and squaring (Higham 2005).
+
+    The lowest degree m in (3, 5, 7, 9) with ||tM||_1 <= theta_m evaluates
+    the [m/m] Pade approximant directly; above theta_9, tM is halved s
+    times until its 1-norm is at most theta_13, the [13/13] approximant is
+    evaluated there with six products and one solve, and the result is
+    squared s times.  Raises :class:`NumericError` when the result
+    overflows.
     """
     m = as_matrix(m, square=True, name="matrix_exp input")
     if not np.isfinite(t):
@@ -118,18 +164,10 @@ def matrix_exp(m, t: float = 1.0) -> np.ndarray:
         norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
         ok = np.isfinite(norm)
         if ok:
-            s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
-            a = a / 2.0 ** s
-            b = _PADE13
-            eye = np.eye(len(a), dtype=complex)
-            a2 = a @ a
-            a4 = a2 @ a2
-            a6 = a4 @ a2
-            u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                     + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-            v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-                 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-            out = np.linalg.solve(v - u, v + u)
+            degree = next((k for k in (3, 5, 7, 9) if norm <= _THETA[k]), 13)
+            s = (max(0, math.ceil(math.log2(norm / _THETA[13])))
+                 if degree == 13 else 0)
+            out = _pade(a / 2.0 ** s, degree)
             for _ in range(s):
                 out = out @ out
             ok = np.isfinite(out).all()

@@ -179,13 +179,16 @@ def test_trajectory_continuous(files, capsys):
     assert len(out.strip().split("\n")) == 21
 
 
-def test_trajectory_small_prefactor_pair_has_no_negative_bound(files, capsys):
-    code, out = run(["trajectory", files["gen10"], files["gen11"], "--steps", "2",
-                     "--t-max", "0", "--pair", "0.01:0.5", "--format", "json"],
-                    capsys)
-    rows = loads_strict(out)["rows"]
-    assert code == 0
-    assert [r["bound"] for r in rows] == [0.0, 0.0]
+@pytest.mark.parametrize("t, e, horizon", [
+    ("gen10", "gen11", ["--steps", "2", "--t-max", "0"]),
+    ("depol05", "depol06", ["--steps", "0"])], ids=["continuous", "discrete"])
+def test_trajectory_zero_horizon_validates_user_pair(files, capsys, t, e, horizon):
+    # K = 0.01 fails validation at t = 0 (n = 0), so it never reaches a bound
+    code = main(["trajectory", files[t], files[e], *horizon, "--pair", "0.01:0.5",
+                 "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "failed empirical validation" in captured.err
 
 
 def test_trajectory_mixed_inputs_is_usage_error(files, capsys):

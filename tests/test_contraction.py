@@ -7,12 +7,14 @@ from qms.channels import (SuperOperator, amplitude_damping_channel,
                           completely_depolarizing, compose, depolarizing_channel,
                           from_kraus, from_stochastic, identity_channel,
                           pauli_channel)
-from qms.contraction import (_ortho_start, _pure_input, _pure_step,
-                             _run_multistart, _unit_vectors, norm_1to1,
+from qms.contraction import (_ortho_input, _ortho_start, _ortho_step,
+                             _pair_input, _pair_step, _power_ascent,
+                             _pure_input, _pure_step, _run_multistart,
+                             _unit_vectors, norm_1to1,
                              norm_lower_bound_probes, probe_inputs, tau,
                              tau_exact_qubit, tau_of_powers_check)
 from qms.errors import DimensionError, DomainError
-from qms.linalg import trace_norm
+from qms.linalg import apply_batch, trace_norm
 from qms.rng import SplitMix64, derive_seed
 from qms.spectral import fundamental_map
 
@@ -120,6 +122,42 @@ def hermitian_ascent(t, restarts=64, seed=0):
     """The Hermitian-mode power ascent, which qubit maps no longer take."""
     return _run_multistart(t, functools.partial(_unit_vectors, k=1), _pure_step,
                            _pure_input, restarts, seed, 300)
+
+
+def plain_ascent(t, start, step, build, restarts=8, seed=0, maxiter=300):
+    """The plain power-method loop, one step per objective evaluation, from
+    the same starts; returns (best value, evaluations over restarts)."""
+    seeds = np.uint64(derive_seed(seed, 0)) + np.arange(restarts, dtype=np.uint64)
+    xs = start(SplitMix64(seeds), t.dim)
+    m, mh = t.matrix, t.matrix.conj().T
+
+    def evaluate(x):
+        u, s, vh = np.linalg.svd(apply_batch(m, build(x)))
+        return s.sum(axis=1), u @ vh
+
+    fs, ws = evaluate(xs)
+    evaluations = len(xs)
+    converged = np.zeros(len(xs), dtype=bool)
+    for _ in range(maxiter):
+        act = np.nonzero(~converged)[0]
+        if not len(act):
+            break
+        trial = step(apply_batch(mh, ws[act]))
+        ft, wt = evaluate(trial)
+        evaluations += len(act)
+        gain = ft - fs[act]
+        ok = gain > 0.0
+        xs[act[ok]], fs[act[ok]], ws[act[ok]] = trial[ok], ft[ok], wt[ok]
+        converged[act[gain <= 1e-13 * np.maximum(np.abs(fs[act]), 1.0)]] = True
+    return float(fs.max()), evaluations
+
+
+# the three ascents: (start, step, build)
+ASCENTS = {"tau": (_ortho_start, _ortho_step, _ortho_input),
+           "general": (functools.partial(_unit_vectors, k=2), _pair_step,
+                       _pair_input),
+           "hermitian": (functools.partial(_unit_vectors, k=1), _pure_step,
+                         _pure_input)}
 
 
 # B = diag(0.3, 0.5, 0.5) and r = (0.2, eps, eps): B^T r lies (nearly) in the
@@ -419,6 +457,64 @@ def test_norm_never_decreases_with_maxiter(hermitian_only):
     values = [norm_1to1(d, restarts=8, seed=5, hermitian_only=hermitian_only,
                         maxiter=k).value for k in (1, 2, 5, 20, 300)]
     assert values == sorted(values)
+
+
+def qudit_work_set():
+    """Seeded d = 3 channels of Kraus rank 1, 2, 3 and 9, and their differences."""
+    chans = [random_channel(3, rank, derive_seed(3100 + rank, i))
+             for rank in (1, 2, 3, 9) for i in range(2)]
+    diffs = [SuperOperator(3, a.matrix - b.matrix)
+             for a, b in zip(chans, chans[1:] + chans[:1])]
+    return chans + diffs
+
+
+def test_ascent_evaluations_are_deterministic():
+    t = random_channel(3, 4, seed=71)
+    d = SuperOperator(3, t.matrix - random_channel(3, 4, seed=72).matrix)
+    for run in (lambda: tau(t, restarts=8, seed=3),
+                lambda: norm_1to1(d, restarts=8, seed=3),
+                lambda: norm_1to1(d, restarts=8, seed=3, hermitian_only=True)):
+        first, second = run(), run()
+        assert first.evaluations > 8
+        assert first.evaluations == second.evaluations
+        assert "evaluations" not in first.to_dict()
+    assert tau_exact_qubit(depolarizing_channel(0.5)).evaluations == 0
+
+
+def test_accelerated_ascent_saves_a_quarter_of_the_evaluations():
+    ours = plain = 0
+    for t in qudit_work_set():
+        for start, step, build in ASCENTS.values():
+            ours += _run_multistart(t, start, step, build, 8, 5, 300).evaluations
+            plain += plain_ascent(t, start, step, build, restarts=8, seed=5)[1]
+    assert ours <= 0.75 * plain
+
+
+def test_ascent_started_at_an_optimum_stays_there():
+    # every orthogonal pair is optimal for a unitary channel (tau = 1): each
+    # restart stops after its first cycle, at the value it started from
+    t = random_unitary_channel(3, seed=73)
+    est = tau(t, restarts=4, seed=2)
+    assert est.value == pytest.approx(1.0, abs=1e-12)
+    assert est.evaluations == 4 * (1 + 3)
+    phi, psi = est.best_witness
+    sigma = np.outer(phi, phi.conj()) - np.outer(psi, psi.conj())
+    assert 0.5 * trace_norm(t.apply(sigma)) == pytest.approx(est.value, abs=1e-12)
+
+
+def test_stationary_cycle_extrapolates_to_the_second_step():
+    # a step that returns its start makes r = v = 0; alpha = -1 then gives
+    # B0 - 2 alpha r + alpha^2 v = B2, with no 0/0 along the way
+    x_opt = np.eye(3, dtype=complex)[None, :2]
+
+    def fixed_step(g):
+        assert np.isfinite(g).all()
+        return x_opt.repeat(len(g), axis=0)
+
+    xs, fs, converged, evaluations = _power_ascent(
+        np.eye(9, dtype=complex), x_opt.copy(), fixed_step, _ortho_input, 300)
+    assert np.array_equal(xs, x_opt)
+    assert fs.tolist() == [1.0] and converged.all() and evaluations == 4
 
 
 def test_tau_d3_needs_no_hermiticity_preservation():

@@ -362,6 +362,39 @@ def test_continuous_trajectory_depolarizing_fixture():
     assert rows[0].bound == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("continuous", [False, True])
+def test_zero_horizon_validates_a_fresh_pair(continuous):
+    # a fresh pair reads validity_checked_to 0 without any check; at
+    # horizon 0 it must still be validated, and K = 0.01 fails at n = t = 0
+    rho0 = basis_state(2, 0)
+    pair = user_pair(0.01, 0.5, "continuous" if continuous else "discrete")
+    assert not pair.validated_to(0.0)
+    with pytest.raises(DomainError, match="failed empirical validation"):
+        if continuous:
+            continuous_trajectory_check(depolarizing_generator(1.0),
+                                        depolarizing_generator(1.1), rho0, rho0,
+                                        0.0, 2, pair)
+        else:
+            discrete_trajectory_check(depolarizing_channel(0.5),
+                                      depolarizing_channel(0.6), rho0, rho0, 0,
+                                      pair)
+    failures = pair.details["validation_failures"]
+    assert len(failures) == (2 if continuous else 1)   # the grid is [0, 0] or [0]
+    for failure in failures:
+        assert failure["t" if continuous else "n"] == 0
+        assert failure["estimate"] > failure["certified"] == pytest.approx(0.01)
+
+
+def test_zero_horizon_passing_pair_is_validated_once():
+    rho0 = basis_state(2, 0)
+    pair = user_pair(1.0, 0.5)
+    rows = discrete_trajectory_check(depolarizing_channel(0.5),
+                                     depolarizing_channel(0.6), rho0, rho0, 0,
+                                     pair)
+    assert len(rows) == 1 and pair.valid and pair.validated_to(0)
+    assert pair.details["validation_failures"] == []
+
+
 def test_continuous_trajectory_derives_pair_when_missing():
     from qms.ensembles import perturb_generator, random_density, random_generator
     lt = random_generator(2, 2, seed=711, check=False)

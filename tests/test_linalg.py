@@ -143,9 +143,15 @@ def test_matrix_exp_overflow_raises():
 def test_matrix_exp_matches_scipy_oracle(d):
     import scipy.linalg
     from qms.ensembles import random_generator
+    from qms.linalg import _THETA
     for seed in range(4):
         gen = random_generator(d, 2, derive_seed(seed, d), check=False).matrix
-        for t in (1e-3, 0.1, 1.0, 20 / 99, 20.0):
+        # 1-norms just below and above each theta_m switch the Pade degree;
+        # 3/4 of each lies inside a degree's range (for m = 13, unscaled)
+        norm = np.abs(gen).sum(axis=0).max()
+        edges = [theta * f / norm for theta in _THETA.values()
+                 for f in (1 - 1e-9, 1 + 1e-9, 0.75)]
+        for t in (1e-3, 0.1, 1.0, 20 / 99, 20.0, *edges):
             want = scipy.linalg.expm(t * gen)
             got = matrix_exp(gen, t)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
