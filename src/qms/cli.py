@@ -65,7 +65,8 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--tol", type=float, default=1e-6,
                    help="violation tolerance for slack checks")
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
-                   help="multistart restarts for norm/contraction estimates")
+                   help="multistart restarts for norm/contraction estimates "
+                        "(>= 1; ignored where a qubit closed form applies)")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", default=None, help="write the report to a file")
 

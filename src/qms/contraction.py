@@ -4,11 +4,13 @@ The contraction coefficient tau(L) is the worst-case trace-norm growth on
 traceless Hermitian inputs; for every linear map it equals half the
 maximal output distance over pairs of orthogonal pure states.  On
 Hermiticity-preserving qubit maps tau and the Hermitian-restricted 1->1
-norm have closed forms in the Pauli transfer matrix.  Everywhere else
-the values come from a seeded multistart power-method ascent (Boyd's
-method, as in Hager's and Higham's 1-norm estimators, lifted to the trace
-norm and accelerated by SQUAREM extrapolation) and are *lower bounds*;
-the spread over restarts is reported as a quality signal.
+norm have closed forms in the Pauli transfer matrix, and the general 1->1
+norm of every qubit map comes from a search of its dual over the Bloch
+sphere, attained at its witness.  Everywhere else the values come from a
+seeded multistart power-method ascent (Boyd's method, as in Hager's and
+Higham's 1-norm estimators, lifted to the trace norm and accelerated by
+SQUAREM extrapolation) and are *lower bounds*; the spread over restarts
+is reported as a quality signal.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ class ContractionEstimate:
 
     ``best_witness`` reproduces ``value`` when plugged back into the
     objective.  ``convergence_spread`` is max - min over restart optima
-    that converged (0.0 for the analytic method).  ``evaluations`` counts
-    objective evaluations summed over restarts (0 for the analytic method);
-    it is a work counter and stays out of :meth:`to_dict`.
+    that converged (0.0 for the analytic and dual_sphere methods).
+    ``evaluations`` counts objective evaluations summed over restarts (0 for
+    the analytic method, pencil eigenvalues for dual_sphere); it is a work
+    counter and stays out of :meth:`to_dict`.
     """
 
     value: float
-    method: str                      # multistart_manifold | analytic
+    method: str            # multistart_manifold | analytic | dual_sphere
     restarts: int
     best_witness: object
     convergence_spread: float
@@ -174,6 +177,74 @@ def _hermitian_norm_qubit(r: np.ndarray) -> ContractionEstimate:
                                convergence_spread=0.0)
 
 
+def _icosphere() -> np.ndarray:
+    """The 12 vertices and 30 edge midpoints of an icosahedron, on S^2."""
+    g = (1.0 + np.sqrt(5.0)) / 2.0
+    base = np.array([[0.0, s1, s2 * g] for s1 in (1, -1) for s2 in (1, -1)])
+    verts = np.concatenate([np.roll(base, k, axis=1) for k in range(3)])
+    i, j = np.nonzero(np.triu(np.isclose(
+        np.linalg.norm(verts[:, None] - verts[None], axis=2), 2.0)))
+    pts = np.concatenate([verts, verts[i] + verts[j]])
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+_ICOSPHERE = _icosphere()
+_SU2 = np.concatenate([_PAULIS[:1], 1j * _PAULIS[1:]])      # I, i sigma_x,y,z
+_POLISH_ROWS = 4
+_POLISH_STEPS = 500
+
+
+def _general_norm_qubit(m: np.ndarray) -> ContractionEstimate:
+    """General 1->1 norm of the qubit map with matrix ``m``, from its dual.
+
+    ||L||_{1->1} = max over unitaries W of ||L*(W)||_inf (Watrous 2005).
+    Modulo phase W = sum_k w_k U_k for U = (I, i sigma) and real unit
+    w in S^3, so with A_k = L*(U_k) and rho = (I + n.sigma)/2,
+    ||L*(W)||_inf^2 = max_rho w^T Re[tr(A_k^dag A_l rho)] w, and
+
+        ||L||_{1->1}^2 = max_{|n|=1} lambda_max(Q^0 + sum_j n_j Q^j),
+        Q^j_kl = Re tr(A_k^dag A_l sigma_j) / 2  (sigma_0 = I),
+
+    a 4x4 real symmetric pencil whose top eigenvalue f(n) is convex in n.
+    f is evaluated on a 42-point icosphere, and the best
+    ``_POLISH_ROWS`` points are polished by n <- c/||c|| with
+    c_j = w^T Q^j w, the gradient of f for the top eigenvector w.  The
+    step maximizes w^T Q(n) w, a lower bound of f that is tight at the
+    current n, so it never lowers f; the polish stops once no row gains
+    more than 1e-15 max(f, 1), or after ``_POLISH_STEPS`` steps.  The best
+    w gives W, and the top singular pair (u, v) of L*(W) the witness
+    u v^dag; the value is ||L(u v^dag)||_1, so it is attained at the
+    witness.  ``evaluations`` counts pencil eigenvalue evaluations: 42 on
+    the grid plus ``_POLISH_ROWS`` per polish step.
+    """
+    a = apply_batch(m.conj().T, _SU2)
+    q = 0.5 * np.einsum("kba,lbc,jca->jkl", a.conj(), a, _PAULIS).real
+    q0, qn, flat = q[0], q[1:], q[1:].reshape(3, 16)
+
+    def top_pairs(n):
+        lam, vecs = np.linalg.eigh(q0 + (n @ flat).reshape(-1, 4, 4))
+        return lam[:, -1], vecs[:, :, -1]
+
+    fs, ws = top_pairs(_ICOSPHERE)
+    evaluations = len(fs)
+    best = np.argsort(fs)[-_POLISH_ROWS:]
+    n, fs, ws = _ICOSPHERE[best], fs[best], ws[best]
+    for _ in range(_POLISH_STEPS):
+        c = np.einsum("nk,jkl,nl->nj", ws, qn, ws)
+        c_norm = np.sqrt((c * c).sum(axis=1, keepdims=True))
+        n = np.divide(c, c_norm, out=n, where=c_norm > 0.0)
+        f, ws = top_pairs(n)
+        evaluations += len(n)
+        gain, fs = f - fs, f
+        if np.all(gain <= 1e-15 * np.maximum(fs, 1.0)):
+            break
+    u, v = _pair_step(np.tensordot(ws[np.argmax(fs)], a, axes=1)[None])[0]
+    value = float(trace_norm_batch(apply_batch(m, _rank_one(u[None], v[None])))[0])
+    return ContractionEstimate(value=value, method="dual_sphere", restarts=0,
+                               best_witness=(u, v), convergence_spread=0.0,
+                               evaluations=evaluations)
+
+
 # ---------------------------------------------------------------------------
 # alternating power-method ascent
 
@@ -274,10 +345,13 @@ def _power_ascent(m: np.ndarray, xs: np.ndarray, step, build, maxiter: int):
     return xs, fs, converged, evaluations
 
 
-def _run_multistart(t: SuperOperator, start, step, build, restarts: int,
-                    seed: int, maxiter: int) -> ContractionEstimate:
+def _require_restarts(restarts: int):
     if restarts < 1:
         raise DomainError(f"restarts must be >= 1, got {restarts}")
+
+
+def _run_multistart(t: SuperOperator, start, step, build, restarts: int,
+                    seed: int, maxiter: int) -> ContractionEstimate:
     # restart r draws from its own stream, seeded derive_seed(seed, r)
     seeds = np.uint64(derive_seed(seed, 0)) + np.arange(restarts, dtype=np.uint64)
     xs = start(SplitMix64(seeds), t.dim)
@@ -322,8 +396,10 @@ def tau(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     pairs (restart r is seeded with derive_seed(seed, r), so prefixes of
     the restart stream are reproducible).  Each takes at most ``maxiter``
     power steps, two per SQUAREM cycle with one extrapolated trial each
-    (:func:`_power_ascent`).
+    (:func:`_power_ascent`).  ``restarts`` < 1 is refused even where the
+    closed form ignores it.
     """
+    _require_restarts(restarts)
     if t.dim == 2 and not traceless_hermitian:
         return tau_exact_qubit(t)
     return _run_multistart(t, _ortho_start, _ortho_step, _ortho_input,
@@ -341,14 +417,23 @@ def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     most ``maxiter`` power steps, two per SQUAREM cycle with one
     extrapolated trial each (:func:`_power_ascent`).  In Hermitian mode a
     Hermiticity-preserving qubit map takes the closed form
-    :func:`_hermitian_norm_qubit` instead (method ``analytic``, exact), and
-    ``restarts`` and ``maxiter`` are ignored.
+    :func:`_hermitian_norm_qubit` instead (method ``analytic``, exact).  In
+    general mode every qubit map takes :func:`_general_norm_qubit` (method
+    ``dual_sphere``): by duality ||L||_{1->1}^2 is the maximum over unit
+    Bloch vectors n of the top eigenvalue of a 4x4 real symmetric pencil
+    Q^0 + sum_j n_j Q^j built from L* on (I, i sigma), searched on an
+    icosphere and polished by a monotone fixed-point step; the value is
+    attained at its witness (u, v).  Both qubit paths ignore ``restarts``
+    and ``maxiter``, but ``restarts`` < 1 is refused everywhere.
     """
+    _require_restarts(restarts)
     if hermitian_only:
         if t.dim == 2 and _hermiticity_preserving(t)[0]:
             return _hermitian_norm_qubit(_pauli_transfer(t))
         return _run_multistart(t, functools.partial(_unit_vectors, k=1),
                                _pure_step, _pure_input, restarts, seed, maxiter)
+    if t.dim == 2:
+        return _general_norm_qubit(t.matrix)
     return _run_multistart(t, functools.partial(_unit_vectors, k=2),
                            _pair_step, _pair_input, restarts, seed, maxiter)
 

@@ -546,8 +546,9 @@ def _simulate(step_t: np.ndarray, step_e: np.ndarray, rho0: DensityMatrix,
 
 def _perturbation_norm(m_t: np.ndarray, m_e: np.ndarray, inputs: np.ndarray,
                        restarts: int, seed: int) -> float:
-    """The ascent's ||E - T||_{1->1}, raised to its value on each of
-    ``inputs`` (unit-trace-norm states, so each is an admissible input)."""
+    """The estimate of ||E - T||_{1->1} from :func:`norm_1to1`, raised to
+    its value on each of ``inputs`` (unit-trace-norm states, so each is an
+    admissible input)."""
     dop = SuperOperator(inputs.shape[-1], m_e - m_t, provenance="explicit")
     value = norm_1to1(dop, restarts=restarts, seed=seed).value
     if len(inputs):
