@@ -14,8 +14,7 @@ from .channels import (DensityMatrix, GeneratorMap, SuperOperator,
                        depolarizing_generator, dual, from_kraus, from_lindblad,
                        from_stochastic, generator_exponential, identity_channel,
                        maximally_mixed, pauli_channel, pure_state, validate)
-from .contraction import (ContractionEstimate, norm_1to1, tau, tau_exact_qubit,
-                          tau_of_powers_check)
+from .contraction import ContractionEstimate, norm_1to1, tau, tau_exact_qubit
 from .ensembles import (EnsembleConfig, perturb_channel, perturb_generator,
                         random_channel, random_density, random_generator, sweep)
 from .finite_time import (BoundReport, ConvergencePair, FiniteTimeBound,

@@ -19,11 +19,8 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, ValidationError
 from .linalg import (apply_batch, as_matrix, dagger, matrix_exp,
-                     spectral_norm, unvec, vec)
+                     spectral_norm, trace_norm, unvec, vec)
 from .rng import SplitMix64
-
-PROVENANCES = ("kraus", "explicit", "stochastic_embedding",
-               "exponential_of_generator", "composed")
 
 DEFAULT_POSITIVITY_SAMPLES = 1000
 
@@ -38,7 +35,6 @@ class SuperOperator:
 
     dim: int
     matrix: np.ndarray
-    provenance: str = "explicit"
     trace_preserving: Optional[bool] = None
     label: Optional[str] = None
 
@@ -48,8 +44,6 @@ class SuperOperator:
             raise DimensionError(
                 f"superoperator matrix is {self.matrix.shape[0]}x{self.matrix.shape[1]}, "
                 f"expected {self.dim ** 2}x{self.dim ** 2} for dim={self.dim}")
-        if self.provenance not in PROVENANCES:
-            raise ValidationError(f"unknown provenance {self.provenance!r}")
         if self.trace_preserving:
             res = self.tp_residual()
             if res > 1e-10:
@@ -66,9 +60,6 @@ class SuperOperator:
     def apply_batch(self, mats: np.ndarray) -> np.ndarray:
         """Apply the map to a stack of matrices, shape (n, d, d) -> (n, d, d)."""
         return apply_batch(self.matrix, mats)
-
-    def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
-        return compose(self, other)
 
     def tp_residual(self) -> float:
         """|| vec(I)^dag M - vec(I)^dag ||_2 (zero iff trace-preserving)."""
@@ -104,15 +95,12 @@ class GeneratorMap:
 
     dim: int
     matrix: np.ndarray
-    provenance: str = "explicit"
 
     def __post_init__(self):
         self.matrix = as_matrix(self.matrix, square=True, name="generator matrix")
         if self.matrix.shape[0] != self.dim ** 2:
             raise DimensionError(
                 f"generator matrix is {self.matrix.shape}, expected dim^2 = {self.dim ** 2}")
-        if self.provenance not in ("lindblad_parts", "explicit"):
-            raise ValidationError(f"unknown generator provenance {self.provenance!r}")
         vi = vec(np.eye(self.dim))
         res = float(np.linalg.norm(dagger(self.matrix) @ vi))
         if res > 1e-10:
@@ -168,7 +156,7 @@ class ValidationReport:
 
 
 def identity_channel(d: int) -> SuperOperator:
-    return SuperOperator(d, np.eye(d * d, dtype=complex), provenance="kraus",
+    return SuperOperator(d, np.eye(d * d, dtype=complex),
                          trace_preserving=True, label="identity")
 
 
@@ -193,7 +181,7 @@ def from_kraus(operators: Sequence[np.ndarray], label: str | None = None) -> Sup
         m += np.kron(a.conj(), a)
         comp += dagger(a) @ a
     tp = bool(spectral_norm(comp - np.eye(d)) <= 1e-10)
-    return SuperOperator(d, m, provenance="kraus", trace_preserving=tp, label=label)
+    return SuperOperator(d, m, trace_preserving=tp, label=label)
 
 
 def from_stochastic(s, label: str | None = None) -> SuperOperator:
@@ -219,8 +207,7 @@ def from_stochastic(s, label: str | None = None) -> SuperOperator:
     for i in range(d):
         for j in range(d):
             m[j * d + j, i * d + i] = s[i, j]
-    return SuperOperator(d, m, provenance="stochastic_embedding",
-                         trace_preserving=True, label=label)
+    return SuperOperator(d, m, trace_preserving=True, label=label)
 
 
 def compose(t1: SuperOperator, t2: SuperOperator) -> SuperOperator:
@@ -228,8 +215,7 @@ def compose(t1: SuperOperator, t2: SuperOperator) -> SuperOperator:
     if t1.dim != t2.dim:
         raise DimensionError(f"cannot compose maps of dims {t1.dim} and {t2.dim}")
     tp = True if (t1.trace_preserving and t2.trace_preserving) else None
-    return SuperOperator(t1.dim, t1.matrix @ t2.matrix, provenance="composed",
-                         trace_preserving=tp)
+    return SuperOperator(t1.dim, t1.matrix @ t2.matrix, trace_preserving=tp)
 
 
 def dual(t: SuperOperator) -> SuperOperator:
@@ -238,14 +224,13 @@ def dual(t: SuperOperator) -> SuperOperator:
     For Hermiticity-preserving maps this is the map T* with
     tr[T*(A) B] = tr[A T(B)].  An involution: dual(dual(T)) == T exactly.
     """
-    return SuperOperator(t.dim, dagger(t.matrix), provenance="explicit",
-                         trace_preserving=None, label=t.label)
+    return SuperOperator(t.dim, dagger(t.matrix), label=t.label)
 
 
 def generator_exponential(gen: GeneratorMap, t: float) -> SuperOperator:
     """The semigroup element e^{t L} as a superoperator."""
     m = matrix_exp(gen.matrix, t)
-    so = SuperOperator(gen.dim, m, provenance="exponential_of_generator")
+    so = SuperOperator(gen.dim, m)
     so.trace_preserving = bool(so.tp_residual() <= 1e-10)
     return so
 
@@ -265,7 +250,7 @@ def from_lindblad(h, jumps: Sequence[np.ndarray]) -> GeneratorMap:
         ll = dagger(l) @ l
         m += (np.kron(l.conj(), l) - 0.5 * np.kron(eye, ll)
               - 0.5 * np.kron(ll.T, eye))
-    return GeneratorMap(d, m, provenance="lindblad_parts")
+    return GeneratorMap(d, m)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +336,12 @@ def pure_state(v) -> DensityMatrix:
     return DensityMatrix(len(v), np.outer(v, v.conj()))
 
 
-def check_stationary(t: SuperOperator, rho: DensityMatrix, tol: float = 1e-9) -> float:
-    """Trace-norm residual ||T(rho) - rho||_1; raises if above tol."""
-    from .linalg import trace_norm
+def check_stationary(t: SuperOperator, rho: DensityMatrix) -> float:
+    """Trace-norm residual ||T(rho) - rho||_1; raises if above 1e-9."""
     res = trace_norm(t.apply(rho.matrix) - rho.matrix)
-    if res > tol:
+    if res > 1e-9:
         raise PreconditionError(
-            f"state is not stationary for the map (residual {res:.3g} > {tol:g})",
+            f"state is not stationary for the map (residual {res:.3g} > 1e-09)",
             residual=res)
     return res
 
@@ -385,7 +369,7 @@ def depolarizing_channel(p: float, d: int = 2) -> SuperOperator:
         raise ValidationError("depolarizing parameter must lie in [0, 1]")
     eye = np.eye(d * d, dtype=complex)
     m = (1.0 - p) * eye + p * np.outer(vec(np.eye(d) / d), vec(np.eye(d)).conj())
-    return SuperOperator(d, m, provenance="explicit", trace_preserving=True,
+    return SuperOperator(d, m, trace_preserving=True,
                          label=f"depolarizing(p={p:g}, d={d})")
 
 
@@ -405,4 +389,4 @@ def depolarizing_generator(gamma: float, d: int = 2) -> GeneratorMap:
     """Generator L(X) = gamma (tr[X] I/d - X); e^{tL} is depolarizing."""
     eye = np.eye(d * d, dtype=complex)
     m = gamma * (np.outer(vec(np.eye(d) / d), vec(np.eye(d)).conj()) - eye)
-    return GeneratorMap(d, m, provenance="explicit")
+    return GeneratorMap(d, m)

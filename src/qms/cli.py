@@ -59,11 +59,25 @@ def _steps(text: str) -> int:
     return n
 
 
+def _tolerance(text: str) -> float:
+    x = float(text)
+    if not 0.0 <= x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {x}")
+    return x
+
+
+def _decay_rate(text: str) -> float:
+    x = float(text)
+    if not 0.0 < x < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {x}")
+    return x
+
+
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--format", default="text", choices=["text", "json", "csv"],
                    help="output format (csv only for row-oriented commands)")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="violation tolerance for slack checks")
+    p.add_argument("--tol", type=_tolerance, default=1e-6,
+                   help="violation tolerance for slack checks (finite, >= 0)")
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
                    help="multistart restarts for norm/contraction estimates "
                         "(>= 1; ignored where a qubit closed form applies)")
@@ -229,10 +243,7 @@ def _cmd_compare(args) -> int:
     requested = _resolve_state(args.state, t2.dim)
     # project the requested state onto the stationary subspace of T2 so the
     # comparison is made at an actual fixed point
-    analysis2 = fixed_point_analysis(t2)
-    m = analysis2.projector.apply(requested.matrix)
-    m = (m + m.conj().T) / 2
-    rho2 = DensityMatrix(t2.dim, m / np.trace(m).real)
+    rho2 = fixed_point_analysis(t2).limit_state(requested.matrix)
     projection_shift = float(np.linalg.norm(rho2.matrix - requested.matrix))
 
     outcome = fixed_point_perturbation(t1, t2, rho2, restarts=args.restarts,
@@ -433,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--steps", type=_steps, default=50,
                    help="empirical validation horizon")
-    p.add_argument("--mu", type=float, default=None,
+    p.add_argument("--mu", type=_decay_rate, default=None,
                    help="decay rate for the spectral recipe "
                         "(default: halfway between subdominant modulus and 1)")
     _common_flags(p)

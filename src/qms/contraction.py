@@ -26,7 +26,8 @@ from .linalg import apply_batch, spectral_norm, trace_norm_batch
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_RESTARTS = 64
-TOL_OPT = 1e-6
+# power steps per ascent, two per SQUAREM cycle
+MAXITER = 300
 
 
 @dataclass
@@ -58,14 +59,6 @@ def _hermiticity_preserving(t: SuperOperator) -> tuple:
     """(whether t preserves Hermiticity up to roundoff, its Choi residual)."""
     res = choi_hermiticity_residual(choi_matrix(t))
     return res <= 1e-8 * max(1.0, spectral_norm(t.matrix)), res
-
-
-def _require_hermiticity_preserving(t: SuperOperator, context: str):
-    ok, res = _hermiticity_preserving(t)
-    if not ok:
-        raise DomainError(
-            f"{context}: the qubit closed form needs a Hermiticity-preserving map "
-            f"(residual {res:.3g}); use tau(..., traceless_hermitian=True)")
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +96,11 @@ def tau_exact_qubit(t: SuperOperator) -> ContractionEstimate:
     """
     if t.dim != 2:
         raise DimensionError(f"qubit closed form requires dim 2, got {t.dim}")
-    _require_hermiticity_preserving(t, "tau_exact_qubit")
+    ok, res = _hermiticity_preserving(t)
+    if not ok:
+        raise DomainError(
+            "tau_exact_qubit: the qubit closed form needs a Hermiticity-preserving "
+            f"map (residual {res:.3g})")
     r = _pauli_transfer(t)
     shift = np.linalg.norm(r[0, 1:])
     _, sv, vh = np.linalg.svd(r[1:, 1:])
@@ -382,39 +379,38 @@ def _ortho_start(gen: SplitMix64, d: int) -> np.ndarray:
 # public estimators
 
 
-def tau(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-        traceless_hermitian: bool = False, maxiter: int = 300) -> ContractionEstimate:
+def tau(t: SuperOperator, restarts: int = DEFAULT_RESTARTS,
+        seed: int = 0) -> ContractionEstimate:
     """Trace-norm contraction coefficient tau(L), as a lower-bound estimate.
 
     The extreme points of the traceless Hermitian trace-norm ball are
     (phi phi^dag - psi psi^dag)/2 with phi orthogonal to psi, for every
     linear map, so tau(L) is half the maximal output distance over
-    orthogonal pure-state pairs.  For qubit maps this delegates to the
-    closed form :func:`tau_exact_qubit`, which needs a
-    Hermiticity-preserving map; ``traceless_hermitian=True`` skips it.
+    orthogonal pure-state pairs.  Qubit maps take the closed form
+    :func:`tau_exact_qubit`, which needs a Hermiticity-preserving map.
     Otherwise ``restarts`` independent power-method ascents run over the
     pairs (restart r is seeded with derive_seed(seed, r), so prefixes of
-    the restart stream are reproducible).  Each takes at most ``maxiter``
+    the restart stream are reproducible).  Each takes at most ``MAXITER``
     power steps, two per SQUAREM cycle with one extrapolated trial each
     (:func:`_power_ascent`).  ``restarts`` < 1 is refused even where the
     closed form ignores it.
     """
     _require_restarts(restarts)
-    if t.dim == 2 and not traceless_hermitian:
+    if t.dim == 2:
         return tau_exact_qubit(t)
     return _run_multistart(t, _ortho_start, _ortho_step, _ortho_input,
-                           restarts, seed, maxiter)
+                           restarts, seed, MAXITER)
 
 
 def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-              hermitian_only: bool = False, maxiter: int = 300) -> ContractionEstimate:
+              hermitian_only: bool = False) -> ContractionEstimate:
     """Induced 1->1 norm sup ||L(X)||_1 / ||X||_1, as a lower-bound estimate.
 
     General mode ascends over rank-one X = u v^dag (the extreme points of
     the trace-norm ball; witness ``(u, v)``); ``hermitian_only`` restricts
     to Hermitian X, whose extreme points are +/- psi psi^dag (witness
     ``psi``).  Each of ``restarts`` seeded power-method ascents takes at
-    most ``maxiter`` power steps, two per SQUAREM cycle with one
+    most ``MAXITER`` power steps, two per SQUAREM cycle with one
     extrapolated trial each (:func:`_power_ascent`).  In Hermitian mode a
     Hermiticity-preserving qubit map takes the closed form
     :func:`_hermitian_norm_qubit` instead (method ``analytic``, exact).  In
@@ -423,41 +419,19 @@ def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     Bloch vectors n of the top eigenvalue of a 4x4 real symmetric pencil
     Q^0 + sum_j n_j Q^j built from L* on (I, i sigma), searched on an
     icosphere and polished by a monotone fixed-point step; the value is
-    attained at its witness (u, v).  Both qubit paths ignore ``restarts``
-    and ``maxiter``, but ``restarts`` < 1 is refused everywhere.
+    attained at its witness (u, v).  Both qubit paths ignore ``restarts``,
+    but ``restarts`` < 1 is refused everywhere.
     """
     _require_restarts(restarts)
     if hermitian_only:
         if t.dim == 2 and _hermiticity_preserving(t)[0]:
             return _hermitian_norm_qubit(_pauli_transfer(t))
         return _run_multistart(t, functools.partial(_unit_vectors, k=1),
-                               _pure_step, _pure_input, restarts, seed, maxiter)
+                               _pure_step, _pure_input, restarts, seed, MAXITER)
     if t.dim == 2:
         return _general_norm_qubit(t.matrix)
     return _run_multistart(t, functools.partial(_unit_vectors, k=2),
-                           _pair_step, _pair_input, restarts, seed, maxiter)
-
-
-def tau_of_powers_check(t: SuperOperator, n_max: int,
-                        restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> list:
-    """Tabulate (n, tau(L^n), tau(L)^n) for n = 1..n_max.
-
-    Raises :class:`DomainError` if the estimates violate submultiplicativity
-    beyond TOL_OPT (which would indicate an estimator defect, not
-    mathematics).
-    """
-    rows = []
-    tau1 = tau(t, restarts=restarts, seed=seed).value
-    power = SuperOperator(t.dim, np.eye(t.dim ** 2, dtype=complex))
-    for n in range(1, n_max + 1):
-        power = SuperOperator(t.dim, power.matrix @ t.matrix)
-        tau_n = tau(power, restarts=restarts, seed=derive_seed(seed, n)).value
-        rows.append((n, tau_n, tau1 ** n))
-        if tau_n > tau1 ** n + TOL_OPT:
-            raise DomainError(
-                f"submultiplicativity violated at n={n}: "
-                f"tau(L^n)={tau_n:.9g} > tau(L)^n={tau1 ** n:.9g} + {TOL_OPT:g}")
-    return rows
+                           _pair_step, _pair_input, restarts, seed, MAXITER)
 
 
 # ---------------------------------------------------------------------------

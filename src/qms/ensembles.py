@@ -14,9 +14,10 @@ import numpy as np
 
 from .channels import (DensityMatrix, GeneratorMap, SuperOperator, choi_matrix,
                        from_kraus, from_lindblad, generator_exponential)
-from .errors import QmsError, ValidationError
-from .finite_time import (BoundReport, discrete_trajectory_check, pair_chi2,
-                          pair_chi2_generator, continuous_trajectory_check)
+from .errors import DomainError, QmsError, ValidationError
+from .finite_time import (BoundReport, _require_horizon,
+                          continuous_trajectory_check, discrete_trajectory_check,
+                          pair_chi2, pair_chi2_generator)
 from .linalg import dagger
 from .rng import SplitMix64, derive_seed
 from .stability import fixed_point_perturbation
@@ -109,20 +110,17 @@ def perturb_channel(t: SuperOperator, eps: float, seed: int) -> SuperOperator:
         raise ValidationError("eps must lie in [0, 1]")
     r = random_channel(t.dim, t.dim ** 2, seed)
     return SuperOperator(t.dim, (1.0 - eps) * t.matrix + eps * r.matrix,
-                         provenance="composed",
                          trace_preserving=t.trace_preserving,
                          label=f"perturbed(eps={eps:g})")
 
 
-def perturb_generator(gen: GeneratorMap, eps: float, seed: int,
-                      jump_count: int | None = None) -> GeneratorMap:
-    """(1 - eps) L + eps L' with a fresh random generator (still Lindblad)."""
+def perturb_generator(gen: GeneratorMap, eps: float, seed: int) -> GeneratorMap:
+    """(1 - eps) L + eps L' with L' a fresh random generator with dim jump
+    operators (still Lindblad)."""
     if not 0.0 <= eps <= 1.0:
         raise ValidationError("eps must lie in [0, 1]")
-    other = random_generator(gen.dim, jump_count if jump_count is not None
-                             else gen.dim, seed, check=False)
-    return GeneratorMap(gen.dim, (1.0 - eps) * gen.matrix + eps * other.matrix,
-                        provenance="explicit")
+    other = random_generator(gen.dim, gen.dim, seed, check=False)
+    return GeneratorMap(gen.dim, (1.0 - eps) * gen.matrix + eps * other.matrix)
 
 
 def _discrete_instance(config: EnsembleConfig, index: int, steps: int,
@@ -132,11 +130,8 @@ def _discrete_instance(config: EnsembleConfig, index: int, steps: int,
     t2 = perturb_channel(t, config.perturbation_eps, derive_seed(seed, 2))
     rows = []
 
-    analysis2 = fixed_point_analysis(t2)
-    rho2_m = analysis2.projector.apply(random_density(config.dim,
-                                                      derive_seed(seed, 3)).matrix)
-    rho2_m = (rho2_m + dagger(rho2_m)) / 2
-    rho2 = DensityMatrix(config.dim, rho2_m / np.trace(rho2_m).real)
+    rho2 = fixed_point_analysis(t2).limit_state(
+        random_density(config.dim, derive_seed(seed, 3)).matrix)
     outcome = fixed_point_perturbation(t, t2, rho2, restarts=restarts,
                                        seed=derive_seed(seed, 4))
     rows.append(BoundReport(
@@ -181,7 +176,13 @@ def sweep(config: EnsembleConfig, steps: int = 50, restarts: int = 8,
     Per-instance failures become error rows instead of aborting the sweep;
     output order is fixed by instance index, so the result is identical for
     identical configs regardless of any parallel execution of instances.
+    A continuous sweep with fewer than 2 time samples or a horizon that is
+    not finite and nonnegative raises :class:`DomainError` up front.
     """
+    if config.mode == "continuous":
+        if steps < 2:
+            raise DomainError("need at least 2 time samples")
+        _require_horizon(t_max)
     rows: list[BoundReport] = []
     for index in range(config.count):
         try:

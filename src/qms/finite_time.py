@@ -240,6 +240,17 @@ def _conjugated_matrix(m: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarra
     return np.kron(s_neg.T, s_neg) @ m @ np.kron(s_pos.T, s_pos)
 
 
+def _detailed_balance_residual(omega: np.ndarray, what: str) -> float:
+    """||Omega - Omega^dag||_2 of a conjugated map or generator; raises
+    unless it is at most 1e-8 max(1, ||Omega||_2)."""
+    herm_res = float(spectral_norm(omega - dagger(omega)))
+    if herm_res > 1e-8 * max(1.0, float(spectral_norm(omega))):
+        raise DomainError(
+            f"detailed balance violated: conjugated {what} has Hermiticity "
+            f"residual {herm_res:.3g}")
+    return herm_res
+
+
 def pair_chi2(t: SuperOperator, n_check: int = DEFAULT_VALIDATION_STEPS,
               seed: int = 0) -> ConvergencePair:
     """chi^2 pair: mu = second largest singular value of the conjugated map
@@ -272,11 +283,7 @@ def pair_detailed_balance(t: SuperOperator, n_check: int = DEFAULT_VALIDATION_ST
     """
     sigma, w, v, lam_min = _stationary_full_rank(t)
     omega = _conjugated_matrix(t.matrix, w, v)
-    herm_res = float(spectral_norm(omega - dagger(omega)))
-    if herm_res > 1e-8 * max(1.0, float(spectral_norm(omega))):
-        raise DomainError(
-            f"detailed balance violated: conjugated map has Hermiticity "
-            f"residual {herm_res:.3g}")
+    herm_res = _detailed_balance_residual(omega, "map")
     mu = fixed_point_analysis(t).spectral.subdominant_modulus
     if not mu < 1.0 - 1e-12:
         raise DomainError(f"subdominant modulus {mu:.12g} is not below 1")
@@ -314,7 +321,6 @@ def _blaschke_sup_on_circle(roots: np.ndarray, exponents: Sequence[int],
 
 
 def pair_spectral_eq10(t: SuperOperator, mu: float,
-                       multiplicity: str = "block",
                        n_check: int = DEFAULT_VALIDATION_STEPS,
                        seed: int = 0) -> ConvergencePair:
     """Purely spectral pair from the minimal polynomial of Delta = T - T^inf.
@@ -326,14 +332,9 @@ def pair_spectral_eq10(t: SuperOperator, mu: float,
     (circle-supremum form) or with the per-root relaxation
     prod (1 - mu |l_i|)/(mu - |l_i|); the trailing mu^{n+1} is absorbed as
     K <- prefactor * mu so the pair certifies K mu^n.  The smaller (circle)
-    value is used; both are recorded.
-
-    ``multiplicity`` selects how often a root with a Jordan block of size
-    b enters the product: "block" repeats it b times (conservative,
-    default), "single" once.
+    value is used; both are recorded.  A root whose largest Jordan block
+    has size b enters both products b times.
     """
-    if multiplicity not in ("block", "single"):
-        raise ValidationError("multiplicity must be 'block' or 'single'")
     if not 0.0 < mu < 1.0:
         raise DomainError(f"mu must lie in (0, 1), got {mu}")
     delta = delta_map(t)
@@ -345,8 +346,7 @@ def pair_spectral_eq10(t: SuperOperator, mu: float,
             f"mu = {mu:g} does not dominate the spectrum of Delta "
             f"(spectral radius {radius:.12g})")
 
-    exps = list(minpoly.block_sizes) if multiplicity == "block" \
-        else [1] * len(roots)
+    exps = list(minpoly.block_sizes)
     m_count = minpoly.degree
     prefactor = 4.0 * math.e * math.sqrt(m_count) / (1.0 - mu) ** 1.5
     sup_circle = _blaschke_sup_on_circle(roots, exps, mu)
@@ -363,7 +363,7 @@ def pair_spectral_eq10(t: SuperOperator, mu: float,
                                "circle_supremum": sup_circle,
                                "product_relaxation": prod_relax,
                                "linear_factor_count": m_count,
-                               "multiplicity_convention": multiplicity,
+                               "multiplicity_convention": "block",
                                "roots": [[float(r.real), float(r.imag)]
                                          for r in roots],
                                "block_sizes": list(minpoly.block_sizes)})
@@ -415,11 +415,7 @@ def pair_detailed_balance_generator(gen: GeneratorMap, t_max: float = 10.0,
     """Continuous detailed-balance pair: requires a Hermitian conjugated
     generator; nu is its spectral gap and K = sqrt(2d) lambda_min^{-1/2}."""
     g_omega, nu, lam_min = _generator_conjugated(gen)
-    herm_res = float(spectral_norm(g_omega - dagger(g_omega)))
-    if herm_res > 1e-8 * max(1.0, float(spectral_norm(g_omega))):
-        raise DomainError(
-            f"detailed balance violated: conjugated generator has "
-            f"Hermiticity residual {herm_res:.3g}")
+    herm_res = _detailed_balance_residual(g_omega, "generator")
     if nu <= 0.0:
         raise DomainError(f"generator has no spectral gap (found {nu:.3g})")
     pair = ConvergencePair(K=math.sqrt(2.0 * gen.dim / lam_min), rate=nu,
@@ -439,9 +435,8 @@ def _require_horizon(t_max: float):
         raise DomainError(f"t_max must be finite and nonnegative, got {t_max}")
 
 
-def _validate_on_grid(pair: ConvergencePair, key: str, grid, advance,
-                      decay, p_inf: np.ndarray, probes: np.ndarray,
-                      tol: float) -> ConvergencePair:
+def _validate_on_grid(pair: ConvergencePair, key: str, grid, advance, decay,
+                      p_inf: np.ndarray, probes: np.ndarray) -> ConvergencePair:
     """The check loop of both validators: ``advance`` steps the evolution,
     starting from the identity, to the next grid point x, bounded by K decay(x).
 
@@ -466,7 +461,7 @@ def _validate_on_grid(pair: ConvergencePair, key: str, grid, advance,
     failures = []
     for x, estimate in zip(grid, estimates):
         certified = pair.K * decay(x)
-        if estimate <= certified + tol:
+        if estimate <= certified + VALIDATION_TOL:
             if checked_to == prev:
                 checked_to = x
         else:
@@ -480,12 +475,11 @@ def _validate_on_grid(pair: ConvergencePair, key: str, grid, advance,
 
 
 def validate_pair_on_channel(pair: ConvergencePair, t: SuperOperator,
-                             n_max: int, n_probes: int = 64, seed: int = 0,
-                             tol: float = VALIDATION_TOL) -> ConvergencePair:
+                             n_max: int, seed: int = 0) -> ConvergencePair:
     """Check ||T^n - T^inf|| >= estimator against K mu^n for n = 0..n_max.
 
     The estimator is the probe lower bound over ``probe_inputs(d,
-    n_probes, seed)``, evaluated in runs of VALIDATION_CHUNK steps (one
+    seed=seed)``, evaluated in runs of VALIDATION_CHUNK steps (one
     trace-norm batch per run).  Updates ``validity_checked_to`` to the
     last consecutive step that passed and poisons the pair (valid=False)
     on any failure.
@@ -495,24 +489,23 @@ def validate_pair_on_channel(pair: ConvergencePair, t: SuperOperator,
     return _validate_on_grid(
         pair, "n", range(n_max + 1), lambda power: power @ t.matrix,
         lambda n: pair.rate ** n, fixed_point_analysis(t).projector.matrix,
-        probe_inputs(t.dim, n_random=n_probes, seed=seed), tol)
+        probe_inputs(t.dim, seed=seed))
 
 
 def validate_pair_on_generator(pair: ConvergencePair, gen: GeneratorMap,
-                               t_max: float, samples: int, n_probes: int = 64,
-                               seed: int = 0,
-                               tol: float = VALIDATION_TOL) -> ConvergencePair:
+                               t_max: float, samples: int,
+                               seed: int = 0) -> ConvergencePair:
     """Continuous analogue of :func:`validate_pair_on_channel` on a t grid."""
     if pair.kind != "continuous":
         raise DomainError("generator validation requires a continuous pair")
     _require_horizon(t_max)
     p_inf = fixed_point_analysis(gen.unit_time_map).projector.matrix
-    probes = probe_inputs(gen.dim, n_random=n_probes, seed=seed)
+    probes = probe_inputs(gen.dim, seed=seed)
     times = np.linspace(0.0, t_max, samples)
     step = matrix_exp(gen.matrix, times[1] - times[0]) if samples > 1 else None
     return _validate_on_grid(
         pair, "t", times.tolist(), lambda current: step @ current,
-        lambda tt: math.exp(-pair.rate * tt), p_inf, probes, tol)
+        lambda tt: math.exp(-pair.rate * tt), p_inf, probes)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +542,7 @@ def _perturbation_norm(m_t: np.ndarray, m_e: np.ndarray, inputs: np.ndarray,
     """The estimate of ||E - T||_{1->1} from :func:`norm_1to1`, raised to
     its value on each of ``inputs`` (unit-trace-norm states, so each is an
     admissible input)."""
-    dop = SuperOperator(inputs.shape[-1], m_e - m_t, provenance="explicit")
+    dop = SuperOperator(inputs.shape[-1], m_e - m_t)
     value = norm_1to1(dop, restarts=restarts, seed=seed).value
     if len(inputs):
         value = max(value, float(trace_norm_batch(dop.apply_batch(inputs)).max()))
@@ -579,8 +572,7 @@ def discrete_trajectory_check(t: SuperOperator, e: SuperOperator,
                               rho0: DensityMatrix, sigma0: DensityMatrix,
                               n_steps: int, pair: ConvergencePair,
                               restarts: int = 8, seed: int = 0,
-                              tol: float = 1e-6, strict: bool = True,
-                              dT: float | None = None) -> list:
+                              tol: float = 1e-6, strict: bool = True) -> list:
     """Exact simulated ||rho_n - sigma_n||_1 against the per-step bound.
 
     The perturbation norm ||E - T|| is estimated by the multistart
@@ -605,32 +597,26 @@ def discrete_trajectory_check(t: SuperOperator, e: SuperOperator,
 
     sigma_mats, exact = _simulate(t.matrix, e.matrix, rho0, sigma0, n_steps + 1)
     d0 = trace_norm(rho0.matrix - sigma0.matrix)
-    if dT is None:
-        dT = _perturbation_norm(t.matrix, e.matrix, sigma_mats[:-1], restarts, seed)
+    dT = _perturbation_norm(t.matrix, e.matrix, sigma_mats[:-1], restarts, seed)
     return _bound_rows(pair, range(n_steps + 1), discrete_bound, exact, d0, dT,
                        tol, strict, "steps")
 
 
 def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
                                 rho0: DensityMatrix, sigma0: DensityMatrix,
-                                t_max: float, steps: int,
-                                pair: ConvergencePair | None = None,
+                                t_max: float, steps: int, pair: ConvergencePair,
                                 restarts: int = 8, seed: int = 0,
-                                tol: float = 1e-6, strict: bool = True,
-                                dL: float | None = None) -> list:
+                                tol: float = 1e-6, strict: bool = True) -> list:
     """Continuous counterpart of :func:`discrete_trajectory_check`.
 
     Both semigroups are propagated at ``steps`` uniform times in
     [0, t_max] (one matrix exponential per grid spacing, then compounded).
-    When ``pair`` is None a chi^2 pair is derived from the generator.
     """
     if gen_t.dim != gen_e.dim:
         raise DomainError("generators must act on the same dimension")
     if steps < 2:
         raise DomainError("need at least 2 time samples")
     _require_horizon(t_max)
-    if pair is None:
-        pair = pair_chi2_generator(gen_t, t_max=t_max, samples=steps, seed=seed)
     if pair.kind != "continuous":
         raise DomainError("continuous trajectory check requires a continuous pair")
     if not pair.validated_to(t_max):
@@ -647,7 +633,6 @@ def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
     sigma_mats, exact = _simulate(matrix_exp(gen_t.matrix, dt),
                                   matrix_exp(gen_e.matrix, dt), rho0, sigma0, steps)
     d0 = trace_norm(rho0.matrix - sigma0.matrix)
-    if dL is None:
-        dL = _perturbation_norm(gen_t.matrix, gen_e.matrix, sigma_mats, restarts, seed)
+    dL = _perturbation_norm(gen_t.matrix, gen_e.matrix, sigma_mats, restarts, seed)
     return _bound_rows(pair, times.tolist(), continuous_bound, exact, d0, dL,
                        tol, strict, "times")

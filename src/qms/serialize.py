@@ -28,7 +28,8 @@ from typing import Union
 
 import numpy as np
 
-from .channels import DensityMatrix, GeneratorMap, SuperOperator
+from .channels import (DensityMatrix, GeneratorMap, SuperOperator, from_kraus,
+                       from_stochastic)
 from .errors import SchemaError
 from .finite_time import BoundReport
 
@@ -110,16 +111,14 @@ def channel_from_dict(doc: object) -> Union[SuperOperator, GeneratorMap]:
             raise SchemaError("data: expected a nonempty array of Kraus operators")
         ops = [_parse_complex_matrix(op, dim, dim, f"data[{k}]")
                for k, op in enumerate(data)]
-        from .channels import from_kraus
         return from_kraus(ops, label=label)
     if rep == "stochastic":
-        from .channels import from_stochastic
         s = _parse_real_matrix(data, dim, dim, "data")
         return from_stochastic(s, label=label)
     m = _parse_complex_matrix(data, dim * dim, dim * dim, "data")
     if rep == "generator":
-        return GeneratorMap(dim, m, provenance="explicit")
-    so = SuperOperator(dim, m, provenance="explicit", label=label)
+        return GeneratorMap(dim, m)
+    so = SuperOperator(dim, m, label=label)
     so.trace_preserving = bool(so.tp_residual() <= 1e-10)
     return so
 
@@ -201,17 +200,13 @@ def reports_to_csv(reports: list) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in reports:
-        writer.writerow([
-            _fmt(r.instance), _fmt(r.n_or_t), _fmt(r.exact), _fmt(r.bound),
-            _fmt(r.slack), r.regime, _fmt(r.K), _fmt(r.rate), r.recipe,
-            r.kappa_variant])
+        writer.writerow([_fmt(getattr(r, key)) for key in CSV_COLUMNS])
     return buf.getvalue()
 
 
 def report_to_dict(r: BoundReport) -> dict:
     out = {}
-    for key in ("instance", "n_or_t", "exact", "bound", "slack", "regime",
-                "K", "rate", "recipe", "kappa_variant"):
+    for key in CSV_COLUMNS:
         val = getattr(r, key)
         if isinstance(val, float) and math.isnan(val):
             val = None

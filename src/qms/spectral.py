@@ -101,6 +101,13 @@ class FixedPointAnalysis:
         """Density-matrix basis of the fixed space, built once per analysis."""
         return _stationary_basis(self.projector, self.multiplicity)
 
+    def limit_state(self, m: np.ndarray) -> DensityMatrix:
+        """The stationary state T^inf(m) of a state m: projected onto the
+        fixed space, Hermitized and renormalised to unit trace."""
+        p = self.projector.apply(m)
+        p = (p + dagger(p)) / 2
+        return DensityMatrix(self.projector.dim, p / np.trace(p).real)
+
 
 def _spectral_data(m: np.ndarray) -> SpectralData:
     """The eigenvalues of ``m`` by nonincreasing modulus (ties by real, then
@@ -206,9 +213,7 @@ def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
                 f"(residual {cesaro_residual:.3g} > {_CESARO_TOL:g})",
                 residual=cesaro_residual)
 
-    proj = SuperOperator(t.dim, p, provenance="explicit",
-                         trace_preserving=t.trace_preserving,
-                         label="; ".join(notes) if notes else None)
+    proj = SuperOperator(t.dim, p, trace_preserving=t.trace_preserving)
     analysis = FixedPointAnalysis(
         projector=proj, multiplicity=k,
         peripheral_spectrum=spec.peripheral_count > 0,
@@ -227,8 +232,7 @@ def fixed_point_projector(t: SuperOperator) -> SuperOperator:
 
 def delta_map(t: SuperOperator) -> SuperOperator:
     """T - T^infinity as a superoperator."""
-    return SuperOperator(t.dim, t.matrix - fixed_point_projector(t).matrix,
-                         provenance="explicit")
+    return SuperOperator(t.dim, t.matrix - fixed_point_projector(t).matrix)
 
 
 def stationary_states(t: SuperOperator):
@@ -293,7 +297,7 @@ def fundamental_map(t: SuperOperator,
         raise NumericError(
             f"fundamental map inversion residual {resid:.3g} exceeds 1e-8",
             residual=resid, condition=float(np.linalg.cond(a)))
-    zop = SuperOperator(t.dim, z, provenance="explicit")
+    zop = SuperOperator(t.dim, z)
     if t.trace_preserving:
         tp_res = zop.tp_residual()
         if tp_res > 1e-8:

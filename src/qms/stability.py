@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .channels import DensityMatrix, SuperOperator, check_stationary
 from .contraction import DEFAULT_RESTARTS, ContractionEstimate, norm_1to1, tau
 from .errors import DimensionError
@@ -161,13 +159,11 @@ def fixed_point_perturbation(t1: SuperOperator, t2: SuperOperator,
     """
     if t1.dim != t2.dim:
         raise DimensionError(f"maps have different dims {t1.dim} != {t2.dim}")
-    check_stationary(t2, rho2, tol=1e-9)
+    check_stationary(t2, rho2)
 
     analysis1 = fixed_point_analysis(t1)
     z1 = fundamental_map(t1, analysis1)
-    rho1_m = analysis1.projector.apply(rho2.matrix)
-    rho1_m = (rho1_m + rho1_m.conj().T) / 2
-    rho1 = DensityMatrix(t1.dim, rho1_m / np.trace(rho1_m).real)
+    rho1 = analysis1.limit_state(rho2.matrix)
 
     diff = rho1.matrix - rho2.matrix
     actual = trace_norm(diff)
@@ -175,7 +171,7 @@ def fixed_point_perturbation(t1: SuperOperator, t2: SuperOperator,
     identity_residual = trace_norm(
         diff - unvec(z1.matrix @ (dmat @ vec(rho2.matrix)), t1.dim))
 
-    dop = SuperOperator(t1.dim, dmat, provenance="explicit")
+    dop = SuperOperator(t1.dim, dmat)
     at_rho2 = trace_norm(dop.apply(rho2.matrix))
     # rho2 is a Hermitian input of unit trace norm, so it is a valid extra
     # candidate for both modes; including it makes the Thm-1 style bound

@@ -160,7 +160,7 @@ def transpose_superoperator(d):
     for i in range(d):
         for j in range(d):
             m[j * d + i, i * d + j] = 1.0
-    return SuperOperator(d, m, provenance="explicit")
+    return SuperOperator(d, m)
 
 
 def test_choi_transpose_map_is_swap():
@@ -247,3 +247,43 @@ def test_superoperator_shape_validation():
         SuperOperator(2, np.eye(3))
     with pytest.raises(ValidationError):
         SuperOperator(2, np.full((4, 4), np.nan))
+
+
+def test_public_signatures_keep_only_options_with_callers():
+    # each parameter and field here has a caller outside the tests; the
+    # options that had none are constants now and must not come back
+    import dataclasses
+    import inspect
+
+    import qms
+    from qms import channels, contraction, ensembles, finite_time
+
+    assert [f.name for f in dataclasses.fields(SuperOperator)] == [
+        "dim", "matrix", "trace_preserving", "label"]
+    assert [f.name for f in dataclasses.fields(channels.GeneratorMap)] == [
+        "dim", "matrix"]
+    expected = {
+        channels.check_stationary: ["t", "rho"],
+        contraction.tau: ["t", "restarts", "seed"],
+        contraction.norm_1to1: ["t", "restarts", "seed", "hermitian_only"],
+        finite_time.pair_spectral_eq10: ["t", "mu", "n_check", "seed"],
+        finite_time.validate_pair_on_channel: ["pair", "t", "n_max", "seed"],
+        finite_time.validate_pair_on_generator: ["pair", "gen", "t_max",
+                                                 "samples", "seed"],
+        finite_time.discrete_trajectory_check: [
+            "t", "e", "rho0", "sigma0", "n_steps", "pair", "restarts", "seed",
+            "tol", "strict"],
+        finite_time.continuous_trajectory_check: [
+            "gen_t", "gen_e", "rho0", "sigma0", "t_max", "steps", "pair",
+            "restarts", "seed", "tol", "strict"],
+        ensembles.perturb_generator: ["gen", "eps", "seed"],
+    }
+    for func, names in expected.items():
+        assert list(inspect.signature(func).parameters) == names, func.__name__
+    pair = inspect.signature(finite_time.continuous_trajectory_check).parameters["pair"]
+    assert pair.default is inspect.Parameter.empty
+    for module, name in [(channels, "PROVENANCES"), (contraction, "TOL_OPT"),
+                         (contraction, "tau_of_powers_check"),
+                         (qms, "tau_of_powers_check"),
+                         (SuperOperator, "__matmul__")]:
+        assert not hasattr(module, name), name

@@ -142,6 +142,42 @@ def test_negative_steps_is_usage_error(files, capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["validate", "{depol05}"], ["analyze", "{depol05}"],
+    ["compare", "{depol05}", "{depol06}"],
+    ["trajectory", "{depol05}", "{depol06}"], ["pairs", "{depol05}"],
+    ["ensemble"]])
+def test_tol_outside_its_domain_is_usage_error(files, capsys, command, tol):
+    code = main([arg.format(**files) for arg in command] + [f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "argument --tol: must be finite and >= 0" in captured.err
+
+
+@pytest.mark.parametrize("mu", ["2", "1", "0", "nan", "-0.5"])
+def test_pairs_mu_outside_unit_interval_is_usage_error(files, capsys, mu):
+    code = main(["pairs", files["depol05"], f"--mu={mu}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "argument --mu: must lie in (0, 1)" in captured.err
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--steps", "0"], "need at least 2 time samples"),
+    (["--steps", "1"], "need at least 2 time samples"),
+    (["--t-max", "-1"], "t_max must be finite and nonnegative"),
+    (["--t-max", "nan"], "t_max must be finite and nonnegative")])
+def test_continuous_ensemble_bad_grid_is_usage_error(capsys, extra, message):
+    code = main(["ensemble", "--mode", "continuous", "--count", "3"] + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
 def test_compare_depolarizing_pair(files, capsys):
     code, out = run(["compare", files["depol05"], files["depol06"],
                      "--state", "maximally-mixed", "--restarts", "8",
@@ -408,6 +444,8 @@ def test_pairs_without_fixed_point_is_domain_error(tmp_path, capsys):
 # with a reported violation, and nothing escapes outside the QmsError family
 
 _small = st.integers(min_value=-1, max_value=2)
+_real = st.one_of(st.floats(min_value=-1, max_value=3),
+                  st.sampled_from([0.0, math.inf, -math.inf, math.nan, 1e308]))
 
 
 def _check_contract(argv, reports_violation=lambda out: "violations: 0" not in out):
@@ -418,14 +456,20 @@ def _check_contract(argv, reports_violation=lambda out: "violations: 0" not in o
     assert "internal error" not in err.getvalue()
     if code == 1:
         assert reports_violation(out.getvalue())
+    return code
 
 
 @settings(max_examples=20, deadline=None)
 @given(dim=st.integers(min_value=-1, max_value=3), count=_small,
-       steps=_small, restarts=_small)
-def test_ensemble_exit_code_contract(dim, count, steps, restarts):
-    _check_contract(["ensemble", "--dim", str(dim), "--count", str(count),
-                     "--steps", str(steps), "--restarts", str(restarts)])
+       steps=_small, restarts=_small, continuous=st.booleans(), t_max=_real)
+def test_ensemble_exit_code_contract(dim, count, steps, restarts, continuous,
+                                     t_max):
+    code = _check_contract(["ensemble", "--dim", str(dim), "--count", str(count),
+                            "--steps", str(steps), "--restarts", str(restarts),
+                            f"--t-max={t_max!r}"]
+                           + (["--mode", "continuous"] if continuous else []))
+    if continuous and not (steps >= 2 and 0.0 <= t_max < math.inf):
+        assert code == 2
 
 
 _pair = st.lists(st.floats(min_value=-2, max_value=2), min_size=2, max_size=2)
@@ -494,8 +538,6 @@ def contract_files(tmp_path_factory):
     return _write_maps(tmp_path_factory.mktemp("contract"))
 
 
-_real = st.one_of(st.floats(min_value=-1, max_value=3),
-                  st.sampled_from([0.0, math.inf, -math.inf, math.nan, 1e308]))
 _pair_spec = st.one_of(
     st.sampled_from(["auto-chi2", "auto-db", "auto-eq10:x", "0.5"]),
     _real.map(lambda mu: f"auto-eq10:{mu!r}"),
@@ -504,13 +546,16 @@ _pair_spec = st.one_of(
 
 @settings(max_examples=25, deadline=None)
 @given(continuous=st.booleans(), steps=st.integers(min_value=-1, max_value=4),
-       pair=_pair_spec, t_max=_real)
+       pair=_pair_spec, t_max=_real, tol=_real)
 def test_trajectory_exit_code_contract(contract_files, continuous, steps, pair,
-                                       t_max):
+                                       t_max, tol):
     t, e = ("gen10", "gen11") if continuous else ("depol05", "depol06")
-    _check_contract(["trajectory", contract_files[t], contract_files[e],
-                     "--steps", str(steps), f"--pair={pair}",
-                     f"--t-max={t_max!r}", "--restarts", "2"])
+    code = _check_contract(["trajectory", contract_files[t], contract_files[e],
+                            "--steps", str(steps), f"--pair={pair}",
+                            f"--t-max={t_max!r}", f"--tol={tol!r}",
+                            "--restarts", "2"])
+    if not 0.0 <= tol < math.inf:
+        assert code == 2
 
 
 @settings(max_examples=25, deadline=None)

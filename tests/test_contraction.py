@@ -13,7 +13,7 @@ from qms.contraction import (_ortho_input, _ortho_start, _ortho_step,
                              _pure_input, _pure_step, _run_multistart,
                              _unit_vectors, norm_1to1,
                              norm_lower_bound_probes, probe_inputs, tau,
-                             tau_exact_qubit, tau_of_powers_check)
+                             tau_exact_qubit)
 from qms.errors import DimensionError, DomainError
 from qms.linalg import apply_batch, trace_norm
 from qms.rng import SplitMix64, derive_seed
@@ -155,9 +155,10 @@ ASCENTS = {"tau": (_ortho_start, _ortho_step, _ortho_input),
                          _pure_input)}
 
 
-def ascent(t, kind, restarts=64, seed=0):
-    """The power ascent of ``kind``; qubit 1->1 norms no longer take it."""
-    return _run_multistart(t, *ASCENTS[kind], restarts, seed, 300)
+def ascent(t, kind, restarts=64, seed=0, maxiter=300):
+    """The power ascent of ``kind``, reached directly, so also for the qubit
+    maps that the public estimators send to a closed form."""
+    return _run_multistart(t, *ASCENTS[kind], restarts, seed, maxiter)
 
 
 # B = diag(0.3, 0.5, 0.5) and r = (0.2, eps, eps): B^T r lies (nearly) in the
@@ -226,7 +227,7 @@ def test_tau_qubit_grid_uniform_stochastic():
     # the multistart path at higher restart count must agree
     t = from_stochastic([[0.5, 0.5], [0.5, 0.5]])
     closed = tau_exact_qubit(t)
-    multi = tau(t, restarts=32, seed=3, traceless_hermitian=True)
+    multi = ascent(t, "tau", restarts=32, seed=3)
     assert closed.value <= 1e-9
     assert grid_oracle(t) <= 1e-9
     assert abs(closed.value - multi.value) <= 1e-6
@@ -450,7 +451,7 @@ def test_tau_requires_hermiticity_preservation():
     bad = SuperOperator(2, m)
     with pytest.raises(DomainError):
         tau(bad)
-    est = tau(bad, restarts=8, seed=0, traceless_hermitian=True)
+    est = ascent(bad, "tau", restarts=8, seed=0)
     assert est.value >= 0.0
 
 
@@ -458,7 +459,7 @@ def test_tau_equivalence_of_definitions_qubit():
     for seed in range(6):
         t = random_channel(2, 3, derive_seed(15, seed))
         closed = tau(t).value
-        direct = tau(t, restarts=24, seed=seed, traceless_hermitian=True).value
+        direct = ascent(t, "tau", restarts=24, seed=seed).value
         assert abs(closed - direct) <= 1e-6
 
 
@@ -564,7 +565,7 @@ def test_traceless_ascent_matches_qubit_closed_form():
     for rank in (1, 2, 3, 4):
         for i in range(10):
             t = random_channel(2, rank, derive_seed(2000 + rank, i))
-            est = tau(t, restarts=8, seed=i, traceless_hermitian=True)
+            est = ascent(t, "tau", restarts=8, seed=i)
             assert est.method == "multistart_manifold"
             assert est.value == pytest.approx(tau_exact_qubit(t).value,
                                               rel=1e-10, abs=1e-10)
@@ -575,9 +576,12 @@ def test_norm_never_decreases_with_maxiter(hermitian_only):
     t1 = random_channel(3, 4, seed=63)
     t2 = random_channel(3, 4, seed=64)
     d = SuperOperator(3, t1.matrix - t2.matrix)
-    values = [norm_1to1(d, restarts=8, seed=5, hermitian_only=hermitian_only,
-                        maxiter=k).value for k in (1, 2, 5, 20, 300)]
+    kind = "hermitian" if hermitian_only else "general"
+    values = [ascent(d, kind, restarts=8, seed=5, maxiter=k).value
+              for k in (1, 2, 5, 20, 300)]
     assert values == sorted(values)
+    assert values[-1] == norm_1to1(d, restarts=8, seed=5,
+                                   hermitian_only=hermitian_only).value
 
 
 def qudit_work_set():
@@ -679,15 +683,30 @@ def test_tau_of_classical_chains_is_dobrushin(d):
         assert kappa >= max(1.0, dobrushin(z_cl)) - 1e-10
 
 
+def tau_of_powers(t, n_max, restarts=64, seed=0):
+    """Rows (n, tau(L^n), tau(L)^n) for n = 1..n_max, each checked for
+    submultiplicativity; a violation would be an estimator defect."""
+    tau1 = tau(t, restarts=restarts, seed=seed).value
+    power = np.eye(t.dim ** 2, dtype=complex)
+    rows = []
+    for n in range(1, n_max + 1):
+        power = power @ t.matrix
+        tau_n = tau(SuperOperator(t.dim, power), restarts=restarts,
+                    seed=derive_seed(seed, n)).value
+        assert tau_n <= tau1 ** n + 1e-6, n
+        rows.append((n, tau_n, tau1 ** n))
+    return rows
+
+
 def test_tau_of_powers_depolarizing():
-    rows = tau_of_powers_check(depolarizing_channel(0.5), n_max=3)
+    rows = tau_of_powers(depolarizing_channel(0.5), n_max=3)
     assert rows[2][0] == 3
     assert rows[2][1] == pytest.approx(0.125, abs=1e-9)
     assert rows[2][2] == pytest.approx(0.125, abs=1e-9)
 
 
 def test_tau_of_powers_unitary():
-    rows = tau_of_powers_check(random_unitary_channel(2, 3), n_max=3)
+    rows = tau_of_powers(random_unitary_channel(2, 3), n_max=3)
     for _, tau_n, tau_pow in rows:
         assert tau_n == pytest.approx(1.0, abs=1e-6)
         assert tau_pow == pytest.approx(1.0, abs=1e-6)
@@ -703,7 +722,7 @@ def test_tau_submultiplicative_random_qubits():
 
 def test_tau_powers_check_random_qubit():
     t = random_channel(2, 4, seed=81)
-    rows = tau_of_powers_check(t, n_max=2)
+    rows = tau_of_powers(t, n_max=2)
     for _, tau_n, tau_pow in rows:
         assert tau_n <= tau_pow + 1e-6
 

@@ -237,15 +237,6 @@ def test_pair_spectral_eq10_zero_delta():
     assert pair.valid
 
 
-def test_pair_spectral_eq10_multiplicity_conventions():
-    t = depolarizing_channel(0.5)
-    block = pair_spectral_eq10(t, mu=0.6, multiplicity="block")
-    single = pair_spectral_eq10(t, mu=0.6, multiplicity="single")
-    # diagonalizable map: conventions coincide
-    assert block.K == pytest.approx(single.K, rel=1e-12)
-    assert block.K >= single.K - 1e-12
-
-
 def test_pair_spectral_eq10_rejects_mu_inside_spectrum():
     with pytest.raises(DomainError):
         pair_spectral_eq10(depolarizing_channel(0.5), mu=0.4)
@@ -331,16 +322,17 @@ def test_trajectory_requires_unique_stationary_state():
                                   rho0, rho0, 5, pair)
 
 
-def test_trajectory_strict_raises_on_violation():
+def test_trajectory_strict_raises_on_violation(monkeypatch):
+    from qms import finite_time
     t = depolarizing_channel(0.5)
     e = identity_channel(2)
     # a deliberately understated perturbation norm forces violations
+    monkeypatch.setattr(finite_time, "_perturbation_norm", lambda *args: 1e-6)
     pair = pair_chi2(t)
     rho0 = basis_state(2, 0)
     with pytest.raises(BoundViolationError):
-        discrete_trajectory_check(t, e, rho0, rho0, 10, pair, dT=1e-6)
-    rows = discrete_trajectory_check(t, e, rho0, rho0, 10, pair, dT=1e-6,
-                                     strict=False)
+        discrete_trajectory_check(t, e, rho0, rho0, 10, pair)
+    rows = discrete_trajectory_check(t, e, rho0, rho0, 10, pair, strict=False)
     assert any(r.slack < -1e-6 for r in rows)
 
 
@@ -400,7 +392,9 @@ def test_continuous_trajectory_derives_pair_when_missing():
     lt = random_generator(2, 2, seed=711, check=False)
     le = perturb_generator(lt, 1e-2, seed=712)
     rho0 = random_density(2, 713)
-    rows = continuous_trajectory_check(lt, le, rho0, rho0, 10.0, 40, None,
+    # the chi^2 pair derived on the trajectory's own time grid
+    pair = pair_chi2_generator(lt, t_max=10.0, samples=40, seed=7)
+    rows = continuous_trajectory_check(lt, le, rho0, rho0, 10.0, 40, pair,
                                        restarts=4, seed=7)
     assert min(r.slack for r in rows) >= -1e-6
     assert rows[0].recipe == "chi2"

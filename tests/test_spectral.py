@@ -40,6 +40,7 @@ def test_projector_swap_stochastic_excludes_peripheral():
     assert analysis.peripheral_spectrum
     assert not analysis.cesaro_checked
     assert any("peripheral" in n for n in analysis.notes)
+    assert analysis.projector.label is None       # the notes are not copied
     # Cesaro average of the period-2 swap fixes I/2 on the diagonal sector
     p = analysis.projector
     e00 = np.diag([1.0, 0.0]).astype(complex)
