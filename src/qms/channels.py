@@ -25,12 +25,13 @@ from .rng import SplitMix64
 DEFAULT_POSITIVITY_SAMPLES = 1000
 
 
-@dataclass
+@dataclass(eq=False)
 class SuperOperator:
     """A linear map on M_d(C) as a d^2 x d^2 matrix (column stacking).
 
     ``trace_preserving`` records the outcome of the algebraic TP check at
-    construction time; None means it was not determined.
+    construction time; None means it was not determined.  Equality and
+    hashing are by identity.
     """
 
     dim: int
@@ -269,9 +270,15 @@ def choi_matrix(t: SuperOperator) -> np.ndarray:
     return images.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def choi_hermiticity_residual(j: np.ndarray) -> float:
-    """||J - J^dag||_2 of a Choi matrix; zero iff the map is Hermiticity-preserving."""
-    return float(spectral_norm(j - dagger(j)))
+def preserves_hermiticity(t: SuperOperator, j: np.ndarray) -> tuple:
+    """(whether t preserves Hermiticity up to roundoff, ||J - J^dag||_2).
+
+    ``j`` is the Choi matrix of t; its residual is zero iff t is
+    Hermiticity-preserving and is accepted up to 1e-8 max(1, ||T||_2),
+    relative to the scale of the map.
+    """
+    res = float(spectral_norm(j - dagger(j)))
+    return res <= 1e-8 * max(1.0, spectral_norm(t.matrix)), res
 
 
 def validate(t: SuperOperator, n_samples: int = DEFAULT_POSITIVITY_SAMPLES,
@@ -291,7 +298,7 @@ def validate(t: SuperOperator, n_samples: int = DEFAULT_POSITIVITY_SAMPLES,
     unital_res = float(np.linalg.norm(t.matrix @ vi - vi))
 
     j = choi_matrix(t)
-    hp_res = choi_hermiticity_residual(j)
+    hp_ok, hp_res = preserves_hermiticity(t, j)
     min_choi = float(np.linalg.eigvalsh((j + dagger(j)) / 2).min())
 
     gen = SplitMix64(seed)
@@ -306,7 +313,7 @@ def validate(t: SuperOperator, n_samples: int = DEFAULT_POSITIVITY_SAMPLES,
 
     return ValidationReport(
         trace_preserving=bool(tp_res <= 1e-10), tp_residual=tp_res,
-        hermiticity_preserving=bool(hp_res <= 1e-10), hp_residual=hp_res,
+        hermiticity_preserving=bool(hp_ok), hp_residual=hp_res,
         completely_positive=bool(min_choi >= -1e-8), min_choi_eigenvalue=min_choi,
         unital=bool(unital_res <= 1e-10), unital_residual=unital_res,
         positivity="counterexample" if witness is not None else "no_counterexample",

@@ -40,23 +40,26 @@ def _g12(x) -> str:
     return format(x, ".12g")
 
 
-class _Output:
-    def __init__(self, path: Optional[str]):
-        self.path = path
+def _emit(args, doc: Optional[dict], text: Optional[str], code: int) -> int:
+    """Write ``doc`` as JSON, or ``text`` for the other formats, to --out or
+    stdout; return the exit code ``code``."""
+    if args.format == "json":
+        text = serialize.dumps_json(doc)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
-    def write(self, text: str):
-        if self.path:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
 
-
-def _steps(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+def _at_least(lo: int):
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {n}")
+        return n
+    return integer
 
 
 def _tolerance(text: str) -> float:
@@ -73,14 +76,18 @@ def _decay_rate(text: str) -> float:
     return x
 
 
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--format", default="text", choices=["text", "json", "csv"],
-                   help="output format (csv only for row-oriented commands)")
-    p.add_argument("--tol", type=_tolerance, default=1e-6,
-                   help="violation tolerance for slack checks (finite, >= 0)")
-    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
-                   help="multistart restarts for norm/contraction estimates "
-                        "(>= 1; ignored where a qubit closed form applies)")
+def _common_flags(p: argparse.ArgumentParser, estimates: bool, rows: bool = False):
+    """--format, --seed and --out; --tol and --restarts for the commands that
+    check estimated bounds; csv output for the row-oriented commands."""
+    p.add_argument("--format", default="text",
+                   choices=["text", "json", "csv"] if rows else ["text", "json"],
+                   help="output format")
+    if estimates:
+        p.add_argument("--tol", type=_tolerance, default=1e-6,
+                       help="violation tolerance for slack checks (finite, >= 0)")
+        p.add_argument("--restarts", type=_at_least(1), default=DEFAULT_RESTARTS,
+                       help="multistart restarts for norm/contraction estimates "
+                            "(>= 1; ignored where a qubit closed form applies)")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", default=None, help="write the report to a file")
 
@@ -144,52 +151,22 @@ def _cmd_validate(args) -> int:
     report = validate(t, n_samples=args.samples, seed=args.seed)
     doc = {"input": args.input, "dim": t.dim, "label": t.label,
            "validation": report.to_dict()}
-    if args.format == "json":
-        text = serialize.dumps_json(doc)
-    elif args.format == "text":
-        lines = [f"validation of {args.input} (dim {t.dim})"]
-        for key, val in sorted(report.to_dict().items()):
-            if key == "positivity_witness":
-                continue
-            shown = _g12(val) if isinstance(val, float) else val
-            lines.append(f"  {key}: {shown}")
-        text = "\n".join(lines) + "\n"
-    else:
-        raise ValidationError("validate does not produce csv output")
-    _Output(args.out).write(text)
+    lines = [f"validation of {args.input} (dim {t.dim})"]
+    for key, val in sorted(doc["validation"].items()):
+        if key != "positivity_witness":
+            lines.append(f"  {key}: {_g12(val) if isinstance(val, float) else val}")
     ok = (report.trace_preserving and report.completely_positive
           and report.positivity == "no_counterexample")
-    return 0 if ok else 1
+    return _emit(args, doc, "\n".join(lines) + "\n", 0 if ok else 1)
 
 
-def _analysis_doc(t: SuperOperator, args) -> tuple[dict, int]:
+def _cmd_analyze(args) -> int:
+    t = _load_super(args.input)
     spec = fixed_point_analysis(t).spectral
     report = condition_numbers(t, restarts=args.restarts, seed=args.seed)
-    tau_t = report.tau_t
-    doc = {
-        "dim": t.dim,
-        "label": t.label,
-        "spectrum": {
-            "eigenvalues": _eigs_to_lists(spec.eigenvalues),
-            "min_dist_to_one": spec.min_dist_to_one if math.isfinite(
-                spec.min_dist_to_one) else None,
-            "spectral_gap": spec.spectral_gap if math.isfinite(
-                spec.spectral_gap) else None,
-            "subdominant_modulus": spec.subdominant_modulus,
-            "peripheral_count": spec.peripheral_count,
-            "one_group_multiplicity": spec.one_group_multiplicity,
-        },
-        "tau": tau_t.to_dict(),
-        "condition_numbers": {
-            "kappa_tau_z": report.kappa_tau_z.to_dict(),
-            "kappa_contraction": report.kappa_contraction,
-            "kappa_contraction_reason": report.kappa_contraction_reason,
-            "spectral_lower": report.spectral_lower,
-            "spectral_upper": report.spectral_upper,
-            "peripheral_spectrum": report.peripheral_spectrum,
-            "unique_stationary": report.unique_stationary,
-        },
-    }
+    cn = report.to_dict()
+    tau_t = cn.pop("tau_t")
+    del cn["dim"], cn["min_dist_to_one"]
     violations = 0
     kz = report.kappa_tau_z.value
     if math.isfinite(report.spectral_upper) and kz > report.spectral_upper + args.tol:
@@ -202,37 +179,39 @@ def _analysis_doc(t: SuperOperator, args) -> tuple[dict, int]:
                 and math.isfinite(report.kappa_contraction)
                 and kz > report.kappa_contraction + args.tol):
             violations += 1
-    doc["violations"] = violations
-    return doc, (1 if violations else 0)
-
-
-def _cmd_analyze(args) -> int:
-    t = _load_super(args.input)
-    doc, code = _analysis_doc(t, args)
-    doc["input"] = args.input
-    if args.format == "json":
-        text = serialize.dumps_json(doc)
-    elif args.format == "text":
-        lines = [f"analysis of {args.input} (dim {t.dim})"]
-        sp = doc["spectrum"]
-        lines.append("  eigenvalues: " + ", ".join(
-            f"{_g12(re)}{'+' if im >= 0 else ''}{_g12(im)}j" for re, im in sp["eigenvalues"]))
-        for key in ("min_dist_to_one", "spectral_gap", "subdominant_modulus"):
-            lines.append(f"  {key}: {_g12(sp[key]) if sp[key] is not None else 'inf'}")
-        lines.append(f"  tau(T): {_g12(doc['tau']['value'])}")
-        cn = doc["condition_numbers"]
-        lines.append(f"  kappa = tau(Z): {_g12(cn['kappa_tau_z']['value'])}")
-        lines.append(f"  (1 - tau(T))^-1: {_g12(cn['kappa_contraction'])}"
-                     + (f"  [{cn['kappa_contraction_reason']}]"
-                        if cn["kappa_contraction_reason"] else ""))
-        lines.append(f"  spectral lower: {_g12(cn['spectral_lower'])}")
-        lines.append(f"  spectral upper: {_g12(cn['spectral_upper'])}")
-        lines.append(f"  violations: {doc['violations']}")
-        text = "\n".join(lines) + "\n"
-    else:
-        raise ValidationError("analyze does not produce csv output")
-    _Output(args.out).write(text)
-    return code
+    doc = {
+        "input": args.input,
+        "dim": t.dim,
+        "label": t.label,
+        "spectrum": {
+            "eigenvalues": _eigs_to_lists(spec.eigenvalues),
+            "min_dist_to_one": spec.min_dist_to_one if math.isfinite(
+                spec.min_dist_to_one) else None,
+            "spectral_gap": spec.spectral_gap if math.isfinite(
+                spec.spectral_gap) else None,
+            "subdominant_modulus": spec.subdominant_modulus,
+            "peripheral_count": spec.peripheral_count,
+            "one_group_multiplicity": spec.one_group_multiplicity,
+        },
+        "tau": tau_t,
+        "condition_numbers": cn,
+        "violations": violations,
+    }
+    lines = [f"analysis of {args.input} (dim {t.dim})",
+             "  eigenvalues: " + ", ".join(
+                 f"{_g12(z.real)}{'+' if z.imag >= 0 else ''}{_g12(z.imag)}j"
+                 for z in spec.eigenvalues)]
+    for key in ("min_dist_to_one", "spectral_gap", "subdominant_modulus"):
+        lines.append(f"  {key}: {_g12(getattr(spec, key))}")
+    lines += [f"  tau(T): {_g12(report.tau_t.value)}",
+              f"  kappa = tau(Z): {_g12(kz)}",
+              f"  (1 - tau(T))^-1: {_g12(report.kappa_contraction)}"
+              + (f"  [{report.kappa_contraction_reason}]"
+                 if report.kappa_contraction_reason else ""),
+              f"  spectral lower: {_g12(report.spectral_lower)}",
+              f"  spectral upper: {_g12(report.spectral_upper)}",
+              f"  violations: {violations}"]
+    return _emit(args, doc, "\n".join(lines) + "\n", 1 if violations else 0)
 
 
 def _cmd_compare(args) -> int:
@@ -253,22 +232,15 @@ def _cmd_compare(args) -> int:
            "result": outcome.to_dict()}
     violation = (outcome.bound_value - outcome.actual_distance < -args.tol
                  or outcome.identity_residual > 1e-8)
-    if args.format == "json":
-        text = serialize.dumps_json(doc)
-    elif args.format == "text":
-        r = outcome
-        lines = [f"fixed-point perturbation: {args.input1} vs {args.input2}",
-                 f"  actual distance ||rho1 - rho2||_1: {_g12(r.actual_distance)}",
-                 f"  bound kappa * ||T1 - T2||: {_g12(r.bound_value)}",
-                 f"  slack: {_g12(r.bound_value - r.actual_distance)}",
-                 f"  identity residual: {_g12(r.identity_residual)}"]
-        for name, val in sorted(r.bounds.items()):
-            lines.append(f"  bound[{name}]: {_g12(val)}")
-        text = "\n".join(lines) + "\n"
-    else:
-        raise ValidationError("compare does not produce csv output")
-    _Output(args.out).write(text)
-    return 1 if violation else 0
+    r = outcome
+    lines = [f"fixed-point perturbation: {args.input1} vs {args.input2}",
+             f"  actual distance ||rho1 - rho2||_1: {_g12(r.actual_distance)}",
+             f"  bound kappa * ||T1 - T2||: {_g12(r.bound_value)}",
+             f"  slack: {_g12(r.bound_value - r.actual_distance)}",
+             f"  identity residual: {_g12(r.identity_residual)}"]
+    for name, val in sorted(r.bounds.items()):
+        lines.append(f"  bound[{name}]: {_g12(val)}")
+    return _emit(args, doc, "\n".join(lines) + "\n", 1 if violation else 0)
 
 
 def _derive_pair(kind: str, spec: str, t_or_gen, steps: int, t_max: float,
@@ -295,28 +267,20 @@ def _derive_pair(kind: str, spec: str, t_or_gen, steps: int, t_max: float,
 def _emit_reports(reports, args, header: dict) -> int:
     bad = [r for r in reports if (not math.isnan(r.slack)) and r.slack < -args.tol]
     errors = [r for r in reports if r.regime == "error"]
+    code = 1 if bad else 3 if errors else 0
+    if args.format == "json":
+        rows = [serialize.report_to_dict(r) for r in reports]
+        return _emit(args, dict(header, rows=rows, violations=len(bad)), None, code)
     if args.format == "csv":
-        text = serialize.reports_to_csv(reports)
-    elif args.format == "json":
-        doc = dict(header)
-        doc["rows"] = [serialize.report_to_dict(r) for r in reports]
-        doc["violations"] = len(bad)
-        text = serialize.dumps_json(doc)
-    else:
-        lines = [", ".join(f"{k}={v}" for k, v in header.items())]
-        lines.append(f"{'n_or_t':>10} {'exact':>18} {'bound':>18} {'slack':>18} regime")
-        for r in reports:
-            lines.append(f"{_g12(r.n_or_t):>10} {_g12(r.exact):>18} "
-                         f"{_g12(r.bound):>18} {_g12(r.slack):>18} {r.regime}"
-                         + (f"  {r.error}" if r.error else ""))
-        lines.append(f"violations: {len(bad)}")
-        text = "\n".join(lines) + "\n"
-    _Output(args.out).write(text)
-    if bad:
-        return 1
-    if errors:
-        return 3
-    return 0
+        return _emit(args, None, serialize.reports_to_csv(reports), code)
+    lines = [", ".join(f"{k}={v}" for k, v in header.items()),
+             f"{'n_or_t':>10} {'exact':>18} {'bound':>18} {'slack':>18} regime"]
+    for r in reports:
+        lines.append(f"{_g12(r.n_or_t):>10} {_g12(r.exact):>18} "
+                     f"{_g12(r.bound):>18} {_g12(r.slack):>18} {r.regime}"
+                     + (f"  {r.error}" if r.error else ""))
+    lines.append(f"violations: {len(bad)}")
+    return _emit(args, None, "\n".join(lines) + "\n", code)
 
 
 def _cmd_trajectory(args) -> int:
@@ -370,21 +334,14 @@ def _cmd_pairs(args) -> int:
             results[name] = {"error": f"{type(exc).__name__}: {exc}"}
     doc = {"input": args.input, "dim": t.dim, "mu_for_eq10": default_mu,
            "pairs": results}
-    if args.format == "json":
-        text = serialize.dumps_json(doc)
-    elif args.format == "text":
-        lines = [f"convergence pairs for {args.input}"]
-        for name, val in results.items():
-            if "error" in val:
-                lines.append(f"  {name}: {val['error']}")
-            else:
-                lines.append(f"  {name}: K={_g12(val['K'])} rate={_g12(val['rate'])} "
-                             f"valid={val['valid']} checked_to={_g12(val['validity_checked_to'])}")
-        text = "\n".join(lines) + "\n"
-    else:
-        raise ValidationError("pairs does not produce csv output")
-    _Output(args.out).write(text)
-    return exit_code
+    lines = [f"convergence pairs for {args.input}"]
+    for name, val in results.items():
+        if "error" in val:
+            lines.append(f"  {name}: {val['error']}")
+        else:
+            lines.append(f"  {name}: K={_g12(val['K'])} rate={_g12(val['rate'])} "
+                         f"valid={val['valid']} checked_to={_g12(val['validity_checked_to'])}")
+    return _emit(args, doc, "\n".join(lines) + "\n", exit_code)
 
 
 def _cmd_ensemble(args) -> int:
@@ -412,12 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--samples", type=int, default=1000,
                    help="Haar samples for the positivity search")
-    _common_flags(p)
+    _common_flags(p, estimates=False)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("analyze", help="spectrum, tau and condition numbers")
     p.add_argument("input")
-    _common_flags(p)
+    _common_flags(p, estimates=True)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("compare", help="fixed-point perturbation bound for two channels")
@@ -426,28 +383,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default="maximally-mixed",
                    help="maximally-mixed or file:PATH; projected onto the "
                         "stationary subspace of the second channel")
-    _common_flags(p)
+    _common_flags(p, estimates=True)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("trajectory", help="finite-time bound along simulated evolutions")
     p.add_argument("input1", help="reference channel or generator")
     p.add_argument("input2", help="perturbed channel or generator")
-    p.add_argument("--steps", type=_steps, default=50)
+    p.add_argument("--steps", type=_at_least(0), default=50)
     p.add_argument("--t-max", type=float, default=10.0, dest="t_max")
     p.add_argument("--pair", default="auto-chi2",
                    help="auto-chi2 | auto-db | auto-eq10:MU | K:MU")
     p.add_argument("--state", default="maximally-mixed")
-    _common_flags(p)
+    _common_flags(p, estimates=True, rows=True)
     p.set_defaults(func=_cmd_trajectory)
 
     p = sub.add_parser("pairs", help="derive exponential convergence pairs")
     p.add_argument("input")
-    p.add_argument("--steps", type=_steps, default=50,
+    p.add_argument("--steps", type=_at_least(0), default=50,
                    help="empirical validation horizon")
     p.add_argument("--mu", type=_decay_rate, default=None,
                    help="decay rate for the spectral recipe "
                         "(default: halfway between subdominant modulus and 1)")
-    _common_flags(p)
+    _common_flags(p, estimates=False)
     p.set_defaults(func=_cmd_pairs)
 
     p = sub.add_parser("ensemble", help="random sweep with bound records")
@@ -456,9 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-2)
     p.add_argument("--kraus-rank", type=int, default=None, dest="kraus_rank")
     p.add_argument("--mode", default="discrete", choices=["discrete", "continuous"])
-    p.add_argument("--steps", type=_steps, default=50)
+    p.add_argument("--steps", type=_at_least(0), default=50)
     p.add_argument("--t-max", type=float, default=10.0, dest="t_max")
-    _common_flags(p)
+    _common_flags(p, estimates=True, rows=True)
     p.set_defaults(func=_cmd_ensemble)
     return parser
 

@@ -20,14 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import SuperOperator, choi_hermiticity_residual, choi_matrix
+from .channels import SuperOperator, choi_matrix, preserves_hermiticity
 from .errors import DimensionError, DomainError
-from .linalg import apply_batch, spectral_norm, trace_norm_batch
+from .linalg import apply_batch, trace_norm_batch
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_RESTARTS = 64
 # power steps per ascent, two per SQUAREM cycle
 MAXITER = 300
+# random draws in the probe family, two probes each
+PROBE_DRAWS = 64
 
 
 @dataclass
@@ -53,12 +55,6 @@ class ContractionEstimate:
         return {"value": self.value, "method": self.method,
                 "restarts": self.restarts,
                 "convergence_spread": self.convergence_spread}
-
-
-def _hermiticity_preserving(t: SuperOperator) -> tuple:
-    """(whether t preserves Hermiticity up to roundoff, its Choi residual)."""
-    res = choi_hermiticity_residual(choi_matrix(t))
-    return res <= 1e-8 * max(1.0, spectral_norm(t.matrix)), res
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +92,7 @@ def tau_exact_qubit(t: SuperOperator) -> ContractionEstimate:
     """
     if t.dim != 2:
         raise DimensionError(f"qubit closed form requires dim 2, got {t.dim}")
-    ok, res = _hermiticity_preserving(t)
+    ok, res = preserves_hermiticity(t, choi_matrix(t))
     if not ok:
         raise DomainError(
             "tau_exact_qubit: the qubit closed form needs a Hermiticity-preserving "
@@ -424,7 +420,7 @@ def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     """
     _require_restarts(restarts)
     if hermitian_only:
-        if t.dim == 2 and _hermiticity_preserving(t)[0]:
+        if t.dim == 2 and preserves_hermiticity(t, choi_matrix(t))[0]:
             return _hermitian_norm_qubit(_pauli_transfer(t))
         return _run_multistart(t, functools.partial(_unit_vectors, k=1),
                                _pure_step, _pure_input, restarts, seed, MAXITER)
@@ -439,20 +435,21 @@ def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
 
 
 @functools.lru_cache(maxsize=16)
-def probe_inputs(d: int, n_random: int = 64, seed: int = 0) -> np.ndarray:
+def probe_inputs(d: int, seed: int = 0) -> np.ndarray:
     """A deterministic family of unit-trace-norm probe inputs, shape (m, d, d).
 
     Contains all matrix units E_ij (basis-aligned rank-one extreme points)
-    plus, per random draw, a u v^dag pair and a pure-state projector
-    psi psi^dag.  The draws take the whole SplitMix64 stream in one call
-    and replay ``SplitMix64.complex_normals(d)`` for u, v and psi in turn,
-    so the probes match a draw-by-draw construction.  Memoised on the
-    arguments; the returned array is shared, hence read-only.
+    plus, for each of the ``PROBE_DRAWS`` random draws, a u v^dag pair and a
+    pure-state projector psi psi^dag.  The draws take the whole SplitMix64
+    stream in one call and replay ``SplitMix64.complex_normals(d)`` for u, v
+    and psi in turn, so the probes match a draw-by-draw construction.
+    Memoised on the arguments; the returned array is shared, hence
+    read-only.
     """
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     # axes: draw, vector (u, v, psi), Box-Muller radius or angle, entry
-    bits = SplitMix64(derive_seed(seed, 0xA11CE)).next_uint64(6 * n_random * d)
-    bits = (bits >> np.uint64(11)).reshape(n_random, 3, 2, d).astype(np.float64)
+    bits = SplitMix64(derive_seed(seed, 0xA11CE)).next_uint64(6 * PROBE_DRAWS * d)
+    bits = (bits >> np.uint64(11)).reshape(PROBE_DRAWS, 3, 2, d).astype(np.float64)
     u1 = (bits[:, :, 0] + 1.0) * 2.0**-53
     u2 = bits[:, :, 1] * 2.0**-53
     r = np.sqrt(-2.0 * np.log(u1))
@@ -465,7 +462,7 @@ def probe_inputs(d: int, n_random: int = 64, seed: int = 0) -> np.ndarray:
     u, v, psi = z[:, 0], z[:, 1], z[:, 2]
     pairs = np.stack([u[:, :, None] * v.conj()[:, None, :],
                       psi[:, :, None] * psi.conj()[:, None, :]], axis=1)
-    probes = np.concatenate([units, pairs.reshape(2 * n_random, d, d)])
+    probes = np.concatenate([units, pairs.reshape(2 * PROBE_DRAWS, d, d)])
     probes.flags.writeable = False
     return probes
 

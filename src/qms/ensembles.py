@@ -14,6 +14,7 @@ import numpy as np
 
 from .channels import (DensityMatrix, GeneratorMap, SuperOperator, choi_matrix,
                        from_kraus, from_lindblad, generator_exponential)
+from .contraction import _require_restarts
 from .errors import DomainError, QmsError, ValidationError
 from .finite_time import (BoundReport, _require_horizon,
                           continuous_trajectory_check, discrete_trajectory_check,
@@ -176,9 +177,11 @@ def sweep(config: EnsembleConfig, steps: int = 50, restarts: int = 8,
     Per-instance failures become error rows instead of aborting the sweep;
     output order is fixed by instance index, so the result is identical for
     identical configs regardless of any parallel execution of instances.
-    A continuous sweep with fewer than 2 time samples or a horizon that is
-    not finite and nonnegative raises :class:`DomainError` up front.
+    Fewer than 1 restart, and for a continuous sweep fewer than 2 time
+    samples or a horizon that is not finite and nonnegative, raise
+    :class:`DomainError` up front.
     """
+    _require_restarts(restarts)
     if config.mode == "continuous":
         if steps < 2:
             raise DomainError("need at least 2 time samples")

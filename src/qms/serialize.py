@@ -62,31 +62,23 @@ def _parse_complex_entry(entry, path: str) -> complex:
     return complex(re, im)
 
 
-def _parse_complex_matrix(data, rows: int, cols: int, path: str) -> np.ndarray:
+def _parse_real_entry(entry, path: str) -> float:
+    if not isinstance(entry, (int, float)) or not math.isfinite(float(entry)):
+        raise SchemaError(f"{path}: expected a finite real number")
+    return float(entry)
+
+
+def _parse_matrix(data, rows: int, cols: int, path: str, entry) -> np.ndarray:
+    """A rows x cols array, each entry parsed by ``entry(value, address)``."""
     if not isinstance(data, list) or len(data) != rows:
         raise SchemaError(f"{path}: expected {rows} rows, got "
                           f"{len(data) if isinstance(data, list) else type(data).__name__}")
-    out = np.zeros((rows, cols), dtype=complex)
+    out = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{path}[{i}]: expected {cols} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _parse_complex_entry(entry, f"{path}[{i}][{j}]")
-    return out
-
-
-def _parse_real_matrix(data, rows: int, cols: int, path: str) -> np.ndarray:
-    if not isinstance(data, list) or len(data) != rows:
-        raise SchemaError(f"{path}: expected {rows} rows")
-    out = np.zeros((rows, cols))
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(f"{path}[{i}]: expected {cols} entries")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, (int, float)) or not math.isfinite(float(entry)):
-                raise SchemaError(f"{path}[{i}][{j}]: expected a finite real number")
-            out[i, j] = float(entry)
-    return out
+        out.append([entry(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
+    return np.array(out)
 
 
 def channel_from_dict(doc: object) -> Union[SuperOperator, GeneratorMap]:
@@ -109,13 +101,13 @@ def channel_from_dict(doc: object) -> Union[SuperOperator, GeneratorMap]:
     if rep == "kraus":
         if not isinstance(data, list) or not data:
             raise SchemaError("data: expected a nonempty array of Kraus operators")
-        ops = [_parse_complex_matrix(op, dim, dim, f"data[{k}]")
+        ops = [_parse_matrix(op, dim, dim, f"data[{k}]", _parse_complex_entry)
                for k, op in enumerate(data)]
         return from_kraus(ops, label=label)
     if rep == "stochastic":
-        s = _parse_real_matrix(data, dim, dim, "data")
+        s = _parse_matrix(data, dim, dim, "data", _parse_real_entry)
         return from_stochastic(s, label=label)
-    m = _parse_complex_matrix(data, dim * dim, dim * dim, "data")
+    m = _parse_matrix(data, dim * dim, dim * dim, "data", _parse_complex_entry)
     if rep == "generator":
         return GeneratorMap(dim, m)
     so = SuperOperator(dim, m, label=label)
@@ -127,16 +119,17 @@ def channel_from_json(text: str) -> Union[SuperOperator, GeneratorMap]:
     return channel_from_dict(loads_strict(text))
 
 
-def load_channel(path: str) -> Union[SuperOperator, GeneratorMap]:
+def _load(path: str, parse):
+    """``parse`` applied to the JSON document in a file; errors name the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return parse(loads_strict(fh.read()))
+    except (OSError, SchemaError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    try:
-        return channel_from_json(text)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def load_channel(path: str) -> Union[SuperOperator, GeneratorMap]:
+    return _load(path, channel_from_dict)
 
 
 def _complex_matrix_to_lists(m: np.ndarray) -> list:
@@ -160,20 +153,12 @@ def state_from_dict(doc: object) -> DensityMatrix:
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise SchemaError(f"dim: expected a positive integer, got {dim!r}")
-    m = _parse_complex_matrix(doc.get("data"), dim, dim, "data")
+    m = _parse_matrix(doc.get("data"), dim, dim, "data", _parse_complex_entry)
     return DensityMatrix(dim, m)
 
 
 def load_state(path: str) -> DensityMatrix:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = loads_strict(fh.read())
-    except OSError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    try:
-        return state_from_dict(doc)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+    return _load(path, state_from_dict)
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:

@@ -6,20 +6,19 @@ exact in theory, so a tolerance much tighter than the general clustering
 tolerance avoids absorbing slow modes into the fixed space).
 
 :func:`fixed_point_analysis` memoises its result per ``SuperOperator``
-object (by identity, not by value), so every consumer of a map shares one
-spectral analysis: one eigenvalue computation and one SVD.  The memo is
-module-level and keeps the 8 most recently used maps: a caller holding
-many analysed maps pays a fixed amount of memory for it, and a map that
-has dropped out is analysed again on its next use.  This relies on a
-``SuperOperator`` not being mutated after construction.  A failed
-analysis raises and is not stored.
+object (``SuperOperator`` hashes by identity, not by value), so every
+consumer of a map shares one spectral analysis: one eigenvalue computation
+and one SVD.  The memo is a module-level ``functools.lru_cache`` of the 8
+most recently used maps: a caller holding many analysed maps pays a fixed
+amount of memory for it, and a map that has dropped out is analysed again
+on its next use.  This relies on a ``SuperOperator`` not being mutated
+after construction.  A failed analysis raises and is not stored.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,10 +34,6 @@ TOL_FIX = 1e-9
 # Relative tolerance for deciding that two eigenvalues belong to the same
 # cluster.  Used everywhere a "distinct eigenvalue" decision is made.
 TOL_CLUSTER = 1e-7
-
-_MEMO_SIZE = 8
-# id(t) -> (t, analysis); holding t keeps its id from being reused
-_memo: OrderedDict = OrderedDict()
 
 # Cesaro cross-validation is only meaningful when plain powers converge
 # well below the agreement tolerance within 2^14 steps.
@@ -145,10 +140,11 @@ def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
     TOL_FIX beyond its roundoff, and :class:`SpectralResolutionError` when
     it does not.
     """
-    hit = _memo.pop(id(t), None)
-    if hit is not None and hit[0] is t:
-        _memo[id(t)] = hit                  # now the most recently used
-        return hit[1]
+    return _analyse(t)
+
+
+@functools.lru_cache(maxsize=8)
+def _analyse(t: SuperOperator) -> FixedPointAnalysis:
     m = t.matrix
     spec = _spectral_data(m)
     k = spec.one_group_multiplicity
@@ -214,15 +210,11 @@ def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
                 residual=cesaro_residual)
 
     proj = SuperOperator(t.dim, p, trace_preserving=t.trace_preserving)
-    analysis = FixedPointAnalysis(
+    return FixedPointAnalysis(
         projector=proj, multiplicity=k,
         peripheral_spectrum=spec.peripheral_count > 0,
         cesaro_checked=cesaro_checked, spectral=spec,
         cesaro_residual=cesaro_residual, notes=notes)
-    _memo[id(t)] = (t, analysis)
-    if len(_memo) > _MEMO_SIZE:
-        _memo.popitem(last=False)
-    return analysis
 
 
 def fixed_point_projector(t: SuperOperator) -> SuperOperator:

@@ -6,8 +6,8 @@ from qms.channels import (SuperOperator, amplitude_damping_channel, basis_state,
                           depolarizing_channel, dual, from_kraus,
                           from_stochastic, identity_channel, maximally_mixed,
                           pauli_channel, validate)
-from qms.contraction import norm_1to1
-from qms.errors import DimensionError, ValidationError
+from qms.contraction import norm_1to1, tau
+from qms.errors import DimensionError, DomainError, ValidationError
 from qms.linalg import dagger, trace_norm, unvec, vec
 from qms.rng import SplitMix64, derive_seed
 
@@ -201,6 +201,28 @@ def test_validate_finds_counterexample_for_negative_map():
     assert rep.positivity_witness is not None
 
 
+@pytest.mark.parametrize("shift, preserving", [(1e-9, True), (1e-3, False)])
+def test_validate_and_tau_share_one_hermiticity_verdict(shift, preserving):
+    # the qubit closed form of tau needs a Hermiticity-preserving map, so
+    # tau takes it exactly when validate reports the map as one
+    m = depolarizing_channel(0.5).matrix.copy()
+    m[0, 1] += shift
+    t = SuperOperator(2, m)
+    assert validate(t, n_samples=10).hermiticity_preserving is preserving
+    if preserving:
+        assert tau(t).method == "analytic"
+    else:
+        with pytest.raises(DomainError, match="Hermiticity-preserving"):
+            tau(t)
+
+
+def test_superoperator_equality_is_identity():
+    t = depolarizing_channel(0.5)
+    twin = SuperOperator(2, t.matrix.copy())
+    assert t == t and t != twin
+    assert len({t, twin}) == 2
+
+
 def test_validate_deterministic():
     t = random_channel_like(2, 4, seed=77)
     r1 = validate(t, n_samples=64, seed=5)
@@ -277,6 +299,7 @@ def test_public_signatures_keep_only_options_with_callers():
             "gen_t", "gen_e", "rho0", "sigma0", "t_max", "steps", "pair",
             "restarts", "seed", "tol", "strict"],
         ensembles.perturb_generator: ["gen", "eps", "seed"],
+        contraction.probe_inputs: ["d", "seed"],
     }
     for func, names in expected.items():
         assert list(inspect.signature(func).parameters) == names, func.__name__

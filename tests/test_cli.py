@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -131,7 +132,7 @@ def test_analyze_infinite_bounds_text_and_json(files, capsys):
 def test_restarts_zero_is_usage_error(files, capsys):
     code = main(["compare", files["depol05"], files["depol06"], "--restarts", "0"])
     assert code == 2
-    assert "restarts must be >= 1" in capsys.readouterr().err
+    assert "argument --restarts: must be >= 1" in capsys.readouterr().err
 
 
 def test_negative_steps_is_usage_error(files, capsys):
@@ -153,7 +154,61 @@ def test_tol_outside_its_domain_is_usage_error(files, capsys, command, tol):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "argument --tol: must be finite and >= 0" in captured.err
+    # validate and pairs check no slack, so they take no --tol at all
+    assert ("unrecognized arguments: --tol" if command[0] in ("validate", "pairs")
+            else "argument --tol: must be finite and >= 0") in captured.err
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    from qms.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    common = ["-h", "--help", "--format", "--seed", "--out"]
+    estimates = ["--tol", "--restarts"]
+    expected = {
+        "validate": (["--samples"] + common, ["text", "json"]),
+        "analyze": (common + estimates, ["text", "json"]),
+        "compare": (["--state"] + common + estimates, ["text", "json"]),
+        "trajectory": (["--steps", "--t-max", "--pair", "--state"] + common
+                       + estimates, ["text", "json", "csv"]),
+        "pairs": (["--steps", "--mu"] + common, ["text", "json"]),
+        "ensemble": (["--dim", "--count", "--eps", "--kraus-rank", "--mode",
+                      "--steps", "--t-max"] + common + estimates,
+                     ["text", "json", "csv"]),
+    }
+    assert sorted(sub.choices) == sorted(expected)
+    for name, parser in sub.choices.items():
+        options, formats = expected[name]
+        got = [s for a in parser._actions for s in a.option_strings]
+        assert sorted(got) == sorted(options), name
+        fmt = next(a for a in parser._actions if a.dest == "format")
+        assert fmt.choices == formats, name
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "{depol05}"], ["analyze", "{depol05}"],
+    ["compare", "{depol05}", "{depol06}"], ["pairs", "{depol05}"]])
+def test_csv_on_document_commands_is_refused_before_loading(files, capsys,
+                                                            count_calls, command):
+    from qms import serialize
+    loads = count_calls(serialize, "load_channel")
+    code = main([arg.format(**files) for arg in command] + ["--format", "csv"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "argument --format: invalid choice: 'csv'" in captured.err
+    assert loads == []
+
+
+def test_malformed_state_file_error_names_the_file(files, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text('{"dim": 2, "data": ')
+    code = main(["compare", files["depol05"], files["depol06"], "--state",
+                 f"file:{state}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {state}: invalid JSON at line 1")
 
 
 @pytest.mark.parametrize("mu", ["2", "1", "0", "nan", "-0.5"])
@@ -349,19 +404,21 @@ def test_out_flag_writes_file(files, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (["analyze", "{depol05}"], 1),
-    (["compare", "{depol05}", "{depol06}"], 2),
-    (["trajectory", "{depol05}", "{depol06}", "--steps", "5"], 1),
+    (["analyze", "{depol05}", "--restarts", "2"], 1),
+    (["compare", "{depol05}", "{depol06}", "--restarts", "2"], 2),
+    (["trajectory", "{depol05}", "{depol06}", "--steps", "5",
+      "--restarts", "2"], 1),
     (["pairs", "{depol05}", "--steps", "5"], 1),
-    (["ensemble", "--dim", "2", "--count", "2", "--steps", "5"], 4),
     (["ensemble", "--dim", "2", "--count", "2", "--steps", "5",
-      "--mode", "continuous"], 2),
+      "--restarts", "2"], 4),
+    (["ensemble", "--dim", "2", "--count", "2", "--steps", "5",
+      "--mode", "continuous", "--restarts", "2"], 2),
 ])
 def test_one_eigendecomposition_per_map(files, capsys, count_calls, argv,
                                         expected):
     from qms import spectral
     eigs = count_calls(spectral, "_spectral_data")
-    assert main([a.format(**files) for a in argv] + ["--restarts", "2"]) == 0
+    assert main([a.format(**files) for a in argv]) == 0
     capsys.readouterr()
     assert len(eigs) == expected
 
@@ -468,7 +525,7 @@ def test_ensemble_exit_code_contract(dim, count, steps, restarts, continuous,
                             "--steps", str(steps), "--restarts", str(restarts),
                             f"--t-max={t_max!r}"]
                            + (["--mode", "continuous"] if continuous else []))
-    if continuous and not (steps >= 2 and 0.0 <= t_max < math.inf):
+    if restarts < 1 or (continuous and not (steps >= 2 and 0.0 <= t_max < math.inf)):
         assert code == 2
 
 
@@ -546,15 +603,15 @@ _pair_spec = st.one_of(
 
 @settings(max_examples=25, deadline=None)
 @given(continuous=st.booleans(), steps=st.integers(min_value=-1, max_value=4),
-       pair=_pair_spec, t_max=_real, tol=_real)
+       pair=_pair_spec, t_max=_real, tol=_real, restarts=_small)
 def test_trajectory_exit_code_contract(contract_files, continuous, steps, pair,
-                                       t_max, tol):
+                                       t_max, tol, restarts):
     t, e = ("gen10", "gen11") if continuous else ("depol05", "depol06")
     code = _check_contract(["trajectory", contract_files[t], contract_files[e],
                             "--steps", str(steps), f"--pair={pair}",
                             f"--t-max={t_max!r}", f"--tol={tol!r}",
-                            "--restarts", "2"])
-    if not 0.0 <= tol < math.inf:
+                            "--restarts", str(restarts)])
+    if restarts < 1 or not 0.0 <= tol < math.inf:
         assert code == 2
 
 
@@ -563,8 +620,8 @@ def test_trajectory_exit_code_contract(contract_files, continuous, steps, pair,
        steps=st.integers(min_value=-1, max_value=4),
        mu=st.one_of(st.none(), _real))
 def test_pairs_exit_code_contract(contract_files, name, steps, mu):
-    _check_contract(["pairs", contract_files[name], "--steps", str(steps),
-                     "--restarts", "2"] + ([] if mu is None else [f"--mu={mu!r}"]),
+    _check_contract(["pairs", contract_files[name], "--steps", str(steps)]
+                    + ([] if mu is None else [f"--mu={mu!r}"]),
                     lambda out: "valid=False" in out)
 
 
@@ -584,8 +641,7 @@ def test_validate_exit_code_contract(contract_files, name, samples):
 def test_pairs_builds_stationary_state_once(files, capsys, count_calls):
     from qms import spectral
     builds = count_calls(spectral, "_stationary_basis")
-    assert main(["pairs", files["depol05"], "--steps", "5",
-                 "--restarts", "2"]) == 0
+    assert main(["pairs", files["depol05"], "--steps", "5"]) == 0
     capsys.readouterr()
     assert len(builds) == 1
 
@@ -599,22 +655,23 @@ def _run_isolated(code):
 
 def test_discrete_commands_do_not_load_scipy(files):
     # every command, generator paths included: qms depends on numpy alone
+    few = ["--restarts", "2"]
     commands = [
         ["validate", files["depol05"], "--samples", "20"],
-        ["analyze", files["depol05"]],
-        ["compare", files["depol05"], files["depol06"]],
-        ["trajectory", files["depol05"], files["depol06"], "--steps", "5"],
-        ["trajectory", files["gen10"], files["gen11"], "--steps", "5"],
+        ["analyze", files["depol05"], *few],
+        ["compare", files["depol05"], files["depol06"], *few],
+        ["trajectory", files["depol05"], files["depol06"], "--steps", "5", *few],
+        ["trajectory", files["gen10"], files["gen11"], "--steps", "5", *few],
         ["pairs", files["depol05"], "--steps", "5"],
-        ["ensemble", "--count", "2", "--steps", "5"],
-        ["ensemble", "--count", "2", "--steps", "5", "--mode", "continuous"],
+        ["ensemble", "--count", "2", "--steps", "5", *few],
+        ["ensemble", "--count", "2", "--steps", "5", "--mode", "continuous", *few],
     ]
     proc = _run_isolated(
         "import sys\n"
         "from qms.cli import main\n"
         "assert 'scipy' not in sys.modules\n"
         f"for argv in {commands!r}:\n"
-        "    assert main(argv + ['--restarts', '2']) == 0, argv\n"
+        "    assert main(argv) == 0, argv\n"
         "    assert 'scipy' not in sys.modules, argv[0] + ' loaded scipy'\n")
     assert proc.returncode == 0, proc.stderr
     assert "analysis of" in proc.stdout

@@ -8,8 +8,8 @@ from qms.channels import (SuperOperator, amplitude_damping_channel,
                           from_kraus, from_stochastic, identity_channel,
                           pauli_channel)
 from qms.ensembles import perturb_channel
-from qms.contraction import (_ortho_input, _ortho_start, _ortho_step,
-                             _pair_input, _pair_step, _power_ascent,
+from qms.contraction import (PROBE_DRAWS, _ortho_input, _ortho_start,
+                             _ortho_step, _pair_input, _pair_step, _power_ascent,
                              _pure_input, _pure_step, _run_multistart,
                              _unit_vectors, norm_1to1,
                              norm_lower_bound_probes, probe_inputs, tau,
@@ -731,7 +731,7 @@ def test_probe_lower_bound_below_optimized():
     t1 = random_channel(2, 4, seed=91)
     t2 = random_channel(2, 4, seed=92)
     dmat = t1.matrix - t2.matrix
-    probes = probe_inputs(2, n_random=32, seed=0)
+    probes = probe_inputs(2, seed=0)
     low = norm_lower_bound_probes(dmat, probes)
     est = norm_1to1(SuperOperator(2, dmat), restarts=16, seed=0).value
     assert low <= est + 1e-9
@@ -740,31 +740,30 @@ def test_probe_lower_bound_below_optimized():
     assert norm_lower_bound_probes(ddep, probes) == pytest.approx(0.1, abs=1e-12)
 
 
-def _sequential_probes(d, n_random, seed):
+def _sequential_probes(d, seed):
     """The probe set drawn vector by vector from the stream."""
     probes = list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
     gen = SplitMix64(derive_seed(seed, 0xA11CE))
-    for _ in range(n_random):
+    for _ in range(PROBE_DRAWS):
         u, v, psi = (z / np.linalg.norm(z)
                      for z in [gen.complex_normals(d) for _ in range(3)])
         probes += [np.outer(u, v.conj()), np.outer(psi, psi.conj())]
     return np.array(probes)
 
 
-@pytest.mark.parametrize("n_random", [0, 1, 64])
+@pytest.mark.parametrize("seed", [0, 1, 64])
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_probe_inputs_match_sequential_draws(d, n_random):
-    for seed in (0, 11):
-        expected = _sequential_probes(d, n_random, seed)
-        probes = probe_inputs.__wrapped__(d, n_random=n_random, seed=seed)
-        assert probes.shape == expected.shape == (d * d + 2 * n_random, d, d)
-        assert np.abs(probes - expected).max() <= 1e-15
+def test_probe_inputs_match_sequential_draws(d, seed):
+    expected = _sequential_probes(d, seed)
+    probes = probe_inputs.__wrapped__(d, seed=seed)
+    assert probes.shape == expected.shape == (d * d + 2 * PROBE_DRAWS, d, d)
+    assert np.abs(probes - expected).max() <= 1e-15
 
 
 def test_probe_inputs_memoised_and_read_only():
-    probes = probe_inputs(3, n_random=8, seed=5)
-    assert probe_inputs(3, n_random=8, seed=5) is probes
+    probes = probe_inputs(3, seed=5)
+    assert probe_inputs(3, seed=5) is probes
     assert not probes.flags.writeable
     with pytest.raises(ValueError):
         probes[0, 0, 0] = 2.0
-    assert np.array_equal(probes, probe_inputs.__wrapped__(3, n_random=8, seed=5))
+    assert np.array_equal(probes, probe_inputs.__wrapped__(3, seed=5))

@@ -7,7 +7,7 @@ from qms.channels import validate
 from qms.contraction import norm_1to1, tau
 from qms.ensembles import (EnsembleConfig, perturb_channel, perturb_generator,
                            random_channel, random_generator, sweep)
-from qms.errors import ValidationError
+from qms.errors import DomainError, ValidationError
 from qms.linalg import dagger, vec
 from qms.serialize import reports_to_csv
 
@@ -95,6 +95,13 @@ def test_sweep_single_instance_and_determinism():
     fixed_rows = [r for r in rows1 if r.regime == "fixed_point"]
     assert len(fixed_rows) == 2
     assert all(r.slack >= -1e-6 for r in rows1 if not math.isnan(r.slack))
+
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_sweep_refuses_restarts_below_one(mode):
+    cfg = EnsembleConfig(dim=2, count=2, master_seed=77, mode=mode)
+    with pytest.raises(DomainError, match="restarts must be >= 1, got 0"):
+        sweep(cfg, steps=5, restarts=0)
 
 
 def test_sweep_continuous_mode():

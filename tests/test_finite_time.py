@@ -470,7 +470,7 @@ def test_chunked_channel_validation_matches_reference(d, length):
     grid = range(length)
     estimates = _reference_estimates(grid, lambda p: p @ t.matrix,
                                      fixed_point_analysis(t).projector.matrix,
-                                     probe_inputs(d, n_random=64, seed=3))
+                                     probe_inputs(d, seed=3))
     # the last two fail: deep into the grid, and at every point
     for K, mu in [(chi2.K, chi2.rate), (eq10.K, eq10.rate),
                   (chi2.K, chi2.rate ** 3), (0.0, 0.5)]:
@@ -491,7 +491,7 @@ def test_chunked_generator_validation_matches_reference(d, length):
     estimates = _reference_estimates(
         grid, lambda p: step @ p,
         fixed_point_analysis(gen.unit_time_map).projector.matrix,
-        probe_inputs(d, n_random=64, seed=4))
+        probe_inputs(d, seed=4))
     for K, nu in [(chi2.K, chi2.rate), (chi2.K, 3.0 * chi2.rate), (0.0, 1.0)]:
         pair = validate_pair_on_generator(user_pair(K, nu, "continuous"), gen,
                                           t_max=40.0, samples=length, seed=4)

@@ -350,7 +350,7 @@ def test_memo_holds_at_most_eight_maps():
     from qms import spectral
     for i in range(100):
         fixed_point_analysis(random_channel(2, 2, derive_seed(43, i)))
-    assert len(spectral._memo) <= 8
+    assert spectral._analyse.cache_info().currsize <= 8
 
 
 @pytest.mark.parametrize("t", [depolarizing_channel(0.5), identity_channel(2),
