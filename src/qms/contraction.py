@@ -10,7 +10,10 @@ sphere, attained at its witness.  Everywhere else the values come from a
 seeded multistart power-method ascent (Boyd's method, as in Hager's and
 Higham's 1-norm estimators, lifted to the trace norm and accelerated by
 SQUAREM extrapolation) and are *lower bounds*; the spread over restarts
-is reported as a quality signal.
+is reported as a quality signal.  Estimates of several (map, kind)
+problems of one dimension run as one batch: every problem's seeded
+restarts are rows of one ascent loop, each row with its own stopping
+rule, and ``evaluations`` is counted per problem.
 """
 
 from __future__ import annotations
@@ -278,8 +281,16 @@ def _ortho_input(x: np.ndarray) -> np.ndarray:
     return 0.5 * (_rank_one(x[:, 0], x[:, 0]) - _rank_one(x[:, 1], x[:, 1]))
 
 
-def _power_ascent(m: np.ndarray, xs: np.ndarray, step, build, maxiter: int):
-    """Maximize ||L(X)||_1 over extreme points X = build(x), one ascent per row.
+def _power_ascent(ms: np.ndarray, ascents, starts, maxiter: int) -> list:
+    """Maximize ||L_p(X)||_1 over extreme points X = build_p(x) for several
+    problems p in one loop, one ascent per row.
+
+    Problem p is the map ``ms[p]`` with ``ascents[p] = (step, build)`` and
+    the start stack ``starts[p]``, shape (rows, width, d); all maps act on
+    one d.  The rows of every problem advance in lockstep as one batch:
+    each projection applies every row's own map in one stacked product,
+    makes one step call per distinct (step, build) pair and takes one SVD
+    over all active rows.
 
     A power step S moves X to the extreme point that maximizes
     Re tr(G^dag X) for G = L^dag(W), with W the polar part of L(X)
@@ -293,49 +304,80 @@ def _power_ascent(m: np.ndarray, xs: np.ndarray, step, build, maxiter: int):
     arbitrary phases of eigen- and singular vectors (v = 0 gives B2).  A
     cycle keeps the better of x2 and x3, and only if it gains over x0, so
     the objective never falls.  ``maxiter`` counts power steps: at most
-    maxiter // 2 cycles run.  A restart stops once a cycle gains at most
+    maxiter // 2 cycles run.  A row stops once a cycle gains at most
     1e-13 max(|f|, 1); its trajectory depends only on its own state, so
-    results do not depend on how many restarts run alongside it.  Returns
-    the points, their values, the converged mask and the number of
-    objective evaluations.
+    results do not depend on which rows, of its own problem or another's,
+    share the batch.  Returns one (points, values, converged mask,
+    objective evaluations) tuple per problem.
     """
-    mh = m.conj().T
+    sizes = [len(x) for x in starts]
+    ends = np.cumsum(sizes)
+    owner = np.repeat(np.arange(len(starts)), sizes)
+    kinds = list(dict.fromkeys(ascents))
+    kind = np.repeat([kinds.index(a) for a in ascents], sizes)
+    d = starts[0].shape[-1]
+    xs = np.zeros((len(owner), 2, d), dtype=complex)     # width-1 rows use x[:, 0]
+    for x, end in zip(starts, ends):
+        xs[end - len(x):end, :x.shape[1]] = x
+    ms = np.asarray(ms)
+    mhs = ms.conj().swapaxes(-1, -2)
 
-    def evaluate(b):
-        u, s, vh = np.linalg.svd(apply_batch(m, b))
+    def apply(maps, mats):
+        return apply_batch(maps, mats[:, None])[:, 0]
+
+    def evaluate(maps, b):
+        u, s, vh = np.linalg.svd(apply(maps, b))
         return s.sum(axis=1), u @ vh
 
-    def project(g):
-        x = step(g)
-        b = build(x)
-        return (x, b) + evaluate(b)
+    def groups(act):
+        sels = [(a, np.nonzero(kind[act] == k)[0]) for k, a in enumerate(kinds)]
+        return [(a, sel) for a, sel in sels if len(sel)]
 
-    fs, ws = evaluate(build(xs))
-    evaluations = len(xs)
-    converged = np.zeros(len(xs), dtype=bool)
+    def project(maps, grouped, g):
+        x = np.zeros((len(g), 2, d), dtype=complex)
+        b = np.empty_like(g)
+        for (step, build), sel in grouped:
+            x_k = step(g[sel])
+            x[sel, :x_k.shape[1]] = x_k
+            b[sel] = build(x_k)
+        return (x, b) + evaluate(maps, b)
+
+    bs = np.empty((len(owner), d, d), dtype=complex)
+    for (_, build), sel in groups(np.arange(len(owner))):
+        bs[sel] = build(xs[sel])
+    fs, ws = evaluate(ms[owner], bs)
+    evaluations = np.array(sizes)
+    converged = np.zeros(len(owner), dtype=bool)
     for _ in range(maxiter // 2):
         act = np.nonzero(~converged)[0]
         if not len(act):
             break
-        b0 = build(xs[act])
-        _, b1, _, w1 = project(apply_batch(mh, ws[act]))
-        x2, b2, f2, w2 = project(apply_batch(mh, w1))
+        grouped = groups(act)
+        m_act, mh_act = ms[owner[act]], mhs[owner[act]]
+        b0 = bs[act]
+        _, b1, _, w1 = project(m_act, grouped, apply(mh_act, ws[act]))
+        x2, b2, f2, w2 = project(m_act, grouped, apply(mh_act, w1))
         r, v = b1 - b0, b2 - 2.0 * b1 + b0
         r_norm = np.linalg.norm(r, axis=(1, 2))
         v_norm = np.linalg.norm(v, axis=(1, 2))
         alpha = -np.maximum(np.divide(r_norm, v_norm, out=np.ones_like(r_norm),
                                       where=v_norm > 0.0), 1.0)[:, None, None]
-        x3, _, f3, w3 = project(b0 - 2.0 * alpha * r + alpha ** 2 * v)
-        evaluations += 3 * len(act)
+        x3, b3, f3, w3 = project(m_act, grouped,
+                                 b0 - 2.0 * alpha * r + alpha ** 2 * v)
+        evaluations += 3 * np.bincount(owner[act], minlength=len(starts))
         pick = f3 > f2
-        trial = np.where(pick[:, None, None], x3, x2)
         ft = np.where(pick, f3, f2)
-        wt = np.where(pick[:, None, None], w3, w2)
         gain = ft - fs[act]
         ok = gain > 0.0
-        xs[act[ok]], fs[act[ok]], ws[act[ok]] = trial[ok], ft[ok], wt[ok]
+        keep, pick = act[ok], pick[ok, None, None]
+        xs[keep] = np.where(pick, x3[ok], x2[ok])
+        bs[keep] = np.where(pick, b3[ok], b2[ok])
+        ws[keep] = np.where(pick, w3[ok], w2[ok])
+        fs[keep] = ft[ok]
         converged[act[gain <= 1e-13 * np.maximum(np.abs(fs[act]), 1.0)]] = True
-    return xs, fs, converged, evaluations
+    return [(xs[end - len(x):end, :x.shape[1]], fs[end - len(x):end],
+             converged[end - len(x):end], int(n))
+            for x, end, n in zip(starts, ends, evaluations)]
 
 
 def _require_restarts(restarts: int):
@@ -343,20 +385,26 @@ def _require_restarts(restarts: int):
         raise DomainError(f"restarts must be >= 1, got {restarts}")
 
 
-def _run_multistart(t: SuperOperator, start, step, build, restarts: int,
-                    seed: int, maxiter: int) -> ContractionEstimate:
-    # restart r draws from its own stream, seeded derive_seed(seed, r)
+def _run_multistart(problems, restarts: int, seed: int, maxiter: int) -> list:
+    """One :func:`_power_ascent` over the (map, kind) ``problems``, with
+    ``restarts`` rows each; one estimate per problem."""
+    # restart r of every problem draws from its own stream, seeded derive_seed(seed, r)
     seeds = np.uint64(derive_seed(seed, 0)) + np.arange(restarts, dtype=np.uint64)
-    xs = start(SplitMix64(seeds), t.dim)
-    xs, fs, converged, evaluations = _power_ascent(t.matrix, xs, step, build,
-                                                   maxiter)
-    best = int(np.argmax(fs))
-    conv_vals = fs[converged] if converged.any() else fs
-    return ContractionEstimate(
-        value=float(fs[best]), method="multistart_manifold", restarts=restarts,
-        best_witness=tuple(xs[best]) if xs.shape[1] > 1 else xs[best, 0],
-        convergence_spread=float(conv_vals.max() - conv_vals.min()),
-        evaluations=evaluations)
+    starts = [_ASCENTS[kind][0](SplitMix64(seeds), t.dim) for t, kind in problems]
+    results = _power_ascent(np.stack([t.matrix for t, _ in problems]),
+                            [_ASCENTS[kind][1:] for _, kind in problems],
+                            starts, maxiter)
+    estimates = []
+    for xs, fs, converged, evaluations in results:
+        best = int(np.argmax(fs))
+        conv_vals = fs[converged] if converged.any() else fs
+        estimates.append(ContractionEstimate(
+            value=float(fs[best]), method="multistart_manifold",
+            restarts=restarts,
+            best_witness=tuple(xs[best]) if xs.shape[1] > 1 else xs[best, 0],
+            convergence_spread=float(conv_vals.max() - conv_vals.min()),
+            evaluations=evaluations))
+    return estimates
 
 
 def _unit_vectors(gen: SplitMix64, d: int, k: int) -> np.ndarray:
@@ -375,6 +423,49 @@ def _ortho_start(gen: SplitMix64, d: int) -> np.ndarray:
 # public estimators
 
 
+# (start, step, build) of the ascent of each kind
+_ASCENTS = {"tau": (_ortho_start, _ortho_step, _ortho_input),
+            "hermitian": (functools.partial(_unit_vectors, k=1), _pure_step,
+                          _pure_input),
+            "general": (functools.partial(_unit_vectors, k=2), _pair_step,
+                        _pair_input)}
+
+
+def _closed_form(t: SuperOperator, kind: str):
+    """The qubit closed form of ``kind`` for ``t``, or None where the
+    ascent runs instead."""
+    if t.dim != 2:
+        return None
+    if kind == "tau":
+        return tau_exact_qubit(t)
+    if kind == "general":
+        return _general_norm_qubit(t.matrix)
+    if preserves_hermiticity(t, choi_matrix(t))[0]:      # kind == "hermitian"
+        return _hermitian_norm_qubit(_pauli_transfer(t))
+    return None
+
+
+def estimate_batch(problems, restarts: int, seed: int) -> list:
+    """One estimate per (map, kind) in ``problems``, all maps of one
+    dimension; kind ``tau`` is :func:`tau`, and ``hermitian`` and
+    ``general`` are :func:`norm_1to1` in that mode.
+
+    The qubit closed forms run per problem first.  Every other problem
+    becomes ``restarts`` rows of one :func:`_power_ascent`, seeded as in a
+    call of its own, so its estimate equals the one-at-a-time value up to
+    roundoff.  ``restarts`` < 1 is refused.
+    """
+    _require_restarts(restarts)
+    out = [_closed_form(t, kind) for t, kind in problems]
+    rest = [i for i, est in enumerate(out) if est is None]
+    if rest:
+        ascended = _run_multistart([problems[i] for i in rest], restarts, seed,
+                                   MAXITER)
+        for i, est in zip(rest, ascended):
+            out[i] = est
+    return out
+
+
 def tau(t: SuperOperator, restarts: int = DEFAULT_RESTARTS,
         seed: int = 0) -> ContractionEstimate:
     """Trace-norm contraction coefficient tau(L), as a lower-bound estimate.
@@ -385,17 +476,13 @@ def tau(t: SuperOperator, restarts: int = DEFAULT_RESTARTS,
     orthogonal pure-state pairs.  Qubit maps take the closed form
     :func:`tau_exact_qubit`, which needs a Hermiticity-preserving map.
     Otherwise ``restarts`` independent power-method ascents run over the
-    pairs (restart r is seeded with derive_seed(seed, r), so prefixes of
-    the restart stream are reproducible).  Each takes at most ``MAXITER``
-    power steps, two per SQUAREM cycle with one extrapolated trial each
-    (:func:`_power_ascent`).  ``restarts`` < 1 is refused even where the
-    closed form ignores it.
+    pairs, as the rows of a batch of one (:func:`_power_ascent`; restart r
+    is seeded with derive_seed(seed, r), so prefixes of the restart stream
+    are reproducible).  Each takes at most ``MAXITER`` power steps, two
+    per SQUAREM cycle with one extrapolated trial each.  ``restarts`` < 1
+    is refused even where the closed form ignores it.
     """
-    _require_restarts(restarts)
-    if t.dim == 2:
-        return tau_exact_qubit(t)
-    return _run_multistart(t, _ortho_start, _ortho_step, _ortho_input,
-                           restarts, seed, MAXITER)
+    return estimate_batch([(t, "tau")], restarts, seed)[0]
 
 
 def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
@@ -405,29 +492,22 @@ def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     General mode ascends over rank-one X = u v^dag (the extreme points of
     the trace-norm ball; witness ``(u, v)``); ``hermitian_only`` restricts
     to Hermitian X, whose extreme points are +/- psi psi^dag (witness
-    ``psi``).  Each of ``restarts`` seeded power-method ascents takes at
-    most ``MAXITER`` power steps, two per SQUAREM cycle with one
-    extrapolated trial each (:func:`_power_ascent`).  In Hermitian mode a
-    Hermiticity-preserving qubit map takes the closed form
-    :func:`_hermitian_norm_qubit` instead (method ``analytic``, exact).  In
-    general mode every qubit map takes :func:`_general_norm_qubit` (method
-    ``dual_sphere``): by duality ||L||_{1->1}^2 is the maximum over unit
-    Bloch vectors n of the top eigenvalue of a 4x4 real symmetric pencil
-    Q^0 + sum_j n_j Q^j built from L* on (I, i sigma), searched on an
-    icosphere and polished by a monotone fixed-point step; the value is
-    attained at its witness (u, v).  Both qubit paths ignore ``restarts``,
-    but ``restarts`` < 1 is refused everywhere.
+    ``psi``).  The ``restarts`` seeded power-method ascents are the rows
+    of a batch of one (:func:`_power_ascent`), each taking at most
+    ``MAXITER`` power steps, two per SQUAREM cycle with one extrapolated
+    trial each.  In Hermitian mode a Hermiticity-preserving qubit map
+    takes the closed form :func:`_hermitian_norm_qubit` instead (method
+    ``analytic``, exact).  In general mode every qubit map takes
+    :func:`_general_norm_qubit` (method ``dual_sphere``): by duality
+    ||L||_{1->1}^2 is the maximum over unit Bloch vectors n of the top
+    eigenvalue of a 4x4 real symmetric pencil Q^0 + sum_j n_j Q^j built
+    from L* on (I, i sigma), searched on an icosphere and polished by a
+    monotone fixed-point step; the value is attained at its witness
+    (u, v).  Both qubit paths ignore ``restarts``, but ``restarts`` < 1 is
+    refused everywhere.
     """
-    _require_restarts(restarts)
-    if hermitian_only:
-        if t.dim == 2 and preserves_hermiticity(t, choi_matrix(t))[0]:
-            return _hermitian_norm_qubit(_pauli_transfer(t))
-        return _run_multistart(t, functools.partial(_unit_vectors, k=1),
-                               _pure_step, _pure_input, restarts, seed, MAXITER)
-    if t.dim == 2:
-        return _general_norm_qubit(t.matrix)
-    return _run_multistart(t, functools.partial(_unit_vectors, k=2),
-                           _pair_step, _pair_input, restarts, seed, MAXITER)
+    kind = "hermitian" if hermitian_only else "general"
+    return estimate_batch([(t, kind)], restarts, seed)[0]
 
 
 # ---------------------------------------------------------------------------

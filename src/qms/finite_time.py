@@ -20,6 +20,7 @@ diagnostics but refuses to certify bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -435,31 +436,53 @@ def _require_horizon(t_max: float):
         raise DomainError(f"t_max must be finite and nonnegative, got {t_max}")
 
 
-def _validate_on_grid(pair: ConvergencePair, key: str, grid, advance, decay,
-                      p_inf: np.ndarray, probes: np.ndarray) -> ConvergencePair:
-    """The check loop of both validators: ``advance`` steps the evolution,
-    starting from the identity, to the next grid point x, bounded by K decay(x).
+def _probe_bounds(count: int, advance, p_inf: np.ndarray,
+                  probes: np.ndarray) -> np.ndarray:
+    """Probe lower bounds of ||E_k - P_inf|| for k < ``count``, where
+    ``advance`` steps the evolution E_k from E_0 = I to the next grid point.
 
     The evolution is stepped one grid point at a time; the probe bounds of
     each run of VALIDATION_CHUNK consecutive points come from one stacked
     application and one trace-norm batch, the same arithmetic per point as
     a point-by-point evaluation.
     """
-    grid = list(grid)
     shape = p_inf.shape
     current = np.eye(shape[0], dtype=complex)
-    estimates = []
-    for start in range(0, len(grid), VALIDATION_CHUNK):
-        chunk = np.empty((min(VALIDATION_CHUNK, len(grid) - start),) + shape,
+    bounds = []
+    for start in range(0, count, VALIDATION_CHUNK):
+        chunk = np.empty((min(VALIDATION_CHUNK, count - start),) + shape,
                          dtype=complex)
         for k in range(len(chunk)):
             if start + k:
                 current = advance(current)
             chunk[k] = current - p_inf
-        estimates.extend(norm_lower_bound_probes(chunk, probes).tolist())
+        bounds.extend(norm_lower_bound_probes(chunk, probes).tolist())
+    return np.array(bounds)
+
+
+@functools.lru_cache(maxsize=8)
+def _channel_probe_bounds(t: SuperOperator, n_max: int, seed: int) -> np.ndarray:
+    """The probe bounds of ||T^n - T^inf|| for n = 0..n_max.
+
+    Memoised per (map, n_max, seed), with maps keyed by identity as in
+    :func:`spectral.fixed_point_analysis`, so the pairs validated on one
+    channel share one evaluation; the returned array is shared, hence
+    read-only.
+    """
+    bounds = _probe_bounds(n_max + 1, lambda power: power @ t.matrix,
+                           fixed_point_analysis(t).projector.matrix,
+                           probe_inputs(t.dim, seed=seed))
+    bounds.flags.writeable = False
+    return bounds
+
+
+def _validate_on_grid(pair: ConvergencePair, key: str, grid, estimates,
+                      decay, n_probes: int) -> ConvergencePair:
+    """The check loop of both validators: the probe bound ``estimates[i]``
+    at grid point x = ``grid[i]`` against K decay(x)."""
     checked_to = prev = -1
     failures = []
-    for x, estimate in zip(grid, estimates):
+    for x, estimate in zip(grid, estimates.tolist()):
         certified = pair.K * decay(x)
         if estimate <= certified + VALIDATION_TOL:
             if checked_to == prev:
@@ -470,7 +493,7 @@ def _validate_on_grid(pair: ConvergencePair, key: str, grid, advance, decay,
     pair.validity_checked_to = float(max(checked_to, 0))
     pair.valid = not failures
     pair.details["validation_failures"] = failures
-    pair.details["validated_with_probes"] = int(len(probes))
+    pair.details["validated_with_probes"] = n_probes
     return pair
 
 
@@ -480,16 +503,16 @@ def validate_pair_on_channel(pair: ConvergencePair, t: SuperOperator,
 
     The estimator is the probe lower bound over ``probe_inputs(d,
     seed=seed)``, evaluated in runs of VALIDATION_CHUNK steps (one
-    trace-norm batch per run).  Updates ``validity_checked_to`` to the
+    trace-norm batch per run) once per (map, n_max, seed) and shared by
+    every pair validated there.  Updates ``validity_checked_to`` to the
     last consecutive step that passed and poisons the pair (valid=False)
     on any failure.
     """
     if pair.kind != "discrete":
         raise DomainError("channel validation requires a discrete pair")
     return _validate_on_grid(
-        pair, "n", range(n_max + 1), lambda power: power @ t.matrix,
-        lambda n: pair.rate ** n, fixed_point_analysis(t).projector.matrix,
-        probe_inputs(t.dim, seed=seed))
+        pair, "n", range(n_max + 1), _channel_probe_bounds(t, n_max, seed),
+        lambda n: pair.rate ** n, len(probe_inputs(t.dim, seed=seed)))
 
 
 def validate_pair_on_generator(pair: ConvergencePair, gen: GeneratorMap,
@@ -504,8 +527,9 @@ def validate_pair_on_generator(pair: ConvergencePair, gen: GeneratorMap,
     times = np.linspace(0.0, t_max, samples)
     step = matrix_exp(gen.matrix, times[1] - times[0]) if samples > 1 else None
     return _validate_on_grid(
-        pair, "t", times.tolist(), lambda current: step @ current,
-        lambda tt: math.exp(-pair.rate * tt), p_inf, probes)
+        pair, "t", times.tolist(),
+        _probe_bounds(samples, lambda current: step @ current, p_inf, probes),
+        lambda tt: math.exp(-pair.rate * tt), len(probes))
 
 
 # ---------------------------------------------------------------------------

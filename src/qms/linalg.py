@@ -70,14 +70,16 @@ def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
 
 def apply_batch(m: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Apply the superoperator matrix ``m`` to a stack of matrices, shape
-    (n, d, d) -> (n, d, d); the package's only batched application.
+    (..., d, d) -> (..., d, d); the package's only batched application.
 
     A stack of superoperator matrices, shape (c, d^2, d^2), applies each
     to every matrix, giving (c, n, d, d) in one matmul; each slice is the
-    same product as the single-map application.
+    same product as the single-map application.  Leading axes broadcast
+    as in matmul, so maps (n, d^2, d^2) with matrices (n, 1, d, d) apply
+    map k to matrix k alone, giving (n, 1, d, d).
     """
-    n, d = mats.shape[0], mats.shape[-1]
-    v = mats.transpose(0, 2, 1).reshape(n, d * d)
+    d = mats.shape[-1]
+    v = mats.swapaxes(-1, -2).reshape(*mats.shape[:-2], d * d)
     out = v @ m.swapaxes(-1, -2)
     return out.reshape(*out.shape[:-1], d, d).swapaxes(-1, -2)
 

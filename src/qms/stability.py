@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .channels import DensityMatrix, SuperOperator, check_stationary
-from .contraction import DEFAULT_RESTARTS, ContractionEstimate, norm_1to1, tau
+from .contraction import DEFAULT_RESTARTS, ContractionEstimate, estimate_batch
 from .errors import DimensionError
 from .linalg import trace_norm, vec, unvec
 from .spectral import fixed_point_analysis, fundamental_map
@@ -107,19 +107,20 @@ def condition_numbers(t: SuperOperator, restarts: int = DEFAULT_RESTARTS,
 
     When the set of non-unit eigenvalues is empty (degenerate spectrum) the
     sandwich is vacuous: the lower bound is 0 and the upper bound +inf.
+    tau(Z) and tau(T) come from one batched estimate.
     """
     analysis = fixed_point_analysis(t)
-    return _condition_report(t, analysis, fundamental_map(t, analysis),
-                             restarts, seed)
+    kappa_tau_z, tau_t = estimate_batch(
+        [(fundamental_map(t, analysis), "tau"), (t, "tau")], restarts, seed)
+    return _condition_report(t, analysis, kappa_tau_z, tau_t)
 
 
-def _condition_report(t: SuperOperator, analysis, z: SuperOperator,
-                      restarts: int, seed: int) -> ConditionReport:
-    """:func:`condition_numbers` from T's analysis and its fundamental map Z."""
+def _condition_report(t: SuperOperator, analysis,
+                      kappa_tau_z: ContractionEstimate,
+                      tau_t: ContractionEstimate) -> ConditionReport:
+    """:func:`condition_numbers` from T's analysis and the estimates of
+    tau(Z(T)) and tau(T)."""
     spec = analysis.spectral
-    kappa_tau_z = tau(z, restarts=restarts, seed=seed)
-    tau_t = tau(t, restarts=restarts, seed=seed)
-
     unique = analysis.multiplicity == 1
     if not unique:
         kappa_contraction = None
@@ -155,7 +156,8 @@ def fixed_point_perturbation(t1: SuperOperator, t2: SuperOperator,
     ``rho2`` must be stationary for ``t2`` (trace-norm residual <= 1e-9);
     rho1 is taken to be T1^inf(rho2).  The returned outcome carries the
     exact-identity residual, the primary bound and the full
-    (kappa variant x norm mode) table.
+    (kappa variant x norm mode) table.  tau(Z(T1)), tau(T1) and both
+    norms of T1 - T2 come from one batched estimate.
     """
     if t1.dim != t2.dim:
         raise DimensionError(f"maps have different dims {t1.dim} != {t2.dim}")
@@ -173,16 +175,17 @@ def fixed_point_perturbation(t1: SuperOperator, t2: SuperOperator,
 
     dop = SuperOperator(t1.dim, dmat)
     at_rho2 = trace_norm(dop.apply(rho2.matrix))
+    kappa_tau_z, tau_t, hermitian, general = estimate_batch(
+        [(z1, "tau"), (t1, "tau"), (dop, "hermitian"), (dop, "general")],
+        restarts, seed)
     # rho2 is a Hermitian input of unit trace norm, so it is a valid extra
     # candidate for both modes; including it makes the Thm-1 style bound
     # provably dominate the measured displacement.  Every Hermitian input
     # is admissible in general mode too, so general >= Hermitian.
-    norm_hermitian = max(norm_1to1(dop, restarts=restarts, seed=seed,
-                                   hermitian_only=True).value, at_rho2)
-    norm_general = max(norm_1to1(dop, restarts=restarts, seed=seed).value,
-                       norm_hermitian)
+    norm_hermitian = max(hermitian.value, at_rho2)
+    norm_general = max(general.value, norm_hermitian)
 
-    report = _condition_report(t1, analysis1, z1, restarts, seed)
+    report = _condition_report(t1, analysis1, kappa_tau_z, tau_t)
     kappas = {"tau_z": report.kappa_tau_z.value,
               "contraction": report.kappa_contraction,
               "spectral_upper": report.spectral_upper}

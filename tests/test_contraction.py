@@ -3,15 +3,15 @@ import functools
 import numpy as np
 import pytest
 
+from qms import contraction
 from qms.channels import (SuperOperator, amplitude_damping_channel,
                           completely_depolarizing, compose, depolarizing_channel,
                           from_kraus, from_stochastic, identity_channel,
                           pauli_channel)
 from qms.ensembles import perturb_channel
-from qms.contraction import (PROBE_DRAWS, _ortho_input, _ortho_start,
-                             _ortho_step, _pair_input, _pair_step, _power_ascent,
-                             _pure_input, _pure_step, _run_multistart,
-                             _unit_vectors, norm_1to1,
+from qms.contraction import (_ASCENTS, PROBE_DRAWS, _ortho_input,
+                             _ortho_start, _power_ascent, _run_multistart,
+                             _unit_vectors, estimate_batch, norm_1to1,
                              norm_lower_bound_probes, probe_inputs, tau,
                              tau_exact_qubit)
 from qms.errors import DimensionError, DomainError
@@ -147,18 +147,10 @@ def plain_ascent(t, start, step, build, restarts=8, seed=0, maxiter=300):
     return float(fs.max()), evaluations
 
 
-# the three ascents: (start, step, build)
-ASCENTS = {"tau": (_ortho_start, _ortho_step, _ortho_input),
-           "general": (functools.partial(_unit_vectors, k=2), _pair_step,
-                       _pair_input),
-           "hermitian": (functools.partial(_unit_vectors, k=1), _pure_step,
-                         _pure_input)}
-
-
 def ascent(t, kind, restarts=64, seed=0, maxiter=300):
     """The power ascent of ``kind``, reached directly, so also for the qubit
     maps that the public estimators send to a closed form."""
-    return _run_multistart(t, *ASCENTS[kind], restarts, seed, maxiter)
+    return _run_multistart([(t, kind)], restarts, seed, maxiter)[0]
 
 
 # B = diag(0.3, 0.5, 0.5) and r = (0.2, eps, eps): B^T r lies (nearly) in the
@@ -609,8 +601,8 @@ def test_ascent_evaluations_are_deterministic():
 def test_accelerated_ascent_saves_a_quarter_of_the_evaluations():
     ours = plain = 0
     for t in qudit_work_set():
-        for start, step, build in ASCENTS.values():
-            ours += _run_multistart(t, start, step, build, 8, 5, 300).evaluations
+        for kind, (start, step, build) in _ASCENTS.items():
+            ours += _run_multistart([(t, kind)], 8, 5, 300)[0].evaluations
             plain += plain_ascent(t, start, step, build, restarts=8, seed=5)[1]
     assert ours <= 0.75 * plain
 
@@ -636,10 +628,103 @@ def test_stationary_cycle_extrapolates_to_the_second_step():
         assert np.isfinite(g).all()
         return x_opt.repeat(len(g), axis=0)
 
-    xs, fs, converged, evaluations = _power_ascent(
-        np.eye(9, dtype=complex), x_opt.copy(), fixed_step, _ortho_input, 300)
+    [(xs, fs, converged, evaluations)] = _power_ascent(
+        np.eye(9, dtype=complex)[None], [(fixed_step, _ortho_input)],
+        [x_opt.copy()], 300)
     assert np.array_equal(xs, x_opt)
     assert fs.tolist() == [1.0] and converged.all() and evaluations == 4
+
+
+def batch_problems(d):
+    """Seeded channels of Kraus rank 1, 2, 3 and d^2 on the tau path, their
+    differences in both norm modes and, at d = 3, a map that does not
+    preserve Hermiticity on the tau path."""
+    chans = [random_channel(d, rank, derive_seed(7800 + d, rank))
+             for rank in (1, 2, 3, d * d)]
+    diffs = [SuperOperator(d, a.matrix - b.matrix)
+             for a, b in zip(chans, chans[1:] + chans[:1])]
+    problems = ([(t, "tau") for t in chans] + [(t, "hermitian") for t in diffs]
+                + [(t, "general") for t in diffs])
+    if d == 3:
+        m = random_channel(3, 3, seed=66).matrix.copy()
+        m[0, 1] += 0.4
+        problems.append((SuperOperator(3, m), "tau"))
+    return problems
+
+
+def one_at_a_time(t, kind, restarts, seed):
+    if kind == "tau":
+        return tau(t, restarts=restarts, seed=seed)
+    return norm_1to1(t, restarts=restarts, seed=seed,
+                     hermitian_only=kind == "hermitian")
+
+
+def witness_value(t, kind, witness):
+    if kind == "tau":
+        phi, psi = witness
+        return 0.5 * trace_norm(t.apply(np.outer(phi, phi.conj())
+                                        - np.outer(psi, psi.conj())))
+    if kind == "hermitian":
+        return trace_norm(t.apply(np.outer(witness, witness.conj())))
+    u, v = witness
+    return trace_norm(t.apply(np.outer(u, v.conj())))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_batched_estimates_equal_one_at_a_time(d):
+    problems = batch_problems(d)
+    batched = estimate_batch(problems, restarts=8, seed=4)
+    for (t, kind), est in zip(problems, batched):
+        single = one_at_a_time(t, kind, 8, 4)
+        assert est.value == pytest.approx(single.value, rel=1e-12)
+        assert witness_value(t, kind, est.best_witness) == pytest.approx(
+            est.value, rel=1e-12)
+        assert (est.method, est.restarts) == ("multistart_manifold", 8)
+        assert (est.method, est.restarts) == (single.method, single.restarts)
+        shape = (d,) if kind == "hermitian" else (2, d)
+        assert np.shape(est.best_witness) == np.shape(single.best_witness) == shape
+        assert est.evaluations == single.evaluations
+
+
+def test_batched_estimate_does_not_depend_on_its_companions():
+    problems = batch_problems(3)
+    alone = [estimate_batch([p], restarts=8, seed=6)[0] for p in problems]
+    for batch in (problems[::-1], problems[::2] + problems[1::2],
+                  problems + problems):
+        for p, est in zip(batch, estimate_batch(batch, restarts=8, seed=6)):
+            ref = alone[problems.index(p)]
+            assert est.value == pytest.approx(ref.value, rel=1e-12)
+            assert est.evaluations == ref.evaluations
+    again = estimate_batch(problems, restarts=8, seed=6)
+    assert [e.evaluations for e in again] == [e.evaluations for e in alone]
+
+
+def test_batch_runs_closed_forms_per_problem_and_one_ascent(count_calls):
+    ascents = count_calls(contraction, "_power_ascent")
+    t = random_channel(2, 4, seed=67)
+    d = SuperOperator(2, t.matrix - random_channel(2, 4, seed=68).matrix)
+    m = t.matrix.copy()
+    m[0, 1] += 0.4
+    non_hp = SuperOperator(2, m)
+    out = estimate_batch([(t, "tau"), (d, "general"), (d, "hermitian"),
+                           (non_hp, "hermitian"), (t, "hermitian")],
+                          restarts=8, seed=2)
+    assert [e.method for e in out] == ["analytic", "dual_sphere", "analytic",
+                                       "multistart_manifold", "analytic"]
+    assert len(ascents) == 1 and len(ascents[0][2]) == 1
+    assert out[3].value == norm_1to1(non_hp, restarts=8, seed=2,
+                                     hermitian_only=True).value
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_every_estimate_refuses_restarts_below_one(d):
+    # also where a closed form would ignore restarts
+    t = random_channel(d, 4, seed=69)
+    for run in (lambda: tau(t, restarts=0), lambda: norm_1to1(t, restarts=0),
+                lambda: norm_1to1(t, restarts=0, hermitian_only=True),
+                lambda: estimate_batch([(t, "tau"), (t, "general")], 0, 0)):
+        with pytest.raises(DomainError):
+            run()
 
 
 def test_tau_d3_needs_no_hermiticity_preservation():

@@ -508,3 +508,30 @@ def test_validation_takes_one_trace_norm_batch_per_chunk(count_calls):
     validate_pair_on_channel(pair, t, n_max=200)
     # 201 grid points in runs of 64, where one batch per point would be 201
     assert len(batches) <= math.ceil(201 / 64)
+
+
+def test_pairs_on_one_channel_share_their_probe_bounds(count_calls):
+    from qms import linalg
+    t = random_channel(3, 4, 6)
+    sub = spectral_quantities(t).subdominant_modulus
+    batches = count_calls(linalg, "trace_norm_batch")
+    chi2 = pair_chi2(t, n_check=200, seed=2)
+    eq10 = pair_spectral_eq10(t, (1.0 + sub) / 2.0, n_check=200, seed=2)
+    # one evaluation of the 201 grid points, in runs of 64, for both pairs
+    assert len(batches) == math.ceil(201 / 64)
+    assert chi2.validity_checked_to == eq10.validity_checked_to == 200
+    # a pair of its own on a new horizon or seed evaluates its own grid
+    validate_pair_on_channel(user_pair(chi2.K, chi2.rate), t, n_max=200, seed=3)
+    validate_pair_on_channel(user_pair(chi2.K, chi2.rate), t, n_max=100, seed=2)
+    assert len(batches) == math.ceil(201 / 64) + math.ceil(201 / 64) + 2
+
+
+def test_shared_probe_bounds_keep_each_pairs_own_failures():
+    t = _slow_channel(3)
+    chi2 = pair_chi2(t, n_check=200, seed=1)
+    failing = validate_pair_on_channel(user_pair(chi2.K, chi2.rate ** 3), t,
+                                       n_max=200, seed=1)
+    again = pair_chi2(t, n_check=200, seed=1)
+    assert chi2.valid and again.valid and not again.details["validation_failures"]
+    assert not failing.valid and failing.details["validation_failures"]
+    assert again.to_dict() == chi2.to_dict()

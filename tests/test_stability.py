@@ -148,6 +148,30 @@ def test_qubit_perturbation_runs_no_ascent(count_calls):
     assert len(calls) == 0
 
 
+def test_qudit_perturbation_runs_one_batched_ascent(count_calls):
+    # tau(Z1), tau(T1) and both norms of T1 - T2 are rows of one ascent
+    calls = count_calls(contraction, "_power_ascent")
+    t1 = random_channel(3, 9, seed=57)
+    t2 = random_channel(3, 9, seed=58)
+    out = fixed_point_perturbation(t1, t2, stationary_of(t2), restarts=4, seed=0)
+    assert len(calls) == 1
+    assert len(calls[0][2]) == 4
+    assert out.bound_value == pytest.approx(
+        out.condition_report.kappa_tau_z.value * out.norm_estimates["general"],
+        rel=1e-15)
+
+
+def test_qudit_condition_numbers_run_one_batched_ascent(count_calls):
+    calls = count_calls(contraction, "_power_ascent")
+    t = random_channel(3, 4, seed=59)
+    report = condition_numbers(t, restarts=4, seed=1)
+    assert len(calls) == 1
+    assert len(calls[0][2]) == 2
+    assert report.tau_t.value == pytest.approx(
+        contraction.tau(t, restarts=4, seed=1).value, rel=1e-12)
+    assert len(calls) == 2
+
+
 def test_general_norm_never_below_hermitian(monkeypatch):
     # every Hermitian input is admissible in general mode, so a general
     # estimate that stops short of the exact Hermitian norm (here a stub
