@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, ValidationError
 from .linalg import (apply_batch, as_matrix, dagger, matrix_exp,
-                     spectral_norm, trace_norm, unvec, vec)
+                     sandwich_matrix, spectral_norm, trace_norm, unvec, vec)
 from .rng import SplitMix64
 
 DEFAULT_POSITIVITY_SAMPLES = 1000
@@ -176,11 +176,10 @@ def from_kraus(operators: Sequence[np.ndarray], label: str | None = None) -> Sup
         if a.shape[0] != d:
             raise DimensionError(f"Kraus operator {k} is {a.shape[0]}x{a.shape[1]}, "
                                  f"expected {d}x{d}")
-    m = np.zeros((d * d, d * d), dtype=complex)
-    comp = np.zeros((d, d), dtype=complex)
-    for a in ops:
-        m += np.kron(a.conj(), a)
-        comp += dagger(a) @ a
+    ops = np.stack(ops)
+    ops_dag = ops.conj().swapaxes(-1, -2)
+    m = sandwich_matrix(ops, ops_dag).sum(axis=0)
+    comp = (ops_dag @ ops).sum(axis=0)
     tp = bool(spectral_norm(comp - np.eye(d)) <= 1e-10)
     return SuperOperator(d, m, trace_preserving=tp, label=label)
 
@@ -205,9 +204,8 @@ def from_stochastic(s, label: str | None = None) -> SuperOperator:
         raise ValidationError(f"row {bad} of stochastic matrix sums to {rows[bad]:.12g}, not 1")
     d = s.shape[0]
     m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            m[j * d + j, i * d + i] = s[i, j]
+    diag = np.arange(d) * (d + 1)          # vec positions of |i><i|
+    m[diag[:, None], diag] = s.T
     return SuperOperator(d, m, trace_preserving=True, label=label)
 
 
@@ -243,15 +241,22 @@ def from_lindblad(h, jumps: Sequence[np.ndarray]) -> GeneratorMap:
         raise ValidationError("Hamiltonian must be Hermitian")
     d = h.shape[0]
     eye = np.eye(d)
-    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    a, b = [h, eye], [eye, h]
     for k, l in enumerate(jumps):
         l = as_matrix(l, square=True, name=f"jump operator {k}")
         if l.shape[0] != d:
             raise DimensionError(f"jump operator {k} has shape {l.shape}, expected {d}x{d}")
         ll = dagger(l) @ l
-        m += (np.kron(l.conj(), l) - 0.5 * np.kron(eye, ll)
-              - 0.5 * np.kron(ll.T, eye))
-    return GeneratorMap(d, m)
+        a += [l, ll, eye]
+        b += [dagger(l), eye, ll]
+    # the terms H X, X H, then L X L^dag, L^dag L X and X L^dag L per jump
+    terms = sandwich_matrix(np.stack(a), np.stack(b))
+    head = -1j * (terms[0] - terms[1])
+    jump_terms = terms[2::3] - 0.5 * terms[3::3] - 0.5 * terms[4::3]
+    # the terms add in order onto the head; accumulate, unlike sum, starts
+    # from the head itself rather than 0 + head, which keeps its signed zeros
+    return GeneratorMap(d, np.add.accumulate(
+        np.concatenate([head[None], jump_terms]), axis=0)[-1])
 
 
 # ---------------------------------------------------------------------------

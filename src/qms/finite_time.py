@@ -31,8 +31,8 @@ from .channels import DensityMatrix, GeneratorMap, SuperOperator
 from .contraction import norm_1to1, norm_lower_bound_probes, probe_inputs
 from .errors import (BoundViolationError, DomainError, HypothesisError,
                      ValidationError)
-from .linalg import (dagger, matrix_exp, spectral_norm, trace_norm, trace_norm_batch,
-                     vec)
+from .linalg import (dagger, matrix_exp, sandwich_matrix, spectral_norm,
+                     trace_norm, trace_norm_batch, vec)
 from .spectral import (fixed_point_analysis, minimal_polynomial, delta_map,
                        stationary_states)
 
@@ -236,9 +236,9 @@ def _stationary_full_rank(t: SuperOperator):
 
 def _conjugated_matrix(m: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Superoperator of X -> sigma^{-1/4} M(sigma^{1/4} X sigma^{1/4}) sigma^{-1/4}."""
-    s_pos = (v * w ** 0.25) @ dagger(v)
-    s_neg = (v * w ** -0.25) @ dagger(v)
-    return np.kron(s_neg.T, s_neg) @ m @ np.kron(s_pos.T, s_pos)
+    s = np.stack([(v * w ** -0.25) @ dagger(v), (v * w ** 0.25) @ dagger(v)])
+    outer, inner = sandwich_matrix(s, s)
+    return outer @ m @ inner
 
 
 def _detailed_balance_residual(omega: np.ndarray, what: str) -> float:
@@ -436,6 +436,11 @@ def _require_horizon(t_max: float):
         raise DomainError(f"t_max must be finite and nonnegative, got {t_max}")
 
 
+def _require_steps(n: int, name: str):
+    if n < 0:
+        raise DomainError(f"{name} must be nonnegative, got {n}")
+
+
 def _probe_bounds(count: int, advance, p_inf: np.ndarray,
                   probes: np.ndarray) -> np.ndarray:
     """Probe lower bounds of ||E_k - P_inf|| for k < ``count``, where
@@ -510,6 +515,7 @@ def validate_pair_on_channel(pair: ConvergencePair, t: SuperOperator,
     """
     if pair.kind != "discrete":
         raise DomainError("channel validation requires a discrete pair")
+    _require_steps(n_max, "n_max")
     return _validate_on_grid(
         pair, "n", range(n_max + 1), _channel_probe_bounds(t, n_max, seed),
         lambda n: pair.rate ** n, len(probe_inputs(t.dim, seed=seed)))
@@ -608,6 +614,7 @@ def discrete_trajectory_check(t: SuperOperator, e: SuperOperator,
     """
     if t.dim != e.dim:
         raise DomainError("maps must act on the same dimension")
+    _require_steps(n_steps, "n_steps")
     analysis = fixed_point_analysis(t)
     if analysis.multiplicity != 1:
         raise HypothesisError(

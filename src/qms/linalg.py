@@ -6,7 +6,9 @@ Vectorization uses the column-stacking convention throughout the package:
     np.kron(A.T, B) @ vec(X) == vec(B @ X @ A)
 
 holds exactly.  Every superoperator matrix in this package is written in
-this convention; it is fixed here and nowhere else.
+this convention; it is fixed here and nowhere else, and
+:func:`sandwich_matrix` is the package's only assembly of such a matrix
+from operators: the map X -> A X B has matrix ``np.kron(B.T, A)``.
 
 Everything here is numpy: LAPACK through ``np.linalg``, and the matrix
 exponential by Pade scaling and squaring on top of it.
@@ -47,7 +49,7 @@ def as_matrix(x, square: bool = False, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name}: expected a 2-d array, got ndim={m.ndim}")
     if square and m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name}: expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{name}: entries must be finite (no NaN/Inf)")
     return m
 
@@ -66,6 +68,19 @@ def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
     if d * d != v.size:
         raise DimensionError(f"unvec: vector of length {v.size} is not {d}x{d}")
     return v.reshape(d, d).T
+
+
+def sandwich_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Superoperator matrices of X -> A X B, ``np.kron(B.T, A)``, for
+    stacks of A and B, shape (..., d, d) -> (..., d^2, d^2).
+
+    Leading axes broadcast.  Each entry is the single product B[j, i] A[k, l]
+    that ``np.kron`` forms, with the operands in kron's order, so every
+    slice equals ``np.kron(B.T, A)`` bit for bit.
+    """
+    d = a.shape[-1]
+    out = b.swapaxes(-1, -2)[..., :, None, :, None] * a[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], d * d, d * d)
 
 
 def apply_batch(m: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -111,7 +126,8 @@ def trace_norm_batch(mats: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
+    """Largest singular value, the operator 2-norm."""
+    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)[0])
 
 
 def _pade_rows(m: int) -> np.ndarray:

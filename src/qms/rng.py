@@ -16,7 +16,6 @@ import numpy as np
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
 _U64 = np.uint64
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -38,27 +37,26 @@ class SplitMix64:
                        else _U64(seed % (1 << 64)))
 
     def next_uint64(self, n: int) -> np.ndarray:
-        steps = (np.arange(1, n + 1, dtype=np.uint64) * _U64(GOLDEN_GAMMA)) & _MASK
-        z = (self._state[..., None] + steps) & _MASK
+        # uint64 array arithmetic wraps mod 2**64, as SplitMix64 requires
+        steps = np.arange(1, n + 1, dtype=np.uint64) * _U64(GOLDEN_GAMMA)
+        z = self._state[..., None] + steps
         self._state = z[..., -1] if n > 0 else self._state
-        z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9) & _MASK
-        z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB) & _MASK
+        z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
         return z ^ (z >> _U64(31))
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1), from the top 53 bits."""
         return (self.next_uint64(n) >> _U64(11)).astype(np.float64) * 2.0**-53
 
-    def uniforms_open(self, n: int) -> np.ndarray:
-        """n doubles uniform on (0, 1], safe as a log argument."""
-        bits = (self.next_uint64(n) >> _U64(11)).astype(np.float64)
-        return (bits + 1.0) * 2.0**-53
-
     def normals(self, n: int) -> np.ndarray:
-        """n standard normal doubles via Box-Muller."""
+        """n standard normal doubles via Box-Muller: radii from the first
+        half of one draw, moved onto (0, 1] by an exact 2^-53 shift so they
+        are safe as a log argument, and angles from the second half."""
         half = (n + 1) // 2
-        u1 = self.uniforms_open(half)
-        u2 = self.uniforms(half)
+        u = self.uniforms(2 * half)
+        u1 = u[..., :half] + 2.0**-53
+        u2 = u[..., half:]
         r = np.sqrt(-2.0 * np.log(u1))
         out = np.concatenate([r * np.cos(2.0 * np.pi * u2),
                               r * np.sin(2.0 * np.pi * u2)], axis=-1)

@@ -4,8 +4,8 @@ import pytest
 from qms.channels import (SuperOperator, amplitude_damping_channel, basis_state,
                           choi_matrix, completely_depolarizing, compose,
                           depolarizing_channel, dual, from_kraus,
-                          from_stochastic, identity_channel, maximally_mixed,
-                          pauli_channel, validate)
+                          from_lindblad, from_stochastic, identity_channel,
+                          maximally_mixed, pauli_channel, validate)
 from qms.contraction import norm_1to1, tau
 from qms.errors import DimensionError, DomainError, ValidationError
 from qms.linalg import dagger, trace_norm, unvec, vec
@@ -65,6 +65,80 @@ def test_from_kraus_matches_kraus_action():
     x = gen.complex_normals((3, 3))
     direct = sum(a @ x @ dagger(a) for a in ops)
     assert np.abs(unvec(t.matrix @ vec(x), 3) - direct).max() <= 1e-12
+
+
+# Test-side np.kron references: the constructors must reproduce these loops
+# bit for bit, signed zeros included.
+
+def _bits(m):
+    return m.dtype, m.shape, m.tobytes()
+
+
+def _kraus_reference(ops):
+    d = len(ops[0])
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for a in ops:
+        m += np.kron(a.conj(), a)
+    return m
+
+
+def _lindblad_reference(h, jumps):
+    eye = np.eye(len(h))
+    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for l in jumps:
+        ll = dagger(l) @ l
+        m += (np.kron(l.conj(), l) - 0.5 * np.kron(eye, ll)
+              - 0.5 * np.kron(ll.T, eye))
+    return m
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_from_kraus_is_the_kron_sum_bit_for_bit(d):
+    for rank in (1, 2, d * d):
+        gen = SplitMix64(derive_seed(41, 10 * d + rank))
+        ops = list(gen.complex_normals((rank, d, d)))
+        t = from_kraus(ops)
+        assert _bits(t.matrix) == _bits(_kraus_reference(ops))
+        assert not t.trace_preserving
+        # the slices of an isometry: sum_k A_k^dag A_k = I
+        iso = np.linalg.qr(gen.complex_normals((d * rank, d)))[0]
+        iso_ops = [iso[k * d:(k + 1) * d] for k in range(rank)]
+        t = from_kraus(iso_ops)
+        assert t.trace_preserving
+        assert _bits(t.matrix) == _bits(_kraus_reference(iso_ops))
+
+
+@pytest.mark.parametrize("jump_count", [0, 1, 3])
+def test_from_lindblad_is_the_kron_loop_bit_for_bit(jump_count):
+    for d in (2, 3):
+        gen = SplitMix64(derive_seed(43, 10 * d + jump_count))
+        g = gen.complex_normals((d, d))
+        h = (g + dagger(g)) / 2
+        jumps = list(gen.complex_normals((jump_count, d, d)))
+        got = from_lindblad(h, jumps).matrix
+        assert _bits(got) == _bits(_lindblad_reference(h, jumps))
+
+
+def test_from_stochastic_is_the_index_loop_bit_for_bit():
+    s = SplitMix64(44).uniforms(16).reshape(4, 4) + 0.05
+    s /= s.sum(axis=1, keepdims=True)
+    want = np.zeros((16, 16), dtype=complex)
+    for i in range(4):
+        for j in range(4):
+            want[j * 4 + j, i * 4 + i] = s[i, j]
+    assert _bits(from_stochastic(s).matrix) == _bits(want)
+
+
+def test_conjugated_matrix_is_the_kron_sandwich_bit_for_bit():
+    from qms.finite_time import _conjugated_matrix
+    gen = SplitMix64(45)
+    m = gen.complex_normals((9, 9))
+    g = gen.complex_normals((3, 3))
+    w, v = np.linalg.eigh(g @ dagger(g) + np.eye(3))
+    s_pos = (v * w ** 0.25) @ dagger(v)
+    s_neg = (v * w ** -0.25) @ dagger(v)
+    want = np.kron(s_neg.T, s_neg) @ m @ np.kron(s_pos.T, s_pos)
+    assert _bits(_conjugated_matrix(m, w, v)) == _bits(want)
 
 
 def test_from_stochastic_identity():

@@ -387,6 +387,32 @@ def test_zero_horizon_passing_pair_is_validated_once():
     assert pair.details["validation_failures"] == []
 
 
+@pytest.mark.parametrize("recipe", [
+    lambda t, n: pair_chi2(t, n_check=n),
+    lambda t, n: pair_detailed_balance(t, n_check=n),
+    lambda t, n: pair_spectral_eq10(t, 0.75, n_check=n)])
+def test_discrete_recipes_refuse_a_negative_horizon(recipe):
+    # no grid point lies below n = 0, so a negative horizon validates
+    # nothing and must not come back as a valid pair; n = 0 checks n = 0
+    t = depolarizing_channel(0.5)
+    with pytest.raises(DomainError, match="n_max"):
+        recipe(t, -1)
+    pair = recipe(t, 0)
+    assert pair.valid and pair.validated_to(0)
+    assert pair.details["validation_failures"] == []
+
+
+def test_discrete_validator_and_trajectory_refuse_negative_steps():
+    t = depolarizing_channel(0.5)
+    with pytest.raises(DomainError, match="n_max"):
+        validate_pair_on_channel(user_pair(1.0, 0.5), t, n_max=-1)
+    rho0 = basis_state(2, 0)
+    pair = pair_chi2(t)
+    with pytest.raises(DomainError, match="n_steps"):
+        discrete_trajectory_check(t, depolarizing_channel(0.6), rho0, rho0, -1,
+                                  pair)
+
+
 def test_continuous_trajectory_derives_pair_when_missing():
     from qms.ensembles import perturb_generator, random_density, random_generator
     lt = random_generator(2, 2, seed=711, check=False)

@@ -3,8 +3,8 @@ import pytest
 
 from qms.channels import SuperOperator
 from qms.errors import DimensionError, SpectralResolutionError, ValidationError
-from qms.linalg import (apply_batch, matrix_exp, trace_norm, trace_norm_batch,
-                        unvec, vec)
+from qms.linalg import (apply_batch, as_matrix, matrix_exp, sandwich_matrix,
+                        spectral_norm, trace_norm, trace_norm_batch, unvec, vec)
 from qms.spectral import fixed_point_analysis, spectral_quantities
 from qms.rng import SplitMix64, derive_seed
 
@@ -172,6 +172,110 @@ def test_kron_vec_identity():
     b = SplitMix64(12).complex_normals((3, 3))
     x = SplitMix64(13).complex_normals((3, 3))
     assert np.allclose(np.kron(a.T, b) @ vec(x), vec(b @ x @ a), atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sandwich_matrix_is_kron_bit_for_bit(d):
+    gen = SplitMix64(derive_seed(21, d))
+    a = gen.complex_normals((5, d, d))
+    b = gen.complex_normals((5, d, d))
+    x = gen.complex_normals((d, d))
+    stacked = sandwich_matrix(a, b)
+    assert stacked.shape == (5, d * d, d * d)
+    for ak, bk, mk in zip(a, b, stacked):
+        assert np.array_equal(mk, np.kron(bk.T, ak))
+        assert np.allclose(mk @ vec(x), vec(ak @ x @ bk), atol=1e-12)
+    # leading axes broadcast: one B against every A
+    assert np.array_equal(sandwich_matrix(a, b[0]),
+                          [np.kron(b[0].T, ak) for ak in a])
+
+
+def test_spectral_norm_is_numpy_2_norm_exactly():
+    gen = SplitMix64(31)
+    g = gen.complex_normals((4, 2))
+    for m in (gen.complex_normals((4, 4)), gen.complex_normals((9, 9)),
+              g @ g.conj().T,                              # rank 2 of 4
+              np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5]),  # real, rank 1
+              np.zeros((3, 3))):
+        assert spectral_norm(m) == np.linalg.norm(m.astype(complex), 2)
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.5), complex(np.inf, 0.5),
+                                 complex(0.5, np.nan), complex(0.5, -np.inf)])
+def test_as_matrix_rejects_non_finite_real_and_imaginary_parts(bad):
+    m = np.eye(2, dtype=complex)
+    m[1, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        as_matrix(m)
+
+
+def _splitmix64_reference(seed, n):
+    """The published SplitMix64 recurrence in Python integers."""
+    mask, out = (1 << 64) - 1, []
+    for _ in range(n):
+        seed = (seed + 0x9E3779B97F4A7C15) & mask
+        z = seed
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_next_uint64_is_the_splitmix64_recurrence():
+    seeds = [0, 1, 7, 2**63, 2**64 - 1]
+    for seed in seeds:
+        gen = SplitMix64(seed)
+        want = _splitmix64_reference(seed, 9)
+        assert gen.next_uint64(4).tolist() + gen.next_uint64(5).tolist() == want
+    streams = SplitMix64(np.array(seeds, dtype=np.uint64)).next_uint64(6)
+    assert streams.tolist() == [_splitmix64_reference(s, 6) for s in seeds]
+
+
+def _normals_two_draws(gen, n):
+    """Box-Muller from the radius and angle uniforms taken as two draws."""
+    half = (n + 1) // 2
+    u1 = ((gen.next_uint64(half) >> np.uint64(11)).astype(float) + 1.0) * 2.0**-53
+    u2 = (gen.next_uint64(half) >> np.uint64(11)).astype(float) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    out = np.concatenate([r * np.cos(2.0 * np.pi * u2),
+                          r * np.sin(2.0 * np.pi * u2)], axis=-1)
+    return out[..., :n]
+
+
+@pytest.mark.parametrize("seed", [7, np.array([3, 7, 2**64 - 1], dtype=np.uint64)])
+def test_normals_are_the_two_draw_construction(seed):
+    for n in (0, 1, 2, 5, 8):
+        one, two = SplitMix64(seed), SplitMix64(seed)
+        assert np.array_equal(one.normals(n), _normals_two_draws(two, n))
+        # both leave the stream at the same state
+        assert np.array_equal(one.next_uint64(3), two.next_uint64(3))
+
+
+def test_kron_and_spectral_norm_live_only_in_linalg():
+    # one superoperator assembly and one spectral norm: any np.kron call or
+    # np.linalg.norm(., 2) in qms outside linalg.py is a second path
+    import ast
+    from pathlib import Path
+
+    import qms
+
+    offenders = []
+    sources = sorted(Path(qms.__file__).parent.glob("*.py"))
+    assert len(sources) >= 12
+    for path in sources:
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func)
+            ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+            if name.endswith("kron") or (
+                    name.endswith("linalg.norm")
+                    and any(isinstance(o, ast.Constant) and o.value == 2
+                            for o in ords)):
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
 
 
 def test_unvec_dimension_error():
