@@ -29,14 +29,13 @@ DEFAULT_POSITIVITY_SAMPLES = 1000
 class SuperOperator:
     """A linear map on M_d(C) as a d^2 x d^2 matrix (column stacking).
 
-    ``trace_preserving`` records the outcome of the algebraic TP check at
-    construction time; None means it was not determined.  Equality and
-    hashing are by identity.
+    Whether the map is trace-preserving is read from the matrix by the
+    ``trace_preserving`` property, the package's one TP rule, whatever
+    the map was built from.  Equality and hashing are by identity.
     """
 
     dim: int
     matrix: np.ndarray
-    trace_preserving: Optional[bool] = None
     label: Optional[str] = None
 
     def __post_init__(self):
@@ -45,11 +44,6 @@ class SuperOperator:
             raise DimensionError(
                 f"superoperator matrix is {self.matrix.shape[0]}x{self.matrix.shape[1]}, "
                 f"expected {self.dim ** 2}x{self.dim ** 2} for dim={self.dim}")
-        if self.trace_preserving:
-            res = self.tp_residual()
-            if res > 1e-10:
-                raise ValidationError(
-                    f"map flagged trace-preserving has TP residual {res:.3g}")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply the map to a d x d matrix."""
@@ -66,6 +60,11 @@ class SuperOperator:
         """|| vec(I)^dag M - vec(I)^dag ||_2 (zero iff trace-preserving)."""
         vi = vec(np.eye(self.dim))
         return float(np.linalg.norm(dagger(self.matrix) @ vi - vi))
+
+    @property
+    def trace_preserving(self) -> bool:
+        """Whether ``tp_residual() <= 1e-10``."""
+        return self.tp_residual() <= 1e-10
 
 
 @dataclass
@@ -157,15 +156,14 @@ class ValidationReport:
 
 
 def identity_channel(d: int) -> SuperOperator:
-    return SuperOperator(d, np.eye(d * d, dtype=complex),
-                         trace_preserving=True, label="identity")
+    return SuperOperator(d, np.eye(d * d, dtype=complex), label="identity")
 
 
 def from_kraus(operators: Sequence[np.ndarray], label: str | None = None) -> SuperOperator:
     """Build the superoperator sum_k conj(A_k) (x) A_k of a Kraus family.
 
-    The result is completely positive by construction; it is flagged
-    trace-preserving iff sum_k A_k^dag A_k = I within 1e-10.
+    The result is completely positive by construction, and trace-preserving
+    iff sum_k A_k^dag A_k = I, as ``SuperOperator.trace_preserving`` decides.
     """
     if len(operators) == 0:
         raise ValidationError("from_kraus: empty Kraus list")
@@ -177,11 +175,8 @@ def from_kraus(operators: Sequence[np.ndarray], label: str | None = None) -> Sup
             raise DimensionError(f"Kraus operator {k} is {a.shape[0]}x{a.shape[1]}, "
                                  f"expected {d}x{d}")
     ops = np.stack(ops)
-    ops_dag = ops.conj().swapaxes(-1, -2)
-    m = sandwich_matrix(ops, ops_dag).sum(axis=0)
-    comp = (ops_dag @ ops).sum(axis=0)
-    tp = bool(spectral_norm(comp - np.eye(d)) <= 1e-10)
-    return SuperOperator(d, m, trace_preserving=tp, label=label)
+    m = sandwich_matrix(ops, ops.conj().swapaxes(-1, -2)).sum(axis=0)
+    return SuperOperator(d, m, label=label)
 
 
 def from_stochastic(s, label: str | None = None) -> SuperOperator:
@@ -189,7 +184,8 @@ def from_stochastic(s, label: str | None = None) -> SuperOperator:
 
     The embedded map sends |i><i| to sum_j S[i, j] |j><j| (so probability
     column vectors evolve by p -> S^T p) and annihilates all off-diagonal
-    matrix units.
+    matrix units.  Rows must sum to 1 within 1e-10; whether the embedded
+    map is trace-preserving is then ``SuperOperator.trace_preserving``.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -206,15 +202,15 @@ def from_stochastic(s, label: str | None = None) -> SuperOperator:
     m = np.zeros((d * d, d * d), dtype=complex)
     diag = np.arange(d) * (d + 1)          # vec positions of |i><i|
     m[diag[:, None], diag] = s.T
-    return SuperOperator(d, m, trace_preserving=True, label=label)
+    return SuperOperator(d, m, label=label)
 
 
 def compose(t1: SuperOperator, t2: SuperOperator) -> SuperOperator:
-    """Superoperator of t1 after t2 (matrix product of superoperators)."""
+    """Superoperator of t1 after t2 (matrix product of superoperators),
+    TP as its own matrix decides."""
     if t1.dim != t2.dim:
         raise DimensionError(f"cannot compose maps of dims {t1.dim} and {t2.dim}")
-    tp = True if (t1.trace_preserving and t2.trace_preserving) else None
-    return SuperOperator(t1.dim, t1.matrix @ t2.matrix, trace_preserving=tp)
+    return SuperOperator(t1.dim, t1.matrix @ t2.matrix)
 
 
 def dual(t: SuperOperator) -> SuperOperator:
@@ -228,10 +224,7 @@ def dual(t: SuperOperator) -> SuperOperator:
 
 def generator_exponential(gen: GeneratorMap, t: float) -> SuperOperator:
     """The semigroup element e^{t L} as a superoperator."""
-    m = matrix_exp(gen.matrix, t)
-    so = SuperOperator(gen.dim, m)
-    so.trace_preserving = bool(so.tp_residual() <= 1e-10)
-    return so
+    return SuperOperator(gen.dim, matrix_exp(gen.matrix, t))
 
 
 def from_lindblad(h, jumps: Sequence[np.ndarray]) -> GeneratorMap:
@@ -292,14 +285,14 @@ def validate(t: SuperOperator, n_samples: int = DEFAULT_POSITIVITY_SAMPLES,
 
     TP/unitality are algebraic (residuals reported); CP is decided by the
     minimum Choi eigenvalue.  Positivity without CP is only *sampled*: the
-    report says "no_counterexample(n)" rather than "positive", since
-    deciding positivity of a map is hard.  Deterministic given ``seed``.
+    report says "no_counterexample" rather than "positive", with the number
+    of sampled states in ``positivity_samples``, since deciding positivity
+    of a map is hard.  Deterministic given ``seed``.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     d = t.dim
     vi = vec(np.eye(d))
-    tp_res = t.tp_residual()
     unital_res = float(np.linalg.norm(t.matrix @ vi - vi))
 
     j = choi_matrix(t)
@@ -317,7 +310,7 @@ def validate(t: SuperOperator, n_samples: int = DEFAULT_POSITIVITY_SAMPLES,
     witness = states[bad[0]] if len(bad) else None
 
     return ValidationReport(
-        trace_preserving=bool(tp_res <= 1e-10), tp_residual=tp_res,
+        trace_preserving=t.trace_preserving, tp_residual=t.tp_residual(),
         hermiticity_preserving=bool(hp_ok), hp_residual=hp_res,
         completely_positive=bool(min_choi >= -1e-8), min_choi_eigenvalue=min_choi,
         unital=bool(unital_res <= 1e-10), unital_residual=unital_res,
@@ -381,8 +374,7 @@ def depolarizing_channel(p: float, d: int = 2) -> SuperOperator:
         raise ValidationError("depolarizing parameter must lie in [0, 1]")
     eye = np.eye(d * d, dtype=complex)
     m = (1.0 - p) * eye + p * np.outer(vec(np.eye(d) / d), vec(np.eye(d)).conj())
-    return SuperOperator(d, m, trace_preserving=True,
-                         label=f"depolarizing(p={p:g}, d={d})")
+    return SuperOperator(d, m, label=f"depolarizing(p={p:g}, d={d})")
 
 
 def completely_depolarizing(d: int = 2) -> SuperOperator:

@@ -111,7 +111,6 @@ def perturb_channel(t: SuperOperator, eps: float, seed: int) -> SuperOperator:
         raise ValidationError("eps must lie in [0, 1]")
     r = random_channel(t.dim, t.dim ** 2, seed)
     return SuperOperator(t.dim, (1.0 - eps) * t.matrix + eps * r.matrix,
-                         trace_preserving=t.trace_preserving,
                          label=f"perturbed(eps={eps:g})")
 
 
@@ -148,7 +147,6 @@ def _discrete_instance(config: EnsembleConfig, index: int, steps: int,
                                         seed=derive_seed(seed, 7), strict=False)
     for r in reports:
         r.instance = index
-        r.kappa_variant = ""
     rows.extend(reports)
     return rows
 

@@ -31,7 +31,6 @@ import numpy as np
 from .channels import (DensityMatrix, GeneratorMap, SuperOperator, from_kraus,
                        from_stochastic)
 from .errors import SchemaError
-from .finite_time import BoundReport
 
 CSV_COLUMNS = ["instance", "n_or_t", "exact", "bound", "slack", "regime",
                "K", "rate", "recipe", "kappa_variant"]
@@ -110,9 +109,7 @@ def channel_from_dict(doc: object) -> Union[SuperOperator, GeneratorMap]:
     m = _parse_matrix(data, dim * dim, dim * dim, "data", _parse_complex_entry)
     if rep == "generator":
         return GeneratorMap(dim, m)
-    so = SuperOperator(dim, m, label=label)
-    so.trace_preserving = bool(so.tp_residual() <= 1e-10)
-    return so
+    return SuperOperator(dim, m, label=label)
 
 
 def channel_from_json(text: str) -> Union[SuperOperator, GeneratorMap]:
@@ -189,13 +186,9 @@ def reports_to_csv(reports: list) -> str:
     return buf.getvalue()
 
 
-def report_to_dict(r: BoundReport) -> dict:
-    out = {}
-    for key in CSV_COLUMNS:
-        val = getattr(r, key)
-        if isinstance(val, float) and math.isnan(val):
-            val = None
-        out[key] = val
+def report_to_dict(r) -> dict:
+    """A BoundReport row as a dict; ``dumps_json`` maps its NaNs to null."""
+    out = {key: getattr(r, key) for key in CSV_COLUMNS}
     if r.error:
         out["error"] = r.error
     return out

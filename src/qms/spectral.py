@@ -209,7 +209,11 @@ def _analyse(t: SuperOperator) -> FixedPointAnalysis:
                 f"(residual {cesaro_residual:.3g} > {_CESARO_TOL:g})",
                 residual=cesaro_residual)
 
-    proj = SuperOperator(t.dim, p, trace_preserving=t.trace_preserving)
+    proj = SuperOperator(t.dim, p)
+    if t.trace_preserving and not proj.trace_preserving:
+        res = proj.tp_residual()
+        raise NumericError("fixed-point projector of a trace-preserving map is "
+                           f"not trace-preserving (residual {res:.3g})", residual=res)
     return FixedPointAnalysis(
         projector=proj, multiplicity=k,
         peripheral_spectrum=spec.peripheral_count > 0,
@@ -278,7 +282,8 @@ def fundamental_map(t: SuperOperator,
 
     The inverse always exists because T - T^infinity has no eigenvalue 1.
     Enforces the inversion residual ||Z Z^{-1} - I|| <= 1e-8 and, for
-    trace-preserving input, that Z is trace-preserving.
+    trace-preserving input, a TP residual of Z of at most 1e-8; whether Z
+    itself passes the 1e-10 TP rule is its own ``trace_preserving``.
     """
     analysis = analysis or fixed_point_analysis(t)
     d2 = t.dim ** 2
@@ -296,8 +301,6 @@ def fundamental_map(t: SuperOperator,
             raise NumericError(
                 f"fundamental map lost trace preservation (residual {tp_res:.3g})",
                 residual=tp_res)
-        if tp_res <= 1e-10:
-            zop.trace_preserving = True
     return zop
 
 

@@ -3,8 +3,9 @@ import pytest
 
 from qms.channels import (SuperOperator, amplitude_damping_channel, basis_state,
                           choi_matrix, completely_depolarizing, compose,
-                          depolarizing_channel, dual, from_kraus,
-                          from_lindblad, from_stochastic, identity_channel,
+                          depolarizing_channel, depolarizing_generator, dual,
+                          from_kraus, from_lindblad, from_stochastic,
+                          generator_exponential, identity_channel,
                           maximally_mixed, pauli_channel, validate)
 from qms.contraction import norm_1to1, tau
 from qms.errors import DimensionError, DomainError, ValidationError
@@ -355,7 +356,7 @@ def test_public_signatures_keep_only_options_with_callers():
     from qms import channels, contraction, ensembles, finite_time
 
     assert [f.name for f in dataclasses.fields(SuperOperator)] == [
-        "dim", "matrix", "trace_preserving", "label"]
+        "dim", "matrix", "label"]
     assert [f.name for f in dataclasses.fields(channels.GeneratorMap)] == [
         "dim", "matrix"]
     expected = {
@@ -384,3 +385,160 @@ def test_public_signatures_keep_only_options_with_callers():
                          (qms, "tau_of_powers_check"),
                          (SuperOperator, "__matmul__")]:
         assert not hasattr(module, name), name
+
+
+# ---------------------------------------------------------------------------
+# one trace-preservation rule, read from the matrix
+
+
+def _kraus_edge(d, eps):
+    # sum_k A_k^dag A_k - I = eps I: spectral norm eps <= 1e-10, but a TP
+    # residual ||M^dag vec(I) - vec(I)||_2 of sqrt(d) eps > 1e-10
+    return [np.sqrt(1.0 + eps) * np.eye(d)]
+
+
+def _complex_lists(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def _maps_from_every_constructor():
+    """(name, map, expected TP verdict) for each way a SuperOperator is made."""
+    from qms.ensembles import perturb_channel, random_channel
+    from qms.serialize import channel_from_dict
+    from qms.spectral import fixed_point_projector, fundamental_map
+
+    gen = SplitMix64(47)
+    iso = np.linalg.qr(gen.complex_normals((6, 3)))[0]
+    gauss = list(gen.complex_normals((2, 3, 3)))
+    rc = random_channel(3, 4, 11)
+    amp = amplitude_damping_channel(0.3)
+    stoch = [[0.7, 0.3], [0.2, 0.8]]
+    return [
+        ("identity", identity_channel(3), True),
+        ("depolarizing", depolarizing_channel(0.4, 3), True),
+        ("pauli", pauli_channel(0.1, 0.2, 0.3), True),
+        ("amplitude_damping", amp, True),
+        ("kraus_isometry", from_kraus([iso[:3], iso[3:]]), True),
+        ("kraus_gaussian", from_kraus(gauss), False),
+        ("kraus_edge_d2", from_kraus(_kraus_edge(2, 0.9e-10)), False),
+        ("kraus_edge_d3", from_kraus(_kraus_edge(3, 0.6e-10)), False),
+        ("stochastic", from_stochastic(stoch), True),
+        ("stochastic_edge", from_stochastic(
+            [[0.5 + 0.9e-10, 0.5], [0.5, 0.5 + 0.9e-10]]), False),
+        ("compose", compose(amp, pauli_channel(0.1, 0.2, 0.3)), True),
+        ("dual_unital", dual(depolarizing_channel(0.4)), True),
+        ("dual_non_unital", dual(amp), False),
+        ("perturb_channel", perturb_channel(rc, 0.01, 12), True),
+        ("generator_exponential",
+         generator_exponential(depolarizing_generator(1.0), 0.5), True),
+        ("dict_kraus", channel_from_dict(
+            {"dim": 2, "representation": "kraus",
+             "data": [_complex_lists(a) for a in _kraus_edge(2, 0.9e-10)]}), False),
+        ("dict_stochastic", channel_from_dict(
+            {"dim": 2, "representation": "stochastic", "data": stoch}), True),
+        ("dict_superoperator", channel_from_dict(
+            {"dim": 2, "representation": "superoperator",
+             "data": _complex_lists(amp.matrix)}), True),
+        ("fundamental_map", fundamental_map(rc), True),
+        ("fixed_point_projector", fixed_point_projector(rc), True),
+    ]
+
+
+def test_every_constructor_takes_its_tp_verdict_from_the_matrix():
+    # the edge maps pass their constructors' input checks (sum A^dag A - I
+    # in spectral norm, the row sums - 1 in max norm, each within 1e-10)
+    # but not the TP rule
+    for name, t, expected in _maps_from_every_constructor():
+        assert t.trace_preserving is (t.tp_residual() <= 1e-10), name
+        assert t.trace_preserving is expected, name
+        assert validate(t, n_samples=4).trace_preserving is expected, name
+
+
+def test_trace_preserving_is_read_only():
+    with pytest.raises(AttributeError):
+        depolarizing_channel(0.5).trace_preserving = False
+
+
+def test_projector_that_loses_trace_preservation_is_a_numeric_error(monkeypatch):
+    # scaling the projector by 1 + 3e-10 passes the 1e-8 idempotence and
+    # T o P checks but moves its TP residual to 4.2e-10
+    from qms.errors import NumericError
+    from qms.spectral import fixed_point_analysis
+
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solve(a, b) * (1.0 + 3e-10))
+    with pytest.raises(NumericError, match="not trace-preserving"):
+        fixed_point_analysis(depolarizing_channel(0.5))
+
+
+def _tp_rule_offenders(source: str) -> list:
+    """Lines of ``source`` outside class SuperOperator that set a
+    ``trace_preserving`` (other than ValidationReport's field) or compare a
+    ``tp_residual()``, directly or through a name bound to one, with 1e-10."""
+    import ast
+
+    def is_tp_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "tp_residual")
+
+    offenders = []
+
+    def visit(node, residual_names):
+        if isinstance(node, ast.ClassDef) and node.name == "SuperOperator":
+            return
+        if isinstance(node, ast.FunctionDef):
+            residual_names = set()
+        if isinstance(node, ast.Assign) and is_tp_call(node.value):
+            residual_names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.Call) and not (
+                isinstance(node.func, ast.Name) and node.func.id == "ValidationReport"):
+            if any(k.arg == "trace_preserving" for k in node.keywords):
+                offenders.append(f"{node.lineno}: trace_preserving= keyword")
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        if any(isinstance(t, ast.Attribute) and t.attr == "trace_preserving"
+               for t in targets):
+            offenders.append(f"{node.lineno}: .trace_preserving assigned")
+        if isinstance(node, ast.Compare):
+            sides = [node.left] + node.comparators
+            if (any(is_tp_call(x) or (isinstance(x, ast.Name) and x.id in residual_names)
+                    for x in sides)
+                    and any(isinstance(x, ast.Constant) and x.value == 1e-10
+                            for x in sides)):
+                offenders.append(f"{node.lineno}: tp_residual compared with 1e-10")
+        for child in ast.iter_child_nodes(node):
+            visit(child, residual_names)
+
+    visit(ast.parse(source), set())
+    return offenders
+
+
+def test_trace_preservation_is_decided_only_by_superoperator():
+    # one TP rule: no module sets the verdict or re-derives it from the
+    # residual; random_generator's looser 1e-8 spot check is a separate rule
+    from pathlib import Path
+
+    import qms
+
+    sources = sorted(Path(qms.__file__).parent.glob("*.py"))
+    assert len(sources) >= 12
+    offenders = [f"{path.name}:{line}" for path in sources
+                 for line in _tp_rule_offenders(path.read_text())]
+    assert offenders == []
+
+
+def test_tp_rule_guard_catches_each_form():
+    flagged = _tp_rule_offenders(
+        "so = SuperOperator(d, m, trace_preserving=True)\n"
+        "def f(so):\n"
+        "    so.trace_preserving = so.tp_residual() <= 1e-10\n"
+        "    res = so.tp_residual()\n"
+        "    return res <= 1e-10\n")
+    assert [f.split(":")[0] for f in flagged] == ["1", "3", "3", "5"]
+    assert _tp_rule_offenders(
+        "def validate(t):\n"
+        "    return ValidationReport(trace_preserving=t.trace_preserving)\n"
+        "def spot(snap):\n"
+        "    return snap.tp_residual() > 1e-8\n") == []

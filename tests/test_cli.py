@@ -52,6 +52,33 @@ def test_validate_ok(files, capsys):
     assert "trace_preserving: True" in out
 
 
+@pytest.mark.parametrize("doc", [
+    # sum A^dag A = (1 + 0.9e-10) I and rows summing to 1 + 0.9e-10: inside
+    # each constructor's input check, outside the 1e-10 TP rule
+    {"dim": 2, "representation": "kraus",
+     "data": [[[[math.sqrt(1 + 0.9e-10), 0.0], [0.0, 0.0]],
+               [[0.0, 0.0], [math.sqrt(1 + 0.9e-10), 0.0]]]]},
+    {"dim": 3, "representation": "kraus",
+     "data": [[[[math.sqrt(1 + 0.6e-10) if i == j else 0.0, 0.0]
+                for j in range(3)] for i in range(3)]]},
+    {"dim": 2, "representation": "stochastic",
+     "data": [[0.5 + 0.9e-10, 0.5], [0.5, 0.5 + 0.9e-10]]},
+], ids=["kraus_d2", "kraus_d3", "stochastic"])
+def test_validate_edge_files_match_their_superoperator_form(tmp_path, capsys, doc):
+    from qms.serialize import channel_from_dict
+    native = tmp_path / "native.json"
+    native.write_text(dumps_json(doc))
+    superop = tmp_path / "superop.json"
+    superop.write_text(dumps_json(channel_to_dict(channel_from_dict(doc))))
+    code, out = run(["validate", str(native), "--samples", "20"], capsys)
+    assert code == 1
+    assert "  trace_preserving: False" in out.splitlines()
+    code_s, out_s = run(["validate", str(superop), "--samples", "20"], capsys)
+    assert code_s == 1
+    # the same report, tp_residual line included, past the header line
+    assert out.splitlines()[1:] == out_s.splitlines()[1:]
+
+
 def test_validate_json_format(files, capsys):
     code, out = run(["validate", files["depol05"], "--samples", "50",
                      "--format", "json"], capsys)

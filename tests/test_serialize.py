@@ -8,7 +8,8 @@ from qms.errors import SchemaError
 from qms.finite_time import BoundReport
 from qms.serialize import (channel_from_dict, channel_from_json, channel_to_dict,
                            dumps_json, load_channel, loads_strict,
-                           reports_to_csv, state_from_dict, state_to_dict)
+                           report_to_dict, reports_to_csv, state_from_dict,
+                           state_to_dict)
 
 
 def test_channel_roundtrip_superoperator():
@@ -112,3 +113,37 @@ def test_dumps_json_is_deterministic_and_sorted():
     b = dumps_json({"a": [1.5, 2.25], "b": 1})
     assert a == b
     assert a.index('"a"') < a.index('"b"')
+
+
+def test_report_rows_map_nan_to_null_in_json():
+    rows = [BoundReport(n_or_t=math.nan, exact=0.5, bound=0.6, slack=0.1,
+                        regime="fixed_point", kappa_variant="tau_z"),
+            BoundReport(n_or_t=2.0, exact=math.nan, bound=math.nan,
+                        slack=math.nan, regime="error", instance=3,
+                        error="boom")]
+    docs = loads_strict(dumps_json([report_to_dict(r) for r in rows]))
+    assert docs[0] == {"instance": None, "n_or_t": None, "exact": 0.5,
+                       "bound": 0.6, "slack": 0.1, "regime": "fixed_point",
+                       "K": None, "rate": None, "recipe": "",
+                       "kappa_variant": "tau_z"}
+    assert docs[1]["n_or_t"] == 2.0 and docs[1]["exact"] is None
+    assert docs[1]["instance"] == 3 and docs[1]["error"] == "boom"
+
+
+def test_serialize_imports_only_channels_and_errors():
+    # the codecs must load without finite_time, so a command that only
+    # reads a channel file does not pull in the bound machinery
+    import ast
+    from pathlib import Path
+
+    import qms.serialize
+
+    tree = ast.parse(Path(qms.serialize.__file__).read_text())
+    internal = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("qms")):
+            internal.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            internal.update(a.name for a in node.names if a.name.startswith("qms"))
+    assert internal == {".channels", ".errors"}
