@@ -25,12 +25,14 @@ from .finite_time import (BoundReport, ConvergencePair, FiniteTimeBound,
                           pair_detailed_balance_generator, pair_spectral_eq10,
                           t_hat, user_pair)
 from .linalg import matrix_exp, trace_norm, unvec, vec
-from .spectral import (MinimalPolynomial, SpectralData, fixed_point_projector,
-                       fundamental_map, minimal_polynomial, spectral_quantities,
-                       stationary_states)
+from .spectral import (MinimalPolynomial, SpectralData, fixed_point_analysis,
+                       fixed_point_projector, fundamental_map, minimal_polynomial,
+                       spectral_quantities)
 from .stability import (ConditionReport, PerturbationOutcome, condition_numbers,
                         fixed_point_perturbation)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the classes and functions imported above, not the submodules they bind
+__all__ = [name for name in dir() if not name.startswith("_")
+           and callable(globals()[name])]

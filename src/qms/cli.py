@@ -171,8 +171,8 @@ def _cmd_analyze(args) -> int:
     kz = report.kappa_tau_z.value
     if math.isfinite(report.spectral_upper) and kz > report.spectral_upper + args.tol:
         violations += 1
-    if t.dim == 2:
-        # the qubit oracle is tight, so the lower bound is checkable
+    if report.kappa_tau_z.method == report.tau_t.method == "analytic":
+        # only the exact closed forms make the lower bound checkable
         if report.spectral_lower > kz + args.tol:
             violations += 1
         if (report.kappa_contraction is not None

@@ -100,7 +100,11 @@ def tau_exact_qubit(t: SuperOperator) -> ContractionEstimate:
         raise DomainError(
             "tau_exact_qubit: the qubit closed form needs a Hermiticity-preserving "
             f"map (residual {res:.3g})")
-    r = _pauli_transfer(t)
+    return _tau_qubit(_pauli_transfer(t))
+
+
+def _tau_qubit(r: np.ndarray) -> ContractionEstimate:
+    """:func:`tau_exact_qubit` from the real Pauli transfer matrix ``r``."""
     shift = np.linalg.norm(r[0, 1:])
     _, sv, vh = np.linalg.svd(r[1:, 1:])
     if shift > sv[0]:
@@ -436,13 +440,12 @@ def _closed_form(t: SuperOperator, kind: str):
     ascent runs instead."""
     if t.dim != 2:
         return None
-    if kind == "tau":
-        return tau_exact_qubit(t)
     if kind == "general":
         return _general_norm_qubit(t.matrix)
-    if preserves_hermiticity(t, choi_matrix(t))[0]:      # kind == "hermitian"
-        return _hermitian_norm_qubit(_pauli_transfer(t))
-    return None
+    if not preserves_hermiticity(t, choi_matrix(t))[0]:
+        return None
+    r = _pauli_transfer(t)
+    return _tau_qubit(r) if kind == "tau" else _hermitian_norm_qubit(r)
 
 
 def estimate_batch(problems, restarts: int, seed: int) -> list:
@@ -473,8 +476,8 @@ def tau(t: SuperOperator, restarts: int = DEFAULT_RESTARTS,
     The extreme points of the traceless Hermitian trace-norm ball are
     (phi phi^dag - psi psi^dag)/2 with phi orthogonal to psi, for every
     linear map, so tau(L) is half the maximal output distance over
-    orthogonal pure-state pairs.  Qubit maps take the closed form
-    :func:`tau_exact_qubit`, which needs a Hermiticity-preserving map.
+    orthogonal pure-state pairs.  Hermiticity-preserving qubit maps take
+    the closed form of :func:`tau_exact_qubit` (method ``analytic``).
     Otherwise ``restarts`` independent power-method ascents run over the
     pairs, as the rows of a batch of one (:func:`_power_ascent`; restart r
     is seeded with derive_seed(seed, r), so prefixes of the restart stream

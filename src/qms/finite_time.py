@@ -27,14 +27,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, GeneratorMap, SuperOperator
+from .channels import DensityMatrix, GeneratorMap, SuperOperator, basis_state
 from .contraction import norm_1to1, norm_lower_bound_probes, probe_inputs
 from .errors import (BoundViolationError, DomainError, HypothesisError,
                      ValidationError)
 from .linalg import (dagger, matrix_exp, sandwich_matrix, spectral_norm,
                      trace_norm, trace_norm_batch, vec)
-from .spectral import (fixed_point_analysis, minimal_polynomial, delta_map,
-                       stationary_states)
+from .spectral import delta_map, fixed_point_analysis, minimal_polynomial
 
 RECIPES = ("user_supplied", "chi2", "detailed_balance", "spectral_eq10")
 
@@ -222,16 +221,16 @@ def asymptotic_continuous(pair: ConvergencePair, dL: float) -> float:
 
 
 def _stationary_full_rank(t: SuperOperator):
-    states, unique = stationary_states(t)
-    if not unique:
+    analysis = fixed_point_analysis(t)
+    if analysis.multiplicity != 1:
         raise HypothesisError("recipe requires a unique stationary state")
-    sigma = states[0].matrix
-    w, v = np.linalg.eigh(sigma)
+    # with a unique fixed point every state reaches sigma; |0><0| is one
+    w, v = np.linalg.eigh(analysis.limit_state(basis_state(t.dim, 0).matrix).matrix)
     lam_min = float(w.min())
     if lam_min <= 1e-12:
         raise DomainError(
             f"stationary state is rank deficient (lambda_min = {lam_min:.3g})")
-    return sigma, w, v, lam_min
+    return w, v, lam_min
 
 
 def _conjugated_matrix(m: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -261,7 +260,7 @@ def pair_chi2(t: SuperOperator, n_check: int = DEFAULT_VALIDATION_STEPS,
     Requires a unique, full-rank stationary state.  The returned pair is
     validated empirically up to ``n_check``.
     """
-    sigma, w, v, lam_min = _stationary_full_rank(t)
+    w, v, lam_min = _stationary_full_rank(t)
     omega = _conjugated_matrix(t.matrix, w, v)
     sv = np.linalg.svd(omega, compute_uv=False)
     mu = float(sv[1])
@@ -282,7 +281,7 @@ def pair_detailed_balance(t: SuperOperator, n_check: int = DEFAULT_VALIDATION_ST
     Requires the conjugated map Omega to be Hermitian as a superoperator
     matrix (detailed balance w.r.t. the stationary state) to 1e-8.
     """
-    sigma, w, v, lam_min = _stationary_full_rank(t)
+    w, v, lam_min = _stationary_full_rank(t)
     omega = _conjugated_matrix(t.matrix, w, v)
     herm_res = _detailed_balance_residual(omega, "map")
     mu = fixed_point_analysis(t).spectral.subdominant_modulus
@@ -377,7 +376,7 @@ def pair_spectral_eq10(t: SuperOperator, mu: float,
 def _generator_conjugated(gen: GeneratorMap):
     """The conjugated generator, the gap nu of its symmetrized restriction
     to the orthocomplement of sqrt(sigma), and lambda_min(sigma)."""
-    sigma, w, v, lam_min = _stationary_full_rank(gen.unit_time_map)
+    w, v, lam_min = _stationary_full_rank(gen.unit_time_map)
     g_omega = _conjugated_matrix(gen.matrix, w, v)
     sqrt_sigma = (v * np.sqrt(w)) @ dagger(v)
     fixed_vec = vec(sqrt_sigma)

@@ -13,6 +13,7 @@ most recently used maps: a caller holding many analysed maps pays a fixed
 amount of memory for it, and a map that has dropped out is analysed again
 on its next use.  This relies on a ``SuperOperator`` not being mutated
 after construction.  A failed analysis raises and is not stored.
+:meth:`FixedPointAnalysis.limit_state` is the one way to a stationary state.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .channels import DensityMatrix, SuperOperator
-from .errors import (IllConditionedStructureError, NoFixedPointError,
-                     NumericError, SpectralResolutionError)
-from .linalg import as_matrix, dagger, spectral_norm, vec
+from .errors import (DomainError, IllConditionedStructureError,
+                     NoFixedPointError, NumericError, SpectralResolutionError)
+from .linalg import as_matrix, dagger, spectral_norm
 
 TOL_FIX = 1e-9
 
@@ -91,17 +92,17 @@ class FixedPointAnalysis:
     cesaro_residual: Optional[float] = None
     notes: list = field(default_factory=list)
 
-    @functools.cached_property
-    def stationary(self) -> tuple:
-        """Density-matrix basis of the fixed space, built once per analysis."""
-        return _stationary_basis(self.projector, self.multiplicity)
-
     def limit_state(self, m: np.ndarray) -> DensityMatrix:
-        """The stationary state T^inf(m) of a state m: projected onto the
-        fixed space, Hermitized and renormalised to unit trace."""
+        """T^inf(m) of a state m, Hermitized and renormalised: the one way to a
+        stationary state (the pair recipes check uniqueness first).  A projected
+        trace not above 1e-8 raises :class:`DomainError`: the map is not TP."""
         p = self.projector.apply(m)
         p = (p + dagger(p)) / 2
-        return DensityMatrix(self.projector.dim, p / np.trace(p).real)
+        trace = np.trace(p).real
+        if not trace > 1e-8:
+            raise DomainError(f"projected state has trace {trace:.3g}, not above "
+                              "1e-8; is the map trace-preserving?")
+        return DensityMatrix(self.projector.dim, p / trace)
 
 
 def _spectral_data(m: np.ndarray) -> SpectralData:
@@ -229,51 +230,6 @@ def fixed_point_projector(t: SuperOperator) -> SuperOperator:
 def delta_map(t: SuperOperator) -> SuperOperator:
     """T - T^infinity as a superoperator."""
     return SuperOperator(t.dim, t.matrix - fixed_point_projector(t).matrix)
-
-
-def stationary_states(t: SuperOperator):
-    """Basis of the fixed-point space intersected with density matrices.
-
-    Returns (states, unique) where ``states`` is the tuple memoised as
-    ``fixed_point_analysis(t).stationary`` and ``unique`` is True iff the
-    eigenvalue-1 multiplicity is 1.
-    """
-    analysis = fixed_point_analysis(t)
-    return analysis.stationary, analysis.multiplicity == 1
-
-
-def _stationary_basis(proj: SuperOperator, multiplicity: int) -> tuple:
-    """Applies T^infinity to a spanning family of pure states and keeps a
-    maximal linearly independent subset, normalized to unit trace."""
-    d = proj.dim
-    basis_states = []
-    for i in range(d):
-        v = np.zeros(d, dtype=complex)
-        v[i] = 1.0
-        basis_states.append(v)
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = np.zeros(d, dtype=complex)
-            v[i], v[j] = 1.0, 1.0
-            basis_states.append(v / np.sqrt(2.0))
-            v = np.zeros(d, dtype=complex)
-            v[i], v[j] = 1.0, 1j
-            basis_states.append(v / np.sqrt(2.0))
-
-    kept: list[np.ndarray] = []
-    stacked: list[np.ndarray] = []
-    for v in basis_states:
-        img = proj.apply(np.outer(v, v.conj()))
-        img = (img + dagger(img)) / 2
-        candidate = stacked + [vec(img)]
-        svals = np.linalg.svd(np.array(candidate), compute_uv=False)
-        if svals[-1] > 1e-8 * max(svals[0], 1e-300):
-            stacked = candidate
-            kept.append(img)
-        if len(kept) == multiplicity:
-            break
-
-    return tuple(DensityMatrix(d, m / np.trace(m).real) for m in kept)
 
 
 def fundamental_map(t: SuperOperator,

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qms
-from qms.channels import (depolarizing_channel, depolarizing_generator,
-                          from_stochastic, identity_channel)
+from qms.channels import (SuperOperator, depolarizing_channel,
+                          depolarizing_generator, from_stochastic,
+                          identity_channel)
 from qms.cli import main
+from qms.linalg import vec
 from qms.serialize import channel_to_dict, dumps_json, loads_strict
 
 
@@ -523,6 +525,78 @@ def test_pairs_without_fixed_point_is_domain_error(tmp_path, capsys):
         assert captured.err.startswith("error: no eigenvalue within 1e-09 of 1")
 
 
+def _traceless_projection_file(tmp_path):
+    # X -> X - tr(X) I/2, not trace-preserving: its fixed space is the
+    # traceless matrices, so it holds no state and every state projects to
+    # trace 0
+    vi = vec(np.eye(2))
+    p = tmp_path / "traceless.json"
+    p.write_text(dumps_json(channel_to_dict(
+        SuperOperator(2, np.eye(4) - np.outer(vi, vi) / 2))))
+    return str(p)
+
+
+def test_pairs_checks_uniqueness_before_building_a_state(tmp_path, capsys):
+    code, out = run(["pairs", _traceless_projection_file(tmp_path)], capsys)
+    assert code == 0
+    for recipe in ("chi2", "detailed_balance"):
+        assert (f"  {recipe}: HypothesisError: recipe requires a unique "
+                "stationary state") in out.splitlines()
+
+
+def test_compare_on_a_vanishing_projected_trace_is_domain_error(tmp_path, capsys):
+    p = _traceless_projection_file(tmp_path)
+    code = main(["compare", p, p])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("error: projected state has trace 0, not above "
+                            "1e-8; is the map trace-preserving?\n")
+
+
+def _non_hermiticity_preserving_file(tmp_path, d):
+    # a channel plus 0.05 |vec(E01)><vec(Z)|, Z = diag(1, -1, 0, ...)
+    from qms.ensembles import random_channel
+    e01, z = np.zeros((d, d)), np.zeros((d, d))
+    e01[0, 1], z[0, 0], z[1, 1] = 1.0, 1.0, -1.0
+    m = random_channel(d, d * d, 5).matrix + 0.05 * np.outer(vec(e01), vec(z))
+    p = tmp_path / "nonhp.json"
+    p.write_text(dumps_json(channel_to_dict(SuperOperator(d, m))))
+    return str(p)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_analyze_accepts_maps_that_do_not_preserve_hermiticity(tmp_path, capsys, d):
+    # the qubit closed form of tau needs a Hermiticity-preserving map, so a
+    # qubit map without it takes the ascent, as at d = 3
+    p = _non_hermiticity_preserving_file(tmp_path, d)
+    code, out = run(["analyze", p, "--format", "json"], capsys)
+    assert code == 0
+    doc = loads_strict(out)
+    assert doc["violations"] == 0
+    assert doc["tau"]["method"] == "multistart_manifold"
+    assert doc["condition_numbers"]["kappa_tau_z"]["method"] == "multistart_manifold"
+
+
+def test_analyze_runs_the_tight_checks_only_on_closed_forms(tmp_path, capsys,
+                                                           monkeypatch):
+    # an ascent's kappa is a lower bound, so one below the spectral lower
+    # bound or above (1 - tau)^-1 proves nothing and is not a violation
+    import dataclasses
+    from qms import cli
+    real = cli.condition_numbers
+
+    def ascent_below_spectral_lower(t, **kwargs):
+        report = real(t, **kwargs)
+        report.kappa_tau_z = dataclasses.replace(report.kappa_tau_z, value=0.0)
+        return report
+
+    monkeypatch.setattr(cli, "condition_numbers", ascent_below_spectral_lower)
+    code, out = run(["analyze", _non_hermiticity_preserving_file(tmp_path, 2)],
+                    capsys)
+    assert code == 0
+    assert "  violations: 0" in out.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract as a property: codes stay in {0, 1, 2, 3}, 1 comes
 # with a reported violation, and nothing escapes outside the QmsError family
@@ -667,7 +741,7 @@ def test_validate_exit_code_contract(contract_files, name, samples):
 
 def test_pairs_builds_stationary_state_once(files, capsys, count_calls):
     from qms import spectral
-    builds = count_calls(spectral, "_stationary_basis")
+    builds = count_calls(spectral, "_spectral_data")
     assert main(["pairs", files["depol05"], "--steps", "5"]) == 0
     capsys.readouterr()
     assert len(builds) == 1

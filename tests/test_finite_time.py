@@ -19,7 +19,7 @@ from qms.finite_time import (VALIDATION_TOL, asymptotic_continuous,
                              pair_spectral_eq10, t_hat, user_pair,
                              validate_pair_on_channel,
                              validate_pair_on_generator)
-from qms.linalg import matrix_exp
+from qms.linalg import matrix_exp, vec
 from qms.rng import derive_seed
 from qms.spectral import fixed_point_analysis, spectral_quantities
 
@@ -194,6 +194,21 @@ def test_pair_chi2_rejects_rank_deficient_state():
 def test_pair_chi2_rejects_non_unique():
     with pytest.raises(HypothesisError):
         pair_chi2(identity_channel(2))
+
+
+def traceless_projection():
+    # X -> X - tr(X) I/2, not trace-preserving: it fixes every traceless
+    # matrix, so its fixed space has dimension 3 and holds no state
+    vi = vec(np.eye(2))
+    return SuperOperator(2, np.eye(4) - np.outer(vi, vi) / 2)
+
+
+@pytest.mark.parametrize("recipe", [pair_chi2, pair_detailed_balance])
+@pytest.mark.parametrize("make", [lambda: identity_channel(2), traceless_projection],
+                         ids=["identity", "traceless_projection"])
+def test_pair_recipes_check_uniqueness_before_building_a_state(recipe, make):
+    with pytest.raises(HypothesisError, match="unique stationary state"):
+        recipe(make())
 
 
 def test_pair_detailed_balance_depolarizing():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qms.channels import (SuperOperator, completely_depolarizing,
+from qms.channels import (SuperOperator, basis_state, completely_depolarizing,
                           depolarizing_channel, from_kraus, from_stochastic,
                           identity_channel)
 from qms.errors import (DomainError, IllConditionedStructureError,
@@ -12,7 +12,7 @@ from qms.linalg import matrix_exp, vec
 from qms.rng import SplitMix64, derive_seed
 from qms.spectral import (delta_map, fixed_point_analysis, fixed_point_projector,
                           fundamental_map, minimal_polynomial,
-                          spectral_quantities, stationary_states)
+                          spectral_quantities)
 
 
 def random_channel(d, rank, seed):
@@ -88,37 +88,31 @@ def test_projector_kills_traceless_when_unique():
     assert np.abs(analysis.projector.apply(x)).max() <= 1e-8
 
 
-def test_stationary_states_depolarizing():
-    states, unique = stationary_states(depolarizing_channel(0.4))
-    assert unique and len(states) == 1
-    assert np.allclose(states[0].matrix, np.eye(2) / 2, atol=1e-10)
+def test_limit_state_depolarizing():
+    analysis = fixed_point_analysis(depolarizing_channel(0.4))
+    assert analysis.multiplicity == 1
+    sigma = analysis.limit_state(basis_state(2, 0).matrix)
+    assert np.allclose(sigma.matrix, np.eye(2) / 2, atol=1e-10)
 
 
-def test_stationary_states_identity_channel():
-    states, unique = stationary_states(identity_channel(2))
-    assert not unique
-    assert len(states) == 4
-    stacked = np.array([vec(s.matrix) for s in states])
-    assert np.linalg.matrix_rank(stacked) == 4
-
-
-def test_stationary_states_decay_channel():
+def test_limit_state_decay_channel():
+    # every state decays to |0><0|, the unique fixed point
     k0 = np.array([[1, 0], [0, 0]], dtype=complex)
     k1 = np.array([[0, 1], [0, 0]], dtype=complex)
-    states, unique = stationary_states(from_kraus([k0, k1]))
-    assert unique
-    assert np.allclose(states[0].matrix, k0, atol=1e-10)
+    analysis = fixed_point_analysis(from_kraus([k0, k1]))
+    assert analysis.multiplicity == 1
+    for i in range(2):
+        sigma = analysis.limit_state(basis_state(2, i).matrix)
+        assert np.allclose(sigma.matrix, k0, atol=1e-10)
 
 
-def test_stationary_states_are_memoised_as_a_tuple(count_calls):
-    from qms import spectral
-    builds = count_calls(spectral, "_stationary_basis")
-    t = depolarizing_channel(0.4)
-    states, _ = stationary_states(t)
-    assert isinstance(states, tuple)
-    assert stationary_states(t)[0] is states
-    assert fixed_point_analysis(t).stationary is states
-    assert len(builds) == 1
+def test_limit_state_refuses_a_vanishing_trace():
+    # X -> X - tr(X) I/2 fixes the traceless matrices, so every state
+    # projects to trace 0: the map is not trace-preserving
+    vi = vec(np.eye(2))
+    analysis = fixed_point_analysis(SuperOperator(2, np.eye(4) - np.outer(vi, vi) / 2))
+    with pytest.raises(DomainError, match="trace-preserving"):
+        analysis.limit_state(basis_state(2, 0).matrix)
 
 
 def test_fundamental_map_completely_depolarizing():
@@ -309,7 +303,7 @@ def test_fixed_point_analysis_is_memoised(count_calls):
     t = random_channel(3, 4, 17)
     assert fixed_point_analysis(t) is fixed_point_analysis(t)
     fundamental_map(t)
-    stationary_states(t)
+    fixed_point_analysis(t).limit_state(basis_state(3, 0).matrix)
     delta_map(t)
     assert len(eigs) == 1
 
