@@ -44,7 +44,8 @@ VALIDATION_TOL = 1e-8
 
 DEFAULT_VALIDATION_STEPS = 50
 
-# Grid points whose probe bounds are evaluated together during validation.
+# Consecutive powers built as one stack (the first by doubling, each later
+# one by one stacked product) and, in validation, sharing one probe batch.
 VALIDATION_CHUNK = 64
 
 
@@ -148,6 +149,26 @@ def t_hat(K: float, nu: float) -> float:
     return math.log(K) / nu
 
 
+def _discrete_terms(K: float, mu: float, n, d0: float, dT: float):
+    """n_hat, the pre-threshold mask and the initial and perturbation terms
+    of the discrete bound at the steps ``n`` (a scalar or an array)."""
+    nh = n_hat(K, mu)
+    mu_n = mu ** n
+    pre = n <= nh
+    initial = np.where(pre, d0, K * mu_n * d0)
+    pert = np.where(pre, n * dT, (nh + K * (mu ** nh - mu_n) / (1.0 - mu)) * dT)
+    return nh, pre, initial, pert
+
+
+def _finite_time_bound(x, threshold, pre, initial, pert) -> FiniteTimeBound:
+    """The bound at one point x from its ``_*_terms``."""
+    initial, pert = float(initial), float(pert)
+    return FiniteTimeBound(n_or_t=float(x), threshold=float(threshold),
+                           regime="pre_threshold" if pre else "post_threshold",
+                           bound_value=initial + pert, initial_term=initial,
+                           perturbation_term=pert)
+
+
 def discrete_bound(pair: ConvergencePair, n: int, d0: float, dT: float) -> FiniteTimeBound:
     """Evaluate the discrete two-regime bound at step n.
 
@@ -157,18 +178,7 @@ def discrete_bound(pair: ConvergencePair, n: int, d0: float, dT: float) -> Finit
         raise DomainError("discrete_bound requires a discrete pair")
     if n < 0 or d0 < 0 or dT < 0:
         raise DomainError("n, d0 and dT must be nonnegative")
-    K, mu = pair.K, pair.rate
-    nh = n_hat(K, mu)
-    if n <= nh:
-        initial, pert, regime = d0, n * dT, "pre_threshold"
-    else:
-        mu_n = mu ** n
-        initial = K * mu_n * d0
-        pert = (nh + K * (mu ** nh - mu_n) / (1.0 - mu)) * dT
-        regime = "post_threshold"
-    return FiniteTimeBound(n_or_t=float(n), threshold=float(nh), regime=regime,
-                           bound_value=initial + pert, initial_term=initial,
-                           perturbation_term=pert)
+    return _finite_time_bound(n, *_discrete_terms(pair.K, pair.rate, n, d0, dT))
 
 
 def asymptotic_discrete(pair: ConvergencePair, dT: float) -> float:
@@ -180,6 +190,21 @@ def asymptotic_discrete(pair: ConvergencePair, dT: float) -> float:
     return (n_hat(pair.K, pair.rate) + 1.0 / (1.0 - pair.rate)) * dT
 
 
+def _continuous_terms(K: float, nu: float, t, d0: float, dL: float):
+    """t_hat, the pre-threshold mask and the initial and perturbation terms
+    of the continuous bound at the times ``t`` (a scalar or an array)."""
+    if K <= 0:
+        raise DomainError("continuous bound requires K > 0")
+    th = t_hat(K, nu)
+    decay = K * np.exp(-nu * t)
+    pre = t <= th
+    initial = np.where(pre, d0, decay * d0)
+    # the integral of min(1, K e^{-nu s}) over [0, t], >= 0 for every K
+    pert = np.where(pre, t * dL,
+                    (math.log(max(K, 1.0)) + min(K, 1.0) - decay) / nu * dL)
+    return th, pre, initial, pert
+
+
 def continuous_bound(pair: ConvergencePair, t: float, d0: float, dL: float) -> FiniteTimeBound:
     """Evaluate the continuous two-regime bound at time t.
 
@@ -189,21 +214,7 @@ def continuous_bound(pair: ConvergencePair, t: float, d0: float, dL: float) -> F
         raise DomainError("continuous_bound requires a continuous pair")
     if t < 0 or d0 < 0 or dL < 0:
         raise DomainError("t, d0 and dL must be nonnegative")
-    if pair.K <= 0:
-        raise DomainError("continuous bound requires K > 0")
-    K, nu = pair.K, pair.rate
-    th = t_hat(K, nu)
-    if t <= th:
-        initial, pert, regime = d0, t * dL, "pre_threshold"
-    else:
-        decay = K * math.exp(-nu * t)
-        initial = decay * d0
-        # the integral of min(1, K e^{-nu s}) over [0, t], >= 0 for every K
-        pert = (math.log(max(K, 1.0)) + min(K, 1.0) - decay) / nu * dL
-        regime = "post_threshold"
-    return FiniteTimeBound(n_or_t=t, threshold=th, regime=regime,
-                           bound_value=initial + pert, initial_term=initial,
-                           perturbation_term=pert)
+    return _finite_time_bound(t, *_continuous_terms(pair.K, pair.rate, t, d0, dL))
 
 
 def asymptotic_continuous(pair: ConvergencePair, dL: float) -> float:
@@ -440,27 +451,36 @@ def _require_steps(n: int, name: str):
         raise DomainError(f"{name} must be nonnegative, got {n}")
 
 
-def _probe_bounds(count: int, advance, p_inf: np.ndarray,
-                  probes: np.ndarray) -> np.ndarray:
-    """Probe lower bounds of ||E_k - P_inf|| for k < ``count``, where
-    ``advance`` steps the evolution E_k from E_0 = I to the next grid point.
+def _powers(m: np.ndarray, count: int):
+    """M^k for k < ``count`` in stacks of VALIDATION_CHUNK consecutive powers:
+    the first by doubling (base[h:2h] = base[:h] M^h, 6 stacked products for
+    64 powers), each later one as base M^start, one stacked product per
+    chunk.  Equal to a step-by-step evaluation up to roundoff."""
+    n = min(VALIDATION_CHUNK, count)
+    if n < 1:
+        return
+    base = np.empty((n,) + m.shape, dtype=complex)
+    base[0] = np.eye(len(m))
+    power, h = m, 1                       # power = M^h
+    while h < n:
+        base[h:2 * h] = base[:min(h, n - h)] @ power
+        power, h = power @ power, 2 * h
+    yield base
+    shift = current = base[-1] @ m        # M^n
+    for start in range(n, count, n):
+        yield base[:count - start] @ current
+        current = current @ shift
 
-    The evolution is stepped one grid point at a time; the probe bounds of
-    each run of VALIDATION_CHUNK consecutive points come from one stacked
-    application and one trace-norm batch, the same arithmetic per point as
-    a point-by-point evaluation.
-    """
-    shape = p_inf.shape
-    current = np.eye(shape[0], dtype=complex)
+
+def _probe_bounds(count: int, m: np.ndarray, p_inf: np.ndarray,
+                  probes: np.ndarray) -> np.ndarray:
+    """Probe lower bounds of ||M^k - P_inf|| for k < ``count``, one
+    trace-norm batch per stack of :func:`_powers` (powers by doubling, one
+    stacked product per chunk, equal to a step-by-step evaluation up to
+    roundoff)."""
     bounds = []
-    for start in range(0, count, VALIDATION_CHUNK):
-        chunk = np.empty((min(VALIDATION_CHUNK, count - start),) + shape,
-                         dtype=complex)
-        for k in range(len(chunk)):
-            if start + k:
-                current = advance(current)
-            chunk[k] = current - p_inf
-        bounds.extend(norm_lower_bound_probes(chunk, probes).tolist())
+    for block in _powers(m, count):
+        bounds.extend(norm_lower_bound_probes(block - p_inf, probes).tolist())
     return np.array(bounds)
 
 
@@ -473,7 +493,7 @@ def _channel_probe_bounds(t: SuperOperator, n_max: int, seed: int) -> np.ndarray
     channel share one evaluation; the returned array is shared, hence
     read-only.
     """
-    bounds = _probe_bounds(n_max + 1, lambda power: power @ t.matrix,
+    bounds = _probe_bounds(n_max + 1, t.matrix,
                            fixed_point_analysis(t).projector.matrix,
                            probe_inputs(t.dim, seed=seed))
     bounds.flags.writeable = False
@@ -530,10 +550,11 @@ def validate_pair_on_generator(pair: ConvergencePair, gen: GeneratorMap,
     p_inf = fixed_point_analysis(gen.unit_time_map).projector.matrix
     probes = probe_inputs(gen.dim, seed=seed)
     times = np.linspace(0.0, t_max, samples)
-    step = matrix_exp(gen.matrix, times[1] - times[0]) if samples > 1 else None
+    # a single sample is t = 0 alone, whose power M^0 needs no step
+    step = (matrix_exp(gen.matrix, times[1] - times[0]) if samples > 1
+            else np.eye(len(gen.matrix)))
     return _validate_on_grid(
-        pair, "t", times.tolist(),
-        _probe_bounds(samples, lambda current: step @ current, p_inf, probes),
+        pair, "t", times.tolist(), _probe_bounds(samples, step, p_inf, probes),
         lambda tt: math.exp(-pair.rate * tt), len(probes))
 
 
@@ -551,16 +572,15 @@ def _require_usable(pair: ConvergencePair):
 def _simulate(step_t: np.ndarray, step_e: np.ndarray, rho0: DensityMatrix,
               sigma0: DensityMatrix, count: int):
     """sigma_i and the exact ||rho_i - sigma_i||_1 for i < count, where
-    rho_{i+1} = step_t rho_i and sigma_{i+1} = step_e sigma_i."""
+    rho_i = step_t^i rho_0 and sigma_i = step_e^i sigma_0, from the powers
+    of :func:`_powers` (by doubling, one stacked product per chunk, equal to
+    a step-by-step evaluation up to roundoff)."""
+    def evolve(step, v):
+        return np.concatenate([block @ v for block in _powers(step, count)])
+
     d = rho0.dim
-    rho_v, sigma_v = vec(rho0.matrix), vec(sigma0.matrix)
-    rho_vs = np.empty((count, d * d), dtype=complex)
-    sigma_vs = np.empty_like(rho_vs)
-    for i in range(count):
-        if i:
-            rho_v = step_t @ rho_v
-            sigma_v = step_e @ sigma_v
-        rho_vs[i], sigma_vs[i] = rho_v, sigma_v
+    rho_vs = evolve(step_t, vec(rho0.matrix))
+    sigma_vs = evolve(step_e, vec(sigma0.matrix))
     sigma_mats = sigma_vs.reshape(count, d, d).transpose(0, 2, 1)
     diff_mats = (rho_vs - sigma_vs).reshape(count, d, d).transpose(0, 2, 1)
     return sigma_mats, trace_norm_batch(diff_mats)
@@ -578,17 +598,19 @@ def _perturbation_norm(m_t: np.ndarray, m_e: np.ndarray, inputs: np.ndarray,
     return value
 
 
-def _bound_rows(pair: ConvergencePair, grid, bound, exact: np.ndarray,
+def _bound_rows(pair: ConvergencePair, grid, terms, exact: np.ndarray,
                 d0: float, dT: float, tol: float, strict: bool,
                 unit: str) -> list:
-    """One BoundReport per grid point; raise on a violation when strict."""
-    reports = []
-    for x, ex in zip(grid, exact):
-        fb = bound(pair, x, d0, dT)
-        reports.append(BoundReport(
-            n_or_t=float(x), exact=float(ex), bound=fb.bound_value,
-            slack=fb.bound_value - float(ex), regime=fb.regime,
-            K=pair.K, rate=pair.rate, recipe=pair.recipe))
+    """One BoundReport per point of the float array ``grid``, with the bound
+    formula ``terms`` evaluated once over it; raise on a violation when strict."""
+    _, pre, initial, pert = terms(pair.K, pair.rate, grid, d0, dT)
+    bound = initial + pert
+    reports = [BoundReport(
+        n_or_t=x, exact=ex, bound=b, slack=s,
+        regime="pre_threshold" if p else "post_threshold",
+        K=pair.K, rate=pair.rate, recipe=pair.recipe)
+        for x, ex, b, s, p in zip(grid.tolist(), exact.tolist(), bound.tolist(),
+                                  (bound - exact).tolist(), pre.tolist())]
     bad = [r for r in reports if r.slack < -tol]
     if strict and bad:
         raise BoundViolationError(
@@ -628,8 +650,8 @@ def discrete_trajectory_check(t: SuperOperator, e: SuperOperator,
     sigma_mats, exact = _simulate(t.matrix, e.matrix, rho0, sigma0, n_steps + 1)
     d0 = trace_norm(rho0.matrix - sigma0.matrix)
     dT = _perturbation_norm(t.matrix, e.matrix, sigma_mats[:-1], restarts, seed)
-    return _bound_rows(pair, range(n_steps + 1), discrete_bound, exact, d0, dT,
-                       tol, strict, "steps")
+    return _bound_rows(pair, np.arange(n_steps + 1.0), _discrete_terms, exact,
+                       d0, dT, tol, strict, "steps")
 
 
 def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
@@ -664,5 +686,5 @@ def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
                                   matrix_exp(gen_e.matrix, dt), rho0, sigma0, steps)
     d0 = trace_norm(rho0.matrix - sigma0.matrix)
     dL = _perturbation_norm(gen_t.matrix, gen_e.matrix, sigma_mats, restarts, seed)
-    return _bound_rows(pair, times.tolist(), continuous_bound, exact, d0, dL,
-                       tol, strict, "times")
+    return _bound_rows(pair, times, _continuous_terms, exact, d0, dL, tol,
+                       strict, "times")

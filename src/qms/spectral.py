@@ -95,14 +95,19 @@ class FixedPointAnalysis:
     def limit_state(self, m: np.ndarray) -> DensityMatrix:
         """T^inf(m) of a state m, Hermitized and renormalised: the one way to a
         stationary state (the pair recipes check uniqueness first).  A projected
-        trace not above 1e-8 raises :class:`DomainError`: the map is not TP."""
+        trace not above 1e-8 raises :class:`DomainError` (the map is not TP),
+        and so does an anti-Hermitian part above 1e-9 of it (not HP)."""
         p = self.projector.apply(m)
-        p = (p + dagger(p)) / 2
         trace = np.trace(p).real
         if not trace > 1e-8:
             raise DomainError(f"projected state has trace {trace:.3g}, not above "
                               "1e-8; is the map trace-preserving?")
-        return DensityMatrix(self.projector.dim, p / trace)
+        skew = np.linalg.norm(p - dagger(p)) / 2     # Frobenius norm
+        if skew > 1e-9 * trace:
+            raise DomainError(f"the map's fixed point is not Hermitian (anti-"
+                              f"Hermitian part {skew / trace:.3g} relative to its "
+                              "trace); does the map preserve Hermiticity?")
+        return DensityMatrix(self.projector.dim, (p + dagger(p)) / 2 / trace)
 
 
 def _spectral_data(m: np.ndarray) -> SpectralData:

@@ -597,6 +597,34 @@ def test_analyze_runs_the_tight_checks_only_on_closed_forms(tmp_path, capsys,
     assert "  violations: 0" in out.splitlines()
 
 
+_NON_HERMITIAN_FIXED_POINT = ("the map's fixed point is not Hermitian "
+                              "(anti-Hermitian part ")
+
+
+def test_pairs_on_a_non_hermitian_fixed_point_is_domain_error(tmp_path, capsys):
+    # the qubit map's fixed point has an anti-Hermitian part, so no
+    # stationary state exists to derive chi2 or detailed balance from
+    code, out = run(["pairs", _non_hermiticity_preserving_file(tmp_path, 2)],
+                    capsys)
+    assert code == 0
+    lines = out.splitlines()
+    for recipe in ("chi2", "detailed_balance"):
+        assert any(line.startswith(f"  {recipe}: DomainError: "
+                                   + _NON_HERMITIAN_FIXED_POINT)
+                   for line in lines)
+    assert any(line.startswith("  spectral_eq10: K=") for line in lines)
+
+
+def test_compare_on_a_non_hermitian_fixed_point_is_domain_error(tmp_path, capsys):
+    p = _non_hermiticity_preserving_file(tmp_path, 2)
+    code = main(["compare", p, p])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + _NON_HERMITIAN_FIXED_POINT)
+    assert captured.err.endswith("does the map preserve Hermiticity?\n")
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract as a property: codes stay in {0, 1, 2, 3}, 1 comes
 # with a reported violation, and nothing escapes outside the QmsError family

@@ -576,3 +576,127 @@ def test_shared_probe_bounds_keep_each_pairs_own_failures():
     assert chi2.valid and again.valid and not again.details["validation_failures"]
     assert not failing.valid and failing.details["validation_failures"]
     assert again.to_dict() == chi2.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# powers by doubling and bound rows in one pass, against per-point references
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 201])
+def test_powers_come_in_stacks_of_one_chunk(count):
+    from qms.finite_time import VALIDATION_CHUNK, _powers
+    m = _slow_channel(2).matrix
+    stacks = list(_powers(m, count))
+    assert [len(s) for s in stacks] == [
+        min(VALIDATION_CHUNK, count - start)
+        for start in range(0, count, VALIDATION_CHUNK)]
+    if count:
+        assert np.array_equal(stacks[0][0], np.eye(4))
+
+
+def _reference_simulation(step_t, step_e, rho0, sigma0, count):
+    """sigma_i and ||rho_i - sigma_i||_1, stepped one point at a time."""
+    d = rho0.dim
+    rho_v, sigma_v = vec(rho0.matrix), vec(sigma0.matrix)
+    sigmas, exact = [], []
+    for i in range(count):
+        if i:
+            rho_v, sigma_v = step_t @ rho_v, step_e @ sigma_v
+        sigmas.append(sigma_v.reshape(d, d).T)
+        exact.append(np.abs(np.linalg.eigvalsh(
+            (rho_v - sigma_v).reshape(d, d).T)).sum())
+    return np.array(sigmas), np.array(exact)
+
+
+@pytest.mark.parametrize("length", [1, 63, 64, 65, 201])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("continuous", [False, True])
+def test_simulation_matches_reference(continuous, d, length):
+    from qms.ensembles import perturb_channel, random_density
+    from qms.finite_time import _simulate
+    if continuous:
+        gen = _slow_generator(d)
+        steps = [matrix_exp(g, 0.4) for g in (gen.matrix, 1.05 * gen.matrix)]
+    else:
+        t = _slow_channel(d)
+        steps = [t.matrix, perturb_channel(t, 0.05, 30 + d).matrix]
+    rho0, sigma0 = random_density(d, 40 + d), random_density(d, 50 + d)
+    sigmas, exact = _simulate(*steps, rho0, sigma0, length)
+    ref_sigmas, ref_exact = _reference_simulation(*steps, rho0, sigma0, length)
+    assert sigmas.shape == ref_sigmas.shape and exact.shape == ref_exact.shape
+    assert np.abs(sigmas - ref_sigmas).max() <= 1e-13
+    assert np.abs(exact - ref_exact).max() <= 1e-13
+
+
+def _rows_against_scalar_bound(pair, grid, terms, bound):
+    from qms.finite_time import _bound_rows
+    d0, dT = 0.7, 0.03
+    exact = np.linspace(0.0, 0.5, len(grid))
+    rows = _bound_rows(pair, grid, terms, exact, d0, dT, tol=1e-6,
+                       strict=False, unit="points")
+    assert len(rows) == len(grid)
+    for x, ex, row in zip(grid, exact.tolist(), rows):
+        fb = bound(pair, x, d0, dT)
+        assert row.n_or_t == fb.n_or_t
+        assert row.regime == fb.regime
+        assert row.bound == pytest.approx(fb.bound_value, rel=1e-15, abs=1e-15)
+        assert row.slack == pytest.approx(fb.bound_value - ex, rel=1e-15,
+                                          abs=1e-15)
+        assert (row.K, row.rate, row.recipe) == (pair.K, pair.rate, pair.recipe)
+    return rows
+
+
+# K <= 1 (and mu = 0) leave n = 0 alone in the pre regime; K = 1/mu^3
+# crosses over at exactly n = 3
+@pytest.mark.parametrize("K, mu, crossover", [
+    (0.5, 0.6, 0), (1.0, 0.5, 0), (8.0, 0.5, 3), (1.0 / 0.3 ** 3, 0.3, 3),
+    (3.0, 0.9, 11), (2.0, 0.0, 0)])
+def test_discrete_bound_rows_match_per_point_bound(K, mu, crossover):
+    from qms.finite_time import _discrete_terms
+    pair = user_pair(K, mu)
+    rows = _rows_against_scalar_bound(pair, np.arange(201.0), _discrete_terms,
+                                      discrete_bound)
+    assert [r.regime for r in rows] == (["pre_threshold"] * (crossover + 1)
+                                        + ["post_threshold"] * (200 - crossover))
+
+
+@pytest.mark.parametrize("K, nu", [(0.01, 0.5), (1.0, 1.0), (math.e, 2.0),
+                                   (30.0, 0.3)])
+def test_continuous_bound_rows_match_per_point_bound(K, nu):
+    from qms.finite_time import _continuous_terms
+    pair = user_pair(K, nu, "continuous")
+    th = t_hat(K, nu)
+    grid = np.union1d(np.linspace(0.0, 20.0, 100), [th])
+    rows = _rows_against_scalar_bound(pair, grid, _continuous_terms,
+                                      continuous_bound)
+    at_threshold = rows[int(np.searchsorted(grid, th))]
+    assert at_threshold.n_or_t == th and at_threshold.regime == "pre_threshold"
+
+
+def test_bound_rows_refuse_a_continuous_pair_with_zero_k():
+    from qms.finite_time import _bound_rows, _continuous_terms
+    pair = user_pair(0.0, 1.0, "continuous")
+    with pytest.raises(DomainError, match="K > 0"):
+        continuous_bound(pair, 1.0, 0.5, 0.1)
+    with pytest.raises(DomainError, match="K > 0"):
+        _bound_rows(pair, np.linspace(0.0, 1.0, 5), _continuous_terms,
+                    np.zeros(5), 0.5, 0.1, 1e-6, False, "times")
+
+
+def test_trajectory_checks_evaluate_the_bound_formula_once(count_calls):
+    from qms import finite_time
+    from qms.ensembles import perturb_channel, random_density
+    t = random_channel(2, 4, 5)
+    pair = pair_chi2(t, n_check=200)
+    rho0 = random_density(2, 6)
+    discrete = count_calls(finite_time, "_discrete_terms")
+    rows = discrete_trajectory_check(t, perturb_channel(t, 1e-2, 7), rho0, rho0,
+                                     200, pair, restarts=2)
+    assert len(rows) == 201 and len(discrete) == 1
+
+    lt, le = depolarizing_generator(1.0), depolarizing_generator(1.1)
+    gen_pair = pair_chi2_generator(lt, t_max=20.0, samples=100)
+    continuous = count_calls(finite_time, "_continuous_terms")
+    rows = continuous_trajectory_check(lt, le, rho0, rho0, 20.0, 100, gen_pair,
+                                       restarts=2)
+    assert len(rows) == 100 and len(continuous) == 1

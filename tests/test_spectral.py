@@ -115,6 +115,18 @@ def test_limit_state_refuses_a_vanishing_trace():
         analysis.limit_state(basis_state(2, 0).matrix)
 
 
+def test_limit_state_refuses_a_non_hermitian_fixed_point():
+    # a channel plus 0.05 |vec(E01)><vec(Z)| does not preserve Hermiticity,
+    # and T^inf(|0><0|) keeps an anti-Hermitian part of about 5e-3, so a
+    # Hermitized state would not be stationary
+    e01, z = np.zeros((2, 2)), np.diag([1.0, -1.0])
+    e01[0, 1] = 1.0
+    m = random_channel(2, 4, 5).matrix + 0.05 * np.outer(vec(e01), vec(z))
+    analysis = fixed_point_analysis(SuperOperator(2, m))
+    with pytest.raises(DomainError, match="fixed point is not Hermitian"):
+        analysis.limit_state(basis_state(2, 0).matrix)
+
+
 def test_fundamental_map_completely_depolarizing():
     z = fundamental_map(completely_depolarizing(2))
     assert np.allclose(z.matrix, np.eye(4), atol=1e-10)
