@@ -265,7 +265,7 @@ def _derive_pair(kind: str, spec: str, t_or_gen, steps: int, t_max: float,
 
 
 def _emit_reports(reports, args, header: dict) -> int:
-    bad = [r for r in reports if (not math.isnan(r.slack)) and r.slack < -args.tol]
+    bad = [r for r in reports if r.slack < -args.tol]
     errors = [r for r in reports if r.regime == "error"]
     code = 1 if bad else 3 if errors else 0
     if args.format == "json":
@@ -297,13 +297,13 @@ def _cmd_trajectory(args) -> int:
                             args.t_max, args.seed)
         reports = continuous_trajectory_check(
             obj_t, obj_e, rho0, rho0, args.t_max, args.steps, pair,
-            restarts=args.restarts, seed=args.seed, tol=args.tol, strict=False)
+            restarts=args.restarts, seed=args.seed, strict=False)
     else:
         pair = _derive_pair("discrete", args.pair, obj_t, args.steps,
                             args.t_max, args.seed)
         reports = discrete_trajectory_check(
             obj_t, obj_e, rho0, rho0, args.steps, pair,
-            restarts=args.restarts, seed=args.seed, tol=args.tol, strict=False)
+            restarts=args.restarts, seed=args.seed, strict=False)
     header = {"command": "trajectory", "mode": "continuous" if continuous
               else "discrete", "pair": args.pair, "K": _g12(pair.K),
               "rate": _g12(pair.rate)}

@@ -523,28 +523,16 @@ def probe_inputs(d: int, seed: int = 0) -> np.ndarray:
 
     Contains all matrix units E_ij (basis-aligned rank-one extreme points)
     plus, for each of the ``PROBE_DRAWS`` random draws, a u v^dag pair and a
-    pure-state projector psi psi^dag.  The draws take the whole SplitMix64
-    stream in one call and replay ``SplitMix64.complex_normals(d)`` for u, v
-    and psi in turn, so the probes match a draw-by-draw construction.
-    Memoised on the arguments; the returned array is shared, hence
-    read-only.
+    pure-state projector psi psi^dag.  The unit vectors u, v and psi of all
+    draws come from one ``complex_normals((PROBE_DRAWS, 3, d))`` call,
+    normalised row by row.  Memoised on the arguments; the returned array
+    is shared, hence read-only.
     """
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    # axes: draw, vector (u, v, psi), Box-Muller radius or angle, entry
-    bits = SplitMix64(derive_seed(seed, 0xA11CE)).next_uint64(6 * PROBE_DRAWS * d)
-    bits = (bits >> np.uint64(11)).reshape(PROBE_DRAWS, 3, 2, d).astype(np.float64)
-    u1 = (bits[:, :, 0] + 1.0) * 2.0**-53
-    u2 = bits[:, :, 1] * 2.0**-53
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = (r * np.cos(2.0 * np.pi * u2) + 1j * (r * np.sin(2.0 * np.pi * u2))) \
-        / np.sqrt(2.0)
-    # squared norms by BLAS dot, as np.linalg.norm takes them for one vector
-    re, im = z.real[..., None, :], z.imag[..., None, :]
-    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
-    z = z / np.sqrt(sq[..., 0])
-    u, v, psi = z[:, 0], z[:, 1], z[:, 2]
-    pairs = np.stack([u[:, :, None] * v.conj()[:, None, :],
-                      psi[:, :, None] * psi.conj()[:, None, :]], axis=1)
+    z = SplitMix64(derive_seed(seed, 0xA11CE)).complex_normals((PROBE_DRAWS, 3, d))
+    z = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    pairs = np.stack([_rank_one(z[:, 0], z[:, 1]), _rank_one(z[:, 2], z[:, 2])],
+                     axis=1)
     probes = np.concatenate([units, pairs.reshape(2 * PROBE_DRAWS, d, d)])
     probes.flags.writeable = False
     return probes

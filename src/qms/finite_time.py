@@ -41,6 +41,8 @@ RECIPES = ("user_supplied", "chi2", "detailed_balance", "spectral_eq10")
 # evaluations, so this only absorbs roundoff; the depolarizing family
 # saturates the certificate exactly).
 VALIDATION_TOL = 1e-8
+# Slack below which a strict trajectory check raises.
+STRICT_TOL = 1e-6
 
 DEFAULT_VALIDATION_STEPS = 50
 
@@ -478,10 +480,8 @@ def _probe_bounds(count: int, m: np.ndarray, p_inf: np.ndarray,
     trace-norm batch per stack of :func:`_powers` (powers by doubling, one
     stacked product per chunk, equal to a step-by-step evaluation up to
     roundoff)."""
-    bounds = []
-    for block in _powers(m, count):
-        bounds.extend(norm_lower_bound_probes(block - p_inf, probes).tolist())
-    return np.array(bounds)
+    return np.concatenate([norm_lower_bound_probes(block - p_inf, probes)
+                           for block in _powers(m, count)])
 
 
 @functools.lru_cache(maxsize=8)
@@ -501,22 +501,17 @@ def _channel_probe_bounds(t: SuperOperator, n_max: int, seed: int) -> np.ndarray
 
 
 def _validate_on_grid(pair: ConvergencePair, key: str, grid, estimates,
-                      decay, n_probes: int) -> ConvergencePair:
-    """The check loop of both validators: the probe bound ``estimates[i]``
-    at grid point x = ``grid[i]`` against K decay(x)."""
-    checked_to = prev = -1
-    failures = []
-    for x, estimate in zip(grid, estimates.tolist()):
-        certified = pair.K * decay(x)
-        if estimate <= certified + VALIDATION_TOL:
-            if checked_to == prev:
-                checked_to = x
-        else:
-            failures.append({key: x, "estimate": estimate, "certified": certified})
-        prev = x
-    pair.validity_checked_to = float(max(checked_to, 0))
-    pair.valid = not failures
-    pair.details["validation_failures"] = failures
+                      certified, n_probes: int) -> ConvergencePair:
+    """The verdict of both validators, decided once over the arrays: the
+    probe bound ``estimates[i]`` at ``grid[i]`` against ``certified[i]``, the
+    pair's K decay there (a NaN estimate fails).  ``validity_checked_to``
+    is the last point of the passing prefix, 0 when the first point fails."""
+    ok = estimates <= certified + VALIDATION_TOL
+    pair.validity_checked_to = float(grid[np.logical_and.accumulate(ok)].max(initial=0))
+    pair.valid = bool(ok.all())
+    pair.details["validation_failures"] = [
+        {key: x, "estimate": e, "certified": c} for x, e, c in
+        zip(grid[~ok].tolist(), estimates[~ok].tolist(), certified[~ok].tolist())]
     pair.details["validated_with_probes"] = n_probes
     return pair
 
@@ -535,9 +530,10 @@ def validate_pair_on_channel(pair: ConvergencePair, t: SuperOperator,
     if pair.kind != "discrete":
         raise DomainError("channel validation requires a discrete pair")
     _require_steps(n_max, "n_max")
+    steps = np.arange(n_max + 1)
     return _validate_on_grid(
-        pair, "n", range(n_max + 1), _channel_probe_bounds(t, n_max, seed),
-        lambda n: pair.rate ** n, len(probe_inputs(t.dim, seed=seed)))
+        pair, "n", steps, _channel_probe_bounds(t, n_max, seed),
+        pair.K * pair.rate ** steps, len(probe_inputs(t.dim, seed=seed)))
 
 
 def validate_pair_on_generator(pair: ConvergencePair, gen: GeneratorMap,
@@ -547,15 +543,15 @@ def validate_pair_on_generator(pair: ConvergencePair, gen: GeneratorMap,
     if pair.kind != "continuous":
         raise DomainError("generator validation requires a continuous pair")
     _require_horizon(t_max)
+    if samples < 1:
+        raise DomainError(f"samples must be at least 1, got {samples}")
     p_inf = fixed_point_analysis(gen.unit_time_map).projector.matrix
     probes = probe_inputs(gen.dim, seed=seed)
     times = np.linspace(0.0, t_max, samples)
-    # a single sample is t = 0 alone, whose power M^0 needs no step
-    step = (matrix_exp(gen.matrix, times[1] - times[0]) if samples > 1
-            else np.eye(len(gen.matrix)))
+    step = matrix_exp(gen.matrix, t_max / max(samples - 1, 1))
     return _validate_on_grid(
-        pair, "t", times.tolist(), _probe_bounds(samples, step, p_inf, probes),
-        lambda tt: math.exp(-pair.rate * tt), len(probes))
+        pair, "t", times, _probe_bounds(samples, step, p_inf, probes),
+        pair.K * np.exp(-pair.rate * times), len(probes))
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +590,14 @@ def _perturbation_norm(m_t: np.ndarray, m_e: np.ndarray, inputs: np.ndarray,
     dop = SuperOperator(inputs.shape[-1], m_e - m_t)
     value = norm_1to1(dop, restarts=restarts, seed=seed).value
     if len(inputs):
-        value = max(value, float(trace_norm_batch(dop.apply_batch(inputs)).max()))
+        value = max(value, norm_lower_bound_probes(dop.matrix, inputs))
     return value
 
 
 def _bound_rows(pair: ConvergencePair, grid, terms, exact: np.ndarray,
-                d0: float, dT: float, tol: float, strict: bool,
-                unit: str) -> list:
+                d0: float, dT: float, strict: bool, unit: str) -> list:
     """One BoundReport per point of the float array ``grid``, with the bound
-    formula ``terms`` evaluated once over it; raise on a violation when strict."""
+    formula ``terms`` evaluated once over it; strict raises below -STRICT_TOL."""
     _, pre, initial, pert = terms(pair.K, pair.rate, grid, d0, dT)
     bound = initial + pert
     reports = [BoundReport(
@@ -611,7 +606,7 @@ def _bound_rows(pair: ConvergencePair, grid, terms, exact: np.ndarray,
         K=pair.K, rate=pair.rate, recipe=pair.recipe)
         for x, ex, b, s, p in zip(grid.tolist(), exact.tolist(), bound.tolist(),
                                   (bound - exact).tolist(), pre.tolist())]
-    bad = [r for r in reports if r.slack < -tol]
+    bad = [r for r in reports if r.slack < -STRICT_TOL]
     if strict and bad:
         raise BoundViolationError(
             f"{len(bad)} of {len(reports)} {unit} violate the bound "
@@ -623,14 +618,14 @@ def discrete_trajectory_check(t: SuperOperator, e: SuperOperator,
                               rho0: DensityMatrix, sigma0: DensityMatrix,
                               n_steps: int, pair: ConvergencePair,
                               restarts: int = 8, seed: int = 0,
-                              tol: float = 1e-6, strict: bool = True) -> list:
+                              strict: bool = True) -> list:
     """Exact simulated ||rho_n - sigma_n||_1 against the per-step bound.
 
     The perturbation norm ||E - T|| is estimated by the multistart
     optimizer and additionally evaluated on every simulated sigma_i (each
     is an admissible unit-trace-norm input), which makes the bound dominate
     the trajectory whenever the pair's certificate holds.  With
-    ``strict=True`` a violation beyond ``tol`` raises
+    ``strict=True`` a violation beyond ``STRICT_TOL`` raises
     :class:`BoundViolationError` carrying the records.
     """
     if t.dim != e.dim:
@@ -651,14 +646,14 @@ def discrete_trajectory_check(t: SuperOperator, e: SuperOperator,
     d0 = trace_norm(rho0.matrix - sigma0.matrix)
     dT = _perturbation_norm(t.matrix, e.matrix, sigma_mats[:-1], restarts, seed)
     return _bound_rows(pair, np.arange(n_steps + 1.0), _discrete_terms, exact,
-                       d0, dT, tol, strict, "steps")
+                       d0, dT, strict, "steps")
 
 
 def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
                                 rho0: DensityMatrix, sigma0: DensityMatrix,
                                 t_max: float, steps: int, pair: ConvergencePair,
                                 restarts: int = 8, seed: int = 0,
-                                tol: float = 1e-6, strict: bool = True) -> list:
+                                strict: bool = True) -> list:
     """Continuous counterpart of :func:`discrete_trajectory_check`.
 
     Both semigroups are propagated at ``steps`` uniform times in
@@ -686,5 +681,5 @@ def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
                                   matrix_exp(gen_e.matrix, dt), rho0, sigma0, steps)
     d0 = trace_norm(rho0.matrix - sigma0.matrix)
     dL = _perturbation_norm(gen_t.matrix, gen_e.matrix, sigma_mats, restarts, seed)
-    return _bound_rows(pair, times, _continuous_terms, exact, d0, dL, tol,
-                       strict, "times")
+    return _bound_rows(pair, times, _continuous_terms, exact, d0, dL, strict,
+                       "times")

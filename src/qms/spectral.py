@@ -277,26 +277,18 @@ def spectral_quantities(t: SuperOperator) -> SpectralData:
 
 
 def _cluster_indices(w: np.ndarray, tol: float) -> list[list[int]]:
-    """Group eigenvalue indices whose pairwise distance is below tol (chained)."""
-    n = len(w)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(w[i] - w[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [sorted(g) for g in sorted(groups.values(), key=lambda g: g[0])]
+    """Group eigenvalue indices whose pairwise distance is at most tol,
+    chained: the connected components of |w_i - w_j| <= tol, in order of
+    their smallest index.  Each squaring of the adjacency doubles the path
+    length it spans, so it is fixed after at most len(w).bit_length()."""
+    reach = np.abs(w[:, None] - w[None, :]) <= tol
+    for _ in range(len(w).bit_length()):
+        grown = reach @ reach.astype(float) > 0      # float, so BLAS runs it
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    return [np.flatnonzero(row).tolist() for i, row in enumerate(reach)
+            if row.argmax() == i]
 
 
 def _stable_rank(m: np.ndarray, threshold: float) -> int:

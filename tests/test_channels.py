@@ -366,10 +366,10 @@ def test_public_signatures_keep_only_options_with_callers():
                                                  "samples", "seed"],
         finite_time.discrete_trajectory_check: [
             "t", "e", "rho0", "sigma0", "n_steps", "pair", "restarts", "seed",
-            "tol", "strict"],
+            "strict"],
         finite_time.continuous_trajectory_check: [
             "gen_t", "gen_e", "rho0", "sigma0", "t_max", "steps", "pair",
-            "restarts", "seed", "tol", "strict"],
+            "restarts", "seed", "strict"],
         ensembles.perturb_generator: ["gen", "eps", "seed"],
         contraction.probe_inputs: ["d", "seed"],
     }

@@ -311,6 +311,16 @@ def test_trajectory_zero_horizon_validates_user_pair(files, capsys, t, e, horizo
     assert "failed empirical validation" in captured.err
 
 
+@pytest.mark.parametrize("pair", ["auto-chi2", "auto-db"])
+def test_continuous_trajectory_without_samples_is_usage_error(files, capsys, pair):
+    # the recipe refuses an empty validation grid before the trajectory runs
+    code = main(["trajectory", files["gen10"], files["gen11"], "--steps", "0",
+                 "--pair", pair])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: samples must be at least 1, got 0")
+
+
 def test_trajectory_mixed_inputs_is_usage_error(files, capsys):
     code, _ = run(["trajectory", files["depol05"], files["gen10"]], capsys)
     assert code == 2

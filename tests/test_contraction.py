@@ -844,12 +844,12 @@ def test_probe_lower_bound_below_optimized():
 
 
 def _sequential_probes(d, seed):
-    """The probe set drawn vector by vector from the stream."""
+    """The probe set built draw by draw: the matrix units, then u v^dag and
+    psi psi^dag of each row of one complex_normals((PROBE_DRAWS, 3, d))
+    draw, each row normalised."""
     probes = list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
-    gen = SplitMix64(derive_seed(seed, 0xA11CE))
-    for _ in range(PROBE_DRAWS):
-        u, v, psi = (z / np.linalg.norm(z)
-                     for z in [gen.complex_normals(d) for _ in range(3)])
+    z = SplitMix64(derive_seed(seed, 0xA11CE)).complex_normals((PROBE_DRAWS, 3, d))
+    for u, v, psi in z / np.linalg.norm(z, axis=-1, keepdims=True):
         probes += [np.outer(u, v.conj()), np.outer(psi, psi.conj())]
     return np.array(probes)
 
@@ -857,10 +857,12 @@ def _sequential_probes(d, seed):
 @pytest.mark.parametrize("seed", [0, 1, 64])
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_probe_inputs_match_sequential_draws(d, seed):
-    expected = _sequential_probes(d, seed)
     probes = probe_inputs.__wrapped__(d, seed=seed)
-    assert probes.shape == expected.shape == (d * d + 2 * PROBE_DRAWS, d, d)
-    assert np.abs(probes - expected).max() <= 1e-15
+    assert probes.shape == (d * d + 2 * PROBE_DRAWS, d, d)
+    assert np.array_equal(probes, _sequential_probes(d, seed))
+    norms = np.linalg.svd(probes, compute_uv=False).sum(axis=1)
+    assert np.abs(norms - 1.0).max() <= 1e-14
+    assert np.array_equal(probe_inputs.__wrapped__(d, seed=seed), probes)
 
 
 def test_probe_inputs_memoised_and_read_only():

@@ -428,6 +428,23 @@ def test_discrete_validator_and_trajectory_refuse_negative_steps():
                                   pair)
 
 
+@pytest.mark.parametrize("recipe", [
+    lambda gen, n: validate_pair_on_generator(
+        user_pair(0.01, 0.5, "continuous"), gen, t_max=0.0, samples=n),
+    lambda gen, n: pair_chi2_generator(gen, t_max=0.0, samples=n),
+    lambda gen, n: pair_detailed_balance_generator(gen, t_max=0.0, samples=n)])
+def test_generator_validation_refuses_an_empty_time_grid(recipe):
+    # zero samples check no time, so the pair must not come back valid;
+    # one sample checks t = 0, where K = 0.01 fails (||I - P_inf|| > 0.01)
+    gen = depolarizing_generator(1.0)
+    for samples in (0, -1):
+        with pytest.raises(DomainError, match="samples"):
+            recipe(gen, samples)
+    pair = recipe(gen, 1)
+    assert pair.validated_to(0.0)
+    assert pair.valid is (pair.recipe != "user_supplied")
+
+
 def test_continuous_trajectory_derives_pair_when_missing():
     from qms.ensembles import perturb_generator, random_density, random_generator
     lt = random_generator(2, 2, seed=711, check=False)
@@ -464,11 +481,12 @@ def _reference_estimates(grid, advance, p_inf, probes):
 
 
 def _reference_validation(pair, grid, estimates, decay):
-    """(checked_to, valid, failures) of the point-by-point check loop."""
+    """(checked_to, valid, failures) of the point-by-point check loop, with
+    K decay(x) evaluated over the grid as one array, as the bound rows do."""
     checked_to = prev = -1
     failures = []
-    for x, estimate in zip(grid, estimates):
-        certified = pair.K * decay(x)
+    bounds = (pair.K * decay(np.asarray(grid))).tolist()
+    for x, estimate, certified in zip(grid, estimates, bounds):
         if estimate <= certified + VALIDATION_TOL:
             if checked_to == prev:
                 checked_to = x
@@ -537,8 +555,46 @@ def test_chunked_generator_validation_matches_reference(d, length):
         pair = validate_pair_on_generator(user_pair(K, nu, "continuous"), gen,
                                           t_max=40.0, samples=length, seed=4)
         reference = _reference_validation(pair, grid, estimates,
-                                          lambda tt: math.exp(-nu * tt))
+                                          lambda tt: np.exp(-nu * tt))
         _assert_same_validation(pair, reference, "t")
+
+
+@pytest.mark.parametrize("first", [False, True])
+def test_a_nan_probe_estimate_fails_validation(first):
+    from qms.finite_time import _validate_on_grid
+    grid = np.arange(5)
+    estimates = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
+    estimates[0 if first else 2] = np.nan
+    pair = _validate_on_grid(user_pair(1.0, 0.9), "n", grid, estimates,
+                             0.9 ** grid, 132)
+    failures = pair.details["validation_failures"]
+    assert not pair.valid
+    assert pair.validity_checked_to == (0.0 if first else 1.0)
+    assert [f["n"] for f in failures] == [0 if first else 2]
+    assert type(failures[0]["n"]) is int and math.isnan(failures[0]["estimate"])
+
+
+def test_certified_decay_is_the_bound_rows_decay_bit_for_bit():
+    # past the threshold the bound's initial term with d0 = 1 is K mu^n
+    # (or K e^{-nu t}) as the validators evaluate it, one array expression
+    from qms.finite_time import _continuous_terms, _discrete_terms
+    pair = validate_pair_on_channel(user_pair(3.0, 0.5), _slow_channel(3),
+                                    n_max=200)
+    _, pre, initial, _ = _discrete_terms(3.0, 0.5, np.arange(201.0), 1.0, 0.0)
+    post = [f for f in pair.details["validation_failures"] if not pre[f["n"]]]
+    assert len(post) > 150
+    assert [f["certified"] for f in post] == initial[[f["n"] for f in post]].tolist()
+
+    times = np.linspace(0.0, 40.0, 201)
+    pair = validate_pair_on_generator(user_pair(3.0, 2.0, "continuous"),
+                                      _slow_generator(3), t_max=40.0,
+                                      samples=201)
+    _, pre, initial, _ = _continuous_terms(3.0, 2.0, times, 1.0, 0.0)
+    post = [f for f in pair.details["validation_failures"]
+            if not pre[np.searchsorted(times, f["t"])]]
+    assert len(post) > 150
+    assert [f["certified"] for f in post] == initial[
+        np.searchsorted(times, [f["t"] for f in post])].tolist()
 
 
 def test_validation_takes_one_trace_norm_batch_per_chunk(count_calls):
@@ -632,8 +688,8 @@ def _rows_against_scalar_bound(pair, grid, terms, bound):
     from qms.finite_time import _bound_rows
     d0, dT = 0.7, 0.03
     exact = np.linspace(0.0, 0.5, len(grid))
-    rows = _bound_rows(pair, grid, terms, exact, d0, dT, tol=1e-6,
-                       strict=False, unit="points")
+    rows = _bound_rows(pair, grid, terms, exact, d0, dT, strict=False,
+                       unit="points")
     assert len(rows) == len(grid)
     for x, ex, row in zip(grid, exact.tolist(), rows):
         fb = bound(pair, x, d0, dT)
@@ -680,7 +736,7 @@ def test_bound_rows_refuse_a_continuous_pair_with_zero_k():
         continuous_bound(pair, 1.0, 0.5, 0.1)
     with pytest.raises(DomainError, match="K > 0"):
         _bound_rows(pair, np.linspace(0.0, 1.0, 5), _continuous_terms,
-                    np.zeros(5), 0.5, 0.1, 1e-6, False, "times")
+                    np.zeros(5), 0.5, 0.1, False, "times")
 
 
 def test_trajectory_checks_evaluate_the_bound_formula_once(count_calls):

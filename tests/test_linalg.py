@@ -251,6 +251,44 @@ def test_normals_are_the_two_draw_construction(seed):
         assert np.array_equal(one.next_uint64(3), two.next_uint64(3))
 
 
+def _raw_draw_offenders(source):
+    """Lines of ``source`` that call the stream's raw ``next_uint64`` or
+    ``uniforms`` instead of its Gaussian draws."""
+    import ast
+    return [f"{node.lineno}: {node.func.attr}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("next_uint64", "uniforms")]
+
+
+def test_every_draw_outside_rng_goes_through_the_gaussian_samplers():
+    # one sampler: a module that turns raw uint64s or uniforms into its
+    # own normals re-implements rng.SplitMix64.normals
+    from pathlib import Path
+
+    import qms
+
+    sources = sorted(Path(qms.__file__).parent.glob("*.py"))
+    assert len(sources) >= 12
+    offenders = [f"{path.name}:{line}" for path in sources if path.name != "rng.py"
+                 for line in _raw_draw_offenders(path.read_text())]
+    assert offenders == []
+
+
+def test_raw_draw_guard_catches_a_hand_rolled_box_muller():
+    # the probe construction as it once stood, replaying Box-Muller by hand
+    flagged = _raw_draw_offenders(
+        "def probe_inputs(d, seed=0):\n"
+        "    bits = SplitMix64(derive_seed(seed, 0xA11CE)).next_uint64(6 * PROBE_DRAWS * d)\n"
+        "    bits = (bits >> np.uint64(11)).reshape(PROBE_DRAWS, 3, 2, d).astype(np.float64)\n"
+        "    u1 = (bits[:, :, 0] + 1.0) * 2.0**-53\n"
+        "    p = gen.uniforms(3) * 0.3\n")
+    assert flagged == ["2: next_uint64", "5: uniforms"]
+    assert _raw_draw_offenders(
+        "z = SplitMix64(seed).complex_normals((PROBE_DRAWS, 3, d))\n"
+        "x = gen.normals(2 * k * d)\n") == []
+
+
 def test_kron_and_spectral_norm_live_only_in_linalg():
     # one superoperator assembly and one spectral norm: any np.kron call or
     # np.linalg.norm(., 2) in qms outside linalg.py is a second path
