@@ -283,11 +283,16 @@ def validate(t: SuperOperator, n_samples: int = DEFAULT_POSITIVITY_SAMPLES,
              seed: int = 0) -> ValidationReport:
     """Structural checks: TP, Hermiticity preservation, CP, unitality.
 
-    TP/unitality are algebraic (residuals reported); CP is decided by the
-    minimum Choi eigenvalue.  Positivity without CP is only *sampled*: the
-    report says "no_counterexample" rather than "positive", with the number
-    of sampled states in ``positivity_samples``, since deciding positivity
-    of a map is hard.  Deterministic given ``seed``.
+    TP/unitality are algebraic (residuals reported).  CP needs the map to
+    preserve Hermiticity and its Choi matrix to have no eigenvalue below
+    -1e-8; a map that does not preserve Hermiticity sends some state to a
+    non-Hermitian image, so it is not even positive.  Positivity without
+    CP is only *sampled*: a sampled state counts as a counterexample when
+    its image has an eigenvalue below -1e-8 or an anti-Hermitian part of
+    Frobenius norm above 1e-8.  The report says "no_counterexample" rather
+    than "positive", with the number of sampled states in
+    ``positivity_samples``, since deciding positivity of a map is hard.
+    Deterministic given ``seed``.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
@@ -304,15 +309,17 @@ def validate(t: SuperOperator, n_samples: int = DEFAULT_POSITIVITY_SAMPLES,
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     projectors = states[:, :, None] * states.conj()[:, None, :]
     images = t.apply_batch(projectors)
-    images = (images + images.conj().transpose(0, 2, 1)) / 2
-    min_eigs = np.linalg.eigvalsh(images)[:, 0]
-    bad = np.nonzero(min_eigs < -1e-8)[0]
+    adjoints = images.conj().transpose(0, 2, 1)
+    anti = np.linalg.norm(images - adjoints, axis=(1, 2)) / 2
+    min_eigs = np.linalg.eigvalsh((images + adjoints) / 2)[:, 0]
+    bad = np.nonzero((min_eigs < -1e-8) | (anti > 1e-8))[0]
     witness = states[bad[0]] if len(bad) else None
 
     return ValidationReport(
         trace_preserving=t.trace_preserving, tp_residual=t.tp_residual(),
         hermiticity_preserving=bool(hp_ok), hp_residual=hp_res,
-        completely_positive=bool(min_choi >= -1e-8), min_choi_eigenvalue=min_choi,
+        completely_positive=bool(hp_ok and min_choi >= -1e-8),
+        min_choi_eigenvalue=min_choi,
         unital=bool(unital_res <= 1e-10), unital_residual=unital_res,
         positivity="counterexample" if witness is not None else "no_counterexample",
         positivity_samples=n_samples, positivity_witness=witness)

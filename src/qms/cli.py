@@ -5,6 +5,11 @@ Exit codes: 0 all checks passed; 1 a bound or invariant violation was
 detected (still reported); 2 usage or parse error (dim < 2 included);
 3 numerical failure or internal error.
 All output is deterministic for fixed inputs and seed.
+
+At the top this module imports only what parsing and the shared helpers
+need (``serialize``, ``channels``, ``errors`` and the restart default from
+``rng``).  Each command imports the modules it runs when it runs, so
+``validate`` never loads the estimators or the finite-time machinery.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import traceback
 from typing import Optional
 
 import numpy as np
@@ -20,16 +24,9 @@ import numpy as np
 from . import serialize
 from .channels import (DensityMatrix, GeneratorMap, SuperOperator,
                        maximally_mixed, validate)
-from .contraction import DEFAULT_RESTARTS
 from .errors import (DomainError, NumericError, QmsError, SchemaError,
                      ValidationError)
-from .ensembles import EnsembleConfig, sweep
-from .finite_time import (continuous_trajectory_check, discrete_trajectory_check,
-                          pair_chi2, pair_chi2_generator, pair_detailed_balance,
-                          pair_detailed_balance_generator, pair_spectral_eq10,
-                          user_pair)
-from .spectral import fixed_point_analysis
-from .stability import condition_numbers, fixed_point_perturbation
+from .rng import DEFAULT_RESTARTS
 
 
 def _g12(x) -> str:
@@ -161,6 +158,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .spectral import fixed_point_analysis
+    from .stability import condition_numbers
     t = _load_super(args.input)
     spec = fixed_point_analysis(t).spectral
     report = condition_numbers(t, restarts=args.restarts, seed=args.seed)
@@ -215,6 +214,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .spectral import fixed_point_analysis
+    from .stability import fixed_point_perturbation
     t1 = _load_super(args.input1)
     t2 = _load_super(args.input2)
     if t1.dim != t2.dim:
@@ -245,6 +246,10 @@ def _cmd_compare(args) -> int:
 
 def _derive_pair(kind: str, spec: str, t_or_gen, steps: int, t_max: float,
                  seed: int):
+    from .finite_time import (pair_chi2, pair_chi2_generator,
+                              pair_detailed_balance,
+                              pair_detailed_balance_generator,
+                              pair_spectral_eq10, user_pair)
     mode, extra = _parse_pair_spec(spec)
     if kind == "discrete":
         if mode == "auto-chi2":
@@ -284,6 +289,8 @@ def _emit_reports(reports, args, header: dict) -> int:
 
 
 def _cmd_trajectory(args) -> int:
+    from .finite_time import (continuous_trajectory_check,
+                              discrete_trajectory_check)
     obj_t = _load(args.input1)
     obj_e = _load(args.input2)
     continuous = isinstance(obj_t, GeneratorMap)
@@ -311,6 +318,8 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
+    from .finite_time import pair_chi2, pair_detailed_balance, pair_spectral_eq10
+    from .spectral import fixed_point_analysis
     t = _load_super(args.input)
     results: dict[str, object] = {}
     exit_code = 0
@@ -345,6 +354,7 @@ def _cmd_pairs(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
+    from .ensembles import EnsembleConfig, sweep
     config = EnsembleConfig(dim=args.dim, count=args.count,
                             master_seed=args.seed, kraus_rank=args.kraus_rank,
                             perturbation_eps=args.eps, mode=args.mode)
@@ -435,6 +445,7 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # a defect must not exit 1, which means a violation
+        import traceback
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

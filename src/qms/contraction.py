@@ -26,9 +26,8 @@ import numpy as np
 from .channels import SuperOperator, choi_matrix, preserves_hermiticity
 from .errors import DimensionError, DomainError
 from .linalg import apply_batch, trace_norm_batch
-from .rng import SplitMix64, derive_seed
+from .rng import DEFAULT_RESTARTS, SplitMix64, derive_seed
 
-DEFAULT_RESTARTS = 64
 # power steps per ascent, two per SQUAREM cycle
 MAXITER = 300
 # random draws in the probe family, two probes each

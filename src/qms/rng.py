@@ -14,6 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+# seeded restarts of a multistart estimate, restart r drawing from the stream
+# derive_seed(seed, r); kept here so the CLI parser reads it without loading
+# the estimators
+DEFAULT_RESTARTS = 64
 
 _U64 = np.uint64
 

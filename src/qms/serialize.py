@@ -14,8 +14,8 @@ Channel document schema (shared between the library and the CLI):
 * stochastic: d x d array of plain reals.
 
 State documents are {"dim": d, "data": d x d array of [re, im], "label"?}.
-Parsers reject NaN/Inf and dimension mismatches with a field-addressed
-error message.
+Parsers reject NaN/Inf, booleans where a number belongs and dimension
+mismatches with a field-addressed error message.
 """
 
 from __future__ import annotations
@@ -51,9 +51,21 @@ def loads_strict(text: str) -> object:
                           f"{exc.msg}") from exc
 
 
+def _is_number(x) -> bool:
+    # JSON true/false parse to bool, which is an int subclass
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _parse_dim(doc: dict) -> int:
+    dim = doc.get("dim")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise SchemaError(f"dim: expected a positive integer, got {dim!r}")
+    return dim
+
+
 def _parse_complex_entry(entry, path: str) -> complex:
     if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)):
+            or not all(_is_number(x) for x in entry)):
         raise SchemaError(f"{path}: expected an [re, im] pair, got {entry!r}")
     re, im = float(entry[0]), float(entry[1])
     if not (math.isfinite(re) and math.isfinite(im)):
@@ -62,7 +74,7 @@ def _parse_complex_entry(entry, path: str) -> complex:
 
 
 def _parse_real_entry(entry, path: str) -> float:
-    if not isinstance(entry, (int, float)) or not math.isfinite(float(entry)):
+    if not _is_number(entry) or not math.isfinite(float(entry)):
         raise SchemaError(f"{path}: expected a finite real number")
     return float(entry)
 
@@ -84,9 +96,7 @@ def channel_from_dict(doc: object) -> Union[SuperOperator, GeneratorMap]:
     """Parse a channel document into a SuperOperator or GeneratorMap."""
     if not isinstance(doc, dict):
         raise SchemaError(f"top level: expected an object, got {type(doc).__name__}")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise SchemaError(f"dim: expected a positive integer, got {dim!r}")
+    dim = _parse_dim(doc)
     rep = doc.get("representation")
     if rep not in REPRESENTATIONS:
         raise SchemaError(f"representation: expected one of {REPRESENTATIONS}, got {rep!r}")
@@ -147,9 +157,7 @@ def channel_to_dict(obj: Union[SuperOperator, GeneratorMap]) -> dict:
 def state_from_dict(doc: object) -> DensityMatrix:
     if not isinstance(doc, dict):
         raise SchemaError("state document: expected an object")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise SchemaError(f"dim: expected a positive integer, got {dim!r}")
+    dim = _parse_dim(doc)
     m = _parse_matrix(doc.get("data"), dim, dim, "data", _parse_complex_entry)
     return DensityMatrix(dim, m)
 

@@ -276,6 +276,25 @@ def test_validate_finds_counterexample_for_negative_map():
     assert rep.positivity_witness is not None
 
 
+def test_validate_map_that_does_not_preserve_hermiticity_is_not_positive():
+    # sends |+><+| to the non-Hermitian [[0.5, 0.25], [0.5, 0.5]], while
+    # its Hermitian part's Choi matrix has no negative eigenvalue
+    m = depolarizing_channel(0.5).matrix.copy()
+    m[1, 1] = 1.0
+    t = SuperOperator(2, m)
+    plus = np.full((2, 2), 0.5)
+    image = t.apply(plus)
+    assert np.allclose(image, [[0.5, 0.25], [0.5, 0.5]])
+    rep = validate(t, n_samples=100, seed=0)
+    assert rep.min_choi_eigenvalue >= -1e-8
+    assert not rep.hermiticity_preserving
+    assert not rep.completely_positive
+    assert rep.positivity == "counterexample"
+    w = rep.positivity_witness
+    out = t.apply(np.outer(w, w.conj()))
+    assert np.linalg.norm(out - dagger(out)) / 2 > 1e-8
+
+
 @pytest.mark.parametrize("shift, preserving", [(1e-9, True), (1e-3, False)])
 def test_validate_and_tau_share_one_hermiticity_verdict(shift, preserving):
     # the qubit closed form of tau needs a Hermiticity-preserving map, so
@@ -415,6 +434,27 @@ def test_public_namespace_is_pinned():
         "trace_norm", "unvec", "user_pair", "validate", "vec"]
     for name in qms.__all__:
         assert hasattr(qms, name), name
+
+
+def test_public_names_are_their_defining_modules_objects():
+    import importlib
+
+    import qms
+    from qms import contraction
+    assert qms.tau is contraction.tau
+    for name in qms.__all__:
+        obj = getattr(qms, name)
+        assert obj.__module__.startswith("qms."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    assert set(qms.__all__) <= set(dir(qms))
+
+
+def test_unknown_public_name_is_an_attribute_error():
+    import qms
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        qms.no_such_name
+    with pytest.raises(ImportError):
+        from qms import no_such_name  # noqa: F401
 
 
 # ---------------------------------------------------------------------------

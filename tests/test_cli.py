@@ -382,6 +382,24 @@ def test_exit_code_usage(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name, doc", [
+    ("channel", {"dim": 2, "representation": "superoperator",
+                 "data": [[[True, False] if i == j else [0.0, 0.0]
+                           for j in range(4)] for i in range(4)]}),
+    ("state", {"dim": True, "data": [[[1.0, 0.0]]]}),
+])
+def test_json_booleans_are_usage_errors(files, tmp_path, capsys, name, doc):
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps(doc))
+    argv = (["validate", str(p)] if name == "channel" else
+            ["compare", files["depol05"], files["depol05"], "--state", f"file:{p}"])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {p}: ")
+
+
 def test_exit_code_violation_from_noncp_input(tmp_path, capsys):
     # transpose map: TP but not CP -> validate reports and exits 1
     d = 2
@@ -587,20 +605,34 @@ def test_analyze_accepts_maps_that_do_not_preserve_hermiticity(tmp_path, capsys,
     assert doc["condition_numbers"]["kappa_tau_z"]["method"] == "multistart_manifold"
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_validate_rejects_maps_that_do_not_preserve_hermiticity(tmp_path, capsys, d):
+    # some state goes to a non-Hermitian image, so the map is neither CP
+    # nor positive, and the sampled positivity search finds such a state
+    p = _non_hermiticity_preserving_file(tmp_path, d)
+    code, out = run(["validate", p, "--format", "json"], capsys)
+    assert code == 1
+    report = loads_strict(out)["validation"]
+    assert report["hermiticity_preserving"] is False
+    assert report["completely_positive"] is False
+    assert report["positivity"] == "counterexample"
+    assert len(report["positivity_witness"]) == d
+
+
 def test_analyze_runs_the_tight_checks_only_on_closed_forms(tmp_path, capsys,
                                                            monkeypatch):
     # an ascent's kappa is a lower bound, so one below the spectral lower
     # bound or above (1 - tau)^-1 proves nothing and is not a violation
     import dataclasses
-    from qms import cli
-    real = cli.condition_numbers
+    from qms import stability
+    real = stability.condition_numbers
 
     def ascent_below_spectral_lower(t, **kwargs):
         report = real(t, **kwargs)
         report.kappa_tau_z = dataclasses.replace(report.kappa_tau_z, value=0.0)
         return report
 
-    monkeypatch.setattr(cli, "condition_numbers", ascent_below_spectral_lower)
+    monkeypatch.setattr(stability, "condition_numbers", ascent_below_spectral_lower)
     code, out = run(["analyze", _non_hermiticity_preserving_file(tmp_path, 2)],
                     capsys)
     assert code == 0
@@ -731,7 +763,10 @@ def test_bad_time_horizon_is_usage_error(files, capsys, t_max):
 @pytest.fixture(scope="module")
 def contract_files(tmp_path_factory):
     # module-scoped, as hypothesis reruns a test body within one fixture call
-    return _write_maps(tmp_path_factory.mktemp("contract"))
+    root = tmp_path_factory.mktemp("contract")
+    paths = _write_maps(root)
+    paths["nonhp"] = _non_hermiticity_preserving_file(root, 2)
+    return paths
 
 
 _pair_spec = st.one_of(
@@ -765,16 +800,19 @@ def test_pairs_exit_code_contract(contract_files, name, steps, mu):
 
 
 @settings(max_examples=25, deadline=None)
-@given(name=st.sampled_from(["depol05", "id2", "swap2"]),
+@given(name=st.sampled_from(["depol05", "id2", "swap2", "nonhp"]),
        samples=st.integers(min_value=-2, max_value=20))
 def test_validate_exit_code_contract(contract_files, name, samples):
-    _check_contract(["validate", contract_files[name], "--samples", str(samples)],
-                    lambda out: ": False" in out
-                    or "positivity: no_counterexample" not in out)
+    code = _check_contract(["validate", contract_files[name], "--samples",
+                            str(samples)],
+                           lambda out: ": False" in out
+                           or "positivity: no_counterexample" not in out)
+    if name == "nonhp" and samples >= 1:
+        assert code == 1
 
 
 # ---------------------------------------------------------------------------
-# shared stationary state; no command loads scipy
+# shared stationary state; what each command loads
 
 
 def test_pairs_builds_stationary_state_once(files, capsys, count_calls):
@@ -814,6 +852,56 @@ def test_discrete_commands_do_not_load_scipy(files):
         "    assert 'scipy' not in sys.modules, argv[0] + ' loaded scipy'\n")
     assert proc.returncode == 0, proc.stderr
     assert "analysis of" in proc.stdout
+
+
+_VALIDATE_MODULES = ["qms", "qms.channels", "qms.cli", "qms.errors",
+                     "qms.linalg", "qms.rng", "qms.serialize"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["validate", "{depol05}", "--samples", "20"], []),
+    (["analyze", "{depol05}", "--restarts", "2"],
+     ["contraction", "spectral", "stability"]),
+    (["compare", "{depol05}", "{depol06}", "--restarts", "2"],
+     ["contraction", "spectral", "stability"]),
+    (["trajectory", "{depol05}", "{depol06}", "--steps", "5", "--restarts", "2"],
+     ["contraction", "finite_time", "spectral"]),
+    (["pairs", "{depol05}", "--steps", "5"],
+     ["contraction", "finite_time", "spectral"]),
+    (["ensemble", "--count", "1", "--steps", "5", "--restarts", "2"],
+     ["contraction", "ensembles", "finite_time", "spectral", "stability"]),
+], ids=["validate", "analyze", "compare", "trajectory", "pairs", "ensemble"])
+def test_each_command_loads_only_the_modules_it_runs(files, argv, extra):
+    argv = [a.format(**files) for a in argv]
+    proc = _run_isolated(
+        "import contextlib, io, sys\n"
+        "from qms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'qms'))\n")
+    assert proc.returncode == 0, proc.stderr
+    expected = sorted(_VALIDATE_MODULES + [f"qms.{m}" for m in extra])
+    assert proc.stdout == f"{expected!r}\n"
+
+
+def test_import_qms_loads_no_submodule():
+    proc = _run_isolated(
+        "import sys\n"
+        "import qms\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'qms'))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['qms']\n"
+
+
+def test_restarts_default_is_the_estimators_default():
+    from qms import contraction
+    from qms.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name in ("analyze", "compare", "trajectory", "ensemble"):
+        restarts = next(a for a in sub.choices[name]._actions
+                        if a.dest == "restarts")
+        assert restarts.default == contraction.DEFAULT_RESTARTS == 64, name
 
 
 def test_continuous_trajectory_still_exponentiates(files):

@@ -68,6 +68,26 @@ def test_rejects_malformed_entry_with_path():
     assert "data[0][1]" in str(err.value)
 
 
+@pytest.mark.parametrize("parse, doc, address", [
+    (channel_from_dict, {"dim": True, "representation": "superoperator",
+                         "data": [[[1.0, 0.0]]]}, "dim"),
+    (state_from_dict, {"dim": True, "data": [[[1.0, 0.0]]]}, "dim"),
+    (channel_from_dict, {"dim": 2, "representation": "kraus",
+                         "data": [[[[1, 0], [0, 0]], [[0, 0], [True, False]]]]},
+     "data[0][1][1]"),
+    (state_from_dict, {"dim": 2, "data": [[[0.5, 0], [0, 0]],
+                                          [[0, 0], [0.5, False]]]},
+     "data[1][1]"),
+    (channel_from_dict, {"dim": 2, "representation": "stochastic",
+                         "data": [[True, 0.0], [0.0, 1.0]]}, "data[0][0]"),
+], ids=["channel_dim", "state_dim", "complex_entry", "state_entry", "real_entry"])
+def test_rejects_json_booleans_as_numbers(parse, doc, address):
+    # bool is an int subclass, so true would otherwise read as 1
+    with pytest.raises(SchemaError) as err:
+        parse(doc)
+    assert str(err.value).startswith(f"{address}: ")
+
+
 def test_rejects_unknown_representation():
     with pytest.raises(SchemaError):
         channel_from_dict({"dim": 2, "representation": "choi", "data": []})
