@@ -101,9 +101,8 @@ class GeneratorMap:
         if self.matrix.shape[0] != self.dim ** 2:
             raise DimensionError(
                 f"generator matrix is {self.matrix.shape}, expected dim^2 = {self.dim ** 2}")
-        vi = vec(np.eye(self.dim))
-        res = float(np.linalg.norm(dagger(self.matrix) @ vi))
-        if res > 1e-10:
+        ok, res = annihilates_trace(self.matrix, self.dim)
+        if not ok:
             raise ValidationError(
                 f"generator is not trace-annihilating (residual {res:.3g})")
 
@@ -266,6 +265,17 @@ def choi_matrix(t: SuperOperator) -> np.ndarray:
     # images[i*d + k] = T(|i><k|), and J[(i, a), (k, b)] = T(|i><k|)[a, b]
     images = t.apply_batch(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
     return images.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def annihilates_trace(matrix: np.ndarray, dim: int) -> tuple:
+    """(whether the map with matrix M has only traceless outputs,
+    ||M^dag vec(I)||_2).
+
+    The residual is the norm of the map's trace row, zero iff
+    tr L(X) = 0 for every X, and is accepted up to 1e-10.
+    """
+    res = float(np.linalg.norm(dagger(matrix) @ vec(np.eye(dim))))
+    return res <= 1e-10, res
 
 
 def preserves_hermiticity(t: SuperOperator, j: np.ndarray) -> tuple:

@@ -4,9 +4,11 @@ The contraction coefficient tau(L) is the worst-case trace-norm growth on
 traceless Hermitian inputs; for every linear map it equals half the
 maximal output distance over pairs of orthogonal pure states.  On
 Hermiticity-preserving qubit maps tau and the Hermitian-restricted 1->1
-norm have closed forms in the Pauli transfer matrix, and the general 1->1
-norm of every qubit map comes from a search of its dual over the Bloch
-sphere, attained at its witness.  Everywhere else the values come from a
+norm have closed forms in the Pauli transfer matrix.  The general 1->1
+norm of such a map with only traceless outputs, such as a difference of
+two channels or two generators, equals its Hermitian one; that of every
+other qubit map comes from a search of its dual over the Bloch sphere,
+attained at its witness.  Everywhere else the values come from a
 seeded multistart power-method ascent (Boyd's method, as in Hager's and
 Higham's 1-norm estimators, lifted to the trace norm and accelerated by
 SQUAREM extrapolation) and are *lower bounds*; the spread over restarts
@@ -19,11 +21,12 @@ rule, and ``evaluations`` is counted per problem.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import SuperOperator, choi_matrix, preserves_hermiticity
+from .channels import (SuperOperator, annihilates_trace, choi_matrix,
+                       preserves_hermiticity)
 from .errors import DimensionError, DomainError
 from .linalg import apply_batch, trace_norm_batch
 from .rng import DEFAULT_RESTARTS, SplitMix64, derive_seed
@@ -434,17 +437,60 @@ _ASCENTS = {"tau": (_ortho_start, _ortho_step, _ortho_input),
                         _pair_input)}
 
 
-def _closed_form(t: SuperOperator, kind: str):
-    """The qubit closed form of ``kind`` for ``t``, or None where the
-    ascent runs instead."""
-    if t.dim != 2:
-        return None
-    if kind == "general":
-        return _general_norm_qubit(t.matrix)
-    if not preserves_hermiticity(t, choi_matrix(t))[0]:
-        return None
-    r = _pauli_transfer(t)
-    return _tau_qubit(r) if kind == "tau" else _hermitian_norm_qubit(r)
+def _closed_forms(problems) -> list:
+    """The qubit closed form of each (map, kind) problem, or None where the
+    ascent runs instead: at d >= 3, and for a qubit map that does not
+    preserve Hermiticity, except in general mode.
+
+    In general mode a Hermiticity-preserving (HP) qubit map whose outputs
+    are all traceless (:func:`~qms.channels.annihilates_trace`), such as
+    a difference of two channels or two generators, takes the Hermitian
+    closed form :func:`_hermitian_norm_qubit`, witness (psi, psi); every
+    other qubit map takes :func:`_general_norm_qubit`.  The Hermitian form
+    is exact there.  For a rank-one input u v^dag the output is traceless,
+    L(u v^dag) = c.sigma, and a traceless 2 x 2 matrix M has
+
+        ||M||_1 = max_theta ||(e^{-i theta} M + e^{i theta} M^dag)/2||_1
+
+    (with M = (a + i b).sigma both sides are 2 max_theta
+    ||cos(theta) a + sin(theta) b||_2).  As L is HP, the matrix inside is
+    L(H_theta) for the Hermitian H_theta = (e^{-i theta} u v^dag
+    + e^{i theta} v u^dag)/2, and ||H_theta||_1 <= 1.  So the general norm
+    is at most the Hermitian one, and never below it, since every Hermitian
+    input is admissible in general mode.  With a trace
+    row of norm r = ||M^dag vec(I)||_2, |tr L(X)| <= r ||X||_1 and the same
+    argument, applied to the traceless part of L(u v^dag), puts the
+    Hermitian form at most 2 r below the general norm; it is always
+    attained at psi psi^dag.
+
+    The HP test, the Pauli transfer matrix and the Hermitian form of each
+    distinct map are computed once per call and shared by its problems.
+    """
+    @functools.cache
+    def transfer(t):
+        """The Pauli transfer matrix of an HP map, else None."""
+        return (_pauli_transfer(t) if preserves_hermiticity(t, choi_matrix(t))[0]
+                else None)
+
+    @functools.cache
+    def hermitian(t):
+        return _hermitian_norm_qubit(transfer(t))
+
+    out = []
+    for t, kind in problems:
+        if t.dim != 2:
+            out.append(None)
+        elif kind == "general":
+            if annihilates_trace(t.matrix, 2)[0] and transfer(t) is not None:
+                psi = hermitian(t).best_witness
+                out.append(replace(hermitian(t), best_witness=(psi, psi)))
+            else:
+                out.append(_general_norm_qubit(t.matrix))
+        elif transfer(t) is None:
+            out.append(None)
+        else:
+            out.append(_tau_qubit(transfer(t)) if kind == "tau" else hermitian(t))
+    return out
 
 
 def estimate_batch(problems, restarts: int, seed: int) -> list:
@@ -452,13 +498,14 @@ def estimate_batch(problems, restarts: int, seed: int) -> list:
     dimension; kind ``tau`` is :func:`tau`, and ``hermitian`` and
     ``general`` are :func:`norm_1to1` in that mode.
 
-    The qubit closed forms run per problem first.  Every other problem
+    The qubit closed forms run per problem first (:func:`_closed_forms`),
+    sharing their per-map work within the call.  Every other problem
     becomes ``restarts`` rows of one :func:`_power_ascent`, seeded as in a
     call of its own, so its estimate equals the one-at-a-time value up to
     roundoff.  ``restarts`` < 1 is refused.
     """
     _require_restarts(restarts)
-    out = [_closed_form(t, kind) for t, kind in problems]
+    out = _closed_forms(problems)
     rest = [i for i, est in enumerate(out) if est is None]
     if rest:
         ascended = _run_multistart([problems[i] for i in rest], restarts, seed,
@@ -499,8 +546,11 @@ def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     ``MAXITER`` power steps, two per SQUAREM cycle with one extrapolated
     trial each.  In Hermitian mode a Hermiticity-preserving qubit map
     takes the closed form :func:`_hermitian_norm_qubit` instead (method
-    ``analytic``, exact).  In general mode every qubit map takes
-    :func:`_general_norm_qubit` (method ``dual_sphere``): by duality
+    ``analytic``, exact).  In general mode so does a Hermiticity-preserving
+    qubit map with only traceless outputs, whose general and Hermitian
+    norms agree (:func:`_closed_forms`; witness ``(psi, psi)``).  Every
+    other qubit map takes :func:`_general_norm_qubit` (method
+    ``dual_sphere``): by duality
     ||L||_{1->1}^2 is the maximum over unit Bloch vectors n of the top
     eigenvalue of a 4x4 real symmetric pencil Q^0 + sum_j n_j Q^j built
     from L* on (I, i sigma), searched on an icosphere and polished by a

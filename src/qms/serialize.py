@@ -20,8 +20,6 @@ mismatches with a field-addressed error message.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from typing import Union
@@ -186,6 +184,9 @@ def _fmt(x) -> str:
 
 def reports_to_csv(reports: list) -> str:
     """Serialize BoundReport rows with the fixed column set (header always)."""
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

@@ -854,6 +854,43 @@ def test_discrete_commands_do_not_load_scipy(files):
     assert "analysis of" in proc.stdout
 
 
+def test_json_commands_do_not_load_csv(files):
+    # only --format csv serializes rows through the csv module
+    proc = _run_isolated(
+        "import contextlib, io, sys\n"
+        "from qms.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['trajectory', {files['depol05']!r}, {files['depol06']!r},"
+        " '--steps', '5', '--restarts', '2', '--format', 'json']) == 0\n"
+        "assert 'csv' not in sys.modules\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_qubit_commands_never_search_the_dual_sphere(tmp_path, capsys,
+                                                     count_calls):
+    # every norm that compare and trajectory take at d = 2 is of a channel
+    # or generator difference, which has the Hermitian closed form
+    from qms import contraction
+    from qms.ensembles import (perturb_channel, perturb_generator,
+                               random_channel, random_generator)
+    searched = count_calls(contraction, "_general_norm_qubit")
+    closed = count_calls(contraction, "_hermitian_norm_qubit")
+    t = random_channel(2, 3, seed=31)
+    g = random_generator(2, 2, seed=32)
+    paths = {}
+    for name, obj in [("t1", t), ("t2", perturb_channel(t, 0.05, 33)),
+                      ("g1", g), ("g2", perturb_generator(g, 0.05, 34))]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(dumps_json(channel_to_dict(obj)))
+    few = ["--restarts", "2", "--format", "json"]
+    for argv in (["compare", paths["t1"], paths["t2"], *few],
+                 ["trajectory", paths["t1"], paths["t2"], "--steps", "5", *few],
+                 ["trajectory", paths["g1"], paths["g2"], "--steps", "5", *few]):
+        assert main([str(a) for a in argv]) == 0
+        capsys.readouterr()
+    assert len(searched) == 0 and len(closed) >= 3
+
+
 _VALIDATE_MODULES = ["qms", "qms.channels", "qms.cli", "qms.errors",
                      "qms.linalg", "qms.rng", "qms.serialize"]
 

@@ -8,14 +8,14 @@ from qms.channels import (SuperOperator, amplitude_damping_channel,
                           completely_depolarizing, compose, depolarizing_channel,
                           from_kraus, from_stochastic, identity_channel,
                           pauli_channel)
-from qms.ensembles import perturb_channel
+from qms.ensembles import perturb_channel, perturb_generator, random_generator
 from qms.contraction import (_ASCENTS, PROBE_DRAWS, _ortho_input,
                              _ortho_start, _power_ascent, _run_multistart,
                              _unit_vectors, estimate_batch, norm_1to1,
                              norm_lower_bound_probes, probe_inputs, tau,
                              tau_exact_qubit)
 from qms.errors import DimensionError, DomainError
-from qms.linalg import apply_batch, trace_norm
+from qms.linalg import apply_batch, trace_norm, vec
 from qms.rng import SplitMix64, derive_seed
 from qms.spectral import fundamental_map
 
@@ -385,12 +385,20 @@ def general_norm_maps():
 
 
 def test_general_norm_qubit_is_certified():
+    # channel differences, the depolarizing difference and the zero map
+    # preserve Hermiticity and have only traceless outputs, so they take the
+    # Hermitian closed form; the complex maps, the identity and the
+    # transpose take the dual-sphere search
     maps, known = general_norm_maps()
-    assert len(maps) + len(known) >= 300
-    for t in maps + [k for k, _ in known]:
+    known_maps = [k for k, _ in known]
+    analytic = maps[:240] + known_maps[2:]
+    searched = maps[240:] + known_maps[:2]
+    assert (len(analytic), len(searched)) == (242, 62)
+    for t in analytic + searched:
         est = norm_1to1(t, restarts=8, seed=0)
+        method = "analytic" if any(t is a for a in analytic) else "dual_sphere"
         assert (est.method, est.restarts, est.convergence_spread) == (
-            "dual_sphere", 0, 0.0)
+            method, 0, 0.0)
         upper = certified_general_norm(t)
         assert est.value <= upper * (1.0 + 1e-12)
         assert upper - est.value <= 1e-9 * upper
@@ -419,22 +427,86 @@ def test_general_norm_qubit_near_the_hard_case_keeps_its_contract(eps):
     assert est.evaluations <= 42 + 4 * 500
 
 
+def trace_row_maps(count, seed):
+    """Channel differences plus a seeded X tr(.) term with Hermitian X:
+    Hermiticity-preserving qubit maps with a nonzero trace row, which keep
+    the dual-sphere search in general mode."""
+    maps = []
+    for i in range(count):
+        t1 = random_channel(2, 4, derive_seed(seed, i))
+        t2 = (perturb_channel(t1, 0.05, derive_seed(seed + 1, i)) if i % 2
+              else random_channel(2, 4, derive_seed(seed + 2, i)))
+        x = SplitMix64(derive_seed(seed + 3, i)).complex_normals((2, 2))
+        x = 0.1 * (x + x.conj().T)
+        trace_term = np.outer(vec(x), vec(np.eye(2)))
+        maps.append(SuperOperator(2, t1.matrix - t2.matrix + trace_term))
+    return maps
+
+
 def test_general_norm_qubit_evaluations_are_deterministic():
     # 42 icosphere points plus 4 per polish step, with no seed dependence;
-    # on channel differences below 3/4 of the 8-restart ascent's count
+    # on maps with a trace row below 3/4 of the 8-restart ascent's count
     ours = theirs = 0
-    for i in range(20):
-        t1 = random_channel(2, 4, derive_seed(7400, i))
-        t2 = (perturb_channel(t1, 0.05, derive_seed(7401, i)) if i % 2
-              else random_channel(2, 4, derive_seed(7402, i)))
-        d = SuperOperator(2, t1.matrix - t2.matrix)
+    for i, d in enumerate(trace_row_maps(20, 7400)):
         first, second = norm_1to1(d, restarts=8, seed=0), norm_1to1(d, restarts=8, seed=i)
+        assert first.method == "dual_sphere"
         assert first.evaluations == second.evaluations
         assert first.evaluations > 42 and (first.evaluations - 42) % 4 == 0
         ours += first.evaluations
         theirs += ascent(d, "general", restarts=8).evaluations
     assert "evaluations" not in first.to_dict()
     assert ours <= 0.75 * theirs
+
+
+def traceless_output_maps():
+    """Hermiticity-preserving qubit maps with only traceless outputs:
+    channel differences, generator differences and seeded Pauli transfer
+    matrices with a zero first row, which are no differences of CP maps."""
+    maps = []
+    for i in range(10):
+        t1 = random_channel(2, 1 + i % 4, derive_seed(7500, i))
+        t2 = random_channel(2, 1 + (i + 1) % 4, derive_seed(7501, i))
+        g1 = random_generator(2, 1 + i % 3, derive_seed(7502, i))
+        g2 = (perturb_generator(g1, 0.05, derive_seed(7503, i)) if i % 2
+              else random_generator(2, 2, derive_seed(7504, i)))
+        r = SplitMix64(derive_seed(7505, i)).normals(16).reshape(4, 4)
+        r[0] = 0.0
+        maps += [SuperOperator(2, t1.matrix - t2.matrix),
+                 SuperOperator(2, g1.matrix - g2.matrix), from_pauli_transfer(r)]
+    return maps
+
+
+def test_general_norm_of_traceless_output_maps_is_the_hermitian_closed_form():
+    for t in traceless_output_maps():
+        est = norm_1to1(t, restarts=8, seed=0)
+        assert (est.method, est.restarts, est.evaluations) == ("analytic", 0, 0)
+        upper = certified_general_norm(t)
+        assert upper * (1.0 - 1e-9) <= est.value <= upper * (1.0 + 1e-12)
+        u, v = est.best_witness
+        assert u is v
+        assert trace_norm(t.apply(np.outer(u, v.conj()))) == pytest.approx(
+            est.value, rel=1e-12)
+
+
+def test_general_norm_with_a_trace_row_keeps_the_dual_sphere():
+    # a seeded full transfer matrix whose general norm exceeds its Hermitian
+    # one by 10%: the closed form would be wrong here
+    r = SplitMix64(derive_seed(7600, 14)).normals(16).reshape(4, 4)
+    t = from_pauli_transfer(r)
+    est = norm_1to1(t)
+    assert est.method == "dual_sphere"
+    assert est.value >= 1.1 * norm_1to1(t, hermitian_only=True).value
+    upper = certified_general_norm(t)
+    assert upper * (1.0 - 1e-9) <= est.value <= upper * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("eps, method", [(1e-12, "analytic"),
+                                         (1e-6, "dual_sphere")])
+def test_trace_row_tolerance_is_the_generator_rule(eps, method):
+    # ||M^dag vec(I)||_2 = sqrt(2) eps, accepted up to 1e-10
+    r = SplitMix64(derive_seed(7601, 0)).normals(16).reshape(4, 4)
+    r[0] = [0.0, eps, 0.0, 0.0]
+    assert norm_1to1(from_pauli_transfer(r)).method == method
 
 
 def test_tau_witness_reproduces_value():
@@ -727,7 +799,7 @@ def test_batch_runs_closed_forms_per_problem_and_one_ascent(count_calls):
     out = estimate_batch([(t, "tau"), (d, "general"), (d, "hermitian"),
                            (non_hp, "hermitian"), (t, "hermitian")],
                           restarts=8, seed=2)
-    assert [e.method for e in out] == ["analytic", "dual_sphere", "analytic",
+    assert [e.method for e in out] == ["analytic", "analytic", "analytic",
                                        "multistart_manifold", "analytic"]
     assert len(ascents) == 1 and len(ascents[0][2]) == 1
     assert out[3].value == norm_1to1(non_hp, restarts=8, seed=2,

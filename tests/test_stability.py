@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qms import contraction, spectral
+from qms import contraction, spectral, stability
 from qms.channels import (DensityMatrix, basis_state, completely_depolarizing,
                           depolarizing_channel, identity_channel,
                           maximally_mixed)
@@ -176,9 +176,13 @@ def test_general_norm_never_below_hermitian(monkeypatch):
     # every Hermitian input is admissible in general mode, so a general
     # estimate that stops short of the exact Hermitian norm (here a stub
     # that reports 0) is lifted to the Hermitian one
-    exact = contraction._general_norm_qubit
-    monkeypatch.setattr(contraction, "_general_norm_qubit",
-                        lambda m: dataclasses.replace(exact(m), value=0.0))
+    exact = stability.estimate_batch
+
+    def short_general(problems, restarts, seed):
+        return [dataclasses.replace(e, value=0.0) if kind == "general" else e
+                for (_, kind), e in zip(problems, exact(problems, restarts, seed))]
+
+    monkeypatch.setattr(stability, "estimate_batch", short_general)
     t1 = random_channel(2, 4, derive_seed(51, 2))
     t2 = random_channel(2, 4, derive_seed(52, 2))
     out = fixed_point_perturbation(t1, t2, stationary_of(t2), restarts=1, seed=0)
@@ -186,3 +190,18 @@ def test_general_norm_never_below_hermitian(monkeypatch):
     assert herm > 0.1
     assert out.norm_estimates["general"] == herm
     assert out.bounds["tau_z*general"] == out.bounds["tau_z*hermitian"]
+
+
+def test_qubit_perturbation_shares_closed_form_work(count_calls):
+    # Z(T1), T1 and T1 - T2 each get one Hermiticity test and one Pauli
+    # transfer matrix; both norms of T1 - T2 come from one Hermitian
+    # closed form, and the dual-sphere search never runs
+    hp = count_calls(contraction, "preserves_hermiticity")
+    transfers = count_calls(contraction, "_pauli_transfer")
+    hermitian = count_calls(contraction, "_hermitian_norm_qubit")
+    searched = count_calls(contraction, "_general_norm_qubit")
+    t1 = random_channel(2, 4, derive_seed(53, 0))
+    t2 = random_channel(2, 3, derive_seed(54, 0))
+    out = fixed_point_perturbation(t1, t2, stationary_of(t2), restarts=4, seed=0)
+    assert (len(hp), len(transfers), len(hermitian), len(searched)) == (3, 3, 1, 0)
+    assert out.norm_estimates["general"] == out.norm_estimates["hermitian"]
