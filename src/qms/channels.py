@@ -12,6 +12,7 @@ so that ``unvec(M @ vec(rho))`` equals ``sum_k A_k rho A_k^dag``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -255,16 +256,21 @@ def from_lindblad(h, jumps: Sequence[np.ndarray]) -> GeneratorMap:
 # analysis
 
 
-def choi_matrix(t: SuperOperator) -> np.ndarray:
+def choi_matrix(t) -> np.ndarray:
     """Choi matrix J(T) = (id (x) T)(|Omega><Omega|), |Omega> unnormalized.
 
+    ``t`` is a SuperOperator, or a stack of superoperator matrices, shape
+    (n, d^2, d^2), giving the (n, d^2, d^2) stack of their Choi matrices.
     T is completely positive iff J(T) >= 0, and tr J(T) = d for
     trace-preserving T.
     """
-    d = t.dim
-    # images[i*d + k] = T(|i><k|), and J[(i, a), (k, b)] = T(|i><k|)[a, b]
-    images = t.apply_batch(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
-    return images.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    m = t.matrix if isinstance(t, SuperOperator) else t
+    d = math.isqrt(m.shape[-1])
+    # images[..., i*d + k] = T(|i><k|), and J[(i, a), (k, b)] = T(|i><k|)[a, b]
+    images = apply_batch(m, np.eye(d * d, dtype=complex).reshape(d * d, d, d))
+    lead = images.shape[:-3]
+    return images.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(
+        *lead, d * d, d * d)
 
 
 def annihilates_trace(matrix: np.ndarray, dim: int) -> tuple:
@@ -278,15 +284,28 @@ def annihilates_trace(matrix: np.ndarray, dim: int) -> tuple:
     return res <= 1e-10, res
 
 
-def preserves_hermiticity(t: SuperOperator, j: np.ndarray) -> tuple:
-    """(whether t preserves Hermiticity up to roundoff, ||J - J^dag||_2).
+def preserves_hermiticity(t, j: np.ndarray) -> tuple:
+    """(whether t preserves Hermiticity up to roundoff, ||J - J^dag||_2);
+    the package's one Hermiticity-preservation rule.
 
-    ``j`` is the Choi matrix of t; its residual is zero iff t is
-    Hermiticity-preserving and is accepted up to 1e-8 max(1, ||T||_2),
-    relative to the scale of the map.
+    ``t`` is a SuperOperator or a stack of superoperator matrices, as in
+    :func:`choi_matrix`, and ``j`` its Choi matrix or stack of them.  A
+    stack gives an array of verdicts and one of residuals, from one SVD.
+    The residual is zero iff the map is Hermiticity-preserving and is
+    accepted up to 1e-8 max(1, ||T||_2), relative to the scale of the map.
+    That threshold is never below 1e-8, so ||T||_2 is computed only for
+    the maps whose residual exceeds 1e-8.
     """
-    res = float(spectral_norm(j - dagger(j)))
-    return res <= 1e-8 * max(1.0, spectral_norm(t.matrix)), res
+    if isinstance(t, SuperOperator):
+        ok, res = preserves_hermiticity(t.matrix[None], j[None])
+        return bool(ok[0]), float(res[0])
+    res = np.linalg.svd(j - j.conj().swapaxes(-1, -2), compute_uv=False)[:, 0]
+    ok = res <= 1e-8
+    big = ~ok
+    if big.any():
+        scale = np.linalg.svd(t[big], compute_uv=False)[:, 0]
+        ok[big] = res[big] <= 1e-8 * np.maximum(1.0, scale)
+    return ok, res
 
 
 def validate(t: SuperOperator, n_samples: int = DEFAULT_POSITIVITY_SAMPLES,

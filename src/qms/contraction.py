@@ -13,9 +13,12 @@ seeded multistart power-method ascent (Boyd's method, as in Hager's and
 Higham's 1-norm estimators, lifted to the trace norm and accelerated by
 SQUAREM extrapolation) and are *lower bounds*; the spread over restarts
 is reported as a quality signal.  Estimates of several (map, kind)
-problems of one dimension run as one batch: every problem's seeded
-restarts are rows of one ascent loop, each row with its own stopping
-rule, and ``evaluations`` is counted per problem.
+problems of one dimension run as one batch: the qubit closed forms take
+one vectorized pass over the batch's distinct maps (one Choi stack, one
+Hermiticity test, one Pauli-transfer einsum and one SVD of the tau
+blocks), and every other problem's seeded restarts are rows of one ascent
+loop, each row with its own stopping rule; ``evaluations`` is counted per
+problem.
 """
 
 from __future__ import annotations
@@ -70,17 +73,19 @@ _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
                     [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
-def _pauli_transfer(t: SuperOperator) -> np.ndarray:
-    """Pauli transfer matrix R_ij = tr[sigma_i T(sigma_j)] / 2 of a
-    Hermiticity-preserving qubit map (real for such maps)."""
-    images = t.apply_batch(_PAULIS)
-    return 0.5 * np.einsum("iab,jba->ij", _PAULIS, images).real
+def _pauli_transfer(ms: np.ndarray) -> np.ndarray:
+    """Pauli transfer matrices R_ij = tr[sigma_i T(sigma_j)] / 2 of a stack
+    of Hermiticity-preserving qubit maps, shape (n, 4, 4) -> (n, 4, 4),
+    from one einsum (real for such maps)."""
+    images = apply_batch(ms, _PAULIS)
+    return 0.5 * np.einsum("iab,njba->nij", _PAULIS, images).real
 
 
 def _bloch_eigenvectors(n: np.ndarray) -> tuple:
-    """Eigenvectors of n.sigma for a unit Bloch vector n, eigenvalue +1 first."""
-    _, evecs = np.linalg.eigh(np.einsum("i,ijk->jk", n, _PAULIS[1:]))
-    return evecs[:, 1], evecs[:, 0]
+    """Eigenvectors of n.sigma for unit Bloch vectors n, shape (..., 3),
+    eigenvalue +1 first, from one eigh."""
+    _, evecs = np.linalg.eigh(np.einsum("...i,ijk->...jk", n, _PAULIS[1:]))
+    return evecs[..., 1], evecs[..., 0]
 
 
 def tau_exact_qubit(t: SuperOperator) -> ContractionEstimate:
@@ -102,20 +107,25 @@ def tau_exact_qubit(t: SuperOperator) -> ContractionEstimate:
         raise DomainError(
             "tau_exact_qubit: the qubit closed form needs a Hermiticity-preserving "
             f"map (residual {res:.3g})")
-    return _tau_qubit(_pauli_transfer(t))
+    return _tau_qubit(_pauli_transfer(t.matrix[None]))[0]
 
 
-def _tau_qubit(r: np.ndarray) -> ContractionEstimate:
-    """:func:`tau_exact_qubit` from the real Pauli transfer matrix ``r``."""
-    shift = np.linalg.norm(r[0, 1:])
-    _, sv, vh = np.linalg.svd(r[1:, 1:])
-    if shift > sv[0]:
-        value, n = float(shift), r[0, 1:] / shift
-    else:
-        value, n = float(sv[0]), vh[0]
-    return ContractionEstimate(value=value, method="analytic", restarts=0,
-                               best_witness=_bloch_eigenvectors(n),
-                               convergence_spread=0.0)
+def _tau_qubit(r: np.ndarray) -> list:
+    """:func:`tau_exact_qubit` for each real Pauli transfer matrix of the
+    stack ``r``, from one SVD of the blocks R[1:,1:] and one eigh for the
+    witnesses."""
+    a = r[:, 0, 1:]
+    # the norm of each row as np.linalg.norm takes it, sqrt(a . a)
+    shift = np.sqrt((a[:, None] @ a[:, :, None])[:, 0, 0])
+    _, sv, vh = np.linalg.svd(r[:, 1:, 1:])
+    by_shift = shift > sv[:, 0]
+    values = np.where(by_shift, shift, sv[:, 0])
+    n = np.where(by_shift[:, None],
+                 a / np.where(by_shift, shift, 1.0)[:, None], vh[:, 0])
+    phis, psis = _bloch_eigenvectors(n)
+    return [ContractionEstimate(value=float(v), method="analytic", restarts=0,
+                                best_witness=(phi, psi), convergence_spread=0.0)
+            for v, phi, psi in zip(values, phis, psis)]
 
 
 def _sphere_argmax(b: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -463,33 +473,43 @@ def _closed_forms(problems) -> list:
     Hermitian form at most 2 r below the general norm; it is always
     attained at psi psi^dag.
 
-    The HP test, the Pauli transfer matrix and the Hermitian form of each
-    distinct map are computed once per call and shared by its problems.
+    One vectorized pass serves the distinct qubit maps of ``problems``
+    (distinct by identity): one Choi stack and one HP test
+    (:func:`~qms.channels.preserves_hermiticity`), one Pauli-transfer
+    einsum, one SVD of the tau blocks R[1:,1:] of the maps asked for tau
+    and one eigh for their witnesses.  The Hermitian form runs once per
+    map that needs it, and serves both its ``hermitian`` and its
+    ``general`` problem.
     """
-    @functools.cache
-    def transfer(t):
-        """The Pauli transfer matrix of an HP map, else None."""
-        return (_pauli_transfer(t) if preserves_hermiticity(t, choi_matrix(t))[0]
-                else None)
-
-    @functools.cache
-    def hermitian(t):
-        return _hermitian_norm_qubit(transfer(t))
-
-    out = []
-    for t, kind in problems:
+    out = [None] * len(problems)
+    maps = {id(t): t for t, _ in problems if t.dim == 2}
+    if not maps:
+        return out
+    row = dict(zip(maps, range(len(maps))))
+    ms = np.stack([t.matrix for t in maps.values()])
+    hp = preserves_hermiticity(ms, choi_matrix(ms))[0]
+    r = _pauli_transfer(ms)
+    closed = []                          # (problem, map row, kind)
+    for i, (t, kind) in enumerate(problems):
         if t.dim != 2:
-            out.append(None)
-        elif kind == "general":
-            if annihilates_trace(t.matrix, 2)[0] and transfer(t) is not None:
-                psi = hermitian(t).best_witness
-                out.append(replace(hermitian(t), best_witness=(psi, psi)))
-            else:
-                out.append(_general_norm_qubit(t.matrix))
-        elif transfer(t) is None:
-            out.append(None)
+            continue
+        k = row[id(t)]
+        if kind == "general" and not (hp[k] and annihilates_trace(t.matrix, 2)[0]):
+            out[i] = _general_norm_qubit(t.matrix)
+        elif hp[k]:
+            closed.append((i, k, kind))
+    tau_rows = sorted({k for _, k, kind in closed if kind == "tau"})
+    taus = dict(zip(tau_rows, _tau_qubit(r[tau_rows]))) if tau_rows else {}
+    herm = {k: _hermitian_norm_qubit(r[k])
+            for k in {k for _, k, kind in closed if kind != "tau"}}
+    for i, k, kind in closed:
+        if kind == "tau":
+            out[i] = taus[k]
+        elif kind == "hermitian":
+            out[i] = herm[k]
         else:
-            out.append(_tau_qubit(transfer(t)) if kind == "tau" else hermitian(t))
+            psi = herm[k].best_witness
+            out[i] = replace(herm[k], best_witness=(psi, psi))
     return out
 
 
@@ -498,8 +518,9 @@ def estimate_batch(problems, restarts: int, seed: int) -> list:
     dimension; kind ``tau`` is :func:`tau`, and ``hermitian`` and
     ``general`` are :func:`norm_1to1` in that mode.
 
-    The qubit closed forms run per problem first (:func:`_closed_forms`),
-    sharing their per-map work within the call.  Every other problem
+    The qubit closed forms run first, as one vectorized pass over the
+    distinct qubit maps (:func:`_closed_forms`), each problem's equal bit
+    for bit to that of a call of its own.  Every other problem
     becomes ``restarts`` rows of one :func:`_power_ascent`, seeded as in a
     call of its own, so its estimate equals the one-at-a-time value up to
     roundoff.  ``restarts`` < 1 is refused.

@@ -151,14 +151,27 @@ def t_hat(K: float, nu: float) -> float:
     return math.log(K) / nu
 
 
+def _by_regime(pre, x, pre_term, post_term) -> np.ndarray:
+    """pre_term(x) where ``pre`` holds and post_term(x) elsewhere, each
+    evaluated only at its own points: the formula of the other regime may
+    overflow there, for a huge K or a tiny rate."""
+    out = np.empty(x.shape)
+    out[pre] = pre_term(x[pre])
+    out[~pre] = post_term(x[~pre])
+    return out
+
+
 def _discrete_terms(K: float, mu: float, n, d0: float, dT: float):
     """n_hat, the pre-threshold mask and the initial and perturbation terms
-    of the discrete bound at the steps ``n`` (a scalar or an array)."""
+    of the discrete bound at the steps ``n`` (a scalar or an array), each
+    regime evaluated only where it applies (:func:`_by_regime`)."""
     nh = n_hat(K, mu)
-    mu_n = mu ** n
+    n = np.asarray(n, dtype=float)
     pre = n <= nh
-    initial = np.where(pre, d0, K * mu_n * d0)
-    pert = np.where(pre, n * dT, (nh + K * (mu ** nh - mu_n) / (1.0 - mu)) * dT)
+    initial = _by_regime(pre, n, lambda n: d0, lambda n: K * mu ** n * d0)
+    pert = _by_regime(
+        pre, n, lambda n: n * dT,
+        lambda n: (nh + K * (mu ** nh - mu ** n) / (1.0 - mu)) * dT)
     return nh, pre, initial, pert
 
 
@@ -194,16 +207,20 @@ def asymptotic_discrete(pair: ConvergencePair, dT: float) -> float:
 
 def _continuous_terms(K: float, nu: float, t, d0: float, dL: float):
     """t_hat, the pre-threshold mask and the initial and perturbation terms
-    of the continuous bound at the times ``t`` (a scalar or an array)."""
+    of the continuous bound at the times ``t`` (a scalar or an array),
+    each regime evaluated only where it applies (:func:`_by_regime`)."""
     if K <= 0:
         raise DomainError("continuous bound requires K > 0")
     th = t_hat(K, nu)
-    decay = K * np.exp(-nu * t)
+    t = np.asarray(t, dtype=float)
     pre = t <= th
-    initial = np.where(pre, d0, decay * d0)
+    initial = _by_regime(pre, t, lambda t: d0,
+                         lambda t: K * np.exp(-nu * t) * d0)
     # the integral of min(1, K e^{-nu s}) over [0, t], >= 0 for every K
-    pert = np.where(pre, t * dL,
-                    (math.log(max(K, 1.0)) + min(K, 1.0) - decay) / nu * dL)
+    pert = _by_regime(
+        pre, t, lambda t: t * dL,
+        lambda t: (math.log(max(K, 1.0)) + min(K, 1.0) - K * np.exp(-nu * t))
+        / nu * dL)
     return th, pre, initial, pert
 
 

@@ -7,8 +7,8 @@ tolerance avoids absorbing slow modes into the fixed space).
 
 :func:`fixed_point_analysis` memoises its result per ``SuperOperator``
 object (``SuperOperator`` hashes by identity, not by value), so every
-consumer of a map shares one spectral analysis: one eigenvalue computation
-and one SVD.  The memo is a module-level ``functools.lru_cache`` of the 8
+consumer of a map shares one spectral analysis: one eigenvalue computation,
+one SVD of T - id and two small ones for its checks.  The memo is a module-level ``functools.lru_cache`` of the 8
 most recently used maps: a caller holding many analysed maps pays a fixed
 amount of memory for it, and a map that has dropped out is analysed again
 on its next use.  This relies on a ``SuperOperator`` not being mutated
@@ -82,7 +82,14 @@ class MinimalPolynomial:
 
 @dataclass
 class FixedPointAnalysis:
-    """Projector onto the fixed space plus bookkeeping from its construction."""
+    """Projector onto the fixed space plus bookkeeping from its construction.
+
+    ``projector_residuals`` holds the spectral norms of P o P - P, T o P - P
+    and P o T - P under the keys ``idempotence``, ``T o P`` and ``P o T``,
+    and ``cesaro_residual`` that of the Cesaro average minus P (None when
+    the cross-check was skipped; ``notes`` says why).  Neither appears in
+    any report.
+    """
 
     projector: SuperOperator
     multiplicity: int
@@ -90,6 +97,7 @@ class FixedPointAnalysis:
     cesaro_checked: bool
     spectral: SpectralData
     cesaro_residual: Optional[float] = None
+    projector_residuals: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
     def limit_state(self, m: np.ndarray) -> DensityMatrix:
@@ -137,8 +145,10 @@ def fixed_point_analysis(t: SuperOperator) -> FixedPointAnalysis:
     the running Cesaro average computed by repeated squaring, unless
     peripheral eigenvalues other than 1 exist (plain powers do not
     converge there) or mixing is too slow for the average to settle within
-    2^14 steps; both cases are recorded as notes.  The result is memoised
-    (see the module docstring).
+    2^14 steps; both cases are recorded as notes.  The idempotence, T o P
+    and P o T residuals of P and the Cesaro residual come from one batched
+    SVD and stay on the analysis.  The result is memoised (see the module
+    docstring).
 
     A map without an eigenvalue within TOL_FIX of 1 raises
     :class:`NoFixedPointError`, an input-domain error, when the smallest
@@ -167,7 +177,10 @@ def _analyse(t: SuperOperator) -> FixedPointAnalysis:
             "eigenvalue-1 cluster is not numerically separable "
             "(nearest excluded eigenvalue at distance %.3g)" % spec.min_dist_to_one)
 
-    scale = max(1.0, spectral_norm(m))
+    def exceeds(resid):
+        """resid > 1e-8 max(1, ||T||_2); ||T||_2 only once resid > 1e-8."""
+        return resid > 1e-8 and resid > 1e-8 * max(1.0, spectral_norm(m))
+
     r1 = dagger(vh[-k:])
     l1 = u[:, -k:]
     overlap = dagger(l1) @ r1
@@ -175,24 +188,15 @@ def _analyse(t: SuperOperator) -> FixedPointAnalysis:
     # a defective group has a kernel of dimension below k, so the largest
     # kept singular value is not small (the T o P check below would fail
     # on it too), or left and right kernels that are nearly orthogonal
-    if sv[-k] > 1e-8 * scale or cos[-1] <= 1e-10:
+    if exceeds(sv[-k]) or cos[-1] <= 1e-10:
         raise SpectralResolutionError(
             "eigenvalue-1 eigenspace is numerically defective (kernel "
             "residual %.3g, smallest left/right overlap %.3g)" % (sv[-k], cos[-1]))
     p = r1 @ np.linalg.solve(overlap, dagger(l1))
 
-    for name, resid in (("idempotence", spectral_norm(p @ p - p)),
-                        ("T o P", spectral_norm(m @ p - p)),
-                        ("P o T", spectral_norm(p @ m - p))):
-        if resid > 1e-8 * scale:
-            raise NumericError(f"fixed-point projector failed {name} check "
-                               f"(residual {resid:.3g})", residual=resid)
-
     sub = spec.subdominant_modulus
-
     notes: list[str] = []
-    cesaro_checked = False
-    cesaro_residual = None
+    checks = [p @ p - p, m @ p - p, p @ m - p]
     if spec.peripheral_count:
         notes.append("cesaro cross-check skipped: peripheral eigenvalues other than 1")
     elif sub > 0.0 and (2 ** _CESARO_STEPS_LOG2) * math.log(sub) > math.log(1e-7):
@@ -206,14 +210,21 @@ def _analyse(t: SuperOperator) -> FixedPointAnalysis:
         for _ in range(_CESARO_STEPS_LOG2):
             s = s + pw @ s
             pw = pw @ pw
-        avg = pw @ s / float(2 ** _CESARO_STEPS_LOG2)
-        cesaro_residual = float(spectral_norm(avg - p))
-        cesaro_checked = True
-        if cesaro_residual > _CESARO_TOL:
-            raise NumericError(
-                "spectral projector disagrees with the Cesaro average "
-                f"(residual {cesaro_residual:.3g} > {_CESARO_TOL:g})",
-                residual=cesaro_residual)
+        checks.append(pw @ s / float(2 ** _CESARO_STEPS_LOG2) - p)
+    # the three projector checks and the Cesaro residual from one SVD
+    resids = np.linalg.svd(np.stack(checks), compute_uv=False)[:, 0].tolist()
+    projector_residuals = dict(zip(("idempotence", "T o P", "P o T"), resids))
+    for name, resid in projector_residuals.items():
+        if exceeds(resid):
+            raise NumericError(f"fixed-point projector failed {name} check "
+                               f"(residual {resid:.3g})", residual=resid)
+    cesaro_checked = len(resids) == 4
+    cesaro_residual = resids[3] if cesaro_checked else None
+    if cesaro_checked and cesaro_residual > _CESARO_TOL:
+        raise NumericError(
+            "spectral projector disagrees with the Cesaro average "
+            f"(residual {cesaro_residual:.3g} > {_CESARO_TOL:g})",
+            residual=cesaro_residual)
 
     proj = SuperOperator(t.dim, p)
     if t.trace_preserving and not proj.trace_preserving:
@@ -224,7 +235,8 @@ def _analyse(t: SuperOperator) -> FixedPointAnalysis:
         projector=proj, multiplicity=k,
         peripheral_spectrum=spec.peripheral_count > 0,
         cesaro_checked=cesaro_checked, spectral=spec,
-        cesaro_residual=cesaro_residual, notes=notes)
+        cesaro_residual=cesaro_residual,
+        projector_residuals=projector_residuals, notes=notes)
 
 
 def fixed_point_projector(t: SuperOperator) -> SuperOperator:

@@ -1,5 +1,7 @@
+import collections
 import sys
 
+import numpy as np
 import pytest
 
 
@@ -26,5 +28,29 @@ def count_calls(monkeypatch):
                     and getattr(mod, name, None) is orig):
                 monkeypatch.setattr(mod, name, counted)
         return calls
+
+    return install
+
+
+@pytest.fixture
+def count_linalg(monkeypatch):
+    """Count the calls to ``np.linalg`` functions, by name.
+
+    ``count_linalg("svd", "eigh")`` replaces each named ``np.linalg``
+    function with a counting wrapper and returns a ``Counter`` that gains
+    one for each call made through ``np.linalg.<name>``; calls numpy makes
+    internally are not counted.  monkeypatch restores the originals.
+    """
+    counts = collections.Counter()
+
+    def install(*names):
+        for name in names:
+            def counted(*args, _orig=getattr(np.linalg, name), _name=name,
+                        **kwargs):
+                counts[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
 
     return install

@@ -6,10 +6,11 @@ from qms.channels import (SuperOperator, amplitude_damping_channel, basis_state,
                           depolarizing_channel, depolarizing_generator, dual,
                           from_kraus, from_lindblad, from_stochastic,
                           generator_exponential, identity_channel,
-                          maximally_mixed, pauli_channel, validate)
+                          maximally_mixed, pauli_channel,
+                          preserves_hermiticity, validate)
 from qms.contraction import norm_1to1, tau
 from qms.errors import DimensionError, ValidationError
-from qms.linalg import dagger, trace_norm, unvec, vec
+from qms.linalg import dagger, spectral_norm, trace_norm, unvec, vec
 from qms.rng import SplitMix64, derive_seed
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -305,6 +306,41 @@ def test_validate_and_tau_share_one_hermiticity_verdict(shift, preserving):
     t = SuperOperator(2, m)
     assert validate(t, n_samples=10).hermiticity_preserving is preserving
     assert tau(t).method == ("analytic" if preserving else "multistart_manifold")
+
+
+@pytest.mark.parametrize("shift, preserving", [(1e-6, True), (1e-3, False)])
+def test_hermiticity_scale_is_computed_only_past_1e_8(count_linalg, shift,
+                                                       preserving):
+    # ||M||_2 = 1e4 puts the threshold at 1e-4: a residual of 1e-6 is
+    # accepted and one of 1e-3 is not, and each needs ||M||_2, which an
+    # exactly Hermiticity-preserving map never does
+    m = 1e4 * depolarizing_channel(0.5).matrix
+    m[0, 1] += shift
+    t = SuperOperator(2, m)
+    j = choi_matrix(t)
+    expected = spectral_norm(j - dagger(j))
+    calls = count_linalg("svd")
+    ok, res = preserves_hermiticity(t, j)
+    assert (ok, calls["svd"]) == (preserving, 2)
+    assert res == expected == pytest.approx(shift, rel=1e-9)
+    exact = depolarizing_channel(0.5)
+    assert preserves_hermiticity(exact, choi_matrix(exact))[0]
+    assert calls["svd"] == 3
+
+
+def test_hermiticity_test_of_a_stack_is_each_maps_test():
+    maps = [random_channel_like(2, 3, seed=81), depolarizing_channel(0.5)]
+    for shift in (1e-9, 1e-6, 1e-3):
+        m = 1e4 * depolarizing_channel(0.5).matrix
+        m[0, 1] += shift
+        maps.append(SuperOperator(2, m))
+    ms = np.stack([t.matrix for t in maps])
+    js = choi_matrix(ms)
+    ok, res = preserves_hermiticity(ms, js)
+    assert ok.tolist() == [True, True, True, True, False]
+    for t, j, ok_k, res_k in zip(maps, js, ok, res):
+        assert np.array_equal(j, choi_matrix(t))
+        assert preserves_hermiticity(t, j) == (ok_k, res_k)
 
 
 def test_superoperator_equality_is_identity():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qms
 from qms.channels import (SuperOperator, depolarizing_channel,
@@ -778,6 +778,10 @@ _pair_spec = st.one_of(
 @settings(max_examples=25, deadline=None)
 @given(continuous=st.booleans(), steps=st.integers(min_value=-1, max_value=4),
        pair=_pair_spec, t_max=_real, tol=_real, restarts=_small)
+@example(continuous=False, steps=0, pair="1e+308:0.5", t_max=1.0, tol=1e-3,
+         restarts=1)
+@example(continuous=True, steps=2, pair="1e+308:0.5", t_max=1.0, tol=1e-3,
+         restarts=1)
 def test_trajectory_exit_code_contract(contract_files, continuous, steps, pair,
                                        t_max, tol, restarts):
     t, e = ("gen10", "gen11") if continuous else ("depol05", "depol06")
@@ -787,6 +791,20 @@ def test_trajectory_exit_code_contract(contract_files, continuous, steps, pair,
                             "--restarts", str(restarts)])
     if restarts < 1 or not 0.0 <= tol < math.inf:
         assert code == 2
+
+
+@pytest.mark.parametrize("t, e, pair", [
+    ("depol05", "depol06", "1e+308:0.5"), ("gen10", "gen11", "1e+308:0.5"),
+    ("gen10", "gen11", "1e+308:1e-300")])
+def test_trajectory_with_a_huge_K_evaluates_only_the_regime_in_use(
+        files, capsys, t, e, pair):
+    # the post-threshold formula overflows at such a K, but every point
+    # here lies before the threshold
+    code = main(["trajectory", files[t], files[e], "--steps", "2",
+                 f"--pair={pair}"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert "pre_threshold" in out and "post_threshold" not in out
 
 
 @settings(max_examples=25, deadline=None)

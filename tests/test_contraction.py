@@ -806,6 +806,41 @@ def test_batch_runs_closed_forms_per_problem_and_one_ascent(count_calls):
                                      hermitian_only=True).value
 
 
+def test_qubit_batch_matches_one_problem_calls():
+    # the vectorized closed forms give each problem what a call of its own
+    # gives: an HP channel, a channel difference, a generator difference,
+    # a map with a trace row and a non-HP map, each asked in several kinds
+    t = random_channel(2, 4, seed=71)
+    diff = SuperOperator(2, t.matrix - random_channel(2, 3, seed=72).matrix)
+    g1 = random_generator(2, 2, derive_seed(7505, 0))
+    g2 = perturb_generator(g1, 0.05, derive_seed(7506, 0))
+    gdiff = SuperOperator(2, g1.matrix - g2.matrix)
+    [trace_row] = trace_row_maps(1, 7507)
+    m = t.matrix.copy()
+    m[0, 1] += 0.4
+    non_hp = SuperOperator(2, m)
+    problems = [(t, "tau"), (diff, "general"), (gdiff, "hermitian"),
+                (trace_row, "general"), (non_hp, "general"),
+                (t, "hermitian"), (non_hp, "tau"), (gdiff, "general"),
+                (trace_row, "tau"), (t, "general"), (diff, "hermitian"),
+                (gdiff, "tau"), (non_hp, "hermitian"), (t, "tau")]
+    batch = estimate_batch(problems, restarts=4, seed=3)
+    assert [e.method for e in batch] == (
+        ["analytic", "analytic", "analytic", "dual_sphere", "dual_sphere",
+         "analytic", "multistart_manifold", "analytic", "analytic",
+         "dual_sphere", "analytic", "analytic", "multistart_manifold",
+         "analytic"])
+    for p, est in zip(problems, batch):
+        alone = estimate_batch([p], restarts=4, seed=3)[0]
+        assert est.method == alone.method
+        if est.method == "multistart_manifold":
+            assert est.value == pytest.approx(alone.value, rel=1e-12)
+            continue
+        assert est.value == alone.value
+        assert est.evaluations == alone.evaluations
+        assert np.array_equal(est.best_witness, alone.best_witness)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_every_estimate_refuses_restarts_below_one(d):
     # also where a closed form would ignore restarts

@@ -8,7 +8,7 @@ from qms.channels import (SuperOperator, basis_state, completely_depolarizing,
                           identity_channel)
 from qms.errors import (DomainError, IllConditionedStructureError,
                         SpectralResolutionError)
-from qms.linalg import matrix_exp, vec
+from qms.linalg import matrix_exp, spectral_norm, vec
 from qms.rng import SplitMix64, derive_seed
 from qms.spectral import (delta_map, fixed_point_analysis, fixed_point_projector,
                           fundamental_map, minimal_polynomial,
@@ -51,6 +51,17 @@ def test_projector_cesaro_cross_check_runs_for_fast_mixing():
     analysis = fixed_point_analysis(depolarizing_channel(0.5))
     assert analysis.cesaro_checked
     assert analysis.cesaro_residual <= 1e-6
+
+
+def test_projector_residuals_are_kept_beside_the_cesaro_residual():
+    t = random_channel(3, 4, seed=91)
+    analysis = fixed_point_analysis(t)
+    m, p = t.matrix, analysis.projector.matrix
+    expected = {"idempotence": p @ p - p, "T o P": m @ p - p, "P o T": p @ m - p}
+    assert list(analysis.projector_residuals) == list(expected)
+    for name, x in expected.items():
+        assert analysis.projector_residuals[name] == spectral_norm(x) <= 1e-8
+    assert analysis.cesaro_checked and analysis.cesaro_residual <= 1e-6
 
 
 def test_projector_postconditions_random_ensemble():

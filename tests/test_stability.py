@@ -193,9 +193,9 @@ def test_general_norm_never_below_hermitian(monkeypatch):
 
 
 def test_qubit_perturbation_shares_closed_form_work(count_calls):
-    # Z(T1), T1 and T1 - T2 each get one Hermiticity test and one Pauli
-    # transfer matrix; both norms of T1 - T2 come from one Hermitian
-    # closed form, and the dual-sphere search never runs
+    # Z(T1), T1 and T1 - T2 share one stacked Hermiticity test and one
+    # stack of Pauli transfer matrices; both norms of T1 - T2 come from one
+    # Hermitian closed form, and the dual-sphere search never runs
     hp = count_calls(contraction, "preserves_hermiticity")
     transfers = count_calls(contraction, "_pauli_transfer")
     hermitian = count_calls(contraction, "_hermitian_norm_qubit")
@@ -203,5 +203,22 @@ def test_qubit_perturbation_shares_closed_form_work(count_calls):
     t1 = random_channel(2, 4, derive_seed(53, 0))
     t2 = random_channel(2, 3, derive_seed(54, 0))
     out = fixed_point_perturbation(t1, t2, stationary_of(t2), restarts=4, seed=0)
-    assert (len(hp), len(transfers), len(hermitian), len(searched)) == (3, 3, 1, 0)
+    assert (len(hp), len(transfers), len(hermitian), len(searched)) == (1, 1, 1, 0)
+    assert hp[0][0].shape == transfers[0][0].shape == (3, 4, 4)
     assert out.norm_estimates["general"] == out.norm_estimates["hermitian"]
+
+
+def test_qubit_perturbation_svd_count(count_linalg):
+    # one each for the stationarity check, the SVD of T1 - id, the
+    # left/right kernel overlap, the projector and Cesaro residuals, the
+    # inversion residual, the Hermiticity of rho1, the three trace norms,
+    # the Hermiticity tests of Z(T1), T1 and T1 - T2, and the tau blocks
+    # of Z(T1) and T1
+    t1 = random_channel(2, 4, derive_seed(55, 0))
+    t2 = random_channel(2, 4, derive_seed(56, 0))
+    rho2 = stationary_of(t2)
+    calls = count_linalg("svd")
+    out = fixed_point_perturbation(t1, t2, rho2, restarts=8, seed=0)
+    assert fixed_point_analysis(t1).cesaro_checked
+    assert calls["svd"] <= 9
+    assert out.identity_residual <= 1e-8
