@@ -79,7 +79,8 @@ class DensityMatrix:
         self.matrix = as_matrix(self.matrix, square=True, name="density matrix")
         if self.matrix.shape[0] != self.dim:
             raise DimensionError(f"density matrix shape {self.matrix.shape} != dim {self.dim}")
-        herm = float(spectral_norm(self.matrix - dagger(self.matrix)))
+        skew = self.matrix - dagger(self.matrix)
+        herm = float(spectral_norm(skew)) if skew.any() else 0.0
         if herm > 1e-10:
             raise ValidationError(f"density matrix not Hermitian (residual {herm:.3g})")
         tr = complex(np.trace(self.matrix))

@@ -14,11 +14,10 @@ Higham's 1-norm estimators, lifted to the trace norm and accelerated by
 SQUAREM extrapolation) and are *lower bounds*; the spread over restarts
 is reported as a quality signal.  Estimates of several (map, kind)
 problems of one dimension run as one batch: the qubit closed forms take
-one vectorized pass over the batch's distinct maps (one Choi stack, one
-Hermiticity test, one Pauli-transfer einsum and one SVD of the tau
-blocks), and every other problem's seeded restarts are rows of one ascent
-loop, each row with its own stopping rule; ``evaluations`` is counted per
-problem.
+one vectorized pass over the batch's distinct maps, and every other
+problem's seeded restarts are rows of one ascent loop, sorted by kind so
+that each projection takes one eigh for all tau and Hermitian rows and
+one SVD for the general ones; each row keeps its own stopping rule.
 """
 
 from __future__ import annotations
@@ -48,8 +47,9 @@ class ContractionEstimate:
     objective.  ``convergence_spread`` is max - min over restart optima
     that converged (0.0 for the analytic and dual_sphere methods).
     ``evaluations`` counts objective evaluations summed over restarts (0 for
-    the analytic method, pencil eigenvalues for dual_sphere); it is a work
-    counter and stays out of :meth:`to_dict`.
+    the analytic method, pencil eigenvalues for dual_sphere) and
+    ``converged`` the restarts that met the stopping rule (0 for the closed
+    forms); both are work counters and stay out of :meth:`to_dict`.
     """
 
     value: float
@@ -58,6 +58,7 @@ class ContractionEstimate:
     best_witness: object
     convergence_spread: float
     evaluations: int = 0
+    converged: int = 0
 
     def to_dict(self) -> dict:
         return {"value": self.value, "method": self.method,
@@ -250,7 +251,8 @@ def _general_norm_qubit(m: np.ndarray) -> ContractionEstimate:
         gain, fs = f - fs, f
         if np.all(gain <= 1e-15 * np.maximum(fs, 1.0)):
             break
-    u, v = _pair_step(np.tensordot(ws[np.argmax(fs)], a, axes=1)[None])[0]
+    g = np.tensordot(ws[np.argmax(fs)], a, axes=1)[None]
+    u, v = _pair_pick(*np.linalg.svd(g))[0]
     value = float(trace_norm_batch(apply_batch(m, _rank_one(u[None], v[None])))[0])
     return ContractionEstimate(value=value, method="dual_sphere", restarts=0,
                                best_witness=(u, v), convergence_spread=0.0,
@@ -262,80 +264,87 @@ def _general_norm_qubit(m: np.ndarray) -> ContractionEstimate:
 
 
 def _rank_one(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Stack of u v^dag for row stacks u and v."""
-    return u[:, :, None] * v.conj()[:, None, :]
+    """Stack of u v^dag for stacks of vectors u and v, shape (..., d)."""
+    return u[..., :, None] * v.conj()[..., None, :]
 
 
-def _pair_step(g: np.ndarray) -> np.ndarray:
-    """Top singular pair (p, q) of G: u v^dag maximizing Re tr(G^dag u v^dag)."""
-    p, _, qh = np.linalg.svd(g)
-    return np.stack([p[:, :, 0], qh[:, 0, :].conj()], axis=1)
+def _hermitian_eigh(g: np.ndarray) -> tuple:
+    """eigh of the Hermitian parts (G + G^dag)/2 of a stack."""
+    return np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
+
+
+def _pair_pick(p: np.ndarray, _, qh: np.ndarray) -> np.ndarray:
+    """Top singular pair (u, v) of G, maximizing Re tr(G^dag u v^dag)."""
+    return np.concatenate([p[:, None, :, 0], qh[:, :1].conj()], axis=1)
 
 
 def _pair_input(x: np.ndarray) -> np.ndarray:
-    return _rank_one(x[:, 0], x[:, 1])
+    """u v^dag for rows (u, v), and psi psi^dag for rows (psi)."""
+    return _rank_one(x[:, 0], x[:, -1])
 
 
-def _pure_step(g: np.ndarray) -> np.ndarray:
+def _pure_pick(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Eigenvector of (G + G^dag)/2 whose eigenvalue has the largest modulus."""
-    w, v = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
     col = np.where(np.abs(w[:, 0]) > np.abs(w[:, -1]), 0, -1)
     return v[np.arange(len(v)), :, col][:, None, :]
 
 
-def _pure_input(x: np.ndarray) -> np.ndarray:
-    return _rank_one(x[:, 0], x[:, 0])
-
-
-def _ortho_step(g: np.ndarray) -> np.ndarray:
+def _ortho_pick(_, v: np.ndarray) -> np.ndarray:
     """Top and bottom eigenvectors (phi, psi) of (G + G^dag)/2."""
-    _, v = np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
-    return np.stack([v[:, :, -1], v[:, :, 0]], axis=1)
+    return v[:, :, ::1 - v.shape[-1]].swapaxes(1, 2)      # columns d - 1, 0
 
 
 def _ortho_input(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (_rank_one(x[:, 0], x[:, 0]) - _rank_one(x[:, 1], x[:, 1]))
+    p = _rank_one(x, x)
+    return 0.5 * (p[:, 0] - p[:, 1])
 
 
-def _power_ascent(ms: np.ndarray, ascents, starts, maxiter: int) -> list:
-    """Maximize ||L_p(X)||_1 over extreme points X = build_p(x) for several
-    problems p in one loop, one ascent per row.
+def _extrapolate(b0: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """The SQUAREM trial B0 - 2 alpha r + alpha^2 v of each row, with
+    r = B1 - B0, v = B2 - 2 B1 + B0 and alpha = min(-||r||_F / ||v||_F, -1);
+    v = 0 gives alpha = -1 and B2."""
+    r, v = b1 - b0, b2 - 2.0 * b1 + b0
+    r_norm = np.linalg.norm(r, axis=(1, 2))
+    v_norm = np.linalg.norm(v, axis=(1, 2))
+    alpha = -np.maximum(np.divide(r_norm, v_norm, out=np.ones_like(r_norm),
+                                  where=v_norm > 0.0), 1.0)[:, None, None]
+    return b0 - 2.0 * alpha * r + alpha ** 2 * v
 
-    Problem p is the map ``ms[p]`` with ``ascents[p] = (step, build)`` and
-    the start stack ``starts[p]``, shape (rows, width, d); all maps act on
-    one d.  The rows of every problem advance in lockstep as one batch:
-    each projection applies every row's own map in one stacked product,
-    makes one step call per distinct (step, build) pair and takes one SVD
-    over all active rows.
 
-    A power step S moves X to the extreme point that maximizes
-    Re tr(G^dag X) for G = L^dag(W), with W the polar part of L(X)
-    (``step``).  Since ||L(X')||_1 >= Re tr(W^dag L(X')) >= Re tr(W^dag L(X))
-    = ||L(X)||_1, no power step lowers the objective.  The steps run in
-    SQUAREM cycles (Varadhan & Roland 2008): x1 = S(x0) and x2 = S(x1),
-    then with B_k = build(x_k), r = B1 - B0, v = B2 - 2 B1 + B0 and
-    alpha = min(-||r||_F / ||v||_F, -1), the extrapolated trial is
-    x3 = step(B0 - 2 alpha r + alpha^2 v); ``step`` doubles as the
-    projection onto the extreme points, and working on B_k avoids the
-    arbitrary phases of eigen- and singular vectors (v = 0 gives B2).  A
-    cycle keeps the better of x2 and x3, and only if it gains over x0, so
-    the objective never falls.  ``maxiter`` counts power steps: at most
-    maxiter // 2 cycles run.  A row stops once a cycle gains at most
-    1e-13 max(|f|, 1); its trajectory depends only on its own state, so
-    results do not depend on which rows, of its own problem or another's,
-    share the batch.  Returns one (points, values, converged mask,
-    objective evaluations) tuple per problem.
+def _power_ascent(ms: np.ndarray, kinds, starts, maxiter: int) -> list:
+    """Maximize ||L_p(X)||_1 over extreme points X for several problems p
+    in one loop, one ascent per row.
+
+    Problem p is the map ``ms[p]`` of kind ``kinds[p]`` (a key of
+    ``_ASCENTS``) with the start stack ``starts[p]``, shape (rows, width,
+    d), all on one d.  The rows are sorted once by kind (tau, hermitian,
+    general), so each kind's active rows are one slice: a projection
+    applies each row's own map in one stacked product and takes one eigh
+    of the Hermitian parts of the tau and hermitian rows, one SVD of the
+    general rows and one SVD of all rows to evaluate them.
+
+    A power step S moves X to the extreme point maximizing Re tr(G^dag X)
+    for G = L^dag(W), W the polar part of L(X); as ||L(X')||_1 >=
+    Re tr(W^dag L(X')) >= Re tr(W^dag L(X)) = ||L(X)||_1, it never lowers
+    the objective.  A SQUAREM cycle (Varadhan & Roland 2008) takes
+    x1 = S(x0), x2 = S(x1) and the trial x3 = step(:func:`_extrapolate`
+    (B0, B1, B2)) on the extreme points B_k, free of the phases of eigen-
+    and singular vectors, and keeps the better of x2 and x3 only if it
+    gains over x0.  At most maxiter // 2 cycles run; a row stops once a
+    cycle gains at most 1e-13 max(|f|, 1), and depends only on its own
+    state, not on which rows share the batch.  Returns one (points,
+    values, converged mask, objective evaluations) tuple per problem.
     """
+    rank = [list(_ASCENTS).index(k) for k in kinds]
+    order = np.argsort(rank, kind="stable")
+    starts = [starts[p] for p in order]
     sizes = [len(x) for x in starts]
     ends = np.cumsum(sizes)
-    owner = np.repeat(np.arange(len(starts)), sizes)
-    kinds = list(dict.fromkeys(ascents))
-    kind = np.repeat([kinds.index(a) for a in ascents], sizes)
+    owner = np.repeat(order, sizes)
+    kind = np.repeat(np.sort(rank), sizes)
     d = starts[0].shape[-1]
-    xs = np.zeros((len(owner), 2, d), dtype=complex)     # width-1 rows use x[:, 0]
-    for x, end in zip(starts, ends):
-        xs[end - len(x):end, :x.shape[1]] = x
-    ms = np.asarray(ms)
+    # a width-1 row (psi) is held as (psi, psi)
+    xs = np.concatenate([np.broadcast_to(x, (len(x), 2, d)) for x in starts])
     mhs = ms.conj().swapaxes(-1, -2)
 
     def apply(maps, mats):
@@ -345,42 +354,37 @@ def _power_ascent(ms: np.ndarray, ascents, starts, maxiter: int) -> list:
         u, s, vh = np.linalg.svd(apply(maps, b))
         return s.sum(axis=1), u @ vh
 
-    def groups(act):
-        sels = [(a, np.nonzero(kind[act] == k)[0]) for k, a in enumerate(kinds)]
-        return [(a, sel) for a, sel in sels if len(sel)]
+    def build(x, t):                        # the tau rows end at t
+        return np.concatenate([_ortho_input(x[:t]), _pair_input(x[t:])])
 
-    def project(maps, grouped, g):
-        x = np.zeros((len(g), 2, d), dtype=complex)
-        b = np.empty_like(g)
-        for (step, build), sel in grouped:
-            x_k = step(g[sel])
-            x[sel, :x_k.shape[1]] = x_k
-            b[sel] = build(x_k)
+    def project(maps, t, h, g):             # the hermitian rows end at h
+        x = np.empty((len(g), 2, d), dtype=complex)
+        if h:
+            w, v = _hermitian_eigh(g[:h])
+            if t:
+                x[:t] = _ortho_pick(w[:t], v[:t])
+            if h > t:
+                x[t:h] = _pure_pick(w[t:h], v[t:h])
+        if h < len(g):
+            x[h:] = _pair_pick(*np.linalg.svd(g[h:]))
+        b = build(x, t)
         return (x, b) + evaluate(maps, b)
 
-    bs = np.empty((len(owner), d, d), dtype=complex)
-    for (_, build), sel in groups(np.arange(len(owner))):
-        bs[sel] = build(xs[sel])
+    bs = build(xs, np.searchsorted(kind, 1))
     fs, ws = evaluate(ms[owner], bs)
-    evaluations = np.array(sizes)
+    evaluations = np.bincount(owner, minlength=len(starts))
     converged = np.zeros(len(owner), dtype=bool)
     for _ in range(maxiter // 2):
         act = np.nonzero(~converged)[0]
         if not len(act):
             break
-        grouped = groups(act)
-        m_act, mh_act = ms[owner[act]], mhs[owner[act]]
-        b0 = bs[act]
-        _, b1, _, w1 = project(m_act, grouped, apply(mh_act, ws[act]))
-        x2, b2, f2, w2 = project(m_act, grouped, apply(mh_act, w1))
-        r, v = b1 - b0, b2 - 2.0 * b1 + b0
-        r_norm = np.linalg.norm(r, axis=(1, 2))
-        v_norm = np.linalg.norm(v, axis=(1, 2))
-        alpha = -np.maximum(np.divide(r_norm, v_norm, out=np.ones_like(r_norm),
-                                      where=v_norm > 0.0), 1.0)[:, None, None]
-        x3, b3, f3, w3 = project(m_act, grouped,
-                                 b0 - 2.0 * alpha * r + alpha ** 2 * v)
-        evaluations += 3 * np.bincount(owner[act], minlength=len(starts))
+        t, h = np.searchsorted(kind[act], (1, 2))
+        own = owner[act]
+        m_act, mh_act, b0 = ms[own], mhs[own], bs[act]
+        _, b1, _, w1 = project(m_act, t, h, apply(mh_act, ws[act]))
+        x2, b2, f2, w2 = project(m_act, t, h, apply(mh_act, w1))
+        x3, b3, f3, w3 = project(m_act, t, h, _extrapolate(b0, b1, b2))
+        evaluations += 3 * np.bincount(own, minlength=len(starts))
         pick = f3 > f2
         ft = np.where(pick, f3, f2)
         gain = ft - fs[act]
@@ -391,9 +395,10 @@ def _power_ascent(ms: np.ndarray, ascents, starts, maxiter: int) -> list:
         ws[keep] = np.where(pick, w3[ok], w2[ok])
         fs[keep] = ft[ok]
         converged[act[gain <= 1e-13 * np.maximum(np.abs(fs[act]), 1.0)]] = True
-    return [(xs[end - len(x):end, :x.shape[1]], fs[end - len(x):end],
-             converged[end - len(x):end], int(n))
-            for x, end, n in zip(starts, ends, evaluations)]
+    out = [(xs[end - len(x):end, :x.shape[1]], fs[end - len(x):end],
+            converged[end - len(x):end], int(evaluations[p]))
+           for p, x, end in zip(order, starts, ends)]
+    return [out[i] for i in np.argsort(order)]
 
 
 def _require_restarts(restarts: int):
@@ -408,7 +413,7 @@ def _run_multistart(problems, restarts: int, seed: int, maxiter: int) -> list:
     seeds = np.uint64(derive_seed(seed, 0)) + np.arange(restarts, dtype=np.uint64)
     starts = [_ASCENTS[kind][0](SplitMix64(seeds), t.dim) for t, kind in problems]
     results = _power_ascent(np.stack([t.matrix for t, _ in problems]),
-                            [_ASCENTS[kind][1:] for _, kind in problems],
+                            [kind for _, kind in problems],
                             starts, maxiter)
     estimates = []
     for xs, fs, converged, evaluations in results:
@@ -419,7 +424,7 @@ def _run_multistart(problems, restarts: int, seed: int, maxiter: int) -> list:
             restarts=restarts,
             best_witness=tuple(xs[best]) if xs.shape[1] > 1 else xs[best, 0],
             convergence_spread=float(conv_vals.max() - conv_vals.min()),
-            evaluations=evaluations))
+            evaluations=evaluations, converged=int(converged.sum())))
     return estimates
 
 
@@ -439,12 +444,16 @@ def _ortho_start(gen: SplitMix64, d: int) -> np.ndarray:
 # public estimators
 
 
-# (start, step, build) of the ascent of each kind
-_ASCENTS = {"tau": (_ortho_start, _ortho_step, _ortho_input),
-            "hermitian": (functools.partial(_unit_vectors, k=1), _pure_step,
-                          _pure_input),
-            "general": (functools.partial(_unit_vectors, k=2), _pair_step,
-                        _pair_input)}
+# (start, step, build) of the ascent of each kind, in the order in which
+# _power_ascent sorts its rows; a step picks columns of one decomposition
+# of G, as the loop does, into a stack (rows, width, d)
+_ASCENTS = {
+    "tau": (_ortho_start, lambda g: _ortho_pick(*_hermitian_eigh(g)),
+            _ortho_input),
+    "hermitian": (functools.partial(_unit_vectors, k=1),
+                  lambda g: _pure_pick(*_hermitian_eigh(g)), _pair_input),
+    "general": (functools.partial(_unit_vectors, k=2),
+                lambda g: _pair_pick(*np.linalg.svd(g)), _pair_input)}
 
 
 def _closed_forms(problems) -> list:
@@ -474,12 +483,10 @@ def _closed_forms(problems) -> list:
     attained at psi psi^dag.
 
     One vectorized pass serves the distinct qubit maps of ``problems``
-    (distinct by identity): one Choi stack and one HP test
-    (:func:`~qms.channels.preserves_hermiticity`), one Pauli-transfer
-    einsum, one SVD of the tau blocks R[1:,1:] of the maps asked for tau
-    and one eigh for their witnesses.  The Hermitian form runs once per
-    map that needs it, and serves both its ``hermitian`` and its
-    ``general`` problem.
+    (distinct by identity): one Choi stack and one HP test, one
+    Pauli-transfer einsum, one SVD of the tau blocks R[1:,1:] and one eigh
+    for their witnesses.  The Hermitian form runs once per map that needs
+    it, for both its ``hermitian`` and its ``general`` problem.
     """
     out = [None] * len(problems)
     maps = {id(t): t for t, _ in problems if t.dim == 2}
@@ -548,9 +555,8 @@ def tau(t: SuperOperator, restarts: int = DEFAULT_RESTARTS,
     Otherwise ``restarts`` independent power-method ascents run over the
     pairs, as the rows of a batch of one (:func:`_power_ascent`; restart r
     is seeded with derive_seed(seed, r), so prefixes of the restart stream
-    are reproducible).  Each takes at most ``MAXITER`` power steps, two
-    per SQUAREM cycle with one extrapolated trial each.  ``restarts`` < 1
-    is refused even where the closed form ignores it.
+    are reproducible), each of at most ``MAXITER`` power steps.
+    ``restarts`` < 1 is refused even where the closed form ignores it.
     """
     return estimate_batch([(t, "tau")], restarts, seed)[0]
 
@@ -563,21 +569,16 @@ def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     the trace-norm ball; witness ``(u, v)``); ``hermitian_only`` restricts
     to Hermitian X, whose extreme points are +/- psi psi^dag (witness
     ``psi``).  The ``restarts`` seeded power-method ascents are the rows
-    of a batch of one (:func:`_power_ascent`), each taking at most
-    ``MAXITER`` power steps, two per SQUAREM cycle with one extrapolated
-    trial each.  In Hermitian mode a Hermiticity-preserving qubit map
+    of a batch of one (:func:`_power_ascent`), each of at most ``MAXITER``
+    power steps.  In Hermitian mode a Hermiticity-preserving qubit map
     takes the closed form :func:`_hermitian_norm_qubit` instead (method
     ``analytic``, exact).  In general mode so does a Hermiticity-preserving
     qubit map with only traceless outputs, whose general and Hermitian
     norms agree (:func:`_closed_forms`; witness ``(psi, psi)``).  Every
-    other qubit map takes :func:`_general_norm_qubit` (method
-    ``dual_sphere``): by duality
-    ||L||_{1->1}^2 is the maximum over unit Bloch vectors n of the top
-    eigenvalue of a 4x4 real symmetric pencil Q^0 + sum_j n_j Q^j built
-    from L* on (I, i sigma), searched on an icosphere and polished by a
-    monotone fixed-point step; the value is attained at its witness
-    (u, v).  Both qubit paths ignore ``restarts``, but ``restarts`` < 1 is
-    refused everywhere.
+    other qubit map takes the search of its dual over the Bloch sphere,
+    :func:`_general_norm_qubit` (method ``dual_sphere``), attained at its
+    witness (u, v).  Both qubit paths ignore ``restarts``, but
+    ``restarts`` < 1 is refused everywhere.
     """
     kind = "hermitian" if hermitian_only else "general"
     return estimate_batch([(t, kind)], restarts, seed)[0]
@@ -601,8 +602,7 @@ def probe_inputs(d: int, seed: int = 0) -> np.ndarray:
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     z = SplitMix64(derive_seed(seed, 0xA11CE)).complex_normals((PROBE_DRAWS, 3, d))
     z = z / np.linalg.norm(z, axis=-1, keepdims=True)
-    pairs = np.stack([_rank_one(z[:, 0], z[:, 1]), _rank_one(z[:, 2], z[:, 2])],
-                     axis=1)
+    pairs = _rank_one(z[:, [0, 2]], z[:, [1, 2]])
     probes = np.concatenate([units, pairs.reshape(2 * PROBE_DRAWS, d, d)])
     probes.flags.writeable = False
     return probes

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qms.channels import (SuperOperator, amplitude_damping_channel, basis_state,
+from qms.channels import (DensityMatrix, SuperOperator,
+                          amplitude_damping_channel, basis_state,
                           choi_matrix, completely_depolarizing, compose,
                           depolarizing_channel, depolarizing_generator, dual,
                           from_kraus, from_lindblad, from_stochastic,
@@ -326,6 +327,24 @@ def test_hermiticity_scale_is_computed_only_past_1e_8(count_linalg, shift,
     exact = depolarizing_channel(0.5)
     assert preserves_hermiticity(exact, choi_matrix(exact))[0]
     assert calls["svd"] == 3
+
+
+def test_exactly_hermitian_state_needs_no_svd(count_linalg):
+    # an exactly Hermitian matrix has residual 0 without an SVD; a 1e-9
+    # skew still costs one and is refused with the residual it reports
+    g = SplitMix64(83).complex_normals((3, 3))
+    rho = g @ dagger(g)
+    rho = (rho + dagger(rho)) / 2 / np.trace(rho).real
+    calls = count_linalg("svd")
+    DensityMatrix(3, rho)
+    assert calls["svd"] == 0
+    skewed = rho.copy()
+    skewed[0, 1] += 1e-9
+    residual = spectral_norm(skewed - dagger(skewed))
+    with pytest.raises(ValidationError,
+                       match=f"not Hermitian \\(residual {residual:.3g}\\)"):
+        DensityMatrix(3, skewed)
+    assert calls["svd"] == 2
 
 
 def test_hermiticity_test_of_a_stack_is_each_maps_test():

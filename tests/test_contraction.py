@@ -9,8 +9,8 @@ from qms.channels import (SuperOperator, amplitude_damping_channel,
                           from_kraus, from_stochastic, identity_channel,
                           pauli_channel)
 from qms.ensembles import perturb_channel, perturb_generator, random_generator
-from qms.contraction import (_ASCENTS, PROBE_DRAWS, _ortho_input,
-                             _ortho_start, _power_ascent, _run_multistart,
+from qms.contraction import (_ASCENTS, PROBE_DRAWS, _extrapolate,
+                             _ortho_input, _ortho_start, _run_multistart,
                              _unit_vectors, estimate_batch, norm_1to1,
                              norm_lower_bound_probes, probe_inputs, tau,
                              tau_exact_qubit)
@@ -709,20 +709,35 @@ def test_ascent_started_at_an_optimum_stays_there():
     assert 0.5 * trace_norm(t.apply(sigma)) == pytest.approx(est.value, abs=1e-12)
 
 
+def test_converged_counts_the_restarts_that_met_the_stopping_rule():
+    # every restart on a unitary channel stops after its first cycle
+    est = tau(random_unitary_channel(3, seed=73), restarts=4, seed=2)
+    assert est.converged == est.restarts == 4
+    assert list(est.to_dict()) == ["value", "method", "restarts",
+                                   "convergence_spread"]
+    assert tau_exact_qubit(depolarizing_channel(0.5)).converged == 0
+
+
+def test_tau_and_hermitian_rows_share_one_eigh_per_projection(count_linalg):
+    # without general rows a projection takes one eigh and one evaluating
+    # SVD, after the one SVD that evaluates the starts
+    problems = [p for p in batch_problems(3) if p[1] != "general"]
+    calls = count_linalg("svd", "eigh")
+    estimate_batch(problems, restarts=8, seed=4)
+    assert calls["eigh"] == calls["svd"] - 1 > 0
+
+
 def test_stationary_cycle_extrapolates_to_the_second_step():
-    # a step that returns its start makes r = v = 0; alpha = -1 then gives
-    # B0 - 2 alpha r + alpha^2 v = B2, with no 0/0 along the way
-    x_opt = np.eye(3, dtype=complex)[None, :2]
-
-    def fixed_step(g):
-        assert np.isfinite(g).all()
-        return x_opt.repeat(len(g), axis=0)
-
-    [(xs, fs, converged, evaluations)] = _power_ascent(
-        np.eye(9, dtype=complex)[None], [(fixed_step, _ortho_input)],
-        [x_opt.copy()], 300)
-    assert np.array_equal(xs, x_opt)
-    assert fs.tolist() == [1.0] and converged.all() and evaluations == 4
+    # a cycle whose steps return their start makes r = v = 0; alpha = -1
+    # then gives B0 - 2 alpha r + alpha^2 v = B2, with no 0/0 along the
+    # way, and so does a steady drift (v = 0, r != 0)
+    b = _ortho_input(np.eye(3, dtype=complex)[None, :2])
+    r = 0.25 * _ortho_input(np.eye(3, dtype=complex)[None, 1:])
+    b0, step = np.concatenate([b, b]), np.concatenate([0.0 * r, r])
+    b1, b2 = b0 + step, b0 + 2.0 * step
+    with np.errstate(all="raise"):
+        trial = _extrapolate(b0, b1, b2)
+    assert np.array_equal(trial, b2)
 
 
 def batch_problems(d):

@@ -8,6 +8,7 @@ from qms import contraction, spectral, stability
 from qms.channels import (DensityMatrix, basis_state, completely_depolarizing,
                           depolarizing_channel, identity_channel,
                           maximally_mixed)
+from qms.ensembles import perturb_channel
 from qms.errors import PreconditionError
 from qms.rng import derive_seed
 from qms.spectral import fixed_point_analysis
@@ -210,15 +211,28 @@ def test_qubit_perturbation_shares_closed_form_work(count_calls):
 
 def test_qubit_perturbation_svd_count(count_linalg):
     # one each for the stationarity check, the SVD of T1 - id, the
-    # left/right kernel overlap, the projector and Cesaro residuals, the
-    # inversion residual, the Hermiticity of rho1, the three trace norms,
-    # the Hermiticity tests of Z(T1), T1 and T1 - T2, and the tau blocks
-    # of Z(T1) and T1
+    # left/right kernel overlap, the inversion residual, and the stacks of
+    # the projector and Cesaro residuals, the three trace norms, the
+    # Hermiticity tests of Z(T1), T1 and T1 - T2, and the tau blocks of
+    # Z(T1) and T1; rho1 is exactly Hermitian, so its check needs none
     t1 = random_channel(2, 4, derive_seed(55, 0))
     t2 = random_channel(2, 4, derive_seed(56, 0))
     rho2 = stationary_of(t2)
     calls = count_linalg("svd")
     out = fixed_point_perturbation(t1, t2, rho2, restarts=8, seed=0)
     assert fixed_point_analysis(t1).cesaro_checked
-    assert calls["svd"] <= 9
+    assert calls["svd"] <= 8
     assert out.identity_residual <= 1e-8
+
+
+def test_qudit_perturbation_linalg_count(count_linalg):
+    # the ascent takes one eigh per projection for its tau and hermitian
+    # rows together (195 calls when each kind took its own) and one SVD
+    # for its general rows
+    t1 = random_channel(3, 9, 11)
+    t2 = perturb_channel(t1, 0.05, 12)
+    rho2 = stationary_of(t2)
+    calls = count_linalg("svd", "eigh")
+    fixed_point_perturbation(t1, t2, rho2, restarts=8, seed=3)
+    assert calls["eigh"] <= 153
+    assert calls["svd"] <= 200
