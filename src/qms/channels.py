@@ -64,7 +64,12 @@ class SuperOperator:
 
     @property
     def trace_preserving(self) -> bool:
-        """Whether ``tp_residual() <= 1e-10``."""
+        """Whether ``tp_residual() <= 1e-10``; read-only, and computed once
+        per map, as a ``SuperOperator`` is never mutated."""
+        return self._tp_verdict
+
+    @functools.cached_property
+    def _tp_verdict(self) -> bool:
         return self.tp_residual() <= 1e-10
 
 

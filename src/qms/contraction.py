@@ -6,18 +6,17 @@ maximal output distance over pairs of orthogonal pure states.  On
 Hermiticity-preserving qubit maps tau and the Hermitian-restricted 1->1
 norm have closed forms in the Pauli transfer matrix.  The general 1->1
 norm of such a map with only traceless outputs, such as a difference of
-two channels or two generators, equals its Hermitian one; that of every
-other qubit map comes from a search of its dual over the Bloch sphere,
-attained at its witness.  Everywhere else the values come from a
-seeded multistart power-method ascent (Boyd's method, as in Hager's and
-Higham's 1-norm estimators, lifted to the trace norm and accelerated by
-SQUAREM extrapolation) and are *lower bounds*; the spread over restarts
-is reported as a quality signal.  Estimates of several (map, kind)
-problems of one dimension run as one batch: the qubit closed forms take
-one vectorized pass over the batch's distinct maps, and every other
-problem's seeded restarts are rows of one ascent loop, sorted by kind so
-that each projection takes one eigh for all tau and Hermitian rows and
-one SVD for the general ones; each row keeps its own stopping rule.
+two channels or two generators, equals its Hermitian one.  Every other
+value, at any d, comes from a seeded multistart power-method ascent
+(Boyd's method, as in Hager's and Higham's 1-norm estimators, lifted to
+the trace norm and accelerated by SQUAREM extrapolation) and is a *lower
+bound*; the spread over restarts is reported as a quality signal.
+Estimates of several (map, kind) problems of one dimension run as one
+batch: the qubit closed forms take one vectorized pass over the batch's
+distinct maps, and every other problem's seeded restarts are rows of one
+ascent loop, sorted by kind so that each projection takes one eigh for
+all tau and Hermitian rows and one SVD for the general ones; each row
+keeps its own stopping rule.
 """
 
 from __future__ import annotations
@@ -45,15 +44,14 @@ class ContractionEstimate:
 
     ``best_witness`` reproduces ``value`` when plugged back into the
     objective.  ``convergence_spread`` is max - min over restart optima
-    that converged (0.0 for the analytic and dual_sphere methods).
-    ``evaluations`` counts objective evaluations summed over restarts (0 for
-    the analytic method, pencil eigenvalues for dual_sphere) and
-    ``converged`` the restarts that met the stopping rule (0 for the closed
-    forms); both are work counters and stay out of :meth:`to_dict`.
+    that converged (0.0 for the analytic method).  ``evaluations`` counts
+    objective evaluations summed over restarts and ``converged`` the
+    restarts that met the stopping rule (both 0 for the analytic method);
+    both are work counters and stay out of :meth:`to_dict`.
     """
 
     value: float
-    method: str            # multistart_manifold | analytic | dual_sphere
+    method: str            # multistart_manifold | analytic
     restarts: int
     best_witness: object
     convergence_spread: float
@@ -188,75 +186,6 @@ def _hermitian_norm_qubit(r: np.ndarray) -> ContractionEstimate:
                                restarts=0,
                                best_witness=_bloch_eigenvectors(cands[best])[0],
                                convergence_spread=0.0)
-
-
-def _icosphere() -> np.ndarray:
-    """The 12 vertices and 30 edge midpoints of an icosahedron, on S^2."""
-    g = (1.0 + np.sqrt(5.0)) / 2.0
-    base = np.array([[0.0, s1, s2 * g] for s1 in (1, -1) for s2 in (1, -1)])
-    verts = np.concatenate([np.roll(base, k, axis=1) for k in range(3)])
-    i, j = np.nonzero(np.triu(np.isclose(
-        np.linalg.norm(verts[:, None] - verts[None], axis=2), 2.0)))
-    pts = np.concatenate([verts, verts[i] + verts[j]])
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-_ICOSPHERE = _icosphere()
-_SU2 = np.concatenate([_PAULIS[:1], 1j * _PAULIS[1:]])      # I, i sigma_x,y,z
-_POLISH_ROWS = 4
-_POLISH_STEPS = 500
-
-
-def _general_norm_qubit(m: np.ndarray) -> ContractionEstimate:
-    """General 1->1 norm of the qubit map with matrix ``m``, from its dual.
-
-    ||L||_{1->1} = max over unitaries W of ||L*(W)||_inf (Watrous 2005).
-    Modulo phase W = sum_k w_k U_k for U = (I, i sigma) and real unit
-    w in S^3, so with A_k = L*(U_k) and rho = (I + n.sigma)/2,
-    ||L*(W)||_inf^2 = max_rho w^T Re[tr(A_k^dag A_l rho)] w, and
-
-        ||L||_{1->1}^2 = max_{|n|=1} lambda_max(Q^0 + sum_j n_j Q^j),
-        Q^j_kl = Re tr(A_k^dag A_l sigma_j) / 2  (sigma_0 = I),
-
-    a 4x4 real symmetric pencil whose top eigenvalue f(n) is convex in n.
-    f is evaluated on a 42-point icosphere, and the best
-    ``_POLISH_ROWS`` points are polished by n <- c/||c|| with
-    c_j = w^T Q^j w, the gradient of f for the top eigenvector w.  The
-    step maximizes w^T Q(n) w, a lower bound of f that is tight at the
-    current n, so it never lowers f; the polish stops once no row gains
-    more than 1e-15 max(f, 1), or after ``_POLISH_STEPS`` steps.  The best
-    w gives W, and the top singular pair (u, v) of L*(W) the witness
-    u v^dag; the value is ||L(u v^dag)||_1, so it is attained at the
-    witness.  ``evaluations`` counts pencil eigenvalue evaluations: 42 on
-    the grid plus ``_POLISH_ROWS`` per polish step.
-    """
-    a = apply_batch(m.conj().T, _SU2)
-    q = 0.5 * np.einsum("kba,lbc,jca->jkl", a.conj(), a, _PAULIS).real
-    q0, qn, flat = q[0], q[1:], q[1:].reshape(3, 16)
-
-    def top_pairs(n):
-        lam, vecs = np.linalg.eigh(q0 + (n @ flat).reshape(-1, 4, 4))
-        return lam[:, -1], vecs[:, :, -1]
-
-    fs, ws = top_pairs(_ICOSPHERE)
-    evaluations = len(fs)
-    best = np.argsort(fs)[-_POLISH_ROWS:]
-    n, fs, ws = _ICOSPHERE[best], fs[best], ws[best]
-    for _ in range(_POLISH_STEPS):
-        c = np.einsum("nk,jkl,nl->nj", ws, qn, ws)
-        c_norm = np.sqrt((c * c).sum(axis=1, keepdims=True))
-        n = np.divide(c, c_norm, out=n, where=c_norm > 0.0)
-        f, ws = top_pairs(n)
-        evaluations += len(n)
-        gain, fs = f - fs, f
-        if np.all(gain <= 1e-15 * np.maximum(fs, 1.0)):
-            break
-    g = np.tensordot(ws[np.argmax(fs)], a, axes=1)[None]
-    u, v = _pair_pick(*np.linalg.svd(g))[0]
-    value = float(trace_norm_batch(apply_batch(m, _rank_one(u[None], v[None])))[0])
-    return ContractionEstimate(value=value, method="dual_sphere", restarts=0,
-                               best_witness=(u, v), convergence_spread=0.0,
-                               evaluations=evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +387,16 @@ _ASCENTS = {
 
 def _closed_forms(problems) -> list:
     """The qubit closed form of each (map, kind) problem, or None where the
-    ascent runs instead: at d >= 3, and for a qubit map that does not
-    preserve Hermiticity, except in general mode.
+    ascent runs instead: at d >= 3, for a qubit map that does not preserve
+    Hermiticity, and in general mode for a qubit map with a trace row.
 
     In general mode a Hermiticity-preserving (HP) qubit map whose outputs
     are all traceless (:func:`~qms.channels.annihilates_trace`), such as
     a difference of two channels or two generators, takes the Hermitian
-    closed form :func:`_hermitian_norm_qubit`, witness (psi, psi); every
-    other qubit map takes :func:`_general_norm_qubit`.  The Hermitian form
-    is exact there.  For a rank-one input u v^dag the output is traceless,
-    L(u v^dag) = c.sigma, and a traceless 2 x 2 matrix M has
+    closed form :func:`_hermitian_norm_qubit`, witness (psi, psi).  The
+    Hermitian form is exact there.  For a rank-one input u v^dag the
+    output is traceless, L(u v^dag) = c.sigma, and a traceless 2 x 2
+    matrix M has
 
         ||M||_1 = max_theta ||(e^{-i theta} M + e^{i theta} M^dag)/2||_1
 
@@ -476,11 +405,11 @@ def _closed_forms(problems) -> list:
     L(H_theta) for the Hermitian H_theta = (e^{-i theta} u v^dag
     + e^{i theta} v u^dag)/2, and ||H_theta||_1 <= 1.  So the general norm
     is at most the Hermitian one, and never below it, since every Hermitian
-    input is admissible in general mode.  With a trace
-    row of norm r = ||M^dag vec(I)||_2, |tr L(X)| <= r ||X||_1 and the same
-    argument, applied to the traceless part of L(u v^dag), puts the
-    Hermitian form at most 2 r below the general norm; it is always
-    attained at psi psi^dag.
+    input is admissible in general mode.  With a trace row of norm
+    r = ||M^dag vec(I)||_2, |tr L(X)| <= r ||X||_1 and the same argument,
+    applied to the traceless part of L(u v^dag), bounds the Hermitian form
+    only to within 2 r below the general norm, so such a map takes the
+    ascent.
 
     One vectorized pass serves the distinct qubit maps of ``problems``
     (distinct by identity): one Choi stack and one HP test, one
@@ -501,9 +430,7 @@ def _closed_forms(problems) -> list:
         if t.dim != 2:
             continue
         k = row[id(t)]
-        if kind == "general" and not (hp[k] and annihilates_trace(t.matrix, 2)[0]):
-            out[i] = _general_norm_qubit(t.matrix)
-        elif hp[k]:
+        if hp[k] and (kind != "general" or annihilates_trace(t.matrix, 2)[0]):
             closed.append((i, k, kind))
     tau_rows = sorted({k for _, k, kind in closed if kind == "tau"})
     taus = dict(zip(tau_rows, _tau_qubit(r[tau_rows]))) if tau_rows else {}
@@ -574,11 +501,9 @@ def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     takes the closed form :func:`_hermitian_norm_qubit` instead (method
     ``analytic``, exact).  In general mode so does a Hermiticity-preserving
     qubit map with only traceless outputs, whose general and Hermitian
-    norms agree (:func:`_closed_forms`; witness ``(psi, psi)``).  Every
-    other qubit map takes the search of its dual over the Bloch sphere,
-    :func:`_general_norm_qubit` (method ``dual_sphere``), attained at its
-    witness (u, v).  Both qubit paths ignore ``restarts``, but
-    ``restarts`` < 1 is refused everywhere.
+    norms agree (:func:`_closed_forms`; witness ``(psi, psi)``).  The
+    closed forms ignore ``restarts``, but ``restarts`` < 1 is refused
+    everywhere.
     """
     kind = "hermitian" if hermitian_only else "general"
     return estimate_batch([(t, kind)], restarts, seed)[0]

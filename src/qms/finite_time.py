@@ -78,8 +78,9 @@ class ConvergencePair:
             raise DomainError(f"K must be finite and nonnegative, got {self.K}")
         if self.kind == "discrete" and not 0.0 <= self.rate < 1.0:
             raise DomainError(f"discrete rate mu must lie in [0, 1), got {self.rate}")
-        if self.kind == "continuous" and not self.rate > 0.0:
-            raise DomainError(f"continuous rate nu must be positive, got {self.rate}")
+        if self.kind == "continuous" and not 0.0 < self.rate < math.inf:
+            raise DomainError(
+                f"continuous rate nu must be positive and finite, got {self.rate}")
 
     def to_dict(self) -> dict:
         return {"K": self.K, "rate": self.rate, "kind": self.kind,
@@ -205,6 +206,13 @@ def asymptotic_discrete(pair: ConvergencePair, dT: float) -> float:
     return (n_hat(pair.K, pair.rate) + 1.0 / (1.0 - pair.rate)) * dT
 
 
+def _decay(K: float, nu: float, t) -> np.ndarray:
+    """K e^{-nu t} at the times ``t``.  e^{-nu t} is 0 in floating point
+    once nu t exceeds 800, so t is capped at 800/nu there: nu t then never
+    overflows, however large the rate."""
+    return K * np.exp(-nu * np.minimum(t, 800.0 / nu))
+
+
 def _continuous_terms(K: float, nu: float, t, d0: float, dL: float):
     """t_hat, the pre-threshold mask and the initial and perturbation terms
     of the continuous bound at the times ``t`` (a scalar or an array),
@@ -214,12 +222,11 @@ def _continuous_terms(K: float, nu: float, t, d0: float, dL: float):
     th = t_hat(K, nu)
     t = np.asarray(t, dtype=float)
     pre = t <= th
-    initial = _by_regime(pre, t, lambda t: d0,
-                         lambda t: K * np.exp(-nu * t) * d0)
+    initial = _by_regime(pre, t, lambda t: d0, lambda t: _decay(K, nu, t) * d0)
     # the integral of min(1, K e^{-nu s}) over [0, t], >= 0 for every K
     pert = _by_regime(
         pre, t, lambda t: t * dL,
-        lambda t: (math.log(max(K, 1.0)) + min(K, 1.0) - K * np.exp(-nu * t))
+        lambda t: (math.log(max(K, 1.0)) + min(K, 1.0) - _decay(K, nu, t))
         / nu * dL)
     return th, pre, initial, pert
 
@@ -568,7 +575,7 @@ def validate_pair_on_generator(pair: ConvergencePair, gen: GeneratorMap,
     step = matrix_exp(gen.matrix, t_max / max(samples - 1, 1))
     return _validate_on_grid(
         pair, "t", times, _probe_bounds(samples, step, p_inf, probes),
-        pair.K * np.exp(-pair.rate * times), len(probes))
+        _decay(pair.K, pair.rate, times), len(probes))
 
 
 # ---------------------------------------------------------------------------

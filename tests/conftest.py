@@ -12,7 +12,8 @@ def count_calls(monkeypatch):
     ``count_calls(module, name)`` replaces ``module.name`` (and each
     ``from ... import name`` copy in a loaded ``qms`` module) with a
     counting wrapper and returns the list that receives the positional
-    arguments of each call; monkeypatch restores the originals.
+    arguments of each call; monkeypatch restores the originals.  ``module``
+    may also be a class, whose method ``name`` is then counted.
     """
 
     def install(module, name):
@@ -23,6 +24,7 @@ def count_calls(monkeypatch):
             calls.append(args)
             return orig(*args, **kwargs)
 
+        monkeypatch.setattr(module, name, counted)
         for modname, mod in list(sys.modules.items()):
             if ((modname == "qms" or modname.startswith("qms."))
                     and getattr(mod, name, None) is orig):

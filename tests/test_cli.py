@@ -782,6 +782,10 @@ _pair_spec = st.one_of(
          restarts=1)
 @example(continuous=True, steps=2, pair="1e+308:0.5", t_max=1.0, tol=1e-3,
          restarts=1)
+@example(continuous=True, steps=3, pair="1:inf", t_max=10.0, tol=1e-3,
+         restarts=1)
+@example(continuous=True, steps=3, pair="0:1e308", t_max=10.0, tol=1e-3,
+         restarts=1)
 def test_trajectory_exit_code_contract(contract_files, continuous, steps, pair,
                                        t_max, tol, restarts):
     t, e = ("gen10", "gen11") if continuous else ("depol05", "depol06")
@@ -887,11 +891,12 @@ def test_json_commands_do_not_load_csv(files):
 def test_qubit_commands_never_search_the_dual_sphere(tmp_path, capsys,
                                                      count_calls):
     # every norm that compare and trajectory take at d = 2 is of a channel
-    # or generator difference, which has the Hermitian closed form
+    # or generator difference, which has the Hermitian closed form, so no
+    # search runs
     from qms import contraction
     from qms.ensembles import (perturb_channel, perturb_generator,
                                random_channel, random_generator)
-    searched = count_calls(contraction, "_general_norm_qubit")
+    ascents = count_calls(contraction, "_power_ascent")
     closed = count_calls(contraction, "_hermitian_norm_qubit")
     t = random_channel(2, 3, seed=31)
     g = random_generator(2, 2, seed=32)
@@ -906,7 +911,7 @@ def test_qubit_commands_never_search_the_dual_sphere(tmp_path, capsys,
                  ["trajectory", paths["g1"], paths["g2"], "--steps", "5", *few]):
         assert main([str(a) for a in argv]) == 0
         capsys.readouterr()
-    assert len(searched) == 0 and len(closed) >= 3
+    assert len(ascents) == 0 and len(closed) >= 3
 
 
 _VALIDATE_MODULES = ["qms", "qms.channels", "qms.cli", "qms.errors",

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from qms import contraction, spectral, stability
-from qms.channels import (DensityMatrix, basis_state, completely_depolarizing,
-                          depolarizing_channel, identity_channel,
-                          maximally_mixed)
+from qms.channels import (DensityMatrix, SuperOperator, basis_state,
+                          completely_depolarizing, depolarizing_channel,
+                          identity_channel, maximally_mixed)
 from qms.ensembles import perturb_channel
 from qms.errors import PreconditionError
 from qms.rng import derive_seed
@@ -196,17 +196,29 @@ def test_general_norm_never_below_hermitian(monkeypatch):
 def test_qubit_perturbation_shares_closed_form_work(count_calls):
     # Z(T1), T1 and T1 - T2 share one stacked Hermiticity test and one
     # stack of Pauli transfer matrices; both norms of T1 - T2 come from one
-    # Hermitian closed form, and the dual-sphere search never runs
+    # Hermitian closed form, and the ascent never runs
     hp = count_calls(contraction, "preserves_hermiticity")
     transfers = count_calls(contraction, "_pauli_transfer")
     hermitian = count_calls(contraction, "_hermitian_norm_qubit")
-    searched = count_calls(contraction, "_general_norm_qubit")
+    ascents = count_calls(contraction, "_power_ascent")
     t1 = random_channel(2, 4, derive_seed(53, 0))
     t2 = random_channel(2, 3, derive_seed(54, 0))
     out = fixed_point_perturbation(t1, t2, stationary_of(t2), restarts=4, seed=0)
-    assert (len(hp), len(transfers), len(hermitian), len(searched)) == (1, 1, 1, 0)
+    assert (len(hp), len(transfers), len(hermitian), len(ascents)) == (1, 1, 1, 0)
     assert hp[0][0].shape == transfers[0][0].shape == (3, 4, 4)
     assert out.norm_estimates["general"] == out.norm_estimates["hermitian"]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_perturbation_tests_trace_preservation_once_per_map(d, count_calls):
+    # one TP residual each for T1, its projector and Z(T1): reading
+    # trace_preserving again costs nothing
+    t1 = random_channel(d, 4, derive_seed(57, d))
+    t2 = random_channel(d, 4, derive_seed(58, d))
+    rho2 = stationary_of(t2)
+    residuals = count_calls(SuperOperator, "tp_residual")
+    fixed_point_perturbation(t1, t2, rho2, restarts=2, seed=0)
+    assert len(residuals) == 3
 
 
 def test_qubit_perturbation_svd_count(count_linalg):
