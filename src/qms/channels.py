@@ -58,19 +58,19 @@ class SuperOperator:
         return apply_batch(self.matrix, mats)
 
     def tp_residual(self) -> float:
-        """|| vec(I)^dag M - vec(I)^dag ||_2 (zero iff trace-preserving)."""
+        """|| vec(I)^dag M - vec(I)^dag ||_2 (zero iff trace-preserving),
+        computed once per map, as a ``SuperOperator`` is never mutated."""
+        return self._tp_residual
+
+    @functools.cached_property
+    def _tp_residual(self) -> float:
         vi = vec(np.eye(self.dim))
         return float(np.linalg.norm(dagger(self.matrix) @ vi - vi))
 
     @property
     def trace_preserving(self) -> bool:
-        """Whether ``tp_residual() <= 1e-10``; read-only, and computed once
-        per map, as a ``SuperOperator`` is never mutated."""
-        return self._tp_verdict
-
-    @functools.cached_property
-    def _tp_verdict(self) -> bool:
-        return self.tp_residual() <= 1e-10
+        """Whether ``tp_residual() <= 1e-10``; read-only."""
+        return self._tp_residual <= 1e-10
 
 
 @dataclass
@@ -393,20 +393,15 @@ def check_stationary(t: SuperOperator, rho: DensityMatrix) -> float:
     return res
 
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
 def pauli_channel(px: float, py: float, pz: float) -> SuperOperator:
     p0 = 1.0 - px - py - pz
     if min(p0, px, py, pz) < -1e-12:
         raise ValidationError("Pauli probabilities must be nonnegative and sum to <= 1")
-    ops = [np.sqrt(max(p, 0.0)) * _PAULI[s]
-           for p, s in zip((p0, px, py, pz), "IXYZ")]
+    ops = [np.sqrt(max(p, 0.0)) * s for p, s in zip((p0, px, py, pz), _PAULIS)]
     return from_kraus(ops, label=f"pauli({px:g},{py:g},{pz:g})")
 
 

@@ -104,24 +104,6 @@ def _load_super(path: str) -> SuperOperator:
     return obj
 
 
-def _parse_pair_spec(spec: str):
-    if spec in ("auto-chi2", "auto-db"):
-        return spec, None
-    if spec.startswith("auto-eq10:"):
-        try:
-            return "auto-eq10", float(spec.split(":", 1)[1])
-        except ValueError:
-            raise ValidationError(f"--pair: cannot parse mu in {spec!r}")
-    parts = spec.split(":")
-    if len(parts) == 2:
-        try:
-            return "user", (float(parts[0]), float(parts[1]))
-        except ValueError:
-            pass
-    raise ValidationError(
-        f"--pair: expected auto-chi2 | auto-db | auto-eq10:MU | K:MU, got {spec!r}")
-
-
 def _resolve_state(spec: str, dim: int) -> DensityMatrix:
     if spec == "maximally-mixed":
         return maximally_mixed(dim)
@@ -244,29 +226,34 @@ def _cmd_compare(args) -> int:
     return _emit(args, doc, "\n".join(lines) + "\n", 1 if violation else 0)
 
 
-def _derive_pair(kind: str, spec: str, t_or_gen, steps: int, t_max: float,
-                 seed: int):
+def _derive_pair(spec: str, obj, steps: int, t_max: float, seed: int):
+    """The convergence pair that ``spec`` names for ``obj``: a generator
+    takes the continuous recipes and horizon, a channel the discrete ones."""
     from .finite_time import (pair_chi2, pair_chi2_generator,
                               pair_detailed_balance,
                               pair_detailed_balance_generator,
                               pair_spectral_eq10, user_pair)
-    mode, extra = _parse_pair_spec(spec)
-    if kind == "discrete":
-        if mode == "auto-chi2":
-            return pair_chi2(t_or_gen, n_check=steps, seed=seed)
-        if mode == "auto-db":
-            return pair_detailed_balance(t_or_gen, n_check=steps, seed=seed)
-        if mode == "auto-eq10":
-            return pair_spectral_eq10(t_or_gen, extra, n_check=steps, seed=seed)
-        return user_pair(extra[0], extra[1], "discrete")
-    if mode == "auto-chi2":
-        return pair_chi2_generator(t_or_gen, t_max=t_max, samples=steps, seed=seed)
-    if mode == "auto-db":
-        return pair_detailed_balance_generator(t_or_gen, t_max=t_max,
-                                               samples=steps, seed=seed)
-    if mode == "auto-eq10":
-        raise ValidationError("--pair auto-eq10 applies to discrete chains only")
-    return user_pair(extra[0], extra[1], "continuous")
+    continuous = isinstance(obj, GeneratorMap)
+    horizon = dict(t_max=t_max, samples=steps) if continuous else dict(n_check=steps)
+    recipes = {"auto-chi2": (pair_chi2, pair_chi2_generator),
+               "auto-db": (pair_detailed_balance,
+                           pair_detailed_balance_generator)}
+    if spec in recipes:
+        return recipes[spec][continuous](obj, seed=seed, **horizon)
+    if spec.startswith("auto-eq10:"):
+        try:
+            mu = float(spec.split(":", 1)[1])
+        except ValueError:
+            raise ValidationError(f"--pair: cannot parse mu in {spec!r}")
+        if continuous:
+            raise ValidationError("--pair auto-eq10 applies to discrete chains only")
+        return pair_spectral_eq10(obj, mu, seed=seed, **horizon)
+    try:
+        K, rate = map(float, spec.split(":"))
+    except ValueError:
+        raise ValidationError(f"--pair: expected auto-chi2 | auto-db | "
+                              f"auto-eq10:MU | K:MU, got {spec!r}")
+    return user_pair(K, rate, "continuous" if continuous else "discrete")
 
 
 def _emit_reports(reports, args, header: dict) -> int:
@@ -297,23 +284,18 @@ def _cmd_trajectory(args) -> int:
     if continuous != isinstance(obj_e, GeneratorMap):
         raise ValidationError(
             "trajectory inputs must both be channels or both generators")
-    dim = obj_t.dim
-    rho0 = _resolve_state(args.state, dim)
+    rho0 = _resolve_state(args.state, obj_t.dim)
+    pair = _derive_pair(args.pair, obj_t, args.steps, args.t_max, args.seed)
     if continuous:
-        pair = _derive_pair("continuous", args.pair, obj_t, args.steps,
-                            args.t_max, args.seed)
         reports = continuous_trajectory_check(
             obj_t, obj_e, rho0, rho0, args.t_max, args.steps, pair,
             restarts=args.restarts, seed=args.seed, strict=False)
     else:
-        pair = _derive_pair("discrete", args.pair, obj_t, args.steps,
-                            args.t_max, args.seed)
         reports = discrete_trajectory_check(
             obj_t, obj_e, rho0, rho0, args.steps, pair,
             restarts=args.restarts, seed=args.seed, strict=False)
-    header = {"command": "trajectory", "mode": "continuous" if continuous
-              else "discrete", "pair": args.pair, "K": _g12(pair.K),
-              "rate": _g12(pair.rate)}
+    header = {"command": "trajectory", "mode": pair.kind, "pair": args.pair,
+              "K": _g12(pair.K), "rate": _g12(pair.rate)}
     return _emit_reports(reports, args, header)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import (SuperOperator, annihilates_trace, choi_matrix,
+from .channels import (_PAULIS, SuperOperator, annihilates_trace, choi_matrix,
                        preserves_hermiticity)
 from .errors import DimensionError, DomainError
 from .linalg import apply_batch, trace_norm_batch
@@ -66,10 +66,6 @@ class ContractionEstimate:
 
 # ---------------------------------------------------------------------------
 # qubit closed forms
-
-
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
-                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
 def _pauli_transfer(ms: np.ndarray) -> np.ndarray:

@@ -175,15 +175,19 @@ def sweep(config: EnsembleConfig, steps: int = 50, restarts: int = 8,
     Per-instance failures become error rows instead of aborting the sweep;
     output order is fixed by instance index, so the result is identical for
     identical configs regardless of any parallel execution of instances.
-    Fewer than 1 restart, and for a continuous sweep fewer than 2 time
-    samples or a horizon that is not finite and nonnegative, raise
-    :class:`DomainError` up front.
+    Fewer than 1 restart, for a continuous sweep fewer than 2 time samples
+    or a horizon that is not finite and nonnegative, and for a discrete
+    sweep Kraus rank 1 (a unitary channel, whose stationary state is never
+    unique) raise :class:`DomainError` up front.
     """
     _require_restarts(restarts)
     if config.mode == "continuous":
         if steps < 2:
             raise DomainError("need at least 2 time samples")
         _require_horizon(t_max)
+    elif config.kraus_rank == 1:
+        raise DomainError("kraus_rank 1 gives a unitary channel, "
+                          "which has no unique stationary state")
     rows: list[BoundReport] = []
     for index in range(config.count):
         try:

@@ -584,6 +584,14 @@ def test_trace_preserving_is_read_only():
         depolarizing_channel(0.5).trace_preserving = False
 
 
+def test_validate_computes_the_tp_residual_once(count_calls):
+    # the verdict and the reported residual read the same cached value
+    residuals = count_calls(vars(SuperOperator)["_tp_residual"], "func")
+    report = validate(depolarizing_channel(0.5), n_samples=4)
+    assert len(residuals) == 1
+    assert report.trace_preserving and report.tp_residual <= 1e-10
+
+
 def test_projector_that_loses_trace_preservation_is_a_numeric_error(monkeypatch):
     # scaling the projector by 1 + 3e-10 passes the 1e-8 idempotence and
     # T o P checks but moves its TP residual to 4.2e-10

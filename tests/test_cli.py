@@ -262,6 +262,20 @@ def test_continuous_ensemble_bad_grid_is_usage_error(capsys, extra, message):
     assert captured.err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_discrete_ensemble_of_kraus_rank_one_is_usage_error(capsys, dim):
+    # a Kraus-rank-1 channel is unitary, so no instance has a unique
+    # stationary state; a continuous sweep ignores the Kraus rank
+    argv = ["ensemble", "--dim", str(dim), "--count", "2", "--steps", "2",
+            "--kraus-rank", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: kraus_rank 1 gives a unitary channel, "
+                            "which has no unique stationary state\n")
+    assert main(argv + ["--mode", "continuous"]) == 0
+
+
 def test_compare_depolarizing_pair(files, capsys):
     code, out = run(["compare", files["depol05"], files["depol06"],
                      "--state", "maximally-mixed", "--restarts", "8",
@@ -749,6 +763,33 @@ def test_non_finite_user_pair_is_usage_error(files, capsys, pair):
     err = capsys.readouterr().err
     assert code == 2
     assert "K must be finite and nonnegative" in err
+
+
+_EXPECTED_PAIR = "expected auto-chi2 | auto-db | auto-eq10:MU | K:MU, got"
+
+
+@pytest.mark.parametrize("t, e", [("depol05", "depol06"), ("gen10", "gen11")],
+                         ids=["discrete", "continuous"])
+@pytest.mark.parametrize("spec, message", [
+    ("auto-eq10:x", "--pair: cannot parse mu in 'auto-eq10:x'"),
+    ("auto-eq10:", "--pair: cannot parse mu in 'auto-eq10:'"),
+    ("auto-eq10", f"--pair: {_EXPECTED_PAIR} 'auto-eq10'"),
+    ("auto-eq10:0.9", "--pair auto-eq10 applies to discrete chains only"),
+    ("1:2:3", f"--pair: {_EXPECTED_PAIR} '1:2:3'"),
+    ("abc", f"--pair: {_EXPECTED_PAIR} 'abc'"),
+    ("0.5", f"--pair: {_EXPECTED_PAIR} '0.5'"),
+    (":", f"--pair: {_EXPECTED_PAIR} ':'"),
+    ("auto-chi2:1", f"--pair: {_EXPECTED_PAIR} 'auto-chi2:1'")])
+def test_malformed_pair_spec_messages(files, capsys, t, e, spec, message):
+    # mu is parsed before the kind of time is checked, so a malformed
+    # auto-eq10 reads the same for channels and generators
+    code = main(["trajectory", files[t], files[e], "--steps", "3",
+                 f"--pair={spec}"])
+    captured = capsys.readouterr()
+    if t == "depol05" and spec == "auto-eq10:0.9":
+        assert (code, captured.err) == (0, "")
+    else:
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("t_max", ["-1", "inf", "nan"])

@@ -211,12 +211,12 @@ def test_qubit_perturbation_shares_closed_form_work(count_calls):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_perturbation_tests_trace_preservation_once_per_map(d, count_calls):
-    # one TP residual each for T1, its projector and Z(T1): reading
-    # trace_preserving again costs nothing
+    # one TP residual computed each for T1, its projector and Z(T1):
+    # reading trace_preserving or tp_residual() again costs nothing
     t1 = random_channel(d, 4, derive_seed(57, d))
     t2 = random_channel(d, 4, derive_seed(58, d))
     rho2 = stationary_of(t2)
-    residuals = count_calls(SuperOperator, "tp_residual")
+    residuals = count_calls(vars(SuperOperator)["_tp_residual"], "func")
     fixed_point_perturbation(t1, t2, rho2, restarts=2, seed=0)
     assert len(residuals) == 3
 
