@@ -26,7 +26,7 @@ _EXPORTS = {
         "depolarizing_generator", "dual", "from_kraus", "from_lindblad",
         "from_stochastic", "generator_exponential", "identity_channel",
         "maximally_mixed", "pauli_channel", "pure_state", "validate"),
-    "contraction": ("ContractionEstimate", "norm_1to1", "tau", "tau_exact_qubit"),
+    "contraction": ("ContractionEstimate", "norm_1to1", "tau"),
     "ensembles": (
         "EnsembleConfig", "perturb_channel", "perturb_generator",
         "random_channel", "random_density", "random_generator", "sweep"),
@@ -40,8 +40,7 @@ _EXPORTS = {
     "linalg": ("matrix_exp", "trace_norm", "unvec", "vec"),
     "spectral": (
         "MinimalPolynomial", "SpectralData", "fixed_point_analysis",
-        "fixed_point_projector", "fundamental_map", "minimal_polynomial",
-        "spectral_quantities"),
+        "fundamental_map", "minimal_polynomial", "spectral_quantities"),
     "stability": (
         "ConditionReport", "PerturbationOutcome", "condition_numbers",
         "fixed_point_perturbation"),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError, ValidationError
 from .linalg import (apply_batch, as_matrix, dagger, matrix_exp,
-                     sandwich_matrix, spectral_norm, trace_norm, unvec, vec)
+                     sandwich_matrix, spectral_norm, trace_norm, vec)
 from .rng import SplitMix64
 
 DEFAULT_POSITIVITY_SAMPLES = 1000
@@ -47,15 +47,12 @@ class SuperOperator:
                 f"expected {self.dim ** 2}x{self.dim ** 2} for dim={self.dim}")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Apply the map to a d x d matrix."""
+        """Apply the map to a d x d matrix: check the input, then
+        :func:`~qms.linalg.apply_batch`."""
         x = as_matrix(x, square=True, name="channel input")
         if x.shape[0] != self.dim:
             raise DimensionError(f"input is {x.shape[0]}x{x.shape[1]}, map has dim {self.dim}")
-        return unvec(self.matrix @ vec(x), self.dim)
-
-    def apply_batch(self, mats: np.ndarray) -> np.ndarray:
-        """Apply the map to a stack of matrices, shape (n, d, d) -> (n, d, d)."""
-        return apply_batch(self.matrix, mats)
+        return apply_batch(self.matrix, x)
 
     def tp_residual(self) -> float:
         """|| vec(I)^dag M - vec(I)^dag ||_2 (zero iff trace-preserving),
@@ -343,7 +340,7 @@ def validate(t: SuperOperator, n_samples: int = DEFAULT_POSITIVITY_SAMPLES,
     states = gen.complex_normals((n_samples, d))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     projectors = states[:, :, None] * states.conj()[:, None, :]
-    images = t.apply_batch(projectors)
+    images = apply_batch(t.matrix, projectors)
     adjoints = images.conj().transpose(0, 2, 1)
     anti = np.linalg.norm(images - adjoints, axis=(1, 2)) / 2
     min_eigs = np.linalg.eigvalsh((images + adjoints) / 2)[:, 0]

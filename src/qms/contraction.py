@@ -28,7 +28,7 @@ import numpy as np
 
 from .channels import (_PAULIS, SuperOperator, annihilates_trace, choi_matrix,
                        preserves_hermiticity)
-from .errors import DimensionError, DomainError
+from .errors import DomainError
 from .linalg import apply_batch, trace_norm_batch
 from .rng import DEFAULT_RESTARTS, SplitMix64, derive_seed
 
@@ -83,32 +83,20 @@ def _bloch_eigenvectors(n: np.ndarray) -> tuple:
     return evecs[..., 1], evecs[..., 0]
 
 
-def tau_exact_qubit(t: SuperOperator) -> ContractionEstimate:
-    """Contraction coefficient of a Hermiticity-preserving qubit map, exactly.
+def _tau_qubit(r: np.ndarray) -> list:
+    """Contraction coefficients of Hermiticity-preserving qubit maps,
+    exactly, from their real Pauli transfer matrices, the stack ``r``.
 
-    With the Pauli transfer matrix R_ij = tr[sigma_i T(sigma_j)] / 2, an
-    input b.sigma maps to a I + c.sigma with a = R[0,1:] b and
-    c = R[1:,1:] b, and ||a I + c.sigma||_1 = 2 max(|a|, |c|), so
+    With R_ij = tr[sigma_i T(sigma_j)] / 2, an input b.sigma maps to
+    a I + c.sigma with a = R[0,1:] b and c = R[1:,1:] b, and
+    ||a I + c.sigma||_1 = 2 max(|a|, |c|), so
 
         tau(T) = max(||R[0,1:]||_2, ||R[1:,1:]||_op).
 
     The witness (phi, psi) is the eigenvector pair of n.sigma for the
-    maximizing Bloch direction n.
+    maximizing Bloch direction n.  One SVD of the blocks R[1:,1:] serves
+    the stack, and one eigh its witnesses.
     """
-    if t.dim != 2:
-        raise DimensionError(f"qubit closed form requires dim 2, got {t.dim}")
-    ok, res = preserves_hermiticity(t, choi_matrix(t))
-    if not ok:
-        raise DomainError(
-            "tau_exact_qubit: the qubit closed form needs a Hermiticity-preserving "
-            f"map (residual {res:.3g})")
-    return _tau_qubit(_pauli_transfer(t.matrix[None]))[0]
-
-
-def _tau_qubit(r: np.ndarray) -> list:
-    """:func:`tau_exact_qubit` for each real Pauli transfer matrix of the
-    stack ``r``, from one SVD of the blocks R[1:,1:] and one eigh for the
-    witnesses."""
     a = r[:, 0, 1:]
     # the norm of each row as np.linalg.norm takes it, sqrt(a . a)
     shift = np.sqrt((a[:, None] @ a[:, :, None])[:, 0, 0])
@@ -474,7 +462,7 @@ def tau(t: SuperOperator, restarts: int = DEFAULT_RESTARTS,
     (phi phi^dag - psi psi^dag)/2 with phi orthogonal to psi, for every
     linear map, so tau(L) is half the maximal output distance over
     orthogonal pure-state pairs.  Hermiticity-preserving qubit maps take
-    the closed form of :func:`tau_exact_qubit` (method ``analytic``).
+    the closed form of :func:`_tau_qubit` (method ``analytic``).
     Otherwise ``restarts`` independent power-method ascents run over the
     pairs, as the rows of a batch of one (:func:`_power_ascent`; restart r
     is seeded with derive_seed(seed, r), so prefixes of the restart stream

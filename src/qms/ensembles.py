@@ -128,27 +128,22 @@ def _discrete_instance(config: EnsembleConfig, index: int, steps: int,
     seed = derive_seed(config.master_seed, index)
     t = random_channel(config.dim, config.kraus_rank, derive_seed(seed, 1))
     t2 = perturb_channel(t, config.perturbation_eps, derive_seed(seed, 2))
-    rows = []
-
     rho2 = fixed_point_analysis(t2).limit_state(
         random_density(config.dim, derive_seed(seed, 3)).matrix)
     outcome = fixed_point_perturbation(t, t2, rho2, restarts=restarts,
                                        seed=derive_seed(seed, 4))
-    rows.append(BoundReport(
+    row = BoundReport(
         n_or_t=math.nan, exact=outcome.actual_distance,
         bound=outcome.bound_value,
         slack=outcome.bound_value - outcome.actual_distance,
-        regime="fixed_point", kappa_variant="tau_z", instance=index))
+        regime="fixed_point", kappa_variant="tau_z")
 
     pair = pair_chi2(t, n_check=steps, seed=derive_seed(seed, 5))
     rho0 = random_density(config.dim, derive_seed(seed, 6))
-    reports = discrete_trajectory_check(t, t2, rho0, rho0, steps, pair,
-                                        restarts=restarts,
-                                        seed=derive_seed(seed, 7), strict=False)
-    for r in reports:
-        r.instance = index
-    rows.extend(reports)
-    return rows
+    return [row] + discrete_trajectory_check(t, t2, rho0, rho0, steps, pair,
+                                             restarts=restarts,
+                                             seed=derive_seed(seed, 7),
+                                             strict=False)
 
 
 def _continuous_instance(config: EnsembleConfig, index: int, steps: int,
@@ -160,12 +155,9 @@ def _continuous_instance(config: EnsembleConfig, index: int, steps: int,
     pair = pair_chi2_generator(gen_t, t_max=t_max, samples=steps,
                                seed=derive_seed(seed, 5))
     rho0 = random_density(config.dim, derive_seed(seed, 6))
-    reports = continuous_trajectory_check(gen_t, gen_e, rho0, rho0, t_max,
-                                          steps, pair, restarts=restarts,
-                                          seed=derive_seed(seed, 7), strict=False)
-    for r in reports:
-        r.instance = index
-    return reports
+    return continuous_trajectory_check(gen_t, gen_e, rho0, rho0, t_max, steps,
+                                       pair, restarts=restarts,
+                                       seed=derive_seed(seed, 7), strict=False)
 
 
 def sweep(config: EnsembleConfig, steps: int = 50, restarts: int = 8,
@@ -192,13 +184,16 @@ def sweep(config: EnsembleConfig, steps: int = 50, restarts: int = 8,
     for index in range(config.count):
         try:
             if config.mode == "discrete":
-                rows.extend(_discrete_instance(config, index, steps, restarts))
+                records = _discrete_instance(config, index, steps, restarts)
             else:
-                rows.extend(_continuous_instance(config, index, steps,
-                                                 restarts, t_max))
+                records = _continuous_instance(config, index, steps,
+                                               restarts, t_max)
         except QmsError as exc:
-            rows.append(BoundReport(
+            records = [BoundReport(
                 n_or_t=math.nan, exact=math.nan, bound=math.nan,
-                slack=math.nan, regime="error", instance=index,
-                error=f"{type(exc).__name__}: {exc}"))
+                slack=math.nan, regime="error",
+                error=f"{type(exc).__name__}: {exc}")]
+        for row in records:
+            row.instance = index
+        rows.extend(records)
     return rows

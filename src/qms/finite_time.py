@@ -31,9 +31,9 @@ from .channels import DensityMatrix, GeneratorMap, SuperOperator, basis_state
 from .contraction import norm_1to1, norm_lower_bound_probes, probe_inputs
 from .errors import (BoundViolationError, DomainError, HypothesisError,
                      ValidationError)
-from .linalg import (dagger, matrix_exp, sandwich_matrix, spectral_norm,
-                     trace_norm, trace_norm_batch, vec)
-from .spectral import delta_map, fixed_point_analysis, minimal_polynomial
+from .linalg import (apply_batch, dagger, matrix_exp, sandwich_matrix,
+                     spectral_norm, trace_norm, trace_norm_batch, vec)
+from .spectral import fixed_point_analysis, minimal_polynomial
 
 RECIPES = ("user_supplied", "chi2", "detailed_balance", "spectral_eq10")
 
@@ -198,7 +198,12 @@ def discrete_bound(pair: ConvergencePair, n: int, d0: float, dT: float) -> Finit
 
 
 def asymptotic_discrete(pair: ConvergencePair, dT: float) -> float:
-    """(n_hat + 1/(1-mu)) ||E - T||_{1->1}, the asymptotic displacement bound."""
+    """(n_hat + 1/(1-mu)) ||E - T||_{1->1}, the paper-style asymptotic bound.
+
+    It dominates the n -> infinity limit (n_hat + K mu^n_hat/(1-mu)) ||E - T||
+    of :func:`discrete_bound` by (1 - K mu^n_hat)/(1-mu) ||E - T||, so it
+    equals the limit only when K mu^n_hat = 1; the gap is below ||E - T||
+    for K > 1 and can exceed it for K < 1."""
     if pair.kind != "discrete":
         raise DomainError("asymptotic_discrete requires a discrete pair")
     if dT < 0:
@@ -368,14 +373,17 @@ def pair_spectral_eq10(t: SuperOperator, mu: float,
 
     (circle-supremum form) or with the per-root relaxation
     prod (1 - mu |l_i|)/(mu - |l_i|); the trailing mu^{n+1} is absorbed as
-    K <- prefactor * mu so the pair certifies K mu^n.  The smaller (circle)
-    value is used; both are recorded.  A root whose largest Jordan block
-    has size b enters both products b times.
+    K <- prefactor * mu so the pair certifies K mu^n.  K is the minimum of
+    the two, both recorded.  The relaxation multiplies the peaks of the
+    factors on |z| = mu and the grid under-estimates the supremum, so the
+    circle value never exceeds it beyond roundoff; with all roots on one ray
+    from 0 the two tie, and the minimum takes whichever rounds lower.  A
+    root whose largest Jordan block has size b enters both products b times.
     """
     if not 0.0 < mu < 1.0:
         raise DomainError(f"mu must lie in (0, 1), got {mu}")
-    delta = delta_map(t)
-    minpoly = minimal_polynomial(delta)
+    minpoly = minimal_polynomial(SuperOperator(
+        t.dim, t.matrix - fixed_point_analysis(t).projector.matrix))
     roots = minpoly.distinct_roots
     radius = float(np.abs(roots).max())
     if radius >= mu - 1e-12:
@@ -501,9 +509,7 @@ def _powers(m: np.ndarray, count: int):
 def _probe_bounds(count: int, m: np.ndarray, p_inf: np.ndarray,
                   probes: np.ndarray) -> np.ndarray:
     """Probe lower bounds of ||M^k - P_inf|| for k < ``count``, one
-    trace-norm batch per stack of :func:`_powers` (powers by doubling, one
-    stacked product per chunk, equal to a step-by-step evaluation up to
-    roundoff)."""
+    trace-norm batch per stack of :func:`_powers`."""
     return np.concatenate([norm_lower_bound_probes(block - p_inf, probes)
                            for block in _powers(m, count)])
 
@@ -592,18 +598,14 @@ def _require_usable(pair: ConvergencePair):
 def _simulate(step_t: np.ndarray, step_e: np.ndarray, rho0: DensityMatrix,
               sigma0: DensityMatrix, count: int):
     """sigma_i and the exact ||rho_i - sigma_i||_1 for i < count, where
-    rho_i = step_t^i rho_0 and sigma_i = step_e^i sigma_0, from the powers
-    of :func:`_powers` (by doubling, one stacked product per chunk, equal to
-    a step-by-step evaluation up to roundoff)."""
-    def evolve(step, v):
-        return np.concatenate([block @ v for block in _powers(step, count)])
+    rho_i = step_t^i rho_0 and sigma_i = step_e^i sigma_0, each stack of
+    :func:`_powers` applied to the initial state in one product."""
+    def evolve(step, state):
+        return np.concatenate([apply_batch(block, state.matrix)
+                               for block in _powers(step, count)])
 
-    d = rho0.dim
-    rho_vs = evolve(step_t, vec(rho0.matrix))
-    sigma_vs = evolve(step_e, vec(sigma0.matrix))
-    sigma_mats = sigma_vs.reshape(count, d, d).transpose(0, 2, 1)
-    diff_mats = (rho_vs - sigma_vs).reshape(count, d, d).transpose(0, 2, 1)
-    return sigma_mats, trace_norm_batch(diff_mats)
+    sigma_mats = evolve(step_e, sigma0)
+    return sigma_mats, trace_norm_batch(evolve(step_t, rho0) - sigma_mats)
 
 
 def _perturbation_norm(m_t: np.ndarray, m_e: np.ndarray, inputs: np.ndarray,

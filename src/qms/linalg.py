@@ -6,9 +6,11 @@ Vectorization uses the column-stacking convention throughout the package:
     np.kron(A.T, B) @ vec(X) == vec(B @ X @ A)
 
 holds exactly.  Every superoperator matrix in this package is written in
-this convention; it is fixed here and nowhere else, and
+this convention; it is fixed here and nowhere else.
 :func:`sandwich_matrix` is the package's only assembly of such a matrix
 from operators: the map X -> A X B has matrix ``np.kron(B.T, A)``.
+:func:`apply_batch` is the package's only application of such a matrix,
+or of a stack of them, to a single matrix or to a stack.
 
 Everything here is numpy: LAPACK through ``np.linalg``, and the matrix
 exponential by Pade scaling and squaring on top of it.
@@ -84,8 +86,9 @@ def sandwich_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def apply_batch(m: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Apply the superoperator matrix ``m`` to a stack of matrices, shape
-    (..., d, d) -> (..., d, d); the package's only batched application.
+    """Apply the superoperator matrix ``m`` to a matrix or a stack of them,
+    shape (..., d, d) -> (..., d, d); on one matrix it is ``unvec(m @
+    vec(mats))`` bit for bit, as numpy runs the same matrix-vector product.
 
     A stack of superoperator matrices, shape (c, d^2, d^2), applies each
     to every matrix, giving (c, n, d, d) in one matmul; each slice is the

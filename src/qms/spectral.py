@@ -13,7 +13,8 @@ most recently used maps: a caller holding many analysed maps pays a fixed
 amount of memory for it, and a map that has dropped out is analysed again
 on its next use.  This relies on a ``SuperOperator`` not being mutated
 after construction.  A failed analysis raises and is not stored.
-:meth:`FixedPointAnalysis.limit_state` is the one way to a stationary state.
+``FixedPointAnalysis.projector`` is the package's one T^inf, and
+:meth:`FixedPointAnalysis.limit_state` the one way to a stationary state.
 """
 
 from __future__ import annotations
@@ -57,11 +58,6 @@ class SpectralData:
     subdominant_modulus: float
     peripheral_count: int
     one_group_multiplicity: int
-
-    @property
-    def nonunit_eigenvalues(self) -> np.ndarray:
-        w = self.eigenvalues
-        return w[np.abs(w - 1.0) > TOL_FIX]
 
 
 @dataclass
@@ -237,16 +233,6 @@ def _analyse(t: SuperOperator) -> FixedPointAnalysis:
         cesaro_checked=cesaro_checked, spectral=spec,
         cesaro_residual=cesaro_residual,
         projector_residuals=projector_residuals, notes=notes)
-
-
-def fixed_point_projector(t: SuperOperator) -> SuperOperator:
-    """The projector T^infinity onto the fixed space (Cesaro limit of powers)."""
-    return fixed_point_analysis(t).projector
-
-
-def delta_map(t: SuperOperator) -> SuperOperator:
-    """T - T^infinity as a superoperator."""
-    return SuperOperator(t.dim, t.matrix - fixed_point_projector(t).matrix)
 
 
 def fundamental_map(t: SuperOperator,

@@ -27,7 +27,6 @@ import numpy as np
 from .channels import DensityMatrix, SuperOperator, check_stationary
 from .contraction import DEFAULT_RESTARTS, ContractionEstimate, estimate_batch
 from .errors import DimensionError
-from .linalg import unvec, vec
 from .spectral import fixed_point_analysis, fundamental_map
 
 # 2 (5 pi / 3 + 2 sqrt(2)); multiplied by d^3 in the spectral upper bound.
@@ -170,12 +169,12 @@ def fixed_point_perturbation(t1: SuperOperator, t2: SuperOperator,
     rho1 = analysis1.limit_state(rho2.matrix)
 
     diff = rho1.matrix - rho2.matrix
-    dmat = t1.matrix - t2.matrix
-    dop = SuperOperator(t1.dim, dmat)
+    dop = SuperOperator(t1.dim, t1.matrix - t2.matrix)
+    image = dop.apply(rho2.matrix)
     # the three trace norms from one SVD
-    actual, identity_residual, at_rho2 = np.linalg.svd(np.stack([
-        diff, diff - unvec(z1.matrix @ (dmat @ vec(rho2.matrix)), t1.dim),
-        dop.apply(rho2.matrix)]), compute_uv=False).sum(axis=-1).tolist()
+    actual, identity_residual, at_rho2 = np.linalg.svd(
+        np.stack([diff, diff - z1.apply(image), image]),
+        compute_uv=False).sum(axis=-1).tolist()
     kappa_tau_z, tau_t, hermitian, general = estimate_batch(
         [(z1, "tau"), (t1, "tau"), (dop, "hermitian"), (dop, "general")],
         restarts, seed)

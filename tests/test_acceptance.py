@@ -13,7 +13,7 @@ import pytest
 from qms.channels import (DensityMatrix, SuperOperator, basis_state,
                           depolarizing_channel, depolarizing_generator,
                           from_stochastic, identity_channel, pauli_channel)
-from qms.contraction import norm_1to1, tau_exact_qubit
+from qms.contraction import norm_1to1, tau
 from qms.ensembles import (perturb_channel, perturb_generator, random_channel,
                            random_density, random_generator)
 from qms.errors import DomainError, IllConditionedStructureError
@@ -40,6 +40,13 @@ def stationary_from(analysis, d, seed):
     m = analysis.projector.apply(random_density(d, seed).matrix)
     m = (m + dagger(m)) / 2
     return DensityMatrix(d, m / np.trace(m).real)
+
+
+def exact_qubit_tau(t):
+    """tau of a Hermiticity-preserving qubit map, from its closed form."""
+    est = tau(t)
+    assert est.method == "analytic"
+    return est.value
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +103,7 @@ def qubit_ensemble():
         analysis2 = fixed_point_analysis(t2)
         rho2 = stationary_from(analysis2, 2, derive_seed(seed, 3))
         z1 = fundamental_map(t1, analysis1)
-        tau_z = tau_exact_qubit(z1).value
-        tau_t = tau_exact_qubit(t1).value
+        tau_z, tau_t = exact_qubit_tau(z1), exact_qubit_tau(t1)
         spec1 = spectral_quantities(t1)
         rho1 = analysis1.projector.apply(rho2.matrix)
         actual = trace_norm(rho1 - rho2.matrix)
@@ -120,7 +126,7 @@ def test_criterion_2_main_inequality(qubit_ensemble):
     t1 = depolarizing_channel(0.5)
     rho2 = basis_state(2, 0)
     z1 = fundamental_map(t1)
-    tz = tau_exact_qubit(z1).value
+    tz = exact_qubit_tau(z1)
     dop = SuperOperator(2, t1.matrix - identity_channel(2).matrix)
     nrm = max(norm_1to1(dop, restarts=8, seed=0).value,
               trace_norm(dop.apply(rho2.matrix)))
@@ -142,7 +148,7 @@ def test_criterion_3_contraction_bound(qubit_ensemble):
         worst = min(worst, 1.0 / (1.0 - c.tau_t) - c.tau_z)
     eq_worst = 0.0
     for p in (0.2, 0.5, 0.8):
-        rep_tau_z = tau_exact_qubit(fundamental_map(depolarizing_channel(p))).value
+        rep_tau_z = exact_qubit_tau(fundamental_map(depolarizing_channel(p)))
         eq_worst = max(eq_worst, abs(rep_tau_z - 1.0 / p))
     report(3, "contraction bound on the condition number",
            used >= 900 and worst >= -1e-4 and eq_worst <= 1e-6,
@@ -159,7 +165,7 @@ def test_criterion_4_spectral_sandwich(qubit_ensemble):
         worst_lo = min(worst_lo, c.tau_z + 1e-4 - 1.0 / c.min_dist)
         worst_hi = min(worst_hi,
                        SPECTRAL_UPPER_COEFF * 8 / c.min_dist - c.tau_z)
-    tz = tau_exact_qubit(fundamental_map(depolarizing_channel(0.5))).value
+    tz = exact_qubit_tau(fundamental_map(depolarizing_channel(0.5)))
     upper = SPECTRAL_UPPER_COEFF * 8 / 0.5
     fixture_ok = abs(tz - 2.0) <= 1e-6 and abs(upper - 258.0612761833) / 258.06 <= 1e-4
     report(4, "spectral sandwich", worst_lo >= 0 and worst_hi >= 0 and fixture_ok,

@@ -477,16 +477,16 @@ def test_public_namespace_is_pinned():
         "continuous_bound", "continuous_trajectory_check",
         "depolarizing_channel", "depolarizing_generator", "discrete_bound",
         "discrete_trajectory_check", "dual", "fixed_point_analysis",
-        "fixed_point_perturbation", "fixed_point_projector", "from_kraus",
-        "from_lindblad", "from_stochastic", "fundamental_map",
-        "generator_exponential", "identity_channel", "matrix_exp",
-        "maximally_mixed", "minimal_polynomial", "n_hat", "norm_1to1",
-        "pair_chi2", "pair_chi2_generator", "pair_detailed_balance",
+        "fixed_point_perturbation", "from_kraus", "from_lindblad",
+        "from_stochastic", "fundamental_map", "generator_exponential",
+        "identity_channel", "matrix_exp", "maximally_mixed",
+        "minimal_polynomial", "n_hat", "norm_1to1", "pair_chi2",
+        "pair_chi2_generator", "pair_detailed_balance",
         "pair_detailed_balance_generator", "pair_spectral_eq10",
         "pauli_channel", "perturb_channel", "perturb_generator", "pure_state",
         "random_channel", "random_density", "random_generator",
-        "spectral_quantities", "sweep", "t_hat", "tau", "tau_exact_qubit",
-        "trace_norm", "unvec", "user_pair", "validate", "vec"]
+        "spectral_quantities", "sweep", "t_hat", "tau", "trace_norm", "unvec",
+        "user_pair", "validate", "vec"]
     for name in qms.__all__:
         assert hasattr(qms, name), name
 
@@ -530,7 +530,7 @@ def _maps_from_every_constructor():
     """(name, map, expected TP verdict) for each way a SuperOperator is made."""
     from qms.ensembles import perturb_channel, random_channel
     from qms.serialize import channel_from_dict
-    from qms.spectral import fixed_point_projector, fundamental_map
+    from qms.spectral import fixed_point_analysis, fundamental_map
 
     gen = SplitMix64(47)
     iso = np.linalg.qr(gen.complex_normals((6, 3)))[0]
@@ -565,7 +565,7 @@ def _maps_from_every_constructor():
             {"dim": 2, "representation": "superoperator",
              "data": _complex_lists(amp.matrix)}), True),
         ("fundamental_map", fundamental_map(rc), True),
-        ("fixed_point_projector", fixed_point_projector(rc), True),
+        ("fixed_point_projector", fixed_point_analysis(rc).projector, True),
     ]
 
 

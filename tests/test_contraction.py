@@ -12,9 +12,8 @@ from qms.ensembles import perturb_channel, perturb_generator, random_generator
 from qms.contraction import (_ASCENTS, PROBE_DRAWS, _extrapolate,
                              _ortho_input, _ortho_start, _run_multistart,
                              _unit_vectors, estimate_batch, norm_1to1,
-                             norm_lower_bound_probes, probe_inputs, tau,
-                             tau_exact_qubit)
-from qms.errors import DimensionError, DomainError
+                             norm_lower_bound_probes, probe_inputs, tau)
+from qms.errors import DomainError
 from qms.linalg import apply_batch, trace_norm, vec
 from qms.rng import SplitMix64, derive_seed
 from qms.spectral import fundamental_map
@@ -47,14 +46,14 @@ def fibonacci_sphere(n):
 
 def bloch_objective(t, dirs):
     """(1/2) ||T(n.sigma)||_1 for an (N, 3) stack of unit Bloch vectors n."""
-    images = t.apply_batch(np.einsum("ni,ijk->njk", dirs, PAULIS[1:]))
+    images = apply_batch(t.matrix, np.einsum("ni,ijk->njk", dirs, PAULIS[1:]))
     return 0.5 * np.linalg.svd(images, compute_uv=False).sum(axis=1)
 
 
 def pure_state_objective(t, dirs):
     """||T((I + n.sigma)/2)||_1, the image of the pure state with Bloch vector n."""
     states = 0.5 * (PAULIS[0] + np.einsum("ni,ijk->njk", dirs, PAULIS[1:]))
-    return np.linalg.svd(t.apply_batch(states), compute_uv=False).sum(axis=1)
+    return np.linalg.svd(apply_batch(t.matrix, states), compute_uv=False).sum(axis=1)
 
 
 def grid_oracle(t, objective=bloch_objective, n=4000, seeds=4, disk=64, rounds=16):
@@ -202,14 +201,17 @@ def test_tau_depolarizing_closed_form():
 
 def test_tau_qubit_grid_identity():
     t = from_kraus([np.eye(2)])
-    est = tau_exact_qubit(t)
+    est = tau(t)
+    assert est.method == "analytic"
     assert est.value == pytest.approx(1.0, abs=1e-12)
     assert grid_oracle(t) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tau_qubit_grid_depolarizing():
     t = depolarizing_channel(0.25)
-    assert tau_exact_qubit(t).value == pytest.approx(0.75, abs=1e-12)
+    est = tau(t)
+    assert est.method == "analytic"
+    assert est.value == pytest.approx(0.75, abs=1e-12)
     assert grid_oracle(t) == pytest.approx(0.75, abs=1e-9)
 
 
@@ -218,8 +220,9 @@ def test_tau_qubit_grid_uniform_stochastic():
     # contraction coefficient vanishes; the closed form, the grid oracle and
     # the multistart path at higher restart count must agree
     t = from_stochastic([[0.5, 0.5], [0.5, 0.5]])
-    closed = tau_exact_qubit(t)
+    closed = tau(t)
     multi = ascent(t, "tau", restarts=32, seed=3)
+    assert closed.method == "analytic"
     assert closed.value <= 1e-9
     assert grid_oracle(t) <= 1e-9
     assert abs(closed.value - multi.value) <= 1e-6
@@ -229,7 +232,8 @@ def test_tau_exact_qubit_matches_grid_oracle():
     maps = oracle_maps()
     assert len(maps) >= 300
     for t in maps:
-        est = tau_exact_qubit(t)
+        est = tau(t)
+        assert est.method == "analytic"
         grid = grid_oracle(t)
         assert est.value >= grid - 1e-12
         assert est.value - grid <= 1e-6
@@ -246,20 +250,9 @@ def test_tau_exact_qubit_pauli_transfer_closed_form():
                   [0.0, 0.0, -0.2, 0.1], [0.0, 0.1, 0.0, 0.4]])
     expected = max(np.linalg.norm(r[0, 1:]), np.linalg.norm(r[1:, 1:], 2))
     assert expected == pytest.approx(np.linalg.norm(r[0, 1:]))
-    est = tau_exact_qubit(from_pauli_transfer(r))
+    est = tau(from_pauli_transfer(r))
+    assert est.method == "analytic"
     assert est.value == pytest.approx(expected, rel=1e-12)
-
-
-def test_tau_exact_qubit_requires_hermiticity_preservation():
-    m = np.eye(4, dtype=complex)
-    m[0, 1] = 0.5
-    with pytest.raises(DomainError):
-        tau_exact_qubit(SuperOperator(2, m))
-
-
-def test_tau_qubit_grid_rejects_other_dims():
-    with pytest.raises(DimensionError):
-        tau_exact_qubit(random_channel(3, 9, seed=1))
 
 
 def test_hermitian_norm_qubit_is_exact():
@@ -517,8 +510,6 @@ def test_tau_requires_hermiticity_preservation():
     m = np.eye(4, dtype=complex)
     m[0, 1] = 0.5  # mixes coherences into populations asymmetrically
     bad = SuperOperator(2, m)
-    with pytest.raises(DomainError):
-        tau_exact_qubit(bad)
     est = tau(bad, restarts=8, seed=0)
     assert est.method == "multistart_manifold"
     assert est.value == ascent(bad, "tau", restarts=8, seed=0).value
@@ -635,9 +626,10 @@ def test_traceless_ascent_matches_qubit_closed_form():
         for i in range(10):
             t = random_channel(2, rank, derive_seed(2000 + rank, i))
             est = ascent(t, "tau", restarts=8, seed=i)
+            closed = tau(t)
             assert est.method == "multistart_manifold"
-            assert est.value == pytest.approx(tau_exact_qubit(t).value,
-                                              rel=1e-10, abs=1e-10)
+            assert closed.method == "analytic"
+            assert est.value == pytest.approx(closed.value, rel=1e-10, abs=1e-10)
 
 
 @pytest.mark.parametrize("hermitian_only", [False, True])
@@ -672,7 +664,8 @@ def test_ascent_evaluations_are_deterministic():
         assert first.evaluations > 8
         assert first.evaluations == second.evaluations
         assert "evaluations" not in first.to_dict()
-    assert tau_exact_qubit(depolarizing_channel(0.5)).evaluations == 0
+    closed = tau(depolarizing_channel(0.5))
+    assert closed.method == "analytic" and closed.evaluations == 0
 
 
 def test_accelerated_ascent_saves_a_quarter_of_the_evaluations():
@@ -702,7 +695,8 @@ def test_converged_counts_the_restarts_that_met_the_stopping_rule():
     assert est.converged == est.restarts == 4
     assert list(est.to_dict()) == ["value", "method", "restarts",
                                    "convergence_spread"]
-    assert tau_exact_qubit(depolarizing_channel(0.5)).converged == 0
+    closed = tau(depolarizing_channel(0.5))
+    assert closed.method == "analytic" and closed.converged == 0
 
 
 def test_tau_and_hermitian_rows_share_one_eigh_per_projection(count_linalg):

@@ -105,6 +105,24 @@ def test_asymptotic_dominates_limit_in_general():
         assert asymptotic_discrete(pair, 0.1) >= limit - 1e-12
 
 
+@pytest.mark.parametrize("K, mu, gap", [(2.0, 0.9, 0.434), (5.0, 0.5, 0.75),
+                                        (1.0, 0.5, 0.0), (4.0, 0.5, 0.0),
+                                        (0.5, 0.9, 5.0)])
+def test_asymptotic_exceeds_limit_by_the_crossover_gap(K, mu, gap):
+    # the corollary (n_hat + 1/(1 - mu)) dT is looser than the n -> infinity
+    # limit (n_hat + K mu^n_hat/(1 - mu)) dT by (1 - K mu^n_hat)/(1 - mu) dT
+    pair = user_pair(K, mu)
+    nh = n_hat(K, mu)
+    for dT in (0.1, 1.0):
+        limit = discrete_bound(pair, 10_000, 0.0, dT).bound_value
+        excess = asymptotic_discrete(pair, dT) - limit
+        assert excess == pytest.approx((1.0 - K * mu ** nh) / (1.0 - mu) * dT,
+                                       abs=1e-12)
+        assert excess == pytest.approx(gap * dT, abs=5e-4 * dT)
+        if K > 1.0:
+            assert -1e-12 <= excess < dT
+
+
 def test_discrete_bound_monotone_in_k_and_mu():
     base = discrete_bound(user_pair(2.0, 0.5), 7, 0.4, 0.05).bound_value
     for K in (2.5, 3.0, 4.0):
@@ -271,6 +289,27 @@ def test_pair_spectral_eq10_random_diagonalizable():
         assert pair.valid and pair.validity_checked_to >= 100
         count += 1
     assert count >= 10
+
+
+def test_pair_spectral_eq10_circle_never_exceeds_product():
+    # each Blaschke factor peaks on |z| = mu at (1 - mu|l|)/(mu - |l|), and
+    # the grid can only under-estimate the supremum, so k_circle <= k_product
+    # up to roundoff; when all roots lie on one ray from 0 the two tie, and
+    # K = min takes whichever rounds lower
+    from qms.rng import SplitMix64
+    maps = [random_channel(d, r, derive_seed(510 + 10 * d + r, s))
+            for d in (2, 3) for r in (2, d * d) for s in range(6)]
+    for s in range(16):
+        rows = SplitMix64(derive_seed(520, s)).normals(9).reshape(3, 3) ** 2
+        maps.append(from_stochastic(rows / rows.sum(axis=1, keepdims=True)))
+    maps.append(from_stochastic([[0.5, 0.3, 0.2], [0.1, 0.8, 0.1],
+                                 [0.3, 0.3, 0.4]]))
+    for t in maps:
+        sub = spectral_quantities(t).subdominant_modulus
+        pair = pair_spectral_eq10(t, (1.0 + sub) / 2.0, n_check=0)
+        k_circle, k_product = pair.details["k_circle"], pair.details["k_product"]
+        assert k_circle <= k_product * (1.0 + 1e-12)
+        assert pair.K == min(k_circle, k_product)
 
 
 def test_validation_poisons_undersized_k():

@@ -25,7 +25,15 @@ def test_apply_batch_over_a_stack_of_maps(d):
     for m, images in zip(maps, stacked):
         single = apply_batch(m, mats)
         assert np.abs(images - single).max() <= 1e-15 * np.abs(single).max()
-        assert np.allclose(single[2], unvec(m @ vec(mats[2]), d))
+        # one map on one matrix is the matrix-vector product, bit for bit
+        for x in mats:
+            assert np.array_equal(apply_batch(m, x), unvec(m @ vec(x), d))
+    # so is a stack of powers on one matrix, as a trajectory evolves a state
+    blocks = np.stack([np.linalg.matrix_power(maps[0], k) for k in range(5)])
+    for x in mats:
+        assert np.array_equal(
+            apply_batch(blocks, x),
+            (blocks @ vec(x)).reshape(5, d, d).transpose(0, 2, 1))
 
 
 def test_trace_norm_identity():

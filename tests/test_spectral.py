@@ -10,9 +10,8 @@ from qms.errors import (DomainError, IllConditionedStructureError,
                         SpectralResolutionError)
 from qms.linalg import matrix_exp, spectral_norm, vec
 from qms.rng import SplitMix64, derive_seed
-from qms.spectral import (delta_map, fixed_point_analysis, fixed_point_projector,
-                          fundamental_map, minimal_polynomial,
-                          spectral_quantities)
+from qms.spectral import (TOL_FIX, fixed_point_analysis, fundamental_map,
+                          minimal_polynomial, spectral_quantities)
 
 
 def random_channel(d, rank, seed):
@@ -21,7 +20,7 @@ def random_channel(d, rank, seed):
 
 
 def test_projector_depolarizing_is_rank_one():
-    p = fixed_point_projector(depolarizing_channel(0.3))
+    p = fixed_point_analysis(depolarizing_channel(0.3)).projector
     assert np.linalg.matrix_rank(p.matrix) == 1
     for seed in range(3):
         g = SplitMix64(seed).complex_normals((2, 2))
@@ -29,7 +28,7 @@ def test_projector_depolarizing_is_rank_one():
 
 
 def test_projector_identity_channel():
-    p = fixed_point_projector(identity_channel(2))
+    p = fixed_point_analysis(identity_channel(2)).projector
     assert np.allclose(p.matrix, np.eye(4), atol=1e-10)
 
 
@@ -158,7 +157,7 @@ def test_fundamental_map_spectrum_identity_random():
         t = random_channel(2, 4, derive_seed(202, seed))
         z = fundamental_map(t)
         spec = spectral_quantities(t)
-        lam = spec.nonunit_eigenvalues
+        lam = spec.eigenvalues[np.abs(spec.eigenvalues - 1.0) > TOL_FIX]
         expected = np.concatenate([[1.0], 1.0 / (1.0 - lam)])
         got = np.linalg.eigvals(z.matrix)
         expected = np.sort_complex(np.round(expected, 8))
@@ -184,7 +183,7 @@ def test_spectral_quantities_depolarizing():
 
 def test_spectral_quantities_swap():
     spec = spectral_quantities(from_stochastic([[0, 1], [1, 0]]))
-    lam = np.sort_complex(spec.nonunit_eigenvalues)
+    lam = np.sort_complex(spec.eigenvalues[np.abs(spec.eigenvalues - 1.0) > TOL_FIX])
     assert np.allclose(lam, [-1.0, 0.0, 0.0], atol=1e-10)
     assert spec.min_dist_to_one == pytest.approx(1.0, abs=1e-10)
     assert spec.spectral_gap == pytest.approx(0.0, abs=1e-10)
@@ -217,7 +216,8 @@ def test_gap_never_exceeds_distance_to_one():
 
 def test_minimal_polynomial_depolarizing():
     t = depolarizing_channel(0.5)
-    mp = minimal_polynomial(delta_map(t))
+    mp = minimal_polynomial(SuperOperator(
+        2, t.matrix - fixed_point_analysis(t).projector.matrix))
     roots = np.sort(np.abs(mp.distinct_roots))
     assert np.allclose(roots, [0.0, 0.5], atol=1e-9)
     assert mp.block_sizes == [1, 1]
@@ -266,7 +266,7 @@ def test_minimal_polynomial_orders_conjugate_pair_by_real_then_imag():
 def test_minimal_polynomial_annihilates():
     for seed in range(4):
         t = random_channel(2, 4, derive_seed(303, seed))
-        delta = delta_map(t)
+        delta = SuperOperator(2, t.matrix - fixed_point_analysis(t).projector.matrix)
         mp = minimal_polynomial(delta)
         m = delta.matrix
         poly = np.eye(4, dtype=complex)
@@ -279,7 +279,7 @@ def test_minimal_polynomial_annihilates():
 
 def test_non_tp_map_has_no_fixed_point():
     with pytest.raises(SpectralResolutionError):
-        fixed_point_projector(SuperOperator(2, 0.5 * np.eye(4, dtype=complex)))
+        fixed_point_analysis(SuperOperator(2, 0.5 * np.eye(4, dtype=complex)))
 
 
 def test_missing_fixed_point_is_a_domain_error_only_when_resolved():
@@ -327,7 +327,7 @@ def test_fixed_point_analysis_is_memoised(count_calls):
     assert fixed_point_analysis(t) is fixed_point_analysis(t)
     fundamental_map(t)
     fixed_point_analysis(t).limit_state(basis_state(3, 0).matrix)
-    delta_map(t)
+    SuperOperator(3, t.matrix - fixed_point_analysis(t).projector.matrix)
     assert len(eigs) == 1
 
 
