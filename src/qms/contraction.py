@@ -3,26 +3,26 @@
 The contraction coefficient tau(L) is the worst-case trace-norm growth on
 traceless Hermitian inputs; for every linear map it equals half the
 maximal output distance over pairs of orthogonal pure states.  On
-Hermiticity-preserving qubit maps tau and the Hermitian-restricted 1->1
-norm have closed forms in the Pauli transfer matrix.  The general 1->1
-norm of such a map with only traceless outputs, such as a difference of
-two channels or two generators, equals its Hermitian one.  Every other
-value, at any d, comes from a seeded multistart power-method ascent
-(Boyd's method, as in Hager's and Higham's 1-norm estimators, lifted to
-the trace norm and accelerated by SQUAREM extrapolation) and is a *lower
-bound*; the spread over restarts is reported as a quality signal.
-Estimates of several (map, kind) problems of one dimension run as one
-batch: the qubit closed forms take one vectorized pass over the batch's
-distinct maps, and every other problem's seeded restarts are rows of one
-ascent loop, sorted by kind so that each projection takes one eigh for
-all tau and Hermitian rows and one SVD for the general ones; each row
-keeps its own stopping rule.
+Hermiticity-preserving qubit maps the Hermitian-restricted 1->1 norm has
+a closed form in the Pauli transfer matrix, the only one: tau(T) is the
+Hermitian norm of T(X - tr(X) I/2), and the general 1->1 norm of such a
+map with only traceless outputs, such as a difference of two channels or
+two generators, equals its Hermitian one.  Every other value, at any d,
+comes from a seeded multistart power-method ascent (Boyd's method, as in
+Hager's and Higham's 1-norm estimators, lifted to the trace norm and
+accelerated by SQUAREM extrapolation) and is a *lower bound*; the spread
+over restarts is reported as a quality signal.  Estimates of several
+(map, kind) problems of one dimension run as one batch: the qubit closed
+form takes one vectorized pass over the batch's distinct maps, and every
+other problem's seeded restarts are rows of one ascent loop, sorted by
+kind so that each projection takes one eigh for all tau and Hermitian
+rows and one SVD for the general ones; each row keeps its own stopping rule.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,36 +83,9 @@ def _bloch_eigenvectors(n: np.ndarray) -> tuple:
     return evecs[..., 1], evecs[..., 0]
 
 
-def _tau_qubit(r: np.ndarray) -> list:
-    """Contraction coefficients of Hermiticity-preserving qubit maps,
-    exactly, from their real Pauli transfer matrices, the stack ``r``.
-
-    With R_ij = tr[sigma_i T(sigma_j)] / 2, an input b.sigma maps to
-    a I + c.sigma with a = R[0,1:] b and c = R[1:,1:] b, and
-    ||a I + c.sigma||_1 = 2 max(|a|, |c|), so
-
-        tau(T) = max(||R[0,1:]||_2, ||R[1:,1:]||_op).
-
-    The witness (phi, psi) is the eigenvector pair of n.sigma for the
-    maximizing Bloch direction n.  One SVD of the blocks R[1:,1:] serves
-    the stack, and one eigh its witnesses.
-    """
-    a = r[:, 0, 1:]
-    # the norm of each row as np.linalg.norm takes it, sqrt(a . a)
-    shift = np.sqrt((a[:, None] @ a[:, :, None])[:, 0, 0])
-    _, sv, vh = np.linalg.svd(r[:, 1:, 1:])
-    by_shift = shift > sv[:, 0]
-    values = np.where(by_shift, shift, sv[:, 0])
-    n = np.where(by_shift[:, None],
-                 a / np.where(by_shift, shift, 1.0)[:, None], vh[:, 0])
-    phis, psis = _bloch_eigenvectors(n)
-    return [ContractionEstimate(value=float(v), method="analytic", restarts=0,
-                                best_witness=(phi, psi), convergence_spread=0.0)
-            for v, phi, psi in zip(values, phis, psis)]
-
-
 def _sphere_argmax(b: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """A unit vector n maximizing ||r + B n||_2 (a trust-region problem).
+    """Unit vectors n maximizing ||r + B n||_2 (a trust-region problem) for
+    a stack of blocks ``b``, shape (k, 3, 3), and shifts ``r``, shape (k, 3).
 
     In the eigenbasis (mu_i, v_i) of M = B^T B, with c~ = V^T B^T r and
     gaps d_i = mu_max - mu_i, a maximizer is n = sum_i y_i v_i with
@@ -121,33 +94,40 @@ def _sphere_argmax(b: np.ndarray, r: np.ndarray) -> np.ndarray:
     climbs monotonically to the root from s_0 = max(0, max_i |c~_i| - d_i),
     where ||y|| >= 1.  Keeping s and the gaps apart resolves near-equal
     top eigenvalues.  When ||y(0)|| <= 1 (the hard case, c~ vanishing on
-    the top eigenvector) s = 0 and y is completed along v_max.
+    the top eigenvector) s = 0 and y is completed along v_max.  One eigh
+    serves the stack; Newton runs row by row, only outside the hard case.
     """
-    mu, v = np.linalg.eigh(b.T @ b)
-    gaps = mu[-1] - mu
-    ct = v.T @ (b.T @ r)
+    bt = b.swapaxes(1, 2)
+    mu, v = np.linalg.eigh(bt @ b)
+    gaps = mu[:, -1:] - mu
+    ct = (v.swapaxes(1, 2) @ (bt @ r[:, :, None]))[:, :, 0]
 
-    def over_gaps(x, s):
-        return np.divide(x, s + gaps, out=np.zeros(3), where=ct != 0.0)
+    def over_gaps(x, s, k=...):             # rows k, all by default
+        return np.divide(x, s + gaps[k], out=np.zeros(x.shape),
+                         where=ct[k] != 0.0)
 
-    s = max(0.0, float(np.max(np.abs(ct) - gaps)))
-    y = over_gaps(ct, s)
-    if s == 0.0 and y @ y <= 1.0:               # here c~ = 0 wherever d_i = 0
-        y[-1] = np.sqrt(1.0 - y @ y)
-    else:
+    s = np.maximum(0.0, np.max(np.abs(ct) - gaps, axis=1))
+    y = over_gaps(ct, s[:, None])
+    norm2 = np.sum(y * y, axis=1)
+    hard = (s == 0.0) & (norm2 <= 1.0)          # here c~ = 0 wherever d_i = 0
+    y[hard, -1] = np.sqrt(1.0 - norm2[hard])
+    for k in np.nonzero(~hard)[0]:
+        sk, yk = s[k], y[k]
         for _ in range(100):
-            norm2 = y @ y
-            s_next = s + (np.sqrt(norm2) - 1.0) * norm2 / (y @ over_gaps(y, s))
-            if not s_next > s:
+            nk = yk @ yk
+            s_next = sk + (np.sqrt(nk) - 1.0) * nk / (yk @ over_gaps(yk, sk, k))
+            if not s_next > sk:
                 break
-            s, y = s_next, over_gaps(ct, s_next)
-    n = v @ y
-    return n / np.linalg.norm(n)
+            sk, yk = s_next, over_gaps(ct[k], s_next, k)
+        y[k] = yk
+    n = (v @ y[:, :, None])[:, :, 0]
+    return n / np.linalg.norm(n, axis=1, keepdims=True)
 
 
-def _hermitian_norm_qubit(r: np.ndarray) -> ContractionEstimate:
-    """Hermitian-restricted 1->1 norm of the qubit map with real Pauli
-    transfer matrix ``r``, exactly.
+def _hermitian_norm_qubit(r: np.ndarray) -> tuple:
+    """Hermitian-restricted 1->1 norms of the qubit maps with real Pauli
+    transfer matrices, the stack ``r``, exactly, and the Bloch vectors n of
+    their witnesses: (values, n), shapes (k,) and (k, 3).
 
     The extreme points of the Hermitian trace-norm ball are +/- psi psi^dag
     with psi psi^dag = (I + n.sigma)/2, which maps to
@@ -158,18 +138,17 @@ def _hermitian_norm_qubit(r: np.ndarray) -> ContractionEstimate:
     better of the two unit vectors, so it is attained at the witness psi,
     the +1 eigenvector of n.sigma.
     """
-    r00, a, shift, b = r[0, 0], r[0, 1:], r[1:, 0], r[1:, 1:]
+    r00, a, shift, b = r[:, 0, 0], r[:, 0, 1:], r[:, 1:, 0], r[:, 1:, 1:]
     n_tr = _sphere_argmax(b, shift)
-    a_norm = np.linalg.norm(a)
-    n_a = np.copysign(1.0, r00) * a / a_norm if a_norm > 0.0 else n_tr
-    cands = np.stack([n_a, n_tr])
-    vals = np.maximum(np.abs(r00 + cands @ a),
-                      np.linalg.norm(shift + cands @ b.T, axis=1))
-    best = int(np.argmax(vals))
-    return ContractionEstimate(value=float(vals[best]), method="analytic",
-                               restarts=0,
-                               best_witness=_bloch_eigenvectors(cands[best])[0],
-                               convergence_spread=0.0)
+    a_norm = np.linalg.norm(a, axis=1, keepdims=True)
+    n_a = np.divide(np.copysign(1.0, r00)[:, None] * a, a_norm,
+                    out=n_tr.copy(), where=a_norm > 0.0)
+    cands = np.stack([n_a, n_tr], axis=1)
+    vals = np.maximum(np.abs(r00[:, None] + (cands @ a[:, :, None])[:, :, 0]),
+                      np.linalg.norm(shift[:, None] + cands @ b.swapaxes(1, 2),
+                                     axis=2))
+    best = (np.arange(len(r)), np.argmax(vals, axis=1))
+    return vals[best], cands[best]
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +353,18 @@ def _closed_forms(problems) -> list:
     ascent runs instead: at d >= 3, for a qubit map that does not preserve
     Hermiticity, and in general mode for a qubit map with a trace row.
 
+    Every closed form is :func:`_hermitian_norm_qubit`, witness psi in
+    Hermitian mode.  Each traceless Hermitian qubit input of unit trace norm
+    is n.sigma/2 = psi psi^dag - I/2, so tau(T) is the Hermitian norm of
+    T(X - tr(X) I/2), whose transfer matrix is R with column 0 zeroed (at
+    d >= 3, psi psi^dag - I/d has trace norm 2(d - 1)/d, not 1); witness
+    (phi, psi), the (+1, -1) eigenvectors of n.sigma.
+
     In general mode a Hermiticity-preserving (HP) qubit map whose outputs
     are all traceless (:func:`~qms.channels.annihilates_trace`), such as
     a difference of two channels or two generators, takes the Hermitian
-    closed form :func:`_hermitian_norm_qubit`, witness (psi, psi).  The
-    Hermitian form is exact there.  For a rank-one input u v^dag the
+    closed form too, witness (psi, psi).  The Hermitian form is exact
+    there.  For a rank-one input u v^dag the
     output is traceless, L(u v^dag) = c.sigma, and a traceless 2 x 2
     matrix M has
 
@@ -397,9 +383,9 @@ def _closed_forms(problems) -> list:
 
     One vectorized pass serves the distinct qubit maps of ``problems``
     (distinct by identity): one Choi stack and one HP test, one
-    Pauli-transfer einsum, one SVD of the tau blocks R[1:,1:] and one eigh
-    for their witnesses.  The Hermitian form runs once per map that needs
-    it, for both its ``hermitian`` and its ``general`` problem.
+    Pauli-transfer einsum, then one stacked Hermitian form over one row
+    per distinct (map, is tau) pair, its ``hermitian`` and ``general``
+    problems sharing a row, and one eigh for all witnesses.
     """
     out = [None] * len(problems)
     maps = {id(t): t for t, _ in problems if t.dim == 2}
@@ -408,26 +394,28 @@ def _closed_forms(problems) -> list:
     row = dict(zip(maps, range(len(maps))))
     ms = np.stack([t.matrix for t in maps.values()])
     hp = preserves_hermiticity(ms, choi_matrix(ms))[0]
-    r = _pauli_transfer(ms)
-    closed = []                          # (problem, map row, kind)
+    keys = {}                            # (map row, is tau) -> stack row
+    closed = []                          # (problem, stack row, kind)
     for i, (t, kind) in enumerate(problems):
         if t.dim != 2:
             continue
         k = row[id(t)]
         if hp[k] and (kind != "general" or annihilates_trace(t.matrix, 2)[0]):
-            closed.append((i, k, kind))
-    tau_rows = sorted({k for _, k, kind in closed if kind == "tau"})
-    taus = dict(zip(tau_rows, _tau_qubit(r[tau_rows]))) if tau_rows else {}
-    herm = {k: _hermitian_norm_qubit(r[k])
-            for k in {k for _, k, kind in closed if kind != "tau"}}
-    for i, k, kind in closed:
-        if kind == "tau":
-            out[i] = taus[k]
-        elif kind == "hermitian":
-            out[i] = herm[k]
-        else:
-            psi = herm[k].best_witness
-            out[i] = replace(herm[k], best_witness=(psi, psi))
+            closed.append((i, keys.setdefault((k, kind == "tau"), len(keys)),
+                           kind))
+    if not closed:
+        return out
+    r = _pauli_transfer(ms)[[k for k, _ in keys]]
+    r[[is_tau for _, is_tau in keys], :, 0] = 0.0
+    values, n = _hermitian_norm_qubit(r)
+    phis, psis = _bloch_eigenvectors(n)
+    for i, j, kind in closed:
+        phi, psi = phis[j], psis[j]
+        witness = {"tau": (phi, psi), "hermitian": phi,
+                   "general": (phi, phi)}[kind]
+        out[i] = ContractionEstimate(value=float(values[j]), method="analytic",
+                                     restarts=0, best_witness=witness,
+                                     convergence_spread=0.0)
     return out
 
 
@@ -462,7 +450,8 @@ def tau(t: SuperOperator, restarts: int = DEFAULT_RESTARTS,
     (phi phi^dag - psi psi^dag)/2 with phi orthogonal to psi, for every
     linear map, so tau(L) is half the maximal output distance over
     orthogonal pure-state pairs.  Hermiticity-preserving qubit maps take
-    the closed form of :func:`_tau_qubit` (method ``analytic``).
+    the Hermitian closed form of T(X - tr(X) I/2) (:func:`_closed_forms`;
+    method ``analytic``, exact).
     Otherwise ``restarts`` independent power-method ascents run over the
     pairs, as the rows of a batch of one (:func:`_power_ascent`; restart r
     is seeded with derive_seed(seed, r), so prefixes of the restart stream
@@ -482,12 +471,12 @@ def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     ``psi``).  The ``restarts`` seeded power-method ascents are the rows
     of a batch of one (:func:`_power_ascent`), each of at most ``MAXITER``
     power steps.  In Hermitian mode a Hermiticity-preserving qubit map
-    takes the closed form :func:`_hermitian_norm_qubit` instead (method
-    ``analytic``, exact).  In general mode so does a Hermiticity-preserving
-    qubit map with only traceless outputs, whose general and Hermitian
-    norms agree (:func:`_closed_forms`; witness ``(psi, psi)``).  The
-    closed forms ignore ``restarts``, but ``restarts`` < 1 is refused
-    everywhere.
+    takes the qubit closed form :func:`_hermitian_norm_qubit` instead
+    (method ``analytic``, exact), the one that also gives :func:`tau` at
+    d = 2.  In general mode so does a Hermiticity-preserving qubit map with
+    only traceless outputs, whose general and Hermitian norms agree
+    (:func:`_closed_forms`; witness ``(psi, psi)``).  The closed form
+    ignores ``restarts``, but ``restarts`` < 1 is refused everywhere.
     """
     kind = "hermitian" if hermitian_only else "general"
     return estimate_batch([(t, kind)], restarts, seed)[0]

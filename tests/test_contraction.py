@@ -245,14 +245,30 @@ def test_tau_exact_qubit_matches_grid_oracle():
 
 
 def test_tau_exact_qubit_pauli_transfer_closed_form():
-    # the shift term ||R[0,1:]|| attains the max in the last oracle map
+    # tau(T) = max(||R[0,1:]||_2, ||R[1:,1:]||_op), since b.sigma maps to
+    # a I + c.sigma with a = R[0,1:] b, c = R[1:,1:] b and
+    # ||a I + c.sigma||_1 = 2 max(|a|, |c|); the shift term ||R[0,1:]||
+    # attains the max in the last oracle map and, with its row scaled by 3,
+    # in part of the seeded matrices
     r = np.array([[1.0, 0.6, -0.5, 0.2], [0.0, 0.3, 0.1, 0.0],
                   [0.0, 0.0, -0.2, 0.1], [0.0, 0.1, 0.0, 0.4]])
-    expected = max(np.linalg.norm(r[0, 1:]), np.linalg.norm(r[1:, 1:], 2))
-    assert expected == pytest.approx(np.linalg.norm(r[0, 1:]))
-    est = tau(from_pauli_transfer(r))
-    assert est.method == "analytic"
-    assert est.value == pytest.approx(expected, rel=1e-12)
+    rs = [r] + [SplitMix64(derive_seed(7700, i)).normals(16).reshape(4, 4)
+                * [[1 + 2 * (i % 2)], [1], [1], [1]] for i in range(200)]
+    by_shift = 0
+    for r in rs:
+        shift, block = np.linalg.norm(r[0, 1:]), np.linalg.norm(r[1:, 1:], 2)
+        by_shift += shift > block
+        t = from_pauli_transfer(r)
+        est = tau(t)
+        assert est.method == "analytic"
+        assert est.value == pytest.approx(max(shift, block), rel=1e-12)
+        phi, psi = est.best_witness
+        gram = np.array([[np.vdot(x, y) for y in (phi, psi)] for x in (phi, psi)])
+        assert np.abs(gram - np.eye(2)).max() <= 1e-12
+        sigma = np.outer(phi, phi.conj()) - np.outer(psi, psi.conj())
+        assert 0.5 * trace_norm(t.apply(sigma)) == pytest.approx(
+            est.value, rel=1e-12, abs=1e-12)
+    assert 0 < by_shift < len(rs)          # 105 of 201 here
 
 
 def test_hermitian_norm_qubit_is_exact():
@@ -815,16 +831,23 @@ def test_qubit_batch_matches_one_problem_calls():
     m = t.matrix.copy()
     m[0, 1] += 0.4
     non_hp = SuperOperator(2, m)
+    # the Hermitian form of hard_case(0.0) takes the hard case and that of
+    # hard_case(1e-8) the Newton step; both have a trace row, so their
+    # general norms take the ascent
+    hard, near = hard_case(0.0), hard_case(1e-8)
     problems = [(t, "tau"), (diff, "general"), (gdiff, "hermitian"),
                 (trace_row, "general"), (non_hp, "general"),
                 (t, "hermitian"), (non_hp, "tau"), (gdiff, "general"),
                 (trace_row, "tau"), (t, "general"), (diff, "hermitian"),
-                (gdiff, "tau"), (non_hp, "hermitian"), (t, "tau")]
+                (gdiff, "tau"), (non_hp, "hermitian"), (t, "tau"),
+                (hard, "hermitian"), (near, "general"), (hard, "general"),
+                (near, "hermitian")]
     batch = estimate_batch(problems, restarts=4, seed=3)
     assert [e.method for e in batch] == (
         ["analytic", "analytic", "analytic", "multistart_manifold",
          "multistart_manifold", "analytic", "multistart_manifold", "analytic",
          "analytic", "multistart_manifold", "analytic", "analytic",
+         "multistart_manifold", "analytic", "analytic", "multistart_manifold",
          "multistart_manifold", "analytic"])
     for p, est in zip(problems, batch):
         alone = estimate_batch([p], restarts=4, seed=3)[0]
@@ -835,6 +858,29 @@ def test_qubit_batch_matches_one_problem_calls():
         assert est.value == alone.value
         assert est.evaluations == alone.evaluations
         assert np.array_equal(est.best_witness, alone.best_witness)
+
+
+def test_qubit_closed_forms_are_one_stacked_pass(count_calls, count_linalg):
+    # tau, hermitian and general problems on two channels and two
+    # traceless-output differences share one Hermitian closed form over
+    # one row per distinct (map, is tau) pair and one witness eigh; the
+    # only SVD is the stacked Hermiticity test
+    closed = count_calls(contraction, "_hermitian_norm_qubit")
+    witnesses = count_calls(contraction, "_bloch_eigenvectors")
+    t1, t2 = random_channel(2, 4, seed=81), random_channel(2, 2, seed=82)
+    diff = SuperOperator(2, t1.matrix - t2.matrix)
+    g1 = random_generator(2, 2, derive_seed(7801, 0))
+    gdiff = SuperOperator(2, g1.matrix
+                          - perturb_generator(g1, 0.05, derive_seed(7802, 0)).matrix)
+    problems = [(t1, "tau"), (diff, "hermitian"), (gdiff, "general"),
+                (t2, "tau"), (diff, "general"), (gdiff, "tau"),
+                (gdiff, "hermitian"), (t1, "tau")]
+    calls = count_linalg("svd", "eigh")
+    out = estimate_batch(problems, restarts=4, seed=0)
+    assert {e.method for e in out} == {"analytic"}
+    assert (len(closed), len(witnesses)) == (1, 1)
+    assert closed[0][0].shape == (5, 4, 4)
+    assert (calls["svd"], calls["eigh"]) == (1, 2)
 
 
 @pytest.mark.parametrize("d", [2, 3])

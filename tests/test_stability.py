@@ -222,18 +222,21 @@ def test_perturbation_tests_trace_preservation_once_per_map(d, count_calls):
 
 
 def test_qubit_perturbation_svd_count(count_linalg):
-    # one each for the stationarity check, the SVD of T1 - id, the
+    # SVDs: one each for the stationarity check, the SVD of T1 - id, the
     # left/right kernel overlap, the inversion residual, and the stacks of
-    # the projector and Cesaro residuals, the three trace norms, the
-    # Hermiticity tests of Z(T1), T1 and T1 - T2, and the tau blocks of
-    # Z(T1) and T1; rho1 is exactly Hermitian, so its check needs none
+    # the projector and Cesaro residuals, the three trace norms and the
+    # Hermiticity tests of Z(T1), T1 and T1 - T2; rho1 is exactly
+    # Hermitian, so its check needs none.  eighs: one for the trust-region
+    # blocks of the closed forms of Z(T1), T1 and T1 - T2, and one for
+    # their witnesses
     t1 = random_channel(2, 4, derive_seed(55, 0))
     t2 = random_channel(2, 4, derive_seed(56, 0))
     rho2 = stationary_of(t2)
-    calls = count_linalg("svd")
+    calls = count_linalg("svd", "eigh")
     out = fixed_point_perturbation(t1, t2, rho2, restarts=8, seed=0)
     assert fixed_point_analysis(t1).cesaro_checked
-    assert calls["svd"] <= 8
+    assert calls["svd"] <= 7
+    assert calls["eigh"] <= 2
     assert out.identity_residual <= 1e-8
 
 
