@@ -178,7 +178,7 @@ def from_kraus(operators: Sequence[np.ndarray], label: str | None = None) -> Sup
             raise DimensionError(f"Kraus operator {k} is {a.shape[0]}x{a.shape[1]}, "
                                  f"expected {d}x{d}")
     ops = np.stack(ops)
-    m = sandwich_matrix(ops, ops.conj().swapaxes(-1, -2)).sum(axis=0)
+    m = sandwich_matrix(ops, dagger(ops)).sum(axis=0)
     return SuperOperator(d, m, label=label)
 
 
@@ -302,7 +302,7 @@ def preserves_hermiticity(t, j: np.ndarray) -> tuple:
     if isinstance(t, SuperOperator):
         ok, res = preserves_hermiticity(t.matrix[None], j[None])
         return bool(ok[0]), float(res[0])
-    res = np.linalg.svd(j - j.conj().swapaxes(-1, -2), compute_uv=False)[:, 0]
+    res = np.linalg.svd(j - dagger(j), compute_uv=False)[:, 0]
     ok = res <= 1e-8
     big = ~ok
     if big.any():
@@ -341,9 +341,8 @@ def validate(t: SuperOperator, n_samples: int = DEFAULT_POSITIVITY_SAMPLES,
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     projectors = states[:, :, None] * states.conj()[:, None, :]
     images = apply_batch(t.matrix, projectors)
-    adjoints = images.conj().transpose(0, 2, 1)
-    anti = np.linalg.norm(images - adjoints, axis=(1, 2)) / 2
-    min_eigs = np.linalg.eigvalsh((images + adjoints) / 2)[:, 0]
+    anti = np.linalg.norm(images - dagger(images), axis=(1, 2)) / 2
+    min_eigs = np.linalg.eigvalsh((images + dagger(images)) / 2)[:, 0]
     bad = np.nonzero((min_eigs < -1e-8) | (anti > 1e-8))[0]
     witness = states[bad[0]] if len(bad) else None
 

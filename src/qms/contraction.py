@@ -15,8 +15,8 @@ over restarts is reported as a quality signal.  Estimates of several
 (map, kind) problems of one dimension run as one batch: the qubit closed
 form takes one vectorized pass over the batch's distinct maps, and every
 other problem's seeded restarts are rows of one ascent loop, sorted by
-kind so that each projection takes one eigh for all tau and Hermitian
-rows and one SVD for the general ones; each row keeps its own stopping rule.
+kind, whose projections each take one eigh for all rows; each row keeps
+its own stopping rule.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .channels import (_PAULIS, SuperOperator, annihilates_trace, choi_matrix,
                        preserves_hermiticity)
 from .errors import DomainError
-from .linalg import apply_batch, trace_norm_batch
+from .linalg import apply_batch, dagger, trace_norm_batch
 from .rng import DEFAULT_RESTARTS, SplitMix64, derive_seed
 
 # power steps per ascent, two per SQUAREM cycle
@@ -160,14 +160,17 @@ def _rank_one(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., :, None] * v.conj()[..., None, :]
 
 
-def _hermitian_eigh(g: np.ndarray) -> tuple:
-    """eigh of the Hermitian parts (G + G^dag)/2 of a stack."""
-    return np.linalg.eigh((g + g.conj().transpose(0, 2, 1)) / 2)
+def _hermitian_part(g: np.ndarray) -> np.ndarray:
+    return (g + dagger(g)) / 2
 
 
-def _pair_pick(p: np.ndarray, _, qh: np.ndarray) -> np.ndarray:
-    """Top singular pair (u, v) of G, maximizing Re tr(G^dag u v^dag)."""
-    return np.concatenate([p[:, None, :, 0], qh[:, :1].conj()], axis=1)
+def _pair_pick(g: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Top singular pair (u, v) of G, maximizing Re tr(G^dag u v^dag): v the top
+    eigenvector of G^dag G and u = G v/||G v||, or u = v where G v = 0."""
+    v = v[:, :, -1:]                        # a column, shape (rows, d, 1)
+    norm = np.sqrt(np.maximum(w[:, -1:, None], 0.0))      # ||G v||^2 = w_max
+    u = np.divide(g @ v, norm, out=v.copy(), where=norm > 0.0)
+    return np.concatenate([u, v], axis=2).swapaxes(1, 2)
 
 
 def _pair_input(x: np.ndarray) -> np.ndarray:
@@ -175,13 +178,13 @@ def _pair_input(x: np.ndarray) -> np.ndarray:
     return _rank_one(x[:, 0], x[:, -1])
 
 
-def _pure_pick(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _pure_pick(_, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Eigenvector of (G + G^dag)/2 whose eigenvalue has the largest modulus."""
     col = np.where(np.abs(w[:, 0]) > np.abs(w[:, -1]), 0, -1)
     return v[np.arange(len(v)), :, col][:, None, :]
 
 
-def _ortho_pick(_, v: np.ndarray) -> np.ndarray:
+def _ortho_pick(_, __, v: np.ndarray) -> np.ndarray:
     """Top and bottom eigenvectors (phi, psi) of (G + G^dag)/2."""
     return v[:, :, ::1 - v.shape[-1]].swapaxes(1, 2)      # columns d - 1, 0
 
@@ -209,11 +212,10 @@ def _power_ascent(ms: np.ndarray, kinds, starts, maxiter: int) -> list:
 
     Problem p is the map ``ms[p]`` of kind ``kinds[p]`` (a key of
     ``_ASCENTS``) with the start stack ``starts[p]``, shape (rows, width,
-    d), all on one d.  The rows are sorted once by kind (tau, hermitian,
-    general), so each kind's active rows are one slice: a projection
-    applies each row's own map in one stacked product and takes one eigh
-    of the Hermitian parts of the tau and hermitian rows, one SVD of the
-    general rows and one SVD of all rows to evaluate them.
+    d), all on one d.  The rows are sorted once by kind, so each kind's
+    active rows are one slice: a projection applies each row's own map in
+    one stacked product and takes one eigh of the rows' ``_ASCENTS``
+    matrices and one SVD of all rows to evaluate them.
 
     A power step S moves X to the extreme point maximizing Re tr(G^dag X)
     for G = L^dag(W), W the polar part of L(X); as ||L(X')||_1 >=
@@ -237,7 +239,7 @@ def _power_ascent(ms: np.ndarray, kinds, starts, maxiter: int) -> list:
     d = starts[0].shape[-1]
     # a width-1 row (psi) is held as (psi, psi)
     xs = np.concatenate([np.broadcast_to(x, (len(x), 2, d)) for x in starts])
-    mhs = ms.conj().swapaxes(-1, -2)
+    mhs = dagger(ms)
 
     def apply(maps, mats):
         return apply_batch(maps, mats[:, None])[:, 0]
@@ -246,23 +248,23 @@ def _power_ascent(ms: np.ndarray, kinds, starts, maxiter: int) -> list:
         u, s, vh = np.linalg.svd(apply(maps, b))
         return s.sum(axis=1), u @ vh
 
-    def build(x, t):                        # the tau rows end at t
-        return np.concatenate([_ortho_input(x[:t]), _pair_input(x[t:])])
+    def steps_of(k):                        # (function, rows) of each step
+        cuts = np.searchsorted(k, np.arange(len(_ASCENTS) + 1)).tolist()
+        spans = [{}, {}, {}]                # matrix, pick and build spans
+        for a, lo, hi in zip(_ASCENTS.values(), cuts, cuts[1:]):
+            for span, f in zip(spans, a[1:] if hi > lo else ()):
+                span.setdefault(f, [lo, hi])[1] = hi    # kinds sharing f are adjacent
+        return [[(f, slice(*r)) for f, r in span.items()] for span in spans]
 
-    def project(maps, t, h, g):             # the hermitian rows end at h
+    def project(maps, steps, g):
+        w, v = np.linalg.eigh(np.concatenate([f(g[r]) for f, r in steps[0]]))
         x = np.empty((len(g), 2, d), dtype=complex)
-        if h:
-            w, v = _hermitian_eigh(g[:h])
-            if t:
-                x[:t] = _ortho_pick(w[:t], v[:t])
-            if h > t:
-                x[t:h] = _pure_pick(w[t:h], v[t:h])
-        if h < len(g):
-            x[h:] = _pair_pick(*np.linalg.svd(g[h:]))
-        b = build(x, t)
+        for f, r in steps[1]:
+            x[r] = f(g[r], w[r], v[r])
+        b = np.concatenate([f(x[r]) for f, r in steps[2]])
         return (x, b) + evaluate(maps, b)
 
-    bs = build(xs, np.searchsorted(kind, 1))
+    bs = np.concatenate([f(xs[r]) for f, r in steps_of(kind)[2]])
     fs, ws = evaluate(ms[owner], bs)
     evaluations = np.bincount(owner, minlength=len(starts))
     converged = np.zeros(len(owner), dtype=bool)
@@ -270,21 +272,20 @@ def _power_ascent(ms: np.ndarray, kinds, starts, maxiter: int) -> list:
         act = np.nonzero(~converged)[0]
         if not len(act):
             break
-        t, h = np.searchsorted(kind[act], (1, 2))
+        steps = steps_of(kind[act])
         own = owner[act]
         m_act, mh_act, b0 = ms[own], mhs[own], bs[act]
-        _, b1, _, w1 = project(m_act, t, h, apply(mh_act, ws[act]))
-        x2, b2, f2, w2 = project(m_act, t, h, apply(mh_act, w1))
-        x3, b3, f3, w3 = project(m_act, t, h, _extrapolate(b0, b1, b2))
+        _, b1, _, w1 = project(m_act, steps, apply(mh_act, ws[act]))
+        x2, b2, f2, w2 = project(m_act, steps, apply(mh_act, w1))
+        x3, b3, f3, w3 = project(m_act, steps, _extrapolate(b0, b1, b2))
         evaluations += 3 * np.bincount(own, minlength=len(starts))
         pick = f3 > f2
         ft = np.where(pick, f3, f2)
         gain = ft - fs[act]
         ok = gain > 0.0
         keep, pick = act[ok], pick[ok, None, None]
-        xs[keep] = np.where(pick, x3[ok], x2[ok])
-        bs[keep] = np.where(pick, b3[ok], b2[ok])
-        ws[keep] = np.where(pick, w3[ok], w2[ok])
+        for kept, y2, y3 in ((xs, x2, x3), (bs, b2, b3), (ws, w2, w3)):
+            kept[keep] = np.where(pick, y3[ok], y2[ok])
         fs[keep] = ft[ok]
         converged[act[gain <= 1e-13 * np.maximum(np.abs(fs[act]), 1.0)]] = True
     out = [(xs[end - len(x):end, :x.shape[1]], fs[end - len(x):end],
@@ -336,16 +337,15 @@ def _ortho_start(gen: SplitMix64, d: int) -> np.ndarray:
 # public estimators
 
 
-# (start, step, build) of the ascent of each kind, in the order in which
-# _power_ascent sorts its rows; a step picks columns of one decomposition
-# of G, as the loop does, into a stack (rows, width, d)
+# (start, matrix, pick, build) of each kind's ascent, in _power_ascent's row
+# order: one eigh of matrix(G) serves all rows, pick(G, w, v) takes a row's
+# new point, shape (width, d), from its eigenpairs and build its extreme point
 _ASCENTS = {
-    "tau": (_ortho_start, lambda g: _ortho_pick(*_hermitian_eigh(g)),
-            _ortho_input),
-    "hermitian": (functools.partial(_unit_vectors, k=1),
-                  lambda g: _pure_pick(*_hermitian_eigh(g)), _pair_input),
+    "tau": (_ortho_start, _hermitian_part, _ortho_pick, _ortho_input),
+    "hermitian": (functools.partial(_unit_vectors, k=1), _hermitian_part,
+                  _pure_pick, _pair_input),
     "general": (functools.partial(_unit_vectors, k=2),
-                lambda g: _pair_pick(*np.linalg.svd(g)), _pair_input)}
+                lambda g: dagger(g) @ g, _pair_pick, _pair_input)}
 
 
 def _closed_forms(problems) -> list:

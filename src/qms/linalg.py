@@ -103,7 +103,7 @@ def apply_batch(m: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    return a.conj().swapaxes(-1, -2)
 
 
 def trace_norm(m) -> float:

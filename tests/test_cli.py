@@ -286,6 +286,18 @@ def test_compare_depolarizing_pair(files, capsys):
     assert doc["result"]["identity_residual"] <= 1e-8
 
 
+def test_compare_of_a_qudit_channel_with_itself(tmp_path, capsys):
+    # T1 - T2 = 0: both norms of the difference take the ascent on the
+    # d = 3 zero map
+    from qms.ensembles import random_channel
+    p = tmp_path / "t.json"
+    p.write_text(dumps_json(channel_to_dict(random_channel(3, 4, seed=41))))
+    code = main(["compare", str(p), str(p)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+
+
 def test_trajectory_csv(files, capsys):
     code, out = run(["trajectory", files["depol05"], files["depol06"],
                      "--steps", "10", "--pair", "auto-chi2", "--state",

@@ -118,9 +118,10 @@ def oracle_maps():
     return maps
 
 
-def plain_ascent(t, start, step, build, restarts=8, seed=0, maxiter=300):
-    """The plain power-method loop, one step per objective evaluation, from
-    the same starts; returns (best value, evaluations over restarts)."""
+def plain_ascent(t, start, matrix, pick, build, restarts=8, seed=0, maxiter=300):
+    """The plain power-method loop of one ``_ASCENTS`` entry, one step per
+    objective evaluation, from the same starts; returns (best value,
+    evaluations over restarts)."""
     seeds = np.uint64(derive_seed(seed, 0)) + np.arange(restarts, dtype=np.uint64)
     xs = start(SplitMix64(seeds), t.dim)
     m, mh = t.matrix, t.matrix.conj().T
@@ -136,7 +137,8 @@ def plain_ascent(t, start, step, build, restarts=8, seed=0, maxiter=300):
         act = np.nonzero(~converged)[0]
         if not len(act):
             break
-        trial = step(apply_batch(mh, ws[act]))
+        g = apply_batch(mh, ws[act])
+        trial = pick(g, *np.linalg.eigh(matrix(g)))
         ft, wt = evaluate(trial)
         evaluations += len(act)
         gain = ft - fs[act]
@@ -687,9 +689,9 @@ def test_ascent_evaluations_are_deterministic():
 def test_accelerated_ascent_saves_a_quarter_of_the_evaluations():
     ours = plain = 0
     for t in qudit_work_set():
-        for kind, (start, step, build) in _ASCENTS.items():
+        for kind, steps in _ASCENTS.items():
             ours += _run_multistart([(t, kind)], 8, 5, 300)[0].evaluations
-            plain += plain_ascent(t, start, step, build, restarts=8, seed=5)[1]
+            plain += plain_ascent(t, *steps, restarts=8, seed=5)[1]
     assert ours <= 0.75 * plain
 
 
@@ -715,12 +717,11 @@ def test_converged_counts_the_restarts_that_met_the_stopping_rule():
     assert closed.method == "analytic" and closed.converged == 0
 
 
-def test_tau_and_hermitian_rows_share_one_eigh_per_projection(count_linalg):
-    # without general rows a projection takes one eigh and one evaluating
-    # SVD, after the one SVD that evaluates the starts
-    problems = [p for p in batch_problems(3) if p[1] != "general"]
+def test_every_projection_takes_one_eigh(count_linalg):
+    # tau, hermitian and general rows alike: a projection takes one eigh
+    # and one evaluating SVD, after the one SVD that evaluates the starts
     calls = count_linalg("svd", "eigh")
-    estimate_batch(problems, restarts=8, seed=4)
+    estimate_batch(batch_problems(3), restarts=8, seed=4)
     assert calls["eigh"] == calls["svd"] - 1 > 0
 
 
@@ -917,6 +918,43 @@ def random_stochastic(d, seed):
 def dobrushin(s):
     """(1/2) max_{i,j} ||S_i - S_j||_1 over the rows of s."""
     return 0.5 * np.abs(s[:, None, :] - s[None, :, :]).sum(axis=2).max()
+
+
+def test_norms_of_embedded_chain_differences_are_exact():
+    """Both norm modes of L = from_stochastic(S1) - from_stochastic(S2)
+    equal max_i sum_j |S1 - S2|_ij.
+
+    L is the chain difference after the pinch X -> sum_i X_ii |i><i|: it
+    annihilates off-diagonal inputs and maps X to sum_ij (S1 - S2)_ij X_ii
+    |j><j|, so ||L(X)||_1 <= sum_i |X_ii| sum_j |S1 - S2|_ij, at most the
+    largest row sum of |S1 - S2| times ||X||_1, as sum_i |X_ii| <= ||X||_1.
+    The input |k><k| of the largest row k, Hermitian and rank one, attains
+    it in both modes.
+    """
+    for d in range(3, 7):
+        for i in range(15):
+            s1 = random_stochastic(d, derive_seed(5100 + d, i))
+            s2 = random_stochastic(d, derive_seed(5200 + d, i))
+            exact = np.abs(s1 - s2).sum(axis=1).max()
+            diff = SuperOperator(d, from_stochastic(s1).matrix
+                                 - from_stochastic(s2).matrix)
+            for hermitian_only in (False, True):
+                few, full = (norm_1to1(diff, restarts=r, seed=i,
+                                       hermitian_only=hermitian_only).value
+                             for r in (8, 64))
+                assert max(few, full) <= exact * (1.0 + 1e-12)
+                assert full == pytest.approx(exact, rel=1e-12)
+
+
+def test_zero_map_estimates_are_zero_with_unit_witnesses():
+    # every projection of the d = 3 zero map sees G = 0, and the general
+    # pick's G v = 0 with it
+    t = SuperOperator(3, np.zeros((9, 9)))
+    for est in (tau(t), norm_1to1(t), norm_1to1(t, hermitian_only=True)):
+        assert est.value == 0.0
+        for w in np.reshape(est.best_witness, (-1, 3)):
+            assert np.isfinite(w).all()
+            assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])

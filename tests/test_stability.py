@@ -241,13 +241,12 @@ def test_qubit_perturbation_svd_count(count_linalg):
 
 
 def test_qudit_perturbation_linalg_count(count_linalg):
-    # the ascent takes one eigh per projection for its tau and hermitian
-    # rows together (195 calls when each kind took its own) and one SVD
-    # for its general rows
+    # the ascent takes one eigh per projection for all its rows and one SVD
+    # per projection to evaluate them
     t1 = random_channel(3, 9, 11)
     t2 = perturb_channel(t1, 0.05, 12)
     rho2 = stationary_of(t2)
     calls = count_linalg("svd", "eigh")
     fixed_point_perturbation(t1, t2, rho2, restarts=8, seed=3)
     assert calls["eigh"] <= 153
-    assert calls["svd"] <= 200
+    assert calls["svd"] <= 160
