@@ -48,7 +48,12 @@ DEFAULT_VALIDATION_STEPS = 50
 
 # Consecutive powers built as one stack (the first by doubling, each later
 # one by one stacked product) and, in validation, sharing one probe batch.
-VALIDATION_CHUNK = 64
+# One run's stacked probe application holds 16 x 132 probes x d^2 complex
+# values, 135,168 bytes at d = 2 (540,672 at 64): glibc then keeps the heap
+# pages it lands in instead of returning them and faulting them back in on
+# every run.  In the finite_time benchmark loop (glibc 2.36, x86-64) a run
+# of 64 took 400-575 minor page faults per op, 32 still 620-640, 16 under 2.
+VALIDATION_CHUNK = 16
 
 
 @dataclass
@@ -58,7 +63,8 @@ class ConvergencePair:
     ``validity_checked_to`` is the largest n (or t) up to which the
     certified inequality was verified against the norm estimator; ``valid``
     turns False when a check failed, which poisons the pair against use in
-    trajectory assertions.
+    trajectory assertions.  ``validated_on`` is the map or generator that
+    check ran on, kept out of :meth:`to_dict`.
     """
 
     K: float
@@ -68,6 +74,7 @@ class ConvergencePair:
     validity_checked_to: float = 0.0
     valid: bool = True
     details: dict = field(default_factory=dict)
+    validated_on: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("discrete", "continuous"):
@@ -90,12 +97,12 @@ class ConvergencePair:
                 "details": {k: v for k, v in self.details.items()
                             if isinstance(v, (int, float, str, bool, list))}}
 
-    def validated_to(self, horizon: float) -> bool:
-        """Whether a validation ran and reached ``horizon``.  A fresh pair
+    def validated_to(self, horizon: float, target) -> bool:
+        """Whether a validation on ``target``, a map or generator matched by
+        identity as the memos match maps, reached ``horizon``.  A fresh pair
         reads ``validity_checked_to`` 0 without any check, so it needs one
-        even at horizon 0; every validation records its failures."""
-        return ("validation_failures" in self.details
-                and self.validity_checked_to >= horizon)
+        even at horizon 0, and a check on another map says nothing here."""
+        return self.validated_on is target and self.validity_checked_to >= horizon
 
 
 @dataclass
@@ -487,8 +494,8 @@ def _require_steps(n: int, name: str):
 
 def _powers(m: np.ndarray, count: int):
     """M^k for k < ``count`` in stacks of VALIDATION_CHUNK consecutive powers:
-    the first by doubling (base[h:2h] = base[:h] M^h, 6 stacked products for
-    64 powers), each later one as base M^start, one stacked product per
+    the first by doubling (base[h:2h] = base[:h] M^h, 4 stacked products for
+    16 powers), each later one as base M^start, one stacked product per
     chunk.  Equal to a step-by-step evaluation up to roundoff."""
     n = min(VALIDATION_CHUNK, count)
     if n < 1:
@@ -530,13 +537,15 @@ def _channel_probe_bounds(t: SuperOperator, n_max: int, seed: int) -> np.ndarray
     return bounds
 
 
-def _validate_on_grid(pair: ConvergencePair, key: str, grid, estimates,
-                      certified, n_probes: int) -> ConvergencePair:
-    """The verdict of both validators, decided once over the arrays: the
-    probe bound ``estimates[i]`` at ``grid[i]`` against ``certified[i]``, the
-    pair's K decay there (a NaN estimate fails).  ``validity_checked_to``
-    is the last point of the passing prefix, 0 when the first point fails."""
+def _validate_on_grid(pair: ConvergencePair, target, key: str, grid,
+                      estimates, certified, n_probes: int) -> ConvergencePair:
+    """The verdict of both validators on ``target``, decided once over the
+    arrays: the probe bound ``estimates[i]`` at ``grid[i]`` against
+    ``certified[i]``, the pair's K decay there (a NaN estimate fails).
+    ``validity_checked_to`` is the last point of the passing prefix, 0 when
+    the first point fails."""
     ok = estimates <= certified + VALIDATION_TOL
+    pair.validated_on = target
     pair.validity_checked_to = float(grid[np.logical_and.accumulate(ok)].max(initial=0))
     pair.valid = bool(ok.all())
     pair.details["validation_failures"] = [
@@ -562,7 +571,7 @@ def validate_pair_on_channel(pair: ConvergencePair, t: SuperOperator,
     _require_steps(n_max, "n_max")
     steps = np.arange(n_max + 1)
     return _validate_on_grid(
-        pair, "n", steps, _channel_probe_bounds(t, n_max, seed),
+        pair, t, "n", steps, _channel_probe_bounds(t, n_max, seed),
         pair.K * pair.rate ** steps, len(probe_inputs(t.dim, seed=seed)))
 
 
@@ -580,7 +589,7 @@ def validate_pair_on_generator(pair: ConvergencePair, gen: GeneratorMap,
     times = np.linspace(0.0, t_max, samples)
     step = matrix_exp(gen.matrix, t_max / max(samples - 1, 1))
     return _validate_on_grid(
-        pair, "t", times, _probe_bounds(samples, step, p_inf, probes),
+        pair, gen, "t", times, _probe_bounds(samples, step, p_inf, probes),
         _decay(pair.K, pair.rate, times), len(probes))
 
 
@@ -664,7 +673,7 @@ def discrete_trajectory_check(t: SuperOperator, e: SuperOperator,
             f"(eigenvalue-1 multiplicity {analysis.multiplicity})")
     if pair.kind != "discrete":
         raise DomainError("discrete trajectory check requires a discrete pair")
-    if not pair.validated_to(n_steps):
+    if not pair.validated_to(n_steps, t):
         validate_pair_on_channel(pair, t, n_max=n_steps, seed=seed)
     _require_usable(pair)
 
@@ -692,7 +701,7 @@ def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
     _require_horizon(t_max)
     if pair.kind != "continuous":
         raise DomainError("continuous trajectory check requires a continuous pair")
-    if not pair.validated_to(t_max):
+    if not pair.validated_to(t_max, gen_t):
         validate_pair_on_generator(pair, gen_t, t_max=t_max, samples=steps,
                                    seed=seed)
     _require_usable(pair)

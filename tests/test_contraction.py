@@ -958,6 +958,28 @@ def test_zero_map_estimates_are_zero_with_unit_witnesses():
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
+def test_probe_bounds_of_classical_chains_are_exact(d):
+    """For T = from_stochastic(S) and n >= 1, (T^n - T^inf)(X) is
+    sum_i X_ii sum_j ((S^n)_ij - pi_j) |j><j|, so ||T^n - T^inf||_{1->1}
+    is max_i ||(S^n)_i - pi||_1, attained at the probe E_ii.  At n = 0,
+    I - T^inf sends E_ii to E_ii - diag(pi), of trace norm 2(1 - pi_i), and
+    the off-diagonal units to themselves, of trace norm 1."""
+    from qms.finite_time import _channel_probe_bounds
+    for i in range(3):
+        s = random_stochastic(d, derive_seed(7100 + d, i))
+        w, v = np.linalg.eig(s.T)
+        pi = np.real(v[:, np.argmin(np.abs(w - 1.0))])
+        pi /= pi.sum()
+        exact = [max(2.0 * (1.0 - pi.min()), 1.0)]
+        power = np.eye(d)
+        for _ in range(200):
+            power = power @ s
+            exact.append(np.abs(power - pi).sum(axis=1).max())
+        bounds = _channel_probe_bounds(from_stochastic(s), 200, i)
+        np.testing.assert_allclose(bounds, exact, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
 def test_tau_of_classical_chains_is_dobrushin(d):
     for i in range(10):
         s = random_stochastic(d, derive_seed(3000 + d, i))

@@ -414,16 +414,15 @@ def test_zero_horizon_validates_a_fresh_pair(continuous):
     # horizon 0 it must still be validated, and K = 0.01 fails at n = t = 0
     rho0 = basis_state(2, 0)
     pair = user_pair(0.01, 0.5, "continuous" if continuous else "discrete")
-    assert not pair.validated_to(0.0)
+    target = depolarizing_generator(1.0) if continuous else depolarizing_channel(0.5)
+    assert not pair.validated_to(0.0, target)
     with pytest.raises(DomainError, match="failed empirical validation"):
         if continuous:
-            continuous_trajectory_check(depolarizing_generator(1.0),
-                                        depolarizing_generator(1.1), rho0, rho0,
-                                        0.0, 2, pair)
+            continuous_trajectory_check(target, depolarizing_generator(1.1),
+                                        rho0, rho0, 0.0, 2, pair)
         else:
-            discrete_trajectory_check(depolarizing_channel(0.5),
-                                      depolarizing_channel(0.6), rho0, rho0, 0,
-                                      pair)
+            discrete_trajectory_check(target, depolarizing_channel(0.6), rho0,
+                                      rho0, 0, pair)
     failures = pair.details["validation_failures"]
     assert len(failures) == (2 if continuous else 1)   # the grid is [0, 0] or [0]
     for failure in failures:
@@ -431,13 +430,42 @@ def test_zero_horizon_validates_a_fresh_pair(continuous):
         assert failure["estimate"] > failure["certified"] == pytest.approx(0.01)
 
 
+@pytest.mark.parametrize("continuous", [False, True])
+def test_a_pair_validated_on_one_map_is_validated_again_on_another(continuous):
+    # the chi2 pair of a fast mixer (K = 1, rate 0.8 or 1) is checked on it
+    # to the full horizon; a slow mixer with the same fixed point fails it
+    # at the first step, so reusing the first check there would certify a
+    # trajectory the bound does not cover
+    rho0, sigma0 = basis_state(2, 0), basis_state(2, 1)
+    if continuous:
+        fast, slow = depolarizing_generator(1.0), depolarizing_generator(0.05)
+        pair = pair_chi2_generator(fast, t_max=10.0, samples=20)
+        check = lambda: continuous_trajectory_check(
+            slow, depolarizing_generator(0.06), rho0, sigma0, 10.0, 20, pair,
+            strict=False)
+    else:
+        fast = depolarizing_channel(0.2)
+        slow = SuperOperator(2, 0.98 * identity_channel(2).matrix
+                             + 0.02 * completely_depolarizing(2).matrix)
+        pair = pair_chi2(fast, n_check=50)
+        check = lambda: discrete_trajectory_check(
+            slow, depolarizing_channel(0.1), rho0, sigma0, 50, pair,
+            strict=False)
+    assert pair.valid and pair.validated_to(pair.validity_checked_to, fast)
+    assert not pair.validated_to(0.0, slow)
+    with pytest.raises(DomainError, match="failed empirical validation"):
+        check()
+    assert pair.validated_on is slow and not pair.valid
+    assert "validated_on" not in pair.to_dict()
+
+
 def test_zero_horizon_passing_pair_is_validated_once():
     rho0 = basis_state(2, 0)
     pair = user_pair(1.0, 0.5)
-    rows = discrete_trajectory_check(depolarizing_channel(0.5),
-                                     depolarizing_channel(0.6), rho0, rho0, 0,
-                                     pair)
-    assert len(rows) == 1 and pair.valid and pair.validated_to(0)
+    t = depolarizing_channel(0.5)
+    rows = discrete_trajectory_check(t, depolarizing_channel(0.6), rho0, rho0,
+                                     0, pair)
+    assert len(rows) == 1 and pair.valid and pair.validated_to(0, t)
     assert pair.details["validation_failures"] == []
 
 
@@ -452,7 +480,7 @@ def test_discrete_recipes_refuse_a_negative_horizon(recipe):
     with pytest.raises(DomainError, match="n_max"):
         recipe(t, -1)
     pair = recipe(t, 0)
-    assert pair.valid and pair.validated_to(0)
+    assert pair.valid and pair.validated_to(0, t)
     assert pair.details["validation_failures"] == []
 
 
@@ -480,7 +508,7 @@ def test_generator_validation_refuses_an_empty_time_grid(recipe):
         with pytest.raises(DomainError, match="samples"):
             recipe(gen, samples)
     pair = recipe(gen, 1)
-    assert pair.validated_to(0.0)
+    assert pair.validated_to(0.0, gen)
     assert pair.valid is (pair.recipe != "user_supplied")
 
 
@@ -604,7 +632,7 @@ def test_a_nan_probe_estimate_fails_validation(first):
     grid = np.arange(5)
     estimates = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
     estimates[0 if first else 2] = np.nan
-    pair = _validate_on_grid(user_pair(1.0, 0.9), "n", grid, estimates,
+    pair = _validate_on_grid(user_pair(1.0, 0.9), None, "n", grid, estimates,
                              0.9 ** grid, 132)
     failures = pair.details["validation_failures"]
     assert not pair.valid
@@ -638,28 +666,44 @@ def test_certified_decay_is_the_bound_rows_decay_bit_for_bit():
 
 def test_validation_takes_one_trace_norm_batch_per_chunk(count_calls):
     from qms import linalg
+    from qms.finite_time import VALIDATION_CHUNK
     t = random_channel(2, 4, 5)
     pair = pair_chi2(t, n_check=0)
     batches = count_calls(linalg, "trace_norm_batch")
     validate_pair_on_channel(pair, t, n_max=200)
-    # 201 grid points in runs of 64, where one batch per point would be 201
-    assert len(batches) <= math.ceil(201 / 64)
+    # 201 grid points in runs of VALIDATION_CHUNK, where one batch per point
+    # would be 201
+    assert len(batches) <= math.ceil(201 / VALIDATION_CHUNK)
+
+
+def test_validation_batches_stay_within_one_chunks_bytes(count_calls):
+    # a run's stacked probe application at d = 2 is 16 x 132 probes x 4
+    # complex values, 135,168 bytes; runs of 64 made it 540,672
+    from qms import linalg
+    t = random_channel(2, 4, 5)
+    batches = count_calls(linalg, "trace_norm_batch")
+    validate_pair_on_channel(user_pair(1.0, 0.9), t, n_max=200)
+    assert batches
+    assert max(np.asarray(args[0]).nbytes for args in batches) <= 135_168
 
 
 def test_pairs_on_one_channel_share_their_probe_bounds(count_calls):
     from qms import linalg
+    from qms.finite_time import VALIDATION_CHUNK
     t = random_channel(3, 4, 6)
     sub = spectral_quantities(t).subdominant_modulus
     batches = count_calls(linalg, "trace_norm_batch")
     chi2 = pair_chi2(t, n_check=200, seed=2)
     eq10 = pair_spectral_eq10(t, (1.0 + sub) / 2.0, n_check=200, seed=2)
-    # one evaluation of the 201 grid points, in runs of 64, for both pairs
-    assert len(batches) == math.ceil(201 / 64)
+    # one evaluation of the 201 grid points, in runs of VALIDATION_CHUNK,
+    # for both pairs
+    runs = math.ceil(201 / VALIDATION_CHUNK)
+    assert len(batches) == runs
     assert chi2.validity_checked_to == eq10.validity_checked_to == 200
     # a pair of its own on a new horizon or seed evaluates its own grid
     validate_pair_on_channel(user_pair(chi2.K, chi2.rate), t, n_max=200, seed=3)
     validate_pair_on_channel(user_pair(chi2.K, chi2.rate), t, n_max=100, seed=2)
-    assert len(batches) == math.ceil(201 / 64) + math.ceil(201 / 64) + 2
+    assert len(batches) == runs + runs + math.ceil(101 / VALIDATION_CHUNK)
 
 
 def test_shared_probe_bounds_keep_each_pairs_own_failures():
