@@ -699,16 +699,17 @@ def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
     if steps < 2:
         raise DomainError("need at least 2 time samples")
     _require_horizon(t_max)
+    analysis = fixed_point_analysis(gen_t.unit_time_map)
+    if analysis.multiplicity != 1:
+        raise HypothesisError(
+            "continuous trajectory bound requires a unique stationary state "
+            f"(eigenvalue-1 multiplicity {analysis.multiplicity})")
     if pair.kind != "continuous":
         raise DomainError("continuous trajectory check requires a continuous pair")
     if not pair.validated_to(t_max, gen_t):
         validate_pair_on_generator(pair, gen_t, t_max=t_max, samples=steps,
                                    seed=seed)
     _require_usable(pair)
-
-    if fixed_point_analysis(gen_t.unit_time_map).multiplicity != 1:
-        raise HypothesisError(
-            "continuous trajectory bound requires a unique stationary state")
 
     times = np.linspace(0.0, t_max, steps)
     dt = times[1] - times[0]

@@ -424,7 +424,8 @@ def test_public_signatures_keep_only_options_with_callers():
     import inspect
 
     import qms
-    from qms import channels, contraction, ensembles, finite_time, spectral
+    from qms import (channels, contraction, ensembles, finite_time, linalg,
+                     spectral)
 
     assert [f.name for f in dataclasses.fields(SuperOperator)] == [
         "dim", "matrix", "label"]
@@ -458,7 +459,9 @@ def test_public_signatures_keep_only_options_with_callers():
                          (spectral, "stationary_states"),
                          (qms, "stationary_states"),
                          (spectral, "_stationary_basis"),
-                         (spectral.FixedPointAnalysis, "stationary")]:
+                         (spectral.FixedPointAnalysis, "stationary"),
+                         (linalg, "_PADE"), (linalg, "_THETA"),
+                         (linalg, "_pade_rows")]:
         assert not hasattr(module, name), name
 
 

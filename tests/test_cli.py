@@ -337,6 +337,20 @@ def test_trajectory_zero_horizon_validates_user_pair(files, capsys, t, e, horizo
     assert "failed empirical validation" in captured.err
 
 
+def test_continuous_trajectory_without_unique_stationary_state(files, capsys):
+    # refused before the user pair is validated (K = 2 would fail there)
+    from qms.channels import from_lindblad
+    p = files["dir"] / "rotation.json"
+    p.write_text(dumps_json(channel_to_dict(from_lindblad(np.diag([1.0, -1.0]), []))))
+    code = main(["trajectory", str(p), files["gen10"], "--steps", "10",
+                 "--t-max", "5", "--pair", "2:1.0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: continuous trajectory bound requires a "
+                            "unique stationary state (eigenvalue-1 "
+                            "multiplicity 2)\n")
+
+
 @pytest.mark.parametrize("pair", ["auto-chi2", "auto-db"])
 def test_continuous_trajectory_without_samples_is_usage_error(files, capsys, pair):
     # the recipe refuses an empty validation grid before the trajectory runs

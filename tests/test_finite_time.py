@@ -6,8 +6,8 @@ import pytest
 from qms.channels import (GeneratorMap, SuperOperator,
                           amplitude_damping_channel, basis_state, compose,
                           completely_depolarizing, depolarizing_channel,
-                          depolarizing_generator, from_kraus, from_stochastic,
-                          identity_channel, pauli_channel)
+                          depolarizing_generator, from_kraus, from_lindblad,
+                          from_stochastic, identity_channel, pauli_channel)
 from qms.contraction import norm_lower_bound_probes, probe_inputs
 from qms.errors import BoundViolationError, DomainError, HypothesisError
 from qms.finite_time import (VALIDATION_TOL, asymptotic_continuous,
@@ -368,12 +368,25 @@ def test_trajectory_random_small_perturbation():
         assert min(r.slack for r in rows) >= -1e-6
 
 
-def test_trajectory_requires_unique_stationary_state():
-    pair = user_pair(1.0, 0.5)
+@pytest.mark.parametrize("continuous", [False, True],
+                         ids=["discrete", "continuous"])
+def test_trajectory_requires_unique_stationary_state(continuous):
+    # both clocks refuse before validating and leave the pair untouched;
+    # on the continuous map a validation of K = 2 would fail and poison it
     rho0 = basis_state(2, 0)
-    with pytest.raises(HypothesisError):
-        discrete_trajectory_check(identity_channel(2), identity_channel(2),
-                                  rho0, rho0, 5, pair)
+    if continuous:
+        pair = user_pair(2.0, 1.0, "continuous")
+        gen = from_lindblad(np.diag([1.0, -1.0]), [])
+        with pytest.raises(HypothesisError, match="multiplicity 2"):
+            continuous_trajectory_check(gen, depolarizing_generator(1.0),
+                                        rho0, rho0, 5.0, 10, pair)
+    else:
+        pair = user_pair(1.0, 0.5)
+        with pytest.raises(HypothesisError, match="multiplicity 4"):
+            discrete_trajectory_check(identity_channel(2), identity_channel(2),
+                                      rho0, rho0, 5, pair)
+    assert (pair.validity_checked_to, pair.valid) == (0, True)
+    assert pair.validated_on is None
 
 
 def test_trajectory_strict_raises_on_violation(monkeypatch):

@@ -151,13 +151,17 @@ def test_matrix_exp_overflow_raises():
 def test_matrix_exp_matches_scipy_oracle(d):
     import scipy.linalg
     from qms.ensembles import random_generator
-    from qms.linalg import _THETA
+    from qms.linalg import _THETA13
+    # Higham's theta_3..theta_9, where scipy switches the Pade degree, and
+    # theta_13 times 1, 2 and 8, where the number of squarings changes
+    thetas = [1.495585217958292e-2, 2.539398330063230e-1,
+              9.504178996162932e-1, 2.097847961257068e0,
+              _THETA13, 2 * _THETA13, 8 * _THETA13]
     for seed in range(4):
         gen = random_generator(d, 2, derive_seed(seed, d), check=False).matrix
-        # 1-norms just below and above each theta_m switch the Pade degree;
-        # 3/4 of each lies inside a degree's range (for m = 13, unscaled)
+        # 1-norms just below and above each, and 3/4 of each
         norm = np.abs(gen).sum(axis=0).max()
-        edges = [theta * f / norm for theta in _THETA.values()
+        edges = [theta * f / norm for theta in thetas
                  for f in (1 - 1e-9, 1 + 1e-9, 0.75)]
         for t in (1e-3, 0.1, 1.0, 20 / 99, 20.0, *edges):
             want = scipy.linalg.expm(t * gen)
