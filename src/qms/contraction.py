@@ -11,12 +11,11 @@ two generators, equals its Hermitian one.  Every other value, at any d,
 comes from a seeded multistart power-method ascent (Boyd's method, as in
 Hager's and Higham's 1-norm estimators, lifted to the trace norm and
 accelerated by SQUAREM extrapolation) and is a *lower bound*; the spread
-over restarts is reported as a quality signal.  Estimates of several
-(map, kind) problems of one dimension run as one batch: the qubit closed
-form takes one vectorized pass over the batch's distinct maps, and every
-other problem's seeded restarts are rows of one ascent loop, sorted by
-kind, whose projections each take one eigh for all rows; each row keeps
-its own stopping rule.
+over restarts is reported as a quality signal.  A batch of problems of
+one dimension takes one closed-form pass over its distinct qubit maps and
+one ascent loop, whose rows (the other problems' seeded restarts, sorted
+by kind) take one eigh per projection and shrink only when one of them
+meets its own stopping rule.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from .channels import (_PAULIS, SuperOperator, annihilates_trace, choi_matrix,
                        preserves_hermiticity)
-from .errors import DomainError
+from .errors import DimensionError, DomainError, ValidationError
 from .linalg import apply_batch, dagger, trace_norm_batch
 from .rng import DEFAULT_RESTARTS, SplitMix64, derive_seed
 
@@ -180,8 +179,8 @@ def _pair_input(x: np.ndarray) -> np.ndarray:
 
 def _pure_pick(_, w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Eigenvector of (G + G^dag)/2 whose eigenvalue has the largest modulus."""
-    col = np.where(np.abs(w[:, 0]) > np.abs(w[:, -1]), 0, -1)
-    return v[np.arange(len(v)), :, col][:, None, :]
+    bottom = np.abs(w[:, :1, None]) > np.abs(w[:, -1:, None])
+    return np.where(bottom, v[:, None, :, 0], v[:, None, :, -1])
 
 
 def _ortho_pick(_, __, v: np.ndarray) -> np.ndarray:
@@ -198,9 +197,8 @@ def _extrapolate(b0: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """The SQUAREM trial B0 - 2 alpha r + alpha^2 v of each row, with
     r = B1 - B0, v = B2 - 2 B1 + B0 and alpha = min(-||r||_F / ||v||_F, -1);
     v = 0 gives alpha = -1 and B2."""
-    r, v = b1 - b0, b2 - 2.0 * b1 + b0
-    r_norm = np.linalg.norm(r, axis=(1, 2))
-    v_norm = np.linalg.norm(v, axis=(1, 2))
+    r, v = rv = np.array([b1 - b0, b2 - 2.0 * b1 + b0])
+    r_norm, v_norm = np.sqrt(np.add.reduce((rv.conj() * rv).real, axis=(2, 3)))
     alpha = -np.maximum(np.divide(r_norm, v_norm, out=np.ones_like(r_norm),
                                   where=v_norm > 0.0), 1.0)[:, None, None]
     return b0 - 2.0 * alpha * r + alpha ** 2 * v
@@ -212,10 +210,10 @@ def _power_ascent(ms: np.ndarray, kinds, starts, maxiter: int) -> list:
 
     Problem p is the map ``ms[p]`` of kind ``kinds[p]`` (a key of
     ``_ASCENTS``) with the start stack ``starts[p]``, shape (rows, width,
-    d), all on one d.  The rows are sorted once by kind, so each kind's
-    active rows are one slice: a projection applies each row's own map in
-    one stacked product and takes one eigh of the rows' ``_ASCENTS``
-    matrices and one SVD of all rows to evaluate them.
+    d), all on one d.  The rows, sorted once by kind, are kept compact and
+    shrink only in a cycle where one met its stopping rule, so each kind's
+    rows are one slice: a projection is one eigh of the rows' ``_ASCENTS``
+    matrices and one SVD, each row's own map applied in a stacked product.
 
     A power step S moves X to the extreme point maximizing Re tr(G^dag X)
     for G = L^dag(W), W the polar part of L(X); as ||L(X')||_1 >=
@@ -233,22 +231,14 @@ def _power_ascent(ms: np.ndarray, kinds, starts, maxiter: int) -> list:
     order = np.argsort(rank, kind="stable")
     starts = [starts[p] for p in order]
     sizes = [len(x) for x in starts]
-    ends = np.cumsum(sizes)
-    owner = np.repeat(order, sizes)
     kind = np.repeat(np.sort(rank), sizes)
     d = starts[0].shape[-1]
     # a width-1 row (psi) is held as (psi, psi)
     xs = np.concatenate([np.broadcast_to(x, (len(x), 2, d)) for x in starts])
-    mhs = dagger(ms)
+    fs, evals = np.empty(len(xs)), np.full(len(xs), 1 + 3 * (maxiter // 2))
+    converged = np.zeros(len(xs), dtype=bool)
 
-    def apply(maps, mats):
-        return apply_batch(maps, mats[:, None])[:, 0]
-
-    def evaluate(maps, b):
-        u, s, vh = np.linalg.svd(apply(maps, b))
-        return s.sum(axis=1), u @ vh
-
-    def steps_of(k):                        # (function, rows) of each step
+    def spans_of(k):                        # (function, rows) of each step
         cuts = np.searchsorted(k, np.arange(len(_ASCENTS) + 1)).tolist()
         spans = [{}, {}, {}]                # matrix, pick and build spans
         for a, lo, hi in zip(_ASCENTS.values(), cuts, cuts[1:]):
@@ -256,41 +246,55 @@ def _power_ascent(ms: np.ndarray, kinds, starts, maxiter: int) -> list:
                 span.setdefault(f, [lo, hi])[1] = hi    # kinds sharing f are adjacent
         return [[(f, slice(*r)) for f, r in span.items()] for span in spans]
 
-    def project(maps, steps, g):
-        w, v = np.linalg.eigh(np.concatenate([f(g[r]) for f, r in steps[0]]))
-        x = np.empty((len(g), 2, d), dtype=complex)
-        for f, r in steps[1]:
-            x[r] = f(g[r], w[r], v[r])
-        b = np.concatenate([f(x[r]) for f, r in steps[2]])
-        return (x, b) + evaluate(maps, b)
+    def stacked(span, *args):               # each function on its own rows
+        if len(span) == 1:
+            return span[0][0](*args)
+        return np.concatenate([f(*[a[r] for a in args]) for f, r in span])
 
-    bs = np.concatenate([f(xs[r]) for f, r in steps_of(kind)[2]])
-    fs, ws = evaluate(ms[owner], bs)
-    evaluations = np.bincount(owner, minlength=len(starts))
-    converged = np.zeros(len(owner), dtype=bool)
-    for _ in range(maxiter // 2):
-        act = np.nonzero(~converged)[0]
-        if not len(act):
-            break
-        steps = steps_of(kind[act])
-        own = owner[act]
-        m_act, mh_act, b0 = ms[own], mhs[own], bs[act]
-        _, b1, _, w1 = project(m_act, steps, apply(mh_act, ws[act]))
-        x2, b2, f2, w2 = project(m_act, steps, apply(mh_act, w1))
-        x3, b3, f3, w3 = project(m_act, steps, _extrapolate(b0, b1, b2))
-        evaluations += 3 * np.bincount(own, minlength=len(starts))
+    def apply(maps_t, mats):                # apply_batch, maps pre-transposed
+        out = mats.swapaxes(1, 2).reshape(len(mats), 1, d * d) @ maps_t
+        return out.reshape(len(mats), d, d).swapaxes(1, 2)
+
+    def project(g):                         # x, B and the SVD of L(B)
+        w, v = np.linalg.eigh(stacked(spans[0], g))
+        x = np.empty((len(g), 2, d), dtype=complex)
+        for f, r in spans[1]:               # a width-1 pick fills both
+            x[r] = f(g[r], w[r], v[r])
+        b = stacked(spans[2], x)
+        return (x, b) + np.linalg.svd(apply(m, b))
+
+    rows, ms = np.arange(len(xs)), ms[np.repeat(order, sizes)]
+    m, mh, x, spans = ms.swapaxes(1, 2), ms.conj(), xs, spans_of(kind)
+    b = stacked(spans[2], x)
+    u, s, vh = np.linalg.svd(apply(m, b))
+    f, w = s.sum(axis=1), u @ vh
+    for cycle in range(maxiter // 2):
+        _, b1, u1, _, vh1 = project(apply(mh, w))
+        x2, b2, u2, s2, vh2 = project(apply(mh, u1 @ vh1))
+        x3, b3, u3, s3, vh3 = project(_extrapolate(b, b1, b2))
+        f2, f3 = s2.sum(axis=1), s3.sum(axis=1)
         pick = f3 > f2
-        ft = np.where(pick, f3, f2)
-        gain = ft - fs[act]
-        ok = gain > 0.0
-        keep, pick = act[ok], pick[ok, None, None]
-        for kept, y2, y3 in ((xs, x2, x3), (bs, b2, b3), (ws, w2, w3)):
-            kept[keep] = np.where(pick, y3[ok], y2[ok])
-        fs[keep] = ft[ok]
-        converged[act[gain <= 1e-13 * np.maximum(np.abs(fs[act]), 1.0)]] = True
+        for y2, y3 in ((x2, x3), (b2, b3), (u2, u3), (vh2, vh3)):
+            np.copyto(y2, y3, where=pick[:, None, None])
+        np.copyto(f2, f3, where=pick)
+        gain = f2 - f
+        done = gain <= 1e-13 * np.maximum(np.abs(f2), 1.0)
+        if done.any():                      # retire the rows that stopped
+            gone, ok = rows[done], (gain > 0.0)[done]   # no gain: keep x0
+            fs[gone] = np.where(ok, f2[done], f[done])
+            xs[gone] = np.where(ok[:, None, None], x2[done], x[done])
+            converged[gone], evals[gone] = True, 1 + 3 * (cycle + 1)
+            keep = np.flatnonzero(~done)
+            rows, m, mh, kind, x2, b2, u2, vh2, f2 = (
+                a[keep] for a in (rows, m, mh, kind, x2, b2, u2, vh2, f2))
+            spans = spans_of(kind)
+        x, b, w, f = x2, b2, u2 @ vh2, f2    # W only for the rows kept
+        if not len(rows):
+            break
+    xs[rows], fs[rows] = x, f
     out = [(xs[end - len(x):end, :x.shape[1]], fs[end - len(x):end],
-            converged[end - len(x):end], int(evaluations[p]))
-           for p, x, end in zip(order, starts, ends)]
+            converged[end - len(x):end], int(evals[end - len(x):end].sum()))
+           for x, end in zip(starts, np.cumsum(sizes))]
     return [out[i] for i in np.argsort(order)]
 
 
@@ -306,8 +310,7 @@ def _run_multistart(problems, restarts: int, seed: int, maxiter: int) -> list:
     seeds = np.uint64(derive_seed(seed, 0)) + np.arange(restarts, dtype=np.uint64)
     starts = [_ASCENTS[kind][0](SplitMix64(seeds), t.dim) for t, kind in problems]
     results = _power_ascent(np.stack([t.matrix for t, _ in problems]),
-                            [kind for _, kind in problems],
-                            starts, maxiter)
+                            [kind for _, kind in problems], starts, maxiter)
     estimates = []
     for xs, fs, converged, evaluations in results:
         best = int(np.argmax(fs))
@@ -363,10 +366,9 @@ def _closed_forms(problems) -> list:
     In general mode a Hermiticity-preserving (HP) qubit map whose outputs
     are all traceless (:func:`~qms.channels.annihilates_trace`), such as
     a difference of two channels or two generators, takes the Hermitian
-    closed form too, witness (psi, psi).  The Hermitian form is exact
-    there.  For a rank-one input u v^dag the
-    output is traceless, L(u v^dag) = c.sigma, and a traceless 2 x 2
-    matrix M has
+    closed form too, witness (psi, psi), and it is exact there.  For a
+    rank-one input u v^dag the output is traceless, L(u v^dag) = c.sigma,
+    and a traceless 2 x 2 matrix M has
 
         ||M||_1 = max_theta ||(e^{-i theta} M + e^{i theta} M^dag)/2||_1
 
@@ -378,27 +380,24 @@ def _closed_forms(problems) -> list:
     input is admissible in general mode.  With a trace row of norm
     r = ||M^dag vec(I)||_2, |tr L(X)| <= r ||X||_1 and the same argument,
     applied to the traceless part of L(u v^dag), bounds the Hermitian form
-    only to within 2 r below the general norm, so such a map takes the
-    ascent.
+    only to within 2 r below the general norm: such a map takes the ascent.
 
-    One vectorized pass serves the distinct qubit maps of ``problems``
-    (distinct by identity): one Choi stack and one HP test, one
+    One vectorized pass serves the distinct qubit maps of ``problems`` (all
+    of one dimension, distinct by identity): one Choi stack, one HP test, one
     Pauli-transfer einsum, then one stacked Hermitian form over one row
     per distinct (map, is tau) pair, its ``hermitian`` and ``general``
     problems sharing a row, and one eigh for all witnesses.
     """
     out = [None] * len(problems)
-    maps = {id(t): t for t, _ in problems if t.dim == 2}
-    if not maps:
+    if not problems or problems[0][0].dim != 2:
         return out
+    maps = {id(t): t for t, _ in problems}
     row = dict(zip(maps, range(len(maps))))
     ms = np.stack([t.matrix for t in maps.values()])
     hp = preserves_hermiticity(ms, choi_matrix(ms))[0]
     keys = {}                            # (map row, is tau) -> stack row
     closed = []                          # (problem, stack row, kind)
     for i, (t, kind) in enumerate(problems):
-        if t.dim != 2:
-            continue
         k = row[id(t)]
         if hp[k] and (kind != "general" or annihilates_trace(t.matrix, 2)[0]):
             closed.append((i, keys.setdefault((k, kind == "tau"), len(keys)),
@@ -422,15 +421,18 @@ def _closed_forms(problems) -> list:
 def estimate_batch(problems, restarts: int, seed: int) -> list:
     """One estimate per (map, kind) in ``problems``, all maps of one
     dimension; kind ``tau`` is :func:`tau`, and ``hermitian`` and
-    ``general`` are :func:`norm_1to1` in that mode.
-
-    The qubit closed forms run first, as one vectorized pass over the
-    distinct qubit maps (:func:`_closed_forms`), each problem's equal bit
-    for bit to that of a call of its own.  Every other problem
-    becomes ``restarts`` rows of one :func:`_power_ascent`, seeded as in a
-    call of its own, so its estimate equals the one-at-a-time value up to
-    roundoff.  ``restarts`` < 1 is refused.
+    ``general`` are :func:`norm_1to1` in that mode.  Maps of two
+    dimensions, another kind and ``restarts`` < 1 are refused before any
+    work.  The qubit closed forms run first, as one vectorized pass over
+    the distinct qubit maps (:func:`_closed_forms`), each problem's equal
+    bit for bit to that of a call of its own.  Every other problem becomes
+    ``restarts`` rows of one :func:`_power_ascent`, seeded as in a call of
+    its own, so its estimate equals the one-at-a-time value up to roundoff.
     """
+    if len({t.dim for t, _ in problems}) > 1:
+        raise DimensionError("estimate_batch: maps of more than one dimension")
+    if bad := [kind for _, kind in problems if kind not in _ASCENTS]:
+        raise ValidationError(f"estimate_batch: unknown kind {bad[0]!r}")
     _require_restarts(restarts)
     out = _closed_forms(problems)
     rest = [i for i, est in enumerate(out) if est is None]
@@ -451,11 +453,10 @@ def tau(t: SuperOperator, restarts: int = DEFAULT_RESTARTS,
     linear map, so tau(L) is half the maximal output distance over
     orthogonal pure-state pairs.  Hermiticity-preserving qubit maps take
     the Hermitian closed form of T(X - tr(X) I/2) (:func:`_closed_forms`;
-    method ``analytic``, exact).
-    Otherwise ``restarts`` independent power-method ascents run over the
-    pairs, as the rows of a batch of one (:func:`_power_ascent`; restart r
-    is seeded with derive_seed(seed, r), so prefixes of the restart stream
-    are reproducible), each of at most ``MAXITER`` power steps.
+    method ``analytic``, exact).  Otherwise ``restarts`` power-method
+    ascents of at most ``MAXITER`` steps run over the pairs as the rows of
+    a batch of one (:func:`_power_ascent`), restart r seeded with
+    derive_seed(seed, r), so prefixes of the restart stream reproduce.
     ``restarts`` < 1 is refused even where the closed form ignores it.
     """
     return estimate_batch([(t, "tau")], restarts, seed)[0]
@@ -468,15 +469,14 @@ def norm_1to1(t: SuperOperator, restarts: int = DEFAULT_RESTARTS, seed: int = 0,
     General mode ascends over rank-one X = u v^dag (the extreme points of
     the trace-norm ball; witness ``(u, v)``); ``hermitian_only`` restricts
     to Hermitian X, whose extreme points are +/- psi psi^dag (witness
-    ``psi``).  The ``restarts`` seeded power-method ascents are the rows
-    of a batch of one (:func:`_power_ascent`), each of at most ``MAXITER``
-    power steps.  In Hermitian mode a Hermiticity-preserving qubit map
-    takes the qubit closed form :func:`_hermitian_norm_qubit` instead
-    (method ``analytic``, exact), the one that also gives :func:`tau` at
-    d = 2.  In general mode so does a Hermiticity-preserving qubit map with
-    only traceless outputs, whose general and Hermitian norms agree
-    (:func:`_closed_forms`; witness ``(psi, psi)``).  The closed form
-    ignores ``restarts``, but ``restarts`` < 1 is refused everywhere.
+    ``psi``).  The ``restarts`` seeded power-method ascents of at most
+    ``MAXITER`` steps are the rows of a batch of one (:func:`_power_ascent`).
+    A Hermiticity-preserving qubit map takes the exact closed form
+    :func:`_hermitian_norm_qubit` instead (method ``analytic``; that of
+    :func:`tau` at d = 2) in Hermitian mode, and in general mode where its
+    outputs are all traceless, as the two norms then agree (witness
+    ``(psi, psi)``; :func:`_closed_forms`).  The closed form ignores
+    ``restarts``, but ``restarts`` < 1 is refused everywhere.
     """
     kind = "hermitian" if hermitian_only else "general"
     return estimate_batch([(t, kind)], restarts, seed)[0]

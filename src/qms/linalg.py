@@ -10,7 +10,8 @@ this convention; it is fixed here and nowhere else.
 :func:`sandwich_matrix` is the package's only assembly of such a matrix
 from operators: the map X -> A X B has matrix ``np.kron(B.T, A)``.
 :func:`apply_batch` is the package's only application of such a matrix,
-or of a stack of them, to a single matrix or to a stack.
+or of a stack of them, to a single matrix or to a stack; the power ascent
+of :mod:`qms.contraction` repeats its product with the transposes hoisted.
 
 Everything here is numpy: LAPACK through ``np.linalg``, and the matrix
 exponential by Pade scaling and squaring on top of it.

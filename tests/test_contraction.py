@@ -13,7 +13,7 @@ from qms.contraction import (_ASCENTS, PROBE_DRAWS, _extrapolate,
                              _ortho_input, _ortho_start, _run_multistart,
                              _unit_vectors, estimate_batch, norm_1to1,
                              norm_lower_bound_probes, probe_inputs, tau)
-from qms.errors import DomainError
+from qms.errors import DimensionError, DomainError, ValidationError
 from qms.linalg import apply_batch, trace_norm, vec
 from qms.rng import SplitMix64, derive_seed
 from qms.spectral import fundamental_map
@@ -790,16 +790,111 @@ def test_batched_estimates_equal_one_at_a_time(d):
 
 
 def test_batched_estimate_does_not_depend_on_its_companions():
-    problems = batch_problems(3)
+    # the unitary problems' rows stop after one cycle, first, in the middle
+    # and last of the rows, next to rows that run on
+    unitary = random_unitary_channel(3, 73)
+    rest = batch_problems(3)
+    first, middle, last = [(unitary, kind) for kind in _ASCENTS]
+    problems = rest + [first, middle, last]
     alone = [estimate_batch([p], restarts=8, seed=6)[0] for p in problems]
-    for batch in (problems[::-1], problems[::2] + problems[1::2],
-                  problems + problems):
+    for batch in (rest[::-1], rest[::2] + rest[1::2], rest + rest,
+                  [first] + rest, rest[:6] + [middle] + rest[6:],
+                  rest + [last]):
         for p, est in zip(batch, estimate_batch(batch, restarts=8, seed=6)):
             ref = alone[problems.index(p)]
             assert est.value == pytest.approx(ref.value, rel=1e-12)
             assert est.evaluations == ref.evaluations
+            assert est.converged == ref.converged
     again = estimate_batch(problems, restarts=8, seed=6)
     assert [e.evaluations for e in again] == [e.evaluations for e in alone]
+    assert [e.evaluations for e in alone[-3:]] == [8 * (1 + 3)] * 3
+
+
+def pinned_batch(d):
+    """batch_problems(d) with a unitary channel, whose rows all stop after
+    one cycle, first, in the middle and last."""
+    u = random_unitary_channel(d, 73)
+    problems = batch_problems(d)
+    k = len(problems) // 2
+    return ([(u, "general")] + problems[:k] + [(u, "tau"), (u, "hermitian")]
+            + problems[k:] + [(u, "general")])
+
+
+# (value, evaluations, converged, convergence_spread) of each estimate of
+# estimate_batch(pinned_batch(d), restarts=8, seed=9), floats as float.hex
+PINNED = {
+    3: [
+        ("0x1.0000000000004p+0", 32, 8, "0x1.0000000000000p-50"),
+        ("0x1.0000000000002p+0", 32, 8, "0x1.4000000000000p-51"),
+        ("0x1.0000000000002p+0", 311, 8, "0x1.7400000000000p-47"),
+        ("0x1.d1bac7a1f3104p-1", 290, 8, "0x1.8cf6721145338p-4"),
+        ("0x1.0a59935aa1eb3p-1", 251, 8, "0x1.7571600602840p-6"),
+        ("0x1.0000000000002p+1", 710, 8, "0x1.3cb175489b900p-6"),
+        ("0x1.e51ebda512f5dp+0", 197, 8, "0x1.08d8d05d582e8p-3"),
+        ("0x1.0000000000002p+0", 32, 8, "0x1.0000000000000p-51"),
+        ("0x1.0000000000004p+0", 32, 8, "0x1.0000000000000p-50"),
+        ("0x1.5cc19b5d375c7p+0", 194, 8, "0x1.2844a431d5b38p-3"),
+        ("0x1.d3e7d2f9e35dcp+0", 302, 8, "0x1.a739e8ecbeb88p-3"),
+        ("0x1.0000000000000p+1", 914, 8, "0x1.3cb1754893a40p-6"),
+        ("0x1.e51ebda512f56p+0", 206, 8, "0x1.8f21305f2a180p-4"),
+        ("0x1.5cc19b5d375c8p+0", 209, 8, "0x1.e0cdffe33c600p-9"),
+        ("0x1.d3e7d2f9e35d9p+0", 341, 8, "0x1.a739e8ecbeb30p-3"),
+        ("0x1.00cea51118783p+0", 188, 8, "0x1.8000000000000p-51"),
+        ("0x1.0000000000004p+0", 32, 8, "0x1.0000000000000p-50")],
+    4: [
+        ("0x1.0000000000003p+0", 32, 8, "0x1.8000000000000p-51"),
+        ("0x1.0000000000004p+0", 32, 8, "0x1.8000000000000p-51"),
+        ("0x1.0000000000004p+0", 194, 8, "0x1.2000000000000p-47"),
+        ("0x1.f8adc2c40e7dbp-1", 593, 8, "0x1.f030f5e33f600p-10"),
+        ("0x1.12c796b6fe664p-1", 341, 8, "0x1.2de0c6f07c96cp-4"),
+        ("0x1.fffffffffffdep+0", 1454, 7, "0x1.5c70000000000p-40"),
+        ("0x1.f23f45861ab8cp+0", 239, 8, "0x1.14fd1369de268p-3"),
+        ("0x1.0000000000004p+0", 32, 8, "0x1.0000000000000p-50"),
+        ("0x1.0000000000004p+0", 32, 8, "0x1.0000000000000p-50"),
+        ("0x1.673fc284dfba1p+0", 290, 8, "0x1.1748e0cb12190p-4"),
+        ("0x1.d9b7a9112a6aep+0", 404, 8, "0x1.7faf78397ca00p-5"),
+        ("0x1.fffffffffffc2p+0", 605, 8, "0x1.0b00000000000p-42"),
+        ("0x1.f23f45c7b31c8p+0", 923, 8, "0x1.47d7ab0985000p-6"),
+        ("0x1.728c9c6f899eep+0", 314, 8, "0x1.699b3d553c9a0p-5"),
+        ("0x1.d9b7a9112a6acp+0", 410, 8, "0x1.7faf78398ee00p-5"),
+        ("0x1.0000000000003p+0", 32, 8, "0x1.8000000000000p-51")],
+}
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_ascent_outputs_are_pinned(d):
+    # rows that stop in the first cycle, later and never (the d = 4 row
+    # with 7 of 8 converged runs all MAXITER steps)
+    out = estimate_batch(pinned_batch(d), restarts=8, seed=9)
+    assert len(out) == len(PINNED[d])
+    for est, (value, evaluations, converged, spread) in zip(out, PINNED[d]):
+        value = float.fromhex(value)
+        assert (est.evaluations, est.converged) == (evaluations, converged)
+        assert est.value == pytest.approx(value, rel=1e-14)
+        assert est.convergence_spread == pytest.approx(
+            float.fromhex(spread), rel=1e-14, abs=2e-14 * value)
+
+
+def test_batch_refuses_maps_of_two_dimensions(count_calls):
+    closed = count_calls(contraction, "_closed_forms")
+    ascents = count_calls(contraction, "_power_ascent")
+    t2 = random_channel(2, 4, 1)
+    t3, t4 = random_channel(3, 9, 1), random_channel(4, 16, 2)
+    for batch in ([(t3, "tau"), (t4, "general")],
+                  [(t2, "tau"), (t3, "hermitian")]):
+        with pytest.raises(DimensionError):
+            estimate_batch(batch, restarts=2, seed=0)
+    assert (closed, ascents) == ([], [])
+
+
+def test_batch_refuses_an_unknown_kind(count_calls):
+    closed = count_calls(contraction, "_closed_forms")
+    ascents = count_calls(contraction, "_power_ascent")
+    for d in (2, 3):
+        t = random_channel(d, d * d, 1)
+        with pytest.raises(ValidationError, match="'diamond'"):
+            estimate_batch([(t, "tau"), (t, "diamond")], restarts=2, seed=0)
+    assert (closed, ascents) == ([], [])
 
 
 def test_batch_runs_closed_forms_per_problem_and_one_ascent(count_calls):
