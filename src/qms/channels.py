@@ -40,7 +40,7 @@ class SuperOperator:
     label: Optional[str] = None
 
     def __post_init__(self):
-        self.matrix = as_matrix(self.matrix, square=True, name="superoperator matrix")
+        self.matrix = as_matrix(self.matrix, name="superoperator matrix")
         if self.matrix.shape[0] != self.dim ** 2:
             raise DimensionError(
                 f"superoperator matrix is {self.matrix.shape[0]}x{self.matrix.shape[1]}, "
@@ -49,7 +49,7 @@ class SuperOperator:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply the map to a d x d matrix: check the input, then
         :func:`~qms.linalg.apply_batch`."""
-        x = as_matrix(x, square=True, name="channel input")
+        x = as_matrix(x, name="channel input")
         if x.shape[0] != self.dim:
             raise DimensionError(f"input is {x.shape[0]}x{x.shape[1]}, map has dim {self.dim}")
         return apply_batch(self.matrix, x)
@@ -78,7 +78,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = as_matrix(self.matrix, square=True, name="density matrix")
+        self.matrix = as_matrix(self.matrix, name="density matrix")
         if self.matrix.shape[0] != self.dim:
             raise DimensionError(f"density matrix shape {self.matrix.shape} != dim {self.dim}")
         skew = self.matrix - dagger(self.matrix)
@@ -101,7 +101,7 @@ class GeneratorMap:
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = as_matrix(self.matrix, square=True, name="generator matrix")
+        self.matrix = as_matrix(self.matrix, name="generator matrix")
         if self.matrix.shape[0] != self.dim ** 2:
             raise DimensionError(
                 f"generator matrix is {self.matrix.shape}, expected dim^2 = {self.dim ** 2}")
@@ -170,7 +170,7 @@ def from_kraus(operators: Sequence[np.ndarray], label: str | None = None) -> Sup
     """
     if len(operators) == 0:
         raise ValidationError("from_kraus: empty Kraus list")
-    ops = [as_matrix(a, square=True, name=f"Kraus operator {k}")
+    ops = [as_matrix(a, name=f"Kraus operator {k}")
            for k, a in enumerate(operators)]
     d = ops[0].shape[0]
     for k, a in enumerate(ops):
@@ -232,14 +232,14 @@ def generator_exponential(gen: GeneratorMap, t: float) -> SuperOperator:
 
 def from_lindblad(h, jumps: Sequence[np.ndarray]) -> GeneratorMap:
     """Generator L(X) = -i[H, X] + sum_k (L_k X L_k^dag - {L_k^dag L_k, X}/2)."""
-    h = as_matrix(h, square=True, name="Hamiltonian")
+    h = as_matrix(h, name="Hamiltonian")
     if spectral_norm(h - dagger(h)) > 1e-12 * max(1.0, spectral_norm(h)):
         raise ValidationError("Hamiltonian must be Hermitian")
     d = h.shape[0]
     eye = np.eye(d)
     a, b = [h, eye], [eye, h]
     for k, l in enumerate(jumps):
-        l = as_matrix(l, square=True, name=f"jump operator {k}")
+        l = as_matrix(l, name=f"jump operator {k}")
         if l.shape[0] != d:
             raise DimensionError(f"jump operator {k} has shape {l.shape}, expected {d}x{d}")
         ll = dagger(l) @ l

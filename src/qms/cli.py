@@ -59,7 +59,7 @@ def _at_least(lo: int):
     return integer
 
 
-def _tolerance(text: str) -> float:
+def _finite_nonnegative(text: str) -> float:
     x = float(text)
     if not 0.0 <= x < math.inf:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {x}")
@@ -80,7 +80,7 @@ def _common_flags(p: argparse.ArgumentParser, estimates: bool, rows: bool = Fals
                    choices=["text", "json", "csv"] if rows else ["text", "json"],
                    help="output format")
     if estimates:
-        p.add_argument("--tol", type=_tolerance, default=1e-6,
+        p.add_argument("--tol", type=_finite_nonnegative, default=1e-6,
                        help="violation tolerance for slack checks (finite, >= 0)")
         p.add_argument("--restarts", type=_at_least(1), default=DEFAULT_RESTARTS,
                        help="multistart restarts for norm/contraction estimates "
@@ -300,7 +300,6 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_pairs(args) -> int:
-    from .finite_time import pair_chi2, pair_detailed_balance, pair_spectral_eq10
     from .spectral import fixed_point_analysis
     t = _load_super(args.input)
     results: dict[str, object] = {}
@@ -308,16 +307,11 @@ def _cmd_pairs(args) -> int:
     spec = fixed_point_analysis(t).spectral
     default_mu = (args.mu if args.mu is not None
                   else (1.0 + spec.subdominant_modulus) / 2.0)
-    recipes = {
-        "chi2": lambda: pair_chi2(t, n_check=args.steps, seed=args.seed),
-        "detailed_balance": lambda: pair_detailed_balance(
-            t, n_check=args.steps, seed=args.seed),
-        "spectral_eq10": lambda: pair_spectral_eq10(
-            t, default_mu, n_check=args.steps, seed=args.seed),
-    }
-    for name, make in recipes.items():
+    # repr round-trips the float, so eq10 runs at default_mu exactly
+    for name, pair_spec in [("chi2", "auto-chi2"), ("detailed_balance", "auto-db"),
+                            ("spectral_eq10", f"auto-eq10:{default_mu!r}")]:
         try:
-            pair = make()
+            pair = _derive_pair(pair_spec, t, args.steps, None, args.seed)
             results[name] = pair.to_dict()
             if not pair.valid:
                 exit_code = 1
@@ -382,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input1", help="reference channel or generator")
     p.add_argument("input2", help="perturbed channel or generator")
     p.add_argument("--steps", type=_at_least(0), default=50)
-    p.add_argument("--t-max", type=float, default=10.0, dest="t_max")
+    p.add_argument("--t-max", type=_finite_nonnegative, default=10.0, dest="t_max")
     p.add_argument("--pair", default="auto-chi2",
                    help="auto-chi2 | auto-db | auto-eq10:MU | K:MU")
     p.add_argument("--state", default="maximally-mixed")
@@ -406,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kraus-rank", type=int, default=None, dest="kraus_rank")
     p.add_argument("--mode", default="discrete", choices=["discrete", "continuous"])
     p.add_argument("--steps", type=_at_least(0), default=50)
-    p.add_argument("--t-max", type=float, default=10.0, dest="t_max")
+    p.add_argument("--t-max", type=_finite_nonnegative, default=10.0, dest="t_max")
     _common_flags(p, estimates=True, rows=True)
     p.set_defaults(func=_cmd_ensemble)
     return parser

@@ -16,7 +16,7 @@ from .channels import (DensityMatrix, GeneratorMap, SuperOperator, choi_matrix,
                        from_kraus, from_lindblad, generator_exponential)
 from .contraction import _require_restarts
 from .errors import DomainError, QmsError, ValidationError
-from .finite_time import (BoundReport, _require_horizon,
+from .finite_time import (BoundReport, _require_grid,
                           continuous_trajectory_check, discrete_trajectory_check,
                           pair_chi2, pair_chi2_generator)
 from .linalg import dagger
@@ -174,9 +174,7 @@ def sweep(config: EnsembleConfig, steps: int = 50, restarts: int = 8,
     """
     _require_restarts(restarts)
     if config.mode == "continuous":
-        if steps < 2:
-            raise DomainError("need at least 2 time samples")
-        _require_horizon(t_max)
+        _require_grid(t_max, steps)
     elif config.kraus_rank == 1:
         raise DomainError("kraus_rank 1 gives a unitary channel, "
                           "which has no unique stationary state")

@@ -139,6 +139,12 @@ def user_pair(K: float, rate: float, kind: str = "discrete") -> ConvergencePair:
     return ConvergencePair(K=K, rate=rate, kind=kind, recipe="user_supplied")
 
 
+def _require_kind(pair: ConvergencePair, kind: str, what: str):
+    """Refuse a pair of the other clock: ``what`` needs a ``kind`` pair."""
+    if pair.kind != kind:
+        raise DomainError(f"{what} requires a {kind} pair")
+
+
 # ---------------------------------------------------------------------------
 # thresholds and bound formulas
 
@@ -197,8 +203,7 @@ def discrete_bound(pair: ConvergencePair, n: int, d0: float, dT: float) -> Finit
 
     ``d0`` is ||rho_0 - sigma_0||_1 and ``dT`` is ||E - T||_{1->1}.
     """
-    if pair.kind != "discrete":
-        raise DomainError("discrete_bound requires a discrete pair")
+    _require_kind(pair, "discrete", "discrete_bound")
     if n < 0 or d0 < 0 or dT < 0:
         raise DomainError("n, d0 and dT must be nonnegative")
     return _finite_time_bound(n, *_discrete_terms(pair.K, pair.rate, n, d0, dT))
@@ -211,8 +216,7 @@ def asymptotic_discrete(pair: ConvergencePair, dT: float) -> float:
     of :func:`discrete_bound` by (1 - K mu^n_hat)/(1-mu) ||E - T||, so it
     equals the limit only when K mu^n_hat = 1; the gap is below ||E - T||
     for K > 1 and can exceed it for K < 1."""
-    if pair.kind != "discrete":
-        raise DomainError("asymptotic_discrete requires a discrete pair")
+    _require_kind(pair, "discrete", "asymptotic_discrete")
     if dT < 0:
         raise DomainError("dT must be nonnegative")
     return (n_hat(pair.K, pair.rate) + 1.0 / (1.0 - pair.rate)) * dT
@@ -248,8 +252,7 @@ def continuous_bound(pair: ConvergencePair, t: float, d0: float, dL: float) -> F
 
     ``dL`` is the 1->1 norm of the generator difference.
     """
-    if pair.kind != "continuous":
-        raise DomainError("continuous_bound requires a continuous pair")
+    _require_kind(pair, "continuous", "continuous_bound")
     if t < 0 or d0 < 0 or dL < 0:
         raise DomainError("t, d0 and dL must be nonnegative")
     return _finite_time_bound(t, *_continuous_terms(pair.K, pair.rate, t, d0, dL))
@@ -258,8 +261,7 @@ def continuous_bound(pair: ConvergencePair, t: float, d0: float, dL: float) -> F
 def asymptotic_continuous(pair: ConvergencePair, dL: float) -> float:
     """(log(max(K, 1)) + min(K, 1))/nu times the generator-difference norm,
     the t -> infinity limit of :func:`continuous_bound`."""
-    if pair.kind != "continuous":
-        raise DomainError("asymptotic_continuous requires a continuous pair")
+    _require_kind(pair, "continuous", "asymptotic_continuous")
     if pair.K <= 0:
         raise DomainError("requires K > 0")
     return (math.log(max(pair.K, 1.0)) + min(pair.K, 1.0)) / pair.rate * dL
@@ -344,7 +346,7 @@ def pair_detailed_balance(t: SuperOperator, n_check: int = DEFAULT_VALIDATION_ST
 
 
 def _blaschke_sup_on_circle(roots: np.ndarray, exponents: Sequence[int],
-                            mu: float, grid: int = 4096) -> float:
+                            mu: float) -> float:
     """sup over |z| = mu of prod |(1 - conj(l_i) z)/(z - l_i)|^{e_i}."""
 
     def values(phis):
@@ -354,10 +356,10 @@ def _blaschke_sup_on_circle(roots: np.ndarray, exponents: Sequence[int],
             out *= (np.abs(1.0 - np.conj(lam) * z) / np.abs(z - lam)) ** e
         return out
 
-    phis = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
     vals = values(phis)
     best = int(np.argmax(vals))
-    phi, val, half = phis[best], vals[best], 2.0 * np.pi / grid
+    phi, val, half = phis[best], vals[best], 2.0 * np.pi / 4096
     # zoom in on the coarse argmax: each round spans one spacing of the
     # previous grid on either side, in 64 steps
     for _ in range(4):
@@ -487,6 +489,13 @@ def _require_horizon(t_max: float):
         raise DomainError(f"t_max must be finite and nonnegative, got {t_max}")
 
 
+def _require_grid(t_max: float, steps: int):
+    """The continuous trajectory grid: at least 2 samples of [0, t_max]."""
+    if steps < 2:
+        raise DomainError("need at least 2 time samples")
+    _require_horizon(t_max)
+
+
 def _require_steps(n: int, name: str):
     if n < 0:
         raise DomainError(f"{name} must be nonnegative, got {n}")
@@ -566,8 +575,7 @@ def validate_pair_on_channel(pair: ConvergencePair, t: SuperOperator,
     last consecutive step that passed and poisons the pair (valid=False)
     on any failure.
     """
-    if pair.kind != "discrete":
-        raise DomainError("channel validation requires a discrete pair")
+    _require_kind(pair, "discrete", "channel validation")
     _require_steps(n_max, "n_max")
     steps = np.arange(n_max + 1)
     return _validate_on_grid(
@@ -579,8 +587,7 @@ def validate_pair_on_generator(pair: ConvergencePair, gen: GeneratorMap,
                                t_max: float, samples: int,
                                seed: int = 0) -> ConvergencePair:
     """Continuous analogue of :func:`validate_pair_on_channel` on a t grid."""
-    if pair.kind != "continuous":
-        raise DomainError("generator validation requires a continuous pair")
+    _require_kind(pair, "continuous", "generator validation")
     _require_horizon(t_max)
     if samples < 1:
         raise DomainError(f"samples must be at least 1, got {samples}")
@@ -663,16 +670,15 @@ def discrete_trajectory_check(t: SuperOperator, e: SuperOperator,
     ``strict=True`` a violation beyond ``STRICT_TOL`` raises
     :class:`BoundViolationError` carrying the records.
     """
-    if t.dim != e.dim:
-        raise DomainError("maps must act on the same dimension")
+    if not t.dim == e.dim == rho0.dim == sigma0.dim:
+        raise DomainError("maps and states must act on the same dimension")
     _require_steps(n_steps, "n_steps")
     analysis = fixed_point_analysis(t)
     if analysis.multiplicity != 1:
         raise HypothesisError(
             "discrete trajectory bound requires a unique stationary state "
             f"(eigenvalue-1 multiplicity {analysis.multiplicity})")
-    if pair.kind != "discrete":
-        raise DomainError("discrete trajectory check requires a discrete pair")
+    _require_kind(pair, "discrete", "discrete trajectory check")
     if not pair.validated_to(n_steps, t):
         validate_pair_on_channel(pair, t, n_max=n_steps, seed=seed)
     _require_usable(pair)
@@ -694,18 +700,15 @@ def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
     Both semigroups are propagated at ``steps`` uniform times in
     [0, t_max] (one matrix exponential per grid spacing, then compounded).
     """
-    if gen_t.dim != gen_e.dim:
-        raise DomainError("generators must act on the same dimension")
-    if steps < 2:
-        raise DomainError("need at least 2 time samples")
-    _require_horizon(t_max)
+    if not gen_t.dim == gen_e.dim == rho0.dim == sigma0.dim:
+        raise DomainError("generators and states must act on the same dimension")
+    _require_grid(t_max, steps)
     analysis = fixed_point_analysis(gen_t.unit_time_map)
     if analysis.multiplicity != 1:
         raise HypothesisError(
             "continuous trajectory bound requires a unique stationary state "
             f"(eigenvalue-1 multiplicity {analysis.multiplicity})")
-    if pair.kind != "continuous":
-        raise DomainError("continuous trajectory check requires a continuous pair")
+    _require_kind(pair, "continuous", "continuous trajectory check")
     if not pair.validated_to(t_max, gen_t):
         validate_pair_on_generator(pair, gen_t, t_max=t_max, samples=steps,
                                    seed=seed)

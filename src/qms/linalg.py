@@ -40,12 +40,12 @@ _PADE13 = np.array([
 _THETA13 = 5.371920351148152
 
 
-def as_matrix(x, square: bool = False, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite complex 2-d array, validating shape and entries."""
+def as_matrix(x, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite complex square array, validating shape and entries."""
     m = np.asarray(x, dtype=complex)
     if m.ndim != 2:
         raise DimensionError(f"{name}: expected a 2-d array, got ndim={m.ndim}")
-    if square and m.shape[0] != m.shape[1]:
+    if m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name}: expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValidationError(f"{name}: entries must be finite (no NaN/Inf)")
@@ -104,7 +104,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def trace_norm(m) -> float:
     """Schatten 1-norm (sum of singular values) of a square matrix."""
-    m = as_matrix(m, square=True, name="trace_norm input")
+    m = as_matrix(m, name="trace_norm input")
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
@@ -155,7 +155,7 @@ def matrix_exp(m, t: float = 1.0) -> np.ndarray:
     like eps ||tM||_1.  For the rate-1 depolarizing generator (largest
     entry of e^{tL} 1/2) it is 1.5e-8 at t = 1e9, 1.3e-5 at 1e12 and 6e-2
     at 1e15; scipy.linalg.expm is off by 1.7e-2 at 1e15."""
-    m = as_matrix(m, square=True, name="matrix_exp input")
+    m = as_matrix(m, name="matrix_exp input")
     if not np.isfinite(t):
         raise ValidationError("matrix_exp: t must be finite")
     with np.errstate(over="ignore", invalid="ignore"):

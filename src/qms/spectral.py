@@ -309,7 +309,7 @@ def minimal_polynomial(delta: SuperOperator) -> MinimalPolynomial:
     Unstable rank decisions raise :class:`IllConditionedStructureError`
     (callers must treat the structure as undecidable rather than guess).
     """
-    m = as_matrix(delta.matrix, square=True)
+    m = as_matrix(delta.matrix)
     n = m.shape[0]
     norm = spectral_norm(m)
     # maps at or below roundoff scale are the zero map, m(z) = z

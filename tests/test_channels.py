@@ -425,7 +425,7 @@ def test_public_signatures_keep_only_options_with_callers():
 
     import qms
     from qms import (channels, contraction, ensembles, finite_time, linalg,
-                     spectral)
+                     spectral, stability)
 
     assert [f.name for f in dataclasses.fields(SuperOperator)] == [
         "dim", "matrix", "label"]
@@ -447,6 +447,15 @@ def test_public_signatures_keep_only_options_with_callers():
             "restarts", "seed", "strict"],
         ensembles.perturb_generator: ["gen", "eps", "seed"],
         contraction.probe_inputs: ["d", "seed"],
+        linalg.as_matrix: ["x", "name"],
+        finite_time._blaschke_sup_on_circle: ["roots", "exponents", "mu"],
+        # called by keyword from bench/workloads.py
+        finite_time.pair_chi2: ["t", "n_check", "seed"],
+        finite_time.pair_detailed_balance: ["t", "n_check", "seed"],
+        finite_time.pair_chi2_generator: ["gen", "t_max", "samples", "seed"],
+        ensembles.random_generator: ["d", "jump_count", "seed", "check"],
+        stability.fixed_point_perturbation: ["t1", "t2", "rho2", "restarts",
+                                             "seed"],
     }
     for func, names in expected.items():
         assert list(inspect.signature(func).parameters) == names, func.__name__

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -251,10 +252,10 @@ def test_pairs_mu_outside_unit_interval_is_usage_error(files, capsys, mu):
 
 @pytest.mark.parametrize("extra, message", [
     (["--steps", "0"], "need at least 2 time samples"),
-    (["--steps", "1"], "need at least 2 time samples"),
-    (["--t-max", "-1"], "t_max must be finite and nonnegative"),
-    (["--t-max", "nan"], "t_max must be finite and nonnegative")])
+    (["--steps", "1"], "need at least 2 time samples")])
 def test_continuous_ensemble_bad_grid_is_usage_error(capsys, extra, message):
+    # a bad --t-max is the parser's refusal, in every mode
+    # (test_bad_time_horizon_is_usage_error)
     code = main(["ensemble", "--mode", "continuous", "--count", "3"] + extra)
     captured = capsys.readouterr()
     assert code == 2
@@ -679,6 +680,87 @@ def test_analyze_runs_the_tight_checks_only_on_closed_forms(tmp_path, capsys,
     assert "  violations: 0" in out.splitlines()
 
 
+# ---------------------------------------------------------------------------
+# every exit-1 rule of every command, each forced by one patched estimate
+
+
+def _kappa(report, value, **changes):
+    return dataclasses.replace(report, kappa_tau_z=dataclasses.replace(
+        report.kappa_tau_z, value=value, **changes))
+
+
+_EXIT_ONE_RULES = {
+    # an ascent's kappa above the certified spectral upper bound
+    "analyze_spectral_upper": (
+        ["analyze", "{depol05}"], "stability", "condition_numbers",
+        lambda r: _kappa(r, 2.0 * r.spectral_upper, method="multistart_manifold"),
+        r"^  violations: 1$"),
+    # closed forms only: the spectral lower bound above kappa, and kappa
+    # above (1 - tau)^-1
+    "analyze_spectral_lower": (
+        ["analyze", "{depol05}"], "stability", "condition_numbers",
+        lambda r: _kappa(r, r.spectral_lower / 2.0), r"^  violations: 1$"),
+    "analyze_contraction": (
+        ["analyze", "{depol05}"], "stability", "condition_numbers",
+        lambda r: _kappa(r, 1.5 * r.kappa_contraction), r"^  violations: 1$"),
+    "compare_slack": (
+        ["compare", "{depol05}", "{depol06}"], "stability",
+        "fixed_point_perturbation",
+        lambda o: dataclasses.replace(o, bound_value=o.actual_distance - 1.0),
+        r"^  slack: -"),
+    "compare_identity_residual": (
+        ["compare", "{depol05}", "{depol06}"], "stability",
+        "fixed_point_perturbation",
+        lambda o: dataclasses.replace(o, identity_residual=1e-6),
+        r"^  identity residual: 1e-06$"),
+    # with ||E - T|| read as 0 the bound misses the drift of the evolutions
+    # from |0><0| (the maximally mixed state is fixed by both maps)
+    "trajectory_discrete": (
+        ["trajectory", "{depol05}", "{depol06}", "--steps", "5", "--state",
+         "file:{ground}"], "finite_time", "_perturbation_norm",
+        lambda value: 0.0, r"^violations: [1-9]"),
+    "trajectory_continuous": (
+        ["trajectory", "{gen10}", "{gen11}", "--steps", "5", "--state",
+         "file:{ground}"], "finite_time", "_perturbation_norm",
+        lambda value: 0.0, r"^violations: [1-9]"),
+    "ensemble_discrete": (
+        ["ensemble", "--count", "1", "--steps", "5", "--restarts", "2"],
+        "finite_time", "_perturbation_norm", lambda value: 0.0,
+        r"^violations: [1-9]"),
+    "ensemble_continuous": (
+        ["ensemble", "--count", "1", "--steps", "5", "--restarts", "2",
+         "--mode", "continuous"],
+        "finite_time", "_perturbation_norm", lambda value: 0.0,
+        r"^violations: [1-9]"),
+    # probe bounds above K mu^n refute every discrete pair
+    "pairs_invalid": (
+        ["pairs", "{depol05}", "--steps", "5"], "finite_time",
+        "_channel_probe_bounds", lambda bounds: bounds + 10.0, r"valid=False"),
+}
+
+
+@pytest.mark.parametrize("rule", list(_EXIT_ONE_RULES))
+def test_each_exit_one_rule_fires_on_its_violation(files, capsys, monkeypatch,
+                                                   rule):
+    import importlib
+    import re
+    from qms.channels import basis_state
+    from qms.serialize import state_to_dict
+    ground = files["dir"] / "ground.json"
+    ground.write_text(dumps_json(state_to_dict(basis_state(2, 0))))
+    template, module_name, name, change, reported = _EXIT_ONE_RULES[rule]
+    argv = [a.format(ground=ground, **files) for a in template]
+    code, out = run(argv, capsys)
+    assert code == 0 and not re.search(reported, out, re.M)
+    module = importlib.import_module(f"qms.{module_name}")
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: change(real(*args, **kwargs)))
+    code, out = run(argv, capsys)
+    assert code == 1
+    assert re.search(reported, out, re.M), out
+
+
 _NON_HERMITIAN_FIXED_POINT = ("the map's fixed point is not Hermitian "
                               "(anti-Hermitian part ")
 
@@ -736,7 +818,8 @@ def test_ensemble_exit_code_contract(dim, count, steps, restarts, continuous,
                             "--steps", str(steps), "--restarts", str(restarts),
                             f"--t-max={t_max!r}"]
                            + (["--mode", "continuous"] if continuous else []))
-    if restarts < 1 or (continuous and not (steps >= 2 and 0.0 <= t_max < math.inf)):
+    if (restarts < 1 or not 0.0 <= t_max < math.inf
+            or (continuous and steps < 2)):
         assert code == 2
 
 
@@ -820,11 +903,18 @@ def test_malformed_pair_spec_messages(files, capsys, t, e, spec, message):
 
 @pytest.mark.parametrize("t_max", ["-1", "inf", "nan"])
 def test_bad_time_horizon_is_usage_error(files, capsys, t_max):
-    code = main(["trajectory", files["gen10"], files["gen11"], "--steps", "5",
-                 f"--t-max={t_max}"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: t_max must be finite and nonnegative")
+    # the parser refuses it for channels and discrete sweeps too, which
+    # never read it
+    for argv in (["trajectory", files["gen10"], files["gen11"], "--steps", "5"],
+                 ["trajectory", files["depol05"], files["depol06"], "--steps", "5"],
+                 ["ensemble", "--count", "1", "--steps", "3"],
+                 ["ensemble", "--count", "1", "--steps", "3", "--mode", "continuous"]):
+        code = main(argv + [f"--t-max={t_max}"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err.endswith(
+            " error: argument --t-max: must be finite and >= 0, "
+            f"got {float(t_max)}\n"), argv
 
 
 @pytest.fixture(scope="module")

@@ -104,6 +104,19 @@ def test_sweep_refuses_restarts_below_one(mode):
         sweep(cfg, steps=5, restarts=0)
 
 
+@pytest.mark.parametrize("steps, t_max, message", [
+    (1, 10.0, "need at least 2 time samples"),
+    (5, -1.0, "t_max must be finite and nonnegative, got -1.0"),
+    (5, math.inf, "t_max must be finite and nonnegative, got inf"),
+    (5, math.nan, "t_max must be finite and nonnegative, got nan")])
+def test_continuous_sweep_refuses_a_bad_grid_up_front(steps, t_max, message):
+    # the trajectory check's grid rule, raised before any instance runs
+    # rather than turned into error rows
+    cfg = EnsembleConfig(dim=2, count=2, master_seed=77, mode="continuous")
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        sweep(cfg, steps=steps, restarts=2, t_max=t_max)
+
+
 def test_sweep_continuous_mode():
     cfg = EnsembleConfig(dim=2, count=1, master_seed=5, perturbation_eps=1e-2,
                          mode="continuous")

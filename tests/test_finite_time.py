@@ -403,6 +403,68 @@ def test_trajectory_strict_raises_on_violation(monkeypatch):
     assert any(r.slack < -1e-6 for r in rows)
 
 
+_DISCRETE, _CONTINUOUS = user_pair(1.0, 0.5), user_pair(1.0, 0.5, "continuous")
+_QUBIT = basis_state(2, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: discrete_bound(_CONTINUOUS, 1, 0.0, 0.0),
+     "discrete_bound requires a discrete pair"),
+    (lambda: asymptotic_discrete(_CONTINUOUS, 0.1),
+     "asymptotic_discrete requires a discrete pair"),
+    (lambda: continuous_bound(_DISCRETE, 1.0, 0.0, 0.0),
+     "continuous_bound requires a continuous pair"),
+    (lambda: asymptotic_continuous(_DISCRETE, 0.1),
+     "asymptotic_continuous requires a continuous pair"),
+    (lambda: validate_pair_on_channel(_CONTINUOUS, depolarizing_channel(0.5), 5),
+     "channel validation requires a discrete pair"),
+    (lambda: validate_pair_on_generator(_DISCRETE, depolarizing_generator(1.0),
+                                        1.0, 5),
+     "generator validation requires a continuous pair"),
+    (lambda: discrete_trajectory_check(
+        depolarizing_channel(0.5), depolarizing_channel(0.6), _QUBIT, _QUBIT,
+        5, _CONTINUOUS),
+     "discrete trajectory check requires a discrete pair"),
+    (lambda: continuous_trajectory_check(
+        depolarizing_generator(1.0), depolarizing_generator(1.1), _QUBIT,
+        _QUBIT, 1.0, 5, _DISCRETE),
+     "continuous trajectory check requires a continuous pair"),
+], ids=["discrete_bound", "asymptotic_discrete", "continuous_bound",
+        "asymptotic_continuous", "validate_pair_on_channel",
+        "validate_pair_on_generator", "discrete_trajectory_check",
+        "continuous_trajectory_check"])
+def test_pair_of_the_other_clock_is_refused(call, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+    for pair in (_DISCRETE, _CONTINUOUS):
+        assert (pair.validity_checked_to, pair.valid) == (0, True)
+        assert pair.validated_on is None
+
+
+@pytest.mark.parametrize("wrong", ["rho0", "sigma0"])
+@pytest.mark.parametrize("continuous", [False, True],
+                         ids=["discrete", "continuous"])
+def test_trajectory_check_refuses_states_of_another_dimension(continuous, wrong):
+    # a qutrit state against qubit maps must be a DomainError (usage,
+    # exit 2), not numpy's matmul error
+    from qms.channels import maximally_mixed
+    states = {"rho0": _QUBIT, "sigma0": _QUBIT, wrong: maximally_mixed(3)}
+    if continuous:
+        gen = depolarizing_generator(1.0)
+        pair = pair_chi2_generator(gen, t_max=1.0, samples=5)
+        with pytest.raises(DomainError, match="^generators and states must act "
+                                              "on the same dimension$"):
+            continuous_trajectory_check(gen, depolarizing_generator(1.1),
+                                        t_max=1.0, steps=5, pair=pair, **states)
+    else:
+        t = depolarizing_channel(0.5)
+        pair = pair_chi2(t, n_check=5)
+        with pytest.raises(DomainError, match="^maps and states must act on "
+                                              "the same dimension$"):
+            discrete_trajectory_check(t, depolarizing_channel(0.6), n_steps=5,
+                                      pair=pair, **states)
+
+
 def test_continuous_trajectory_depolarizing_fixture():
     lt = depolarizing_generator(1.0)
     le = depolarizing_generator(1.1)
