@@ -252,15 +252,25 @@ def test_pairs_mu_outside_unit_interval_is_usage_error(files, capsys, mu):
 
 @pytest.mark.parametrize("extra, message", [
     (["--steps", "0"], "need at least 2 time samples"),
-    (["--steps", "1"], "need at least 2 time samples")])
-def test_continuous_ensemble_bad_grid_is_usage_error(capsys, extra, message):
+    (["--steps", "1"], "need at least 2 time samples"),
     # a bad --t-max is the parser's refusal, in every mode
-    # (test_bad_time_horizon_is_usage_error)
+    # (test_bad_time_horizon_is_usage_error), printed after the usage
+    pytest.param(["--t-max", "-1"],
+                 "argument --t-max: must be finite and >= 0, got -1.0",
+                 id="extra2-t_max must be finite and nonnegative"),
+    pytest.param(["--t-max", "nan"],
+                 "argument --t-max: must be finite and >= 0, got nan",
+                 id="extra3-t_max must be finite and nonnegative")])
+def test_continuous_ensemble_bad_grid_is_usage_error(capsys, extra, message):
     code = main(["ensemble", "--mode", "continuous", "--count", "3"] + extra)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {message}")
+    if extra[0] == "--t-max":
+        assert captured.err.startswith("usage: qms ensemble ")
+        assert captured.err.endswith(f"\nqms ensemble: error: {message}\n")
+    else:
+        assert captured.err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("dim", [2, 3])
