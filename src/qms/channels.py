@@ -93,9 +93,10 @@ class DensityMatrix:
             raise ValidationError(f"density matrix has eigenvalue {lo:.3g} < -1e-10")
 
 
-@dataclass
+@dataclass(eq=False)
 class GeneratorMap:
-    """Superoperator of a semigroup generator; trace-annihilating."""
+    """Superoperator of a semigroup generator; trace-annihilating.  Equality
+    and hashing are by identity, as for :class:`SuperOperator`."""
 
     dim: int
     matrix: np.ndarray

@@ -276,7 +276,7 @@ def _emit_reports(reports, args, header: dict) -> int:
 
 
 def _cmd_trajectory(args) -> int:
-    from .finite_time import (continuous_trajectory_check,
+    from .finite_time import (_require_grid, continuous_trajectory_check,
                               discrete_trajectory_check)
     obj_t = _load(args.input1)
     obj_e = _load(args.input2)
@@ -285,6 +285,8 @@ def _cmd_trajectory(args) -> int:
         raise ValidationError(
             "trajectory inputs must both be channels or both generators")
     rho0 = _resolve_state(args.state, obj_t.dim)
+    if continuous:          # the grid rule before any validation on the grid
+        _require_grid(args.t_max, args.steps)
     pair = _derive_pair(args.pair, obj_t, args.steps, args.t_max, args.seed)
     if continuous:
         reports = continuous_trajectory_check(

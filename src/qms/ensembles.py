@@ -138,7 +138,8 @@ def _discrete_instance(config: EnsembleConfig, index: int, steps: int,
         slack=outcome.bound_value - outcome.actual_distance,
         regime="fixed_point", kappa_variant="tau_z")
 
-    pair = pair_chi2(t, n_check=steps, seed=derive_seed(seed, 5))
+    # the check's seed: its validation then reads the pair's probe bounds
+    pair = pair_chi2(t, n_check=steps, seed=derive_seed(seed, 7))
     rho0 = random_density(config.dim, derive_seed(seed, 6))
     return [row] + discrete_trajectory_check(t, t2, rho0, rho0, steps, pair,
                                              restarts=restarts,
@@ -153,7 +154,7 @@ def _continuous_instance(config: EnsembleConfig, index: int, steps: int,
                              check=False)
     gen_e = perturb_generator(gen_t, config.perturbation_eps, derive_seed(seed, 2))
     pair = pair_chi2_generator(gen_t, t_max=t_max, samples=steps,
-                               seed=derive_seed(seed, 5))
+                               seed=derive_seed(seed, 7))
     rho0 = random_density(config.dim, derive_seed(seed, 6))
     return continuous_trajectory_check(gen_t, gen_e, rho0, rho0, t_max, steps,
                                        pair, restarts=restarts,

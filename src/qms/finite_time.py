@@ -60,11 +60,10 @@ VALIDATION_CHUNK = 16
 class ConvergencePair:
     """Constants certifying exponential convergence, with their provenance.
 
-    ``validity_checked_to`` is the largest n (or t) up to which the
-    certified inequality was verified against the norm estimator; ``valid``
-    turns False when a check failed, which poisons the pair against use in
-    trajectory assertions.  ``validated_on`` is the map or generator that
-    check ran on, kept out of :meth:`to_dict`.
+    ``validity_checked_to`` and ``valid`` record the pair's last check
+    against the norm estimator: the largest n (or t) up to which the
+    certified inequality held, and whether it held on the whole grid.  A
+    trajectory check validates the pair again on its own grid before use.
     """
 
     K: float
@@ -74,7 +73,6 @@ class ConvergencePair:
     validity_checked_to: float = 0.0
     valid: bool = True
     details: dict = field(default_factory=dict)
-    validated_on: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("discrete", "continuous"):
@@ -96,13 +94,6 @@ class ConvergencePair:
                 "valid": self.valid,
                 "details": {k: v for k, v in self.details.items()
                             if isinstance(v, (int, float, str, bool, list))}}
-
-    def validated_to(self, horizon: float, target) -> bool:
-        """Whether a validation on ``target``, a map or generator matched by
-        identity as the memos match maps, reached ``horizon``.  A fresh pair
-        reads ``validity_checked_to`` 0 without any check, so it needs one
-        even at horizon 0, and a check on another map says nothing here."""
-        return self.validated_on is target and self.validity_checked_to >= horizon
 
 
 @dataclass
@@ -522,12 +513,18 @@ def _powers(m: np.ndarray, count: int):
         current = current @ shift
 
 
-def _probe_bounds(count: int, m: np.ndarray, p_inf: np.ndarray,
-                  probes: np.ndarray) -> np.ndarray:
-    """Probe lower bounds of ||M^k - P_inf|| for k < ``count``, one
-    trace-norm batch per stack of :func:`_powers`."""
-    return np.concatenate([norm_lower_bound_probes(block - p_inf, probes)
-                           for block in _powers(m, count)])
+def _probe_bounds(count: int, m: np.ndarray, limit: SuperOperator,
+                  seed: int) -> np.ndarray:
+    """Probe lower bounds of ||M^k - P_inf|| for k < ``count``, P_inf the
+    projector of ``limit`` and the probes ``probe_inputs(d, seed=seed)``,
+    one trace-norm batch per stack of :func:`_powers`.  The memos below
+    share the result, hence it is read-only."""
+    p_inf = fixed_point_analysis(limit).projector.matrix
+    probes = probe_inputs(limit.dim, seed=seed)
+    bounds = np.concatenate([norm_lower_bound_probes(block - p_inf, probes)
+                             for block in _powers(m, count)])
+    bounds.flags.writeable = False
+    return bounds
 
 
 @functools.lru_cache(maxsize=8)
@@ -536,25 +533,29 @@ def _channel_probe_bounds(t: SuperOperator, n_max: int, seed: int) -> np.ndarray
 
     Memoised per (map, n_max, seed), with maps keyed by identity as in
     :func:`spectral.fixed_point_analysis`, so the pairs validated on one
-    channel share one evaluation; the returned array is shared, hence
-    read-only.
+    channel, and a trajectory check on the same steps, share one evaluation.
     """
-    bounds = _probe_bounds(n_max + 1, t.matrix,
-                           fixed_point_analysis(t).projector.matrix,
-                           probe_inputs(t.dim, seed=seed))
-    bounds.flags.writeable = False
-    return bounds
+    return _probe_bounds(n_max + 1, t.matrix, t, seed)
 
 
-def _validate_on_grid(pair: ConvergencePair, target, key: str, grid,
-                      estimates, certified, n_probes: int) -> ConvergencePair:
-    """The verdict of both validators on ``target``, decided once over the
-    arrays: the probe bound ``estimates[i]`` at ``grid[i]`` against
-    ``certified[i]``, the pair's K decay there (a NaN estimate fails).
+@functools.lru_cache(maxsize=8)
+def _generator_probe_bounds(gen: GeneratorMap, t_max: float, samples: int,
+                            seed: int) -> np.ndarray:
+    """The probe bounds of ||e^{tL} - P_inf|| at ``samples`` uniform times
+    in [0, t_max], powers of one step e^{L dt}; memoised per (generator,
+    t_max, samples, seed) as :func:`_channel_probe_bounds` is per map."""
+    return _probe_bounds(samples, matrix_exp(gen.matrix, t_max / max(samples - 1, 1)),
+                         gen.unit_time_map, seed)
+
+
+def _validate_on_grid(pair: ConvergencePair, key: str, grid, estimates,
+                      certified, n_probes: int) -> ConvergencePair:
+    """The verdict of both validators, decided once over the arrays: the
+    probe bound ``estimates[i]`` at ``grid[i]`` against ``certified[i]``,
+    the pair's K decay there (a NaN estimate fails).
     ``validity_checked_to`` is the last point of the passing prefix, 0 when
     the first point fails."""
     ok = estimates <= certified + VALIDATION_TOL
-    pair.validated_on = target
     pair.validity_checked_to = float(grid[np.logical_and.accumulate(ok)].max(initial=0))
     pair.valid = bool(ok.all())
     pair.details["validation_failures"] = [
@@ -571,7 +572,7 @@ def validate_pair_on_channel(pair: ConvergencePair, t: SuperOperator,
     The estimator is the probe lower bound over ``probe_inputs(d,
     seed=seed)``, evaluated in runs of VALIDATION_CHUNK steps (one
     trace-norm batch per run) once per (map, n_max, seed) and shared by
-    every pair validated there.  Updates ``validity_checked_to`` to the
+    every validation there.  Updates ``validity_checked_to`` to the
     last consecutive step that passed and poisons the pair (valid=False)
     on any failure.
     """
@@ -579,7 +580,7 @@ def validate_pair_on_channel(pair: ConvergencePair, t: SuperOperator,
     _require_steps(n_max, "n_max")
     steps = np.arange(n_max + 1)
     return _validate_on_grid(
-        pair, t, "n", steps, _channel_probe_bounds(t, n_max, seed),
+        pair, "n", steps, _channel_probe_bounds(t, n_max, seed),
         pair.K * pair.rate ** steps, len(probe_inputs(t.dim, seed=seed)))
 
 
@@ -591,13 +592,10 @@ def validate_pair_on_generator(pair: ConvergencePair, gen: GeneratorMap,
     _require_horizon(t_max)
     if samples < 1:
         raise DomainError(f"samples must be at least 1, got {samples}")
-    p_inf = fixed_point_analysis(gen.unit_time_map).projector.matrix
-    probes = probe_inputs(gen.dim, seed=seed)
     times = np.linspace(0.0, t_max, samples)
-    step = matrix_exp(gen.matrix, t_max / max(samples - 1, 1))
     return _validate_on_grid(
-        pair, gen, "t", times, _probe_bounds(samples, step, p_inf, probes),
-        _decay(pair.K, pair.rate, times), len(probes))
+        pair, "t", times, _generator_probe_bounds(gen, t_max, samples, seed),
+        _decay(pair.K, pair.rate, times), len(probe_inputs(gen.dim, seed=seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -663,12 +661,13 @@ def discrete_trajectory_check(t: SuperOperator, e: SuperOperator,
                               strict: bool = True) -> list:
     """Exact simulated ||rho_n - sigma_n||_1 against the per-step bound.
 
-    The perturbation norm ||E - T|| is estimated by the multistart
-    optimizer and additionally evaluated on every simulated sigma_i (each
-    is an admissible unit-trace-norm input), which makes the bound dominate
-    the trajectory whenever the pair's certificate holds.  With
-    ``strict=True`` a violation beyond ``STRICT_TOL`` raises
-    :class:`BoundViolationError` carrying the records.
+    The pair is validated on steps 0..n_steps with ``seed`` on every call
+    and refused if it fails there.  The perturbation norm ||E - T|| is
+    estimated by the multistart optimizer and additionally evaluated on
+    every simulated sigma_i (each is an admissible unit-trace-norm input),
+    which makes the bound dominate the trajectory whenever the pair's
+    certificate holds.  With ``strict=True`` a violation beyond
+    ``STRICT_TOL`` raises :class:`BoundViolationError` carrying the records.
     """
     if not t.dim == e.dim == rho0.dim == sigma0.dim:
         raise DomainError("maps and states must act on the same dimension")
@@ -679,9 +678,7 @@ def discrete_trajectory_check(t: SuperOperator, e: SuperOperator,
             "discrete trajectory bound requires a unique stationary state "
             f"(eigenvalue-1 multiplicity {analysis.multiplicity})")
     _require_kind(pair, "discrete", "discrete trajectory check")
-    if not pair.validated_to(n_steps, t):
-        validate_pair_on_channel(pair, t, n_max=n_steps, seed=seed)
-    _require_usable(pair)
+    _require_usable(validate_pair_on_channel(pair, t, n_max=n_steps, seed=seed))
 
     sigma_mats, exact = _simulate(t.matrix, e.matrix, rho0, sigma0, n_steps + 1)
     d0 = trace_norm(rho0.matrix - sigma0.matrix)
@@ -698,7 +695,8 @@ def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
     """Continuous counterpart of :func:`discrete_trajectory_check`.
 
     Both semigroups are propagated at ``steps`` uniform times in
-    [0, t_max] (one matrix exponential per grid spacing, then compounded).
+    [0, t_max] (one matrix exponential per grid spacing, then compounded),
+    the grid the pair is validated on.
     """
     if not gen_t.dim == gen_e.dim == rho0.dim == sigma0.dim:
         raise DomainError("generators and states must act on the same dimension")
@@ -709,10 +707,8 @@ def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
             "continuous trajectory bound requires a unique stationary state "
             f"(eigenvalue-1 multiplicity {analysis.multiplicity})")
     _require_kind(pair, "continuous", "continuous trajectory check")
-    if not pair.validated_to(t_max, gen_t):
-        validate_pair_on_generator(pair, gen_t, t_max=t_max, samples=steps,
-                                   seed=seed)
-    _require_usable(pair)
+    _require_usable(validate_pair_on_generator(pair, gen_t, t_max=t_max,
+                                               samples=steps, seed=seed))
 
     times = np.linspace(0.0, t_max, steps)
     dt = times[1] - times[0]

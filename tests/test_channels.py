@@ -431,6 +431,14 @@ def test_public_signatures_keep_only_options_with_callers():
         "dim", "matrix", "label"]
     assert [f.name for f in dataclasses.fields(channels.GeneratorMap)] == [
         "dim", "matrix"]
+    # a trajectory check validates on its own grid; the pair keeps no record
+    # of where it was validated
+    assert [f.name for f in dataclasses.fields(finite_time.ConvergencePair)] == [
+        "K", "rate", "kind", "recipe", "validity_checked_to", "valid", "details"]
+    # the validation memos key generators, like maps, by identity
+    gen = channels.depolarizing_generator(1.0)
+    twin = channels.GeneratorMap(gen.dim, gen.matrix.copy())
+    assert gen == gen and gen != twin and hash(gen) != hash(twin)
     expected = {
         channels.check_stationary: ["t", "rho"],
         contraction.tau: ["t", "restarts", "seed"],
@@ -470,7 +478,9 @@ def test_public_signatures_keep_only_options_with_callers():
                          (spectral, "_stationary_basis"),
                          (spectral.FixedPointAnalysis, "stationary"),
                          (linalg, "_PADE"), (linalg, "_THETA"),
-                         (linalg, "_pade_rows")]:
+                         (linalg, "_pade_rows"),
+                         (finite_time.ConvergencePair, "validated_to"),
+                         (finite_time.ConvergencePair, "validated_on")]:
         assert not hasattr(module, name), name
 
 

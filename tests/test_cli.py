@@ -363,13 +363,19 @@ def test_continuous_trajectory_without_unique_stationary_state(files, capsys):
 
 
 @pytest.mark.parametrize("pair", ["auto-chi2", "auto-db"])
-def test_continuous_trajectory_without_samples_is_usage_error(files, capsys, pair):
-    # the recipe refuses an empty validation grid before the trajectory runs
-    code = main(["trajectory", files["gen10"], files["gen11"], "--steps", "0",
-                 "--pair", pair])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: samples must be at least 1, got 0")
+def test_continuous_trajectory_without_samples_is_usage_error(files, capsys,
+                                                              count_calls, pair):
+    # the grid rule runs before the recipe, so 0 and 1 samples give one
+    # message and no pair is validated on a grid the check refuses
+    from qms import finite_time
+    validations = count_calls(finite_time, "validate_pair_on_generator")
+    for steps in ("0", "1"):
+        code = main(["trajectory", files["gen10"], files["gen11"], "--steps",
+                     steps, "--pair", pair])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: need at least 2 time samples\n"
+    assert validations == []
 
 
 def test_trajectory_mixed_inputs_is_usage_error(files, capsys):
@@ -521,14 +527,22 @@ def test_out_flag_writes_file(files, tmp_path, capsys):
       "--restarts", "2"], 4),
     (["ensemble", "--dim", "2", "--count", "2", "--steps", "5",
       "--mode", "continuous", "--restarts", "2"], 2),
+    (["trajectory", "{depol05}", "{depol06}", "--steps", "5",
+      "--pair", "auto-eq10:0.9", "--restarts", "2"], 1),
 ])
-def test_one_eigendecomposition_per_map(files, capsys, count_calls, argv,
-                                        expected):
+def test_one_eigendecomposition_per_map(files, capsys, count_calls,
+                                        count_linalg, argv, expected):
     from qms import spectral
     eigs = count_calls(spectral, "_spectral_data")
+    calls = count_linalg("eigvals", "eig")
     assert main([a.format(**files) for a in argv]) == 0
     capsys.readouterr()
     assert len(eigs) == expected
+    # the eq10 recipe decomposes Delta = T - T^inf separately: its
+    # minimal_polynomial calls np.linalg.eigvals itself, so `pairs` and an
+    # auto-eq10 trajectory make one eigenvalue computation more than maps
+    eq10 = argv[0] == "pairs" or "auto-eq10:0.9" in argv
+    assert calls == {"eigvals": expected + eq10}
 
 
 def test_continuous_trajectory_exponentiates_generator_once(files, capsys,

@@ -371,8 +371,9 @@ def test_trajectory_random_small_perturbation():
 @pytest.mark.parametrize("continuous", [False, True],
                          ids=["discrete", "continuous"])
 def test_trajectory_requires_unique_stationary_state(continuous):
-    # both clocks refuse before validating and leave the pair untouched;
-    # on the continuous map a validation of K = 2 would fail and poison it
+    # both clocks refuse before validating and leave the pair untouched
+    # (no validation record in its details); on the continuous map a
+    # validation of K = 2 would fail and poison it
     rho0 = basis_state(2, 0)
     if continuous:
         pair = user_pair(2.0, 1.0, "continuous")
@@ -386,7 +387,7 @@ def test_trajectory_requires_unique_stationary_state(continuous):
             discrete_trajectory_check(identity_channel(2), identity_channel(2),
                                       rho0, rho0, 5, pair)
     assert (pair.validity_checked_to, pair.valid) == (0, True)
-    assert pair.validated_on is None
+    assert "validation_failures" not in pair.details
 
 
 def test_trajectory_strict_raises_on_violation(monkeypatch):
@@ -438,7 +439,7 @@ def test_pair_of_the_other_clock_is_refused(call, message):
         call()
     for pair in (_DISCRETE, _CONTINUOUS):
         assert (pair.validity_checked_to, pair.valid) == (0, True)
-        assert pair.validated_on is None
+        assert "validation_failures" not in pair.details
 
 
 @pytest.mark.parametrize("wrong", ["rho0", "sigma0"])
@@ -485,12 +486,12 @@ def test_continuous_trajectory_depolarizing_fixture():
 
 @pytest.mark.parametrize("continuous", [False, True])
 def test_zero_horizon_validates_a_fresh_pair(continuous):
-    # a fresh pair reads validity_checked_to 0 without any check; at
-    # horizon 0 it must still be validated, and K = 0.01 fails at n = t = 0
+    # a fresh pair reads validity_checked_to 0 and valid without any check;
+    # at horizon 0 it must still be validated, and K = 0.01 fails at n = t = 0
     rho0 = basis_state(2, 0)
     pair = user_pair(0.01, 0.5, "continuous" if continuous else "discrete")
     target = depolarizing_generator(1.0) if continuous else depolarizing_channel(0.5)
-    assert not pair.validated_to(0.0, target)
+    assert (pair.validity_checked_to, pair.valid) == (0, True)
     with pytest.raises(DomainError, match="failed empirical validation"):
         if continuous:
             continuous_trajectory_check(target, depolarizing_generator(1.1),
@@ -526,22 +527,71 @@ def test_a_pair_validated_on_one_map_is_validated_again_on_another(continuous):
         check = lambda: discrete_trajectory_check(
             slow, depolarizing_channel(0.1), rho0, sigma0, 50, pair,
             strict=False)
-    assert pair.valid and pair.validated_to(pair.validity_checked_to, fast)
-    assert not pair.validated_to(0.0, slow)
+    assert pair.valid and pair.validity_checked_to == (10.0 if continuous else 50)
     with pytest.raises(DomainError, match="failed empirical validation"):
         check()
-    assert pair.validated_on is slow and not pair.valid
-    assert "validated_on" not in pair.to_dict()
+    assert not pair.valid and pair.validity_checked_to == 0
+    assert pair.details["validation_failures"][0]["t" if continuous else "n"] > 0
 
 
-def test_zero_horizon_passing_pair_is_validated_once():
+def test_a_pair_validated_on_a_coarse_grid_is_validated_again_on_a_fine_one():
+    # K = 1, nu = 5 holds at t = 0 and t = 20 of a 2-sample grid but not at
+    # t = 2 of the 11-sample grid (probe estimate 0.135 against 4.5e-5)
+    gen = depolarizing_generator(1.0)
+    pair = validate_pair_on_generator(user_pair(1.0, 5.0, "continuous"), gen,
+                                      t_max=20.0, samples=2)
+    assert pair.valid and pair.validity_checked_to == 20.0
+    rho0 = basis_state(2, 0)
+    with pytest.raises(DomainError, match="failed empirical validation"):
+        continuous_trajectory_check(gen, depolarizing_generator(1.1), rho0,
+                                    rho0, 20.0, 11, pair)
+    assert not pair.valid and pair.validity_checked_to == 0.0
+    assert pair.details["validation_failures"][0]["t"] == 2.0
+
+
+@pytest.mark.parametrize("continuous", [False, True])
+def test_a_check_on_the_pairs_own_grid_reads_its_memoised_probe_bounds(
+        count_calls, continuous):
+    # the recipe and the trajectory check validate on one (map, grid, seed):
+    # the probe bounds are computed once, and each validation stands alone
+    from qms import finite_time
+    rho0, sigma0 = basis_state(2, 0), basis_state(2, 1)
+    evaluations = count_calls(finite_time, "_probe_bounds")
+    validations = count_calls(finite_time, "validate_pair_on_" + (
+        "generator" if continuous else "channel"))
+    if continuous:
+        gen = depolarizing_generator(1.0)
+        pair = pair_chi2_generator(gen, t_max=10.0, samples=20, seed=3)
+        rows = continuous_trajectory_check(gen, depolarizing_generator(1.1),
+                                           rho0, sigma0, 10.0, 20, pair, seed=3)
+    else:
+        t = depolarizing_channel(0.5)
+        pair = pair_chi2(t, n_check=30, seed=3)
+        rows = discrete_trajectory_check(t, depolarizing_channel(0.6), rho0,
+                                         sigma0, 30, pair, seed=3)
+    assert len(validations) == 2 and len(evaluations) == 1
+    assert pair.valid and len(rows) == (20 if continuous else 31)
+    # another seed is another probe set, evaluated on its own
+    if continuous:
+        continuous_trajectory_check(gen, depolarizing_generator(1.1), rho0,
+                                    sigma0, 10.0, 20, pair, seed=4)
+    else:
+        discrete_trajectory_check(t, depolarizing_channel(0.6), rho0, sigma0,
+                                  30, pair, seed=4)
+    assert len(validations) == 3 and len(evaluations) == 2
+
+
+def test_zero_horizon_passing_pair_is_validated_once(count_calls):
+    from qms import finite_time
     rho0 = basis_state(2, 0)
     pair = user_pair(1.0, 0.5)
     t = depolarizing_channel(0.5)
+    calls = count_calls(finite_time, "validate_pair_on_channel")
     rows = discrete_trajectory_check(t, depolarizing_channel(0.6), rho0, rho0,
                                      0, pair)
-    assert len(rows) == 1 and pair.valid and pair.validated_to(0, t)
+    assert len(rows) == 1 and pair.valid and pair.validity_checked_to == 0
     assert pair.details["validation_failures"] == []
+    assert [args[:2] for args in calls] == [(pair, t)]
 
 
 @pytest.mark.parametrize("recipe", [
@@ -555,7 +605,7 @@ def test_discrete_recipes_refuse_a_negative_horizon(recipe):
     with pytest.raises(DomainError, match="n_max"):
         recipe(t, -1)
     pair = recipe(t, 0)
-    assert pair.valid and pair.validated_to(0, t)
+    assert pair.valid and pair.validity_checked_to == 0
     assert pair.details["validation_failures"] == []
 
 
@@ -583,8 +633,9 @@ def test_generator_validation_refuses_an_empty_time_grid(recipe):
         with pytest.raises(DomainError, match="samples"):
             recipe(gen, samples)
     pair = recipe(gen, 1)
-    assert pair.validated_to(0.0, gen)
+    assert pair.validity_checked_to == 0.0
     assert pair.valid is (pair.recipe != "user_supplied")
+    assert len(pair.details["validation_failures"]) == (not pair.valid)
 
 
 def test_continuous_trajectory_derives_pair_when_missing():
@@ -707,7 +758,7 @@ def test_a_nan_probe_estimate_fails_validation(first):
     grid = np.arange(5)
     estimates = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
     estimates[0 if first else 2] = np.nan
-    pair = _validate_on_grid(user_pair(1.0, 0.9), None, "n", grid, estimates,
+    pair = _validate_on_grid(user_pair(1.0, 0.9), "n", grid, estimates,
                              0.9 ** grid, 132)
     failures = pair.details["validation_failures"]
     assert not pair.valid

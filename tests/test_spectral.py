@@ -52,6 +52,32 @@ def test_projector_cesaro_cross_check_runs_for_fast_mixing():
     assert analysis.cesaro_residual <= 1e-6
 
 
+def test_projector_cesaro_cross_check_is_skipped_for_slow_mixing():
+    # subdominant modulus 1 - 1e-4: 2^14 powers shrink it only to e^-1.6,
+    # far from the 1e-7 the average would need
+    analysis = fixed_point_analysis(depolarizing_channel(1e-4))
+    assert not analysis.cesaro_checked and analysis.cesaro_residual is None
+    assert analysis.notes == ["cesaro cross-check skipped: subdominant "
+                              "modulus 0.9999 mixes too slowly for 2^14 steps"]
+    assert np.allclose(analysis.projector.matrix,
+                       fixed_point_analysis(depolarizing_channel(0.5)).projector.matrix,
+                       atol=1e-10)
+
+
+@pytest.mark.parametrize("w, clusters", [
+    # 0 ~ 0.9e-7 ~ 1.8e-7 with tol 1e-7: the ends are 1.8e-7 apart, and
+    # only the chaining step joins them
+    ([0.0, 0.9e-7, 1.8e-7], [[0, 1, 2]]),
+    ([1.8e-7, 0.5, 0.0, 0.9e-7], [[0, 2, 3], [1]]),
+    ([0.0, 0.9e-7, 0.5, 0.5 + 0.9e-7j, 0.5 + 1.8e-7j, 1.8e-7],
+     [[0, 1, 5], [2, 3, 4]]),
+    ([0.0, 2e-7, 4e-7], [[0], [1], [2]]),
+])
+def test_cluster_indices_chain_through_neighbours(w, clusters):
+    from qms.spectral import _cluster_indices
+    assert _cluster_indices(np.array(w, dtype=complex), 1e-7) == clusters
+
+
 def test_projector_residuals_are_kept_beside_the_cesaro_residual():
     t = random_channel(3, 4, seed=91)
     analysis = fixed_point_analysis(t)
