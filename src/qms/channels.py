@@ -87,7 +87,7 @@ class DensityMatrix:
             raise ValidationError(f"density matrix not Hermitian (residual {herm:.3g})")
         tr = complex(np.trace(self.matrix))
         if abs(tr - 1.0) > 1e-10:
-            raise ValidationError(f"density matrix trace {tr:.12g} != 1")
+            raise ValidationError(f"density matrix trace {tr.real:.12g} != 1")
         lo = float(np.linalg.eigvalsh((self.matrix + dagger(self.matrix)) / 2).min())
         if lo < -1e-10:
             raise ValidationError(f"density matrix has eigenvalue {lo:.3g} < -1e-10")

@@ -27,12 +27,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import DensityMatrix, GeneratorMap, SuperOperator, basis_state
+from .channels import (DensityMatrix, GeneratorMap, SuperOperator, basis_state,
+                       generator_exponential)
 from .contraction import norm_1to1, norm_lower_bound_probes, probe_inputs
 from .errors import (BoundViolationError, DomainError, HypothesisError,
                      ValidationError)
-from .linalg import (apply_batch, dagger, matrix_exp, sandwich_matrix,
-                     spectral_norm, trace_norm, trace_norm_batch, vec)
+from .linalg import (apply_batch, dagger, sandwich_matrix, spectral_norm,
+                     trace_norm, trace_norm_batch, vec)
 from .spectral import fixed_point_analysis, minimal_polynomial
 
 RECIPES = ("user_supplied", "chi2", "detailed_balance", "spectral_eq10")
@@ -130,6 +131,12 @@ def user_pair(K: float, rate: float, kind: str = "discrete") -> ConvergencePair:
     return ConvergencePair(K=K, rate=rate, kind=kind, recipe="user_supplied")
 
 
+def _require_nonnegative(names: str, *values):
+    """Refuse a negative or NaN value: ``names`` must be nonnegative."""
+    if not all(x >= 0 for x in values):
+        raise DomainError(f"{names} must be nonnegative")
+
+
 def _require_kind(pair: ConvergencePair, kind: str, what: str):
     """Refuse a pair of the other clock: ``what`` needs a ``kind`` pair."""
     if pair.kind != kind:
@@ -195,8 +202,7 @@ def discrete_bound(pair: ConvergencePair, n: int, d0: float, dT: float) -> Finit
     ``d0`` is ||rho_0 - sigma_0||_1 and ``dT`` is ||E - T||_{1->1}.
     """
     _require_kind(pair, "discrete", "discrete_bound")
-    if n < 0 or d0 < 0 or dT < 0:
-        raise DomainError("n, d0 and dT must be nonnegative")
+    _require_nonnegative("n, d0 and dT", n, d0, dT)
     return _finite_time_bound(n, *_discrete_terms(pair.K, pair.rate, n, d0, dT))
 
 
@@ -208,8 +214,7 @@ def asymptotic_discrete(pair: ConvergencePair, dT: float) -> float:
     equals the limit only when K mu^n_hat = 1; the gap is below ||E - T||
     for K > 1 and can exceed it for K < 1."""
     _require_kind(pair, "discrete", "asymptotic_discrete")
-    if dT < 0:
-        raise DomainError("dT must be nonnegative")
+    _require_nonnegative("dT", dT)
     return (n_hat(pair.K, pair.rate) + 1.0 / (1.0 - pair.rate)) * dT
 
 
@@ -244,8 +249,7 @@ def continuous_bound(pair: ConvergencePair, t: float, d0: float, dL: float) -> F
     ``dL`` is the 1->1 norm of the generator difference.
     """
     _require_kind(pair, "continuous", "continuous_bound")
-    if t < 0 or d0 < 0 or dL < 0:
-        raise DomainError("t, d0 and dL must be nonnegative")
+    _require_nonnegative("t, d0 and dL", t, d0, dL)
     return _finite_time_bound(t, *_continuous_terms(pair.K, pair.rate, t, d0, dL))
 
 
@@ -253,6 +257,7 @@ def asymptotic_continuous(pair: ConvergencePair, dL: float) -> float:
     """(log(max(K, 1)) + min(K, 1))/nu times the generator-difference norm,
     the t -> infinity limit of :func:`continuous_bound`."""
     _require_kind(pair, "continuous", "asymptotic_continuous")
+    _require_nonnegative("dL", dL)
     if pair.K <= 0:
         raise DomainError("requires K > 0")
     return (math.log(max(pair.K, 1.0)) + min(pair.K, 1.0)) / pair.rate * dL
@@ -513,39 +518,29 @@ def _powers(m: np.ndarray, count: int):
         current = current @ shift
 
 
-def _probe_bounds(count: int, m: np.ndarray, limit: SuperOperator,
+@functools.lru_cache(maxsize=8)
+def _grid_step(gen: GeneratorMap, t_max: float, samples: int) -> SuperOperator:
+    """e^{L dt} at the spacing dt of ``samples`` uniform times in [0, t_max],
+    shared by a validation on that grid and the trajectory simulated on it."""
+    return generator_exponential(gen, t_max / max(samples - 1, 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _probe_bounds(step: SuperOperator, limit: SuperOperator, count: int,
                   seed: int) -> np.ndarray:
-    """Probe lower bounds of ||M^k - P_inf|| for k < ``count``, P_inf the
-    projector of ``limit`` and the probes ``probe_inputs(d, seed=seed)``,
-    one trace-norm batch per stack of :func:`_powers`.  The memos below
-    share the result, hence it is read-only."""
+    """Probe lower bounds of ||S^k - P_inf|| for k < ``count``, S = ``step``,
+    P_inf the projector of ``limit`` (a channel is its own step and limit, a
+    generator's are :func:`_grid_step` and e^{L}) and the probes
+    ``probe_inputs(d, seed=seed)``, one trace-norm batch per stack of
+    :func:`_powers`.  Memoised with maps keyed by identity, so validations
+    on one grid, and a trajectory check on it, share one read-only result.
+    """
     p_inf = fixed_point_analysis(limit).projector.matrix
     probes = probe_inputs(limit.dim, seed=seed)
     bounds = np.concatenate([norm_lower_bound_probes(block - p_inf, probes)
-                             for block in _powers(m, count)])
+                             for block in _powers(step.matrix, count)])
     bounds.flags.writeable = False
     return bounds
-
-
-@functools.lru_cache(maxsize=8)
-def _channel_probe_bounds(t: SuperOperator, n_max: int, seed: int) -> np.ndarray:
-    """The probe bounds of ||T^n - T^inf|| for n = 0..n_max.
-
-    Memoised per (map, n_max, seed), with maps keyed by identity as in
-    :func:`spectral.fixed_point_analysis`, so the pairs validated on one
-    channel, and a trajectory check on the same steps, share one evaluation.
-    """
-    return _probe_bounds(n_max + 1, t.matrix, t, seed)
-
-
-@functools.lru_cache(maxsize=8)
-def _generator_probe_bounds(gen: GeneratorMap, t_max: float, samples: int,
-                            seed: int) -> np.ndarray:
-    """The probe bounds of ||e^{tL} - P_inf|| at ``samples`` uniform times
-    in [0, t_max], powers of one step e^{L dt}; memoised per (generator,
-    t_max, samples, seed) as :func:`_channel_probe_bounds` is per map."""
-    return _probe_bounds(samples, matrix_exp(gen.matrix, t_max / max(samples - 1, 1)),
-                         gen.unit_time_map, seed)
 
 
 def _validate_on_grid(pair: ConvergencePair, key: str, grid, estimates,
@@ -580,7 +575,7 @@ def validate_pair_on_channel(pair: ConvergencePair, t: SuperOperator,
     _require_steps(n_max, "n_max")
     steps = np.arange(n_max + 1)
     return _validate_on_grid(
-        pair, "n", steps, _channel_probe_bounds(t, n_max, seed),
+        pair, "n", steps, _probe_bounds(t, t, n_max + 1, seed),
         pair.K * pair.rate ** steps, len(probe_inputs(t.dim, seed=seed)))
 
 
@@ -594,12 +589,23 @@ def validate_pair_on_generator(pair: ConvergencePair, gen: GeneratorMap,
         raise DomainError(f"samples must be at least 1, got {samples}")
     times = np.linspace(0.0, t_max, samples)
     return _validate_on_grid(
-        pair, "t", times, _generator_probe_bounds(gen, t_max, samples, seed),
+        pair, "t", times, _probe_bounds(_grid_step(gen, t_max, samples),
+                                        gen.unit_time_map, samples, seed),
         _decay(pair.K, pair.rate, times), len(probe_inputs(gen.dim, seed=seed)))
 
 
 # ---------------------------------------------------------------------------
 # trajectory checks
+
+
+def _require_unique(limit: SuperOperator, clock: str):
+    """Refuse a map ``limit`` whose stationary state is not unique: the
+    ``clock`` ("discrete" or "continuous") trajectory bound needs one."""
+    multiplicity = fixed_point_analysis(limit).multiplicity
+    if multiplicity != 1:
+        raise HypothesisError(
+            f"{clock} trajectory bound requires a unique stationary state "
+            f"(eigenvalue-1 multiplicity {multiplicity})")
 
 
 def _require_usable(pair: ConvergencePair):
@@ -672,11 +678,7 @@ def discrete_trajectory_check(t: SuperOperator, e: SuperOperator,
     if not t.dim == e.dim == rho0.dim == sigma0.dim:
         raise DomainError("maps and states must act on the same dimension")
     _require_steps(n_steps, "n_steps")
-    analysis = fixed_point_analysis(t)
-    if analysis.multiplicity != 1:
-        raise HypothesisError(
-            "discrete trajectory bound requires a unique stationary state "
-            f"(eigenvalue-1 multiplicity {analysis.multiplicity})")
+    _require_unique(t, "discrete")
     _require_kind(pair, "discrete", "discrete trajectory check")
     _require_usable(validate_pair_on_channel(pair, t, n_max=n_steps, seed=seed))
 
@@ -695,26 +697,21 @@ def continuous_trajectory_check(gen_t: GeneratorMap, gen_e: GeneratorMap,
     """Continuous counterpart of :func:`discrete_trajectory_check`.
 
     Both semigroups are propagated at ``steps`` uniform times in
-    [0, t_max] (one matrix exponential per grid spacing, then compounded),
-    the grid the pair is validated on.
+    [0, t_max], the grid the pair is validated on, as powers of each
+    generator's :func:`_grid_step`, the reference's being its validation's.
     """
     if not gen_t.dim == gen_e.dim == rho0.dim == sigma0.dim:
         raise DomainError("generators and states must act on the same dimension")
     _require_grid(t_max, steps)
-    analysis = fixed_point_analysis(gen_t.unit_time_map)
-    if analysis.multiplicity != 1:
-        raise HypothesisError(
-            "continuous trajectory bound requires a unique stationary state "
-            f"(eigenvalue-1 multiplicity {analysis.multiplicity})")
+    _require_unique(gen_t.unit_time_map, "continuous")
     _require_kind(pair, "continuous", "continuous trajectory check")
     _require_usable(validate_pair_on_generator(pair, gen_t, t_max=t_max,
                                                samples=steps, seed=seed))
 
-    times = np.linspace(0.0, t_max, steps)
-    dt = times[1] - times[0]
-    sigma_mats, exact = _simulate(matrix_exp(gen_t.matrix, dt),
-                                  matrix_exp(gen_e.matrix, dt), rho0, sigma0, steps)
+    sigma_mats, exact = _simulate(_grid_step(gen_t, t_max, steps).matrix,
+                                  _grid_step(gen_e, t_max, steps).matrix,
+                                  rho0, sigma0, steps)
     d0 = trace_norm(rho0.matrix - sigma0.matrix)
     dL = _perturbation_norm(gen_t.matrix, gen_e.matrix, sigma_mats, restarts, seed)
-    return _bound_rows(pair, times, _continuous_terms, exact, d0, dL, strict,
-                       "times")
+    return _bound_rows(pair, np.linspace(0.0, t_max, steps), _continuous_terms,
+                       exact, d0, dL, strict, "times")

@@ -24,11 +24,13 @@ def count_calls(monkeypatch):
             calls.append(args)
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
-        for modname, mod in list(sys.modules.items()):
-            if ((modname == "qms" or modname.startswith("qms."))
-                    and getattr(mod, name, None) is orig):
-                monkeypatch.setattr(mod, name, counted)
+        # find the copies before patching: reading a lazy ``qms`` name
+        # afterwards would cache the wrapper where monkeypatch cannot undo it
+        copies = [mod for modname, mod in list(sys.modules.items())
+                  if (modname == "qms" or modname.startswith("qms."))
+                  and mod is not module and getattr(mod, name, None) is orig]
+        for target in [module] + copies:
+            monkeypatch.setattr(target, name, counted)
         return calls
 
     return install

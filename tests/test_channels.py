@@ -480,7 +480,9 @@ def test_public_signatures_keep_only_options_with_callers():
                          (linalg, "_PADE"), (linalg, "_THETA"),
                          (linalg, "_pade_rows"),
                          (finite_time.ConvergencePair, "validated_to"),
-                         (finite_time.ConvergencePair, "validated_on")]:
+                         (finite_time.ConvergencePair, "validated_on"),
+                         (finite_time, "_channel_probe_bounds"),
+                         (finite_time, "_generator_probe_bounds")]:
         assert not hasattr(module, name), name
 
 

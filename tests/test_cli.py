@@ -556,6 +556,9 @@ def test_continuous_trajectory_exponentiates_generator_once(files, capsys,
     assert code == 0
     assert len(eigs) == 1
     assert len([args for args in exps if args[1:] == (1.0,)]) == 1
+    # one step e^{L dt} per generator at the grid spacing 10/4: the pair's
+    # validation and the simulation share the reference's
+    assert len([args for args in exps if args[1:] == (2.5,)]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +762,7 @@ _EXIT_ONE_RULES = {
     # probe bounds above K mu^n refute every discrete pair
     "pairs_invalid": (
         ["pairs", "{depol05}", "--steps", "5"], "finite_time",
-        "_channel_probe_bounds", lambda bounds: bounds + 10.0, r"valid=False"),
+        "_probe_bounds", lambda bounds: bounds + 10.0, r"valid=False"),
 }
 
 

@@ -1059,7 +1059,7 @@ def test_probe_bounds_of_classical_chains_are_exact(d):
     is max_i ||(S^n)_i - pi||_1, attained at the probe E_ii.  At n = 0,
     I - T^inf sends E_ii to E_ii - diag(pi), of trace norm 2(1 - pi_i), and
     the off-diagonal units to themselves, of trace norm 1."""
-    from qms.finite_time import _channel_probe_bounds
+    from qms.finite_time import _probe_bounds
     for i in range(3):
         s = random_stochastic(d, derive_seed(7100 + d, i))
         w, v = np.linalg.eig(s.T)
@@ -1070,7 +1070,8 @@ def test_probe_bounds_of_classical_chains_are_exact(d):
         for _ in range(200):
             power = power @ s
             exact.append(np.abs(power - pi).sum(axis=1).max())
-        bounds = _channel_probe_bounds(from_stochastic(s), 200, i)
+        t = from_stochastic(s)
+        bounds = _probe_bounds(t, t, 201, i)
         np.testing.assert_allclose(bounds, exact, rtol=0, atol=1e-12)
 
 

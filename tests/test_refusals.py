@@ -24,7 +24,8 @@ from qms.ensembles import (EnsembleConfig, perturb_channel, perturb_generator,
                            random_channel, random_generator)
 from qms.errors import DimensionError, DomainError, SchemaError, ValidationError
 from qms.finite_time import (ConvergencePair, asymptotic_continuous,
-                             asymptotic_discrete, continuous_bound, user_pair)
+                             asymptotic_discrete, continuous_bound,
+                             discrete_bound, user_pair)
 from qms.linalg import as_matrix, matrix_exp, unvec
 from qms.serialize import (channel_from_json, channel_to_dict, dumps_json,
                            state_to_dict)
@@ -91,7 +92,7 @@ def _json(**doc):
     (lambda: DensityMatrix(2, np.eye(3) / 3), DimensionError,
      "density matrix shape (3, 3) != dim 2"),
     (lambda: DensityMatrix(2, np.eye(2)), ValidationError,
-     "density matrix trace 2+0j != 1"),
+     "density matrix trace 2 != 1"),
     (lambda: DensityMatrix(2, np.diag([1.5, -0.5])), ValidationError,
      "density matrix has eigenvalue -0.5 < -1e-10"),
     (lambda: GeneratorMap(2, np.zeros((9, 9))), DimensionError,
@@ -120,6 +121,18 @@ def _json(**doc):
      DomainError, "t, d0 and dL must be nonnegative"),
     (lambda: asymptotic_continuous(user_pair(0.0, 1.0, "continuous"), 0.1),
      DomainError, "requires K > 0"),
+    (lambda: asymptotic_continuous(user_pair(2.0, 1.0, "continuous"), -1.0),
+     DomainError, "dL must be nonnegative"),
+    # NaN is refused like a negative value, not returned as a NaN bound
+    (lambda: discrete_bound(user_pair(1.0, 0.5), math.nan, 0.0, 0.0),
+     DomainError, "n, d0 and dT must be nonnegative"),
+    (lambda: asymptotic_discrete(user_pair(1.0, 0.5), math.nan), DomainError,
+     "dT must be nonnegative"),
+    (lambda: continuous_bound(user_pair(1.0, 1.0, "continuous"), 1.0, math.nan,
+                              0.0),
+     DomainError, "t, d0 and dL must be nonnegative"),
+    (lambda: asymptotic_continuous(user_pair(2.0, 1.0, "continuous"), math.nan),
+     DomainError, "dL must be nonnegative"),
     # linear algebra
     (lambda: as_matrix(np.zeros((2, 2, 2))), DimensionError,
      "matrix: expected a 2-d array, got ndim=3"),
@@ -158,6 +171,9 @@ def _json(**doc):
         "config_kraus_rank", "config_mode", "random_channel", "random_generator",
         "perturb_channel", "perturb_generator", "pair_kind", "pair_recipe",
         "asymptotic_discrete", "continuous_bound", "asymptotic_continuous",
+        "asymptotic_continuous_negative", "discrete_bound_nan",
+        "asymptotic_discrete_nan", "continuous_bound_nan",
+        "asymptotic_continuous_nan",
         "as_matrix", "unvec", "matrix_exp", "json_overflow", "json_short_row",
         "json_not_object", "json_label", "json_kraus_empty", "cli_analyze",
         "cli_state_dim", "cli_state_spec", "cli_compare_dims",
